@@ -7,12 +7,14 @@ leaves distinguishing to the invariants.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
+from . import ArfkitError
 from .rings.matrices import t_alpha_u, is_gq, identity_matrix
 
 
-class ArfError(ValueError):
+class ArfError(ArfkitError):
     pass
 
 
@@ -51,9 +53,6 @@ class ArfExpression:
             for x in p:
                 if self.flavor == RING and not R.in_lambda1(x):
                     raise ArfError("ring pair components must lie in Lambda_1")
-
-    def _new(self, pairs):
-        return ArfExpression(self.flavor, self.context, pairs)
 
     def __add__(self, other):
         if other.flavor != self.flavor or other.context is not self.context:
@@ -105,30 +104,17 @@ class ArfExpression:
 
 
 def parse_expression(flavor, context, text):
-    """Parse "<w1, w2> + <w3, w4>" with group words or ring element text."""
+    """Parse "<w1, w2> + <w3, w4>" with group words or ring element text
+    ("<<a, b>> + ..." for reduced generators); "0" or "" is zero."""
     text = text.strip()
     if text in ("0", ""):
         return ArfExpression(flavor, context)
+    opening, closing = ("<<", ">>") if flavor == REDUCED else ("<", ">")
+    term = f"{opening}([^<>]*){closing}"
+    if not re.fullmatch(rf"{term}(\s*\+\s*{term})*", text):
+        raise ArfError(f"expected {opening}a, b{closing} + ..., got {text!r}")
     pairs = []
-    depth = 0
-    cur = ""
-    chunks = []
-    for ch in text:
-        if ch == "<":
-            depth += 1
-        elif ch == ">":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            chunks.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    chunks.append(cur)
-    for chunk in chunks:
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        inner = chunk.strip("<> ")
+    for inner in re.findall(term, text):
         a, b = _split_pair(inner)
         if flavor == GROUP:
             pairs.append((context.parse_element(a), context.parse_element(b)))
@@ -140,12 +126,15 @@ def parse_expression(flavor, context, text):
 def _split_pair(inner):
     depth = 0
     for i, ch in enumerate(inner):
-        if ch in "(<":
+        if ch == "(":
             depth += 1
-        elif ch in ")>":
+        elif ch == ")":
             depth -= 1
         elif ch == "," and depth == 0:
-            return inner[:i].strip(), inner[i + 1:].strip()
+            a, b = inner[:i].strip(), inner[i + 1:].strip()
+            if not (a and b):
+                raise ArfError(f"empty pair component in {inner!r}")
+            return a, b
     raise ArfError("pair needs two comma-separated components")
 
 

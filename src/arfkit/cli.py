@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Deterministic output; exit code 0 on success, 2 for honest Unknown or
-Inconclusive results, 1 on errors.
+Inconclusive results, 1 on errors.  An ArfkitError (bad input, or a refused
+computation such as an algebra past the homology dimension guard) is
+reported as one line on stderr.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from importlib import resources
 
 import click
 
-from . import arf, k2diff, kinv, upsilon as ups
+from . import ArfkitError, arf, k2diff, kinv, upsilon as ups
 from .groups import classes as gcl
 from .groups import core as gcore
 from .homology import (algebras as halg, chains as hch, operations as hops,
@@ -37,7 +39,15 @@ RINGS = {
 }
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ArfkitError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Exact Arf-type invariants over rings with anti-structure."""
 

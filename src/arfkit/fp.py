@@ -75,12 +75,6 @@ class Subspace:
     def basis(self):
         return [tuple(int(x) for x in r) for r in self._rows]
 
-    def quotient_unit_coords(self):
-        """Coordinates i such that the unit vectors e_i represent a basis
-        of the quotient F_p^dim / self."""
-        piv = set(self._pivots)
-        return [i for i in range(self.dim) if i not in piv]
-
 
 class QuotientContext:
     """F_p^dim modulo a subspace, with canonical representatives."""
@@ -103,9 +97,6 @@ class QuotientContext:
     def equal(self, v, w):
         return self.reduce(v) == self.reduce(w)
 
-    def basis_coords(self):
-        return self.space.quotient_unit_coords()
-
 
 def zeros(dim):
     return tuple(0 for _ in range(dim))
@@ -121,42 +112,21 @@ def add_vec(v, w, p=2):
     return tuple((a + b) % p for a, b in zip(v, w))
 
 
-def scale_vec(v, c, p=2):
-    return tuple((a * c) % p for a in v)
-
-
 def _first_nonzero(v):
     nz = np.nonzero(v)[0]
     return int(nz[0]) if len(nz) else None
 
 
-def rref(matrix, p=2):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    rows = [np.asarray(r, dtype=np.int64) % p for r in matrix]
-    out, pivots = [], []
-    for v in rows:
-        v = v.copy()
-        for j, row in zip(pivots, out):
-            c = v[j]
-            if c:
-                v = (v - c * row) % p
-        j = _first_nonzero(v)
-        if j is None:
-            continue
-        v = (v * _inv_mod(v[j], p)) % p
-        for i, row in enumerate(out):
-            c = row[j]
-            if c:
-                out[i] = (row - c * v) % p
-        k = int(np.searchsorted(np.asarray(pivots, dtype=np.int64), j))
-        out.insert(k, v)
-        pivots.insert(k, j)
-    return out, pivots
+def rref(matrix, ncols, p=2):
+    """Reduced row echelon form of rows of length ncols.  Returns (rows,
+    pivot_columns)."""
+    space = Subspace(ncols, p, matrix)
+    return space._rows, space._pivots
 
 
 def kernel_basis(matrix, ncols, p=2):
     """Basis of {x : M x = 0} for M given as an iterable of rows."""
-    rows, pivots = rref(matrix, p)
+    rows, pivots = rref(matrix, ncols, p)
     pivset = set(pivots)
     free = [j for j in range(ncols) if j not in pivset]
     basis = []
@@ -172,7 +142,7 @@ def kernel_basis(matrix, ncols, p=2):
 def solve(matrix, target, ncols, p=2):
     """One solution x of M x = target, or None.  M given as rows."""
     aug = [list(r) + [t] for r, t in zip(matrix, target)]
-    rows, pivots = rref(aug, p)
+    rows, pivots = rref(aug, ncols + 1, p)
     x = [0] * ncols
     for j, row in zip(pivots, rows):
         if j == ncols:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from ..memo import derived
 from .core import (Group, GroupError, SemidirectZnC2, PullbackCyclicGroup,
                    PullbackDihedralGroup)
 
@@ -52,9 +53,10 @@ class _UnionFind:
 
 def cl_partition_finite(G):
     """Exact partition of a finite group under the generated equivalence."""
-    cached = getattr(G, "_cl_partition", None)
-    if cached is not None:
-        return cached
+    return derived(G, "cl_partition", _partition_finite, G)
+
+
+def _partition_finite(G):
     els = G.elements()
     uf = _UnionFind(els)
     for g in els:
@@ -67,7 +69,6 @@ def cl_partition_finite(G):
         groups.setdefault(uf.find(g), set()).add(g)
     parts = [frozenset(s) for s in groups.values()]
     parts.sort(key=lambda s: G.key(min(s, key=G.key)))
-    G._cl_partition = parts
     return parts
 
 
@@ -463,14 +464,6 @@ def _pullback_roots(G, z):
                     out.add(((1, c), e))
                     out.add(((1, c + G.m), e))
     return sorted(out, key=G.key)
-
-
-def _e_part(z):
-    return z[1]
-
-
-def _pow_e(E, e, k):
-    return E.power(e, k)
 
 
 def _make(G, eps, i, e):

@@ -13,8 +13,10 @@ from __future__ import annotations
 import itertools
 import json
 
+from .. import ArfkitError
 
-class GroupError(ValueError):
+
+class GroupError(ArfkitError):
     pass
 
 
@@ -397,10 +399,6 @@ class SemidirectZnC2(Group):
         if s:
             parts.append("S")
         return "*".join(parts) if parts else "1"
-
-    def format_element_raw(self, g):
-        v, s = g
-        return "(" + ",".join(str(x) for x in v) + "|" + str(s) + ")"
 
     def _parse_family(self, text):
         if text.startswith("(") and text.endswith(")") and "|" in text:

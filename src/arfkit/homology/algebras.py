@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import json
 
+from .. import ArfkitError
 from ..groups.core import Group
 
 
-class AlgebraError(ValueError):
+class AlgebraError(ArfkitError):
     pass
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .. import fp
+from ..memo import derived
 from .algebras import AlgebraError
 from .chains import (HomologySpace, HomologyClass, homology, hq1, tensor2,
                      t_add, t_scale, flatten, unflatten, hq_vector)
@@ -158,10 +159,7 @@ def vartheta(A, c: HomologyClass):
 
 
 def _coker_mu(A):
-    cache = getattr(A, "_coker_mu_cache", None)
-    if cache is None:
-        cache = A._coker_mu_cache = CokerMu(A)
-    return cache
+    return derived(A, "coker_mu", CokerMu, A)
 
 
 def vartheta_chain(A, chain2, cpart):
@@ -204,8 +202,11 @@ class CokerOnePlusVartheta:
         if A.p != 2:
             raise AlgebraError("Upsilon needs characteristic 2")
         self.A = A
-        self.hq = hq1(A)
+        # a local CokerMu, not _coker_mu(A): stored on A, it and its HQ_1
+        # would live as long as A, which memoized spaces (they refer back to
+        # A) keep in a reference cycle until the cyclic collector runs
         self.coker_mu = CokerMu(A)
+        self.hq = self.coker_mu.hq
         rows = list(self.coker_mu.context.space.basis())
         for v in self.hq.basis:
             ch2 = unflatten(A, 2, v[:A.dim * A.dim])
@@ -252,12 +253,7 @@ def coker_one_plus_vartheta(A):
 
 
 def _space(A, kind) -> HomologySpace:
-    cache = getattr(A, "_homology_cache", None)
-    if cache is None:
-        cache = A._homology_cache = {}
-    if kind not in cache:
-        cache[kind] = homology(A, kind)
-    return cache[kind]
+    return derived(A, kind, homology, A, kind)
 
 
 def space(A, kind) -> HomologySpace:

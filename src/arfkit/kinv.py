@@ -508,13 +508,6 @@ class H0CokerDelta:
                     raise ArfError("element is not an H^0 cycle")
         return self.context.reduce(vec)
 
-    def basis_labels(self):
-        out = []
-        for j, ci in enumerate(self.self_inverse):
-            rep = min(self.classes[ci], key=self.G.key)
-            out.append(f"[{self.G.format_element(rep)}]")
-        return out
-
 
 def group_ring_h0_cokernel(G):
     """Basis of Coker(delta) = {a in Z[G]_ab : a = alpha(a)} /

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import re
 
+from .. import ArfkitError
 
-class RingError(ValueError):
+
+class RingError(ArfkitError):
     pass
 
 
@@ -317,18 +319,6 @@ class PolyRing(Ring):
 
     def coefficients_mod2(self, a):
         return self._norm({e: c % 2 for e, c in a})
-
-    def frobenius_parts(self, a):
-        """Unique decomposition a = sum_eps part[eps]^2 * x^eps over F2,
-        keyed by the parity vector eps of the exponents."""
-        if self.p != 2:
-            raise RingError("frobenius decomposition needs F2 coefficients")
-        parts = {}
-        for e, c in a:
-            eps = tuple(x & 1 for x in e)
-            root = tuple((x - p) // 2 for x, p in zip(e, eps))
-            parts.setdefault(eps, {})[root] = 1
-        return {eps: _freeze(d) for eps, d in parts.items()}
 
     def format(self, a):
         if not a:

@@ -19,6 +19,7 @@ from .groups import classes as gcl
 from .groups import structure as gst
 from .groups.core import (GroupError, SemidirectZnC2, PullbackCyclicGroup,
                           PullbackDihedralGroup, table_from_mul)
+from .memo import derived
 
 
 class UpsilonUnknown(Exception):
@@ -109,12 +110,11 @@ class FzData:
 
 
 def fz_data(G, z) -> FzData:
-    cache = getattr(G, "_fz_cache", None)
-    if cache is None:
-        cache = G._fz_cache = {}
-    if z not in cache:
-        cache[z] = FzData(G, z)
-    return cache[z]
+    table = derived(G, "fz", dict)
+    fz = table.get(z)
+    if fz is None:
+        fz = table.setdefault(z, FzData(G, z))
+    return fz
 
 
 def _arrow_rows(src: FzData, dst: FzData, elem_map, t_extra=None, ins_src=None,
@@ -441,28 +441,27 @@ def _apply_matrix(matrix, vec):
 
 def l_of_class(G, z):
     """The colimit summand L([z])."""
-    cache = getattr(G, "_lc_cache", None)
-    if cache is None:
-        cache = G._lc_cache = {}
     if G.is_finite or isinstance(G, SemidirectZnC2):
+        table = derived(G, "lc", dict)
         key = gcl.class_key(G, z)
-        if key not in cache:
+        lc = table.get(key)
+        if lc is None:
             if G.is_finite:
-                for part in gcl.cl_partition_finite(G):
-                    if z in part:
-                        cache[key] = FiniteLc(G, part)
-                        break
+                part = next(p for p in gcl.cl_partition_finite(G) if z in p)
+                lc = table.setdefault(key, FiniteLc(G, part))
             else:
-                cache[key] = SemidirectLc(G, key)
-        return cache[key]
-    if isinstance(G, (PullbackCyclicGroup, PullbackDihedralGroup)):
-        pool = cache.setdefault("pullback", [])
-        for lc in pool:
-            if lc.matches(z):
-                return lc
-        lc = PullbackLc(G, z)
-        pool.append(lc)
+                lc = table.setdefault(key, SemidirectLc(G, key))
         return lc
+    if isinstance(G, (PullbackCyclicGroup, PullbackDihedralGroup)):
+        # the earliest match, so that racing first uses return one summand
+        pool = derived(G, "pullback_lc", list)
+        i = 0
+        while True:
+            if i == len(pool):
+                pool.append(PullbackLc(G, z))
+            if pool[i].matches(z):
+                return pool[i]
+            i += 1
     raise UpsilonUnknown(f"no L(c) machinery for family {G.family}")
 
 

@@ -149,3 +149,25 @@ def test_expression_parsing_roundtrip(groupB):
     # display is swap-normalized, so compare displays after a reparse
     again = arf.parse_expression(arf.GROUP, groupB, e.display())
     assert again.display() == e.display()
+
+
+@pytest.mark.parametrize("text", [
+    "<S, ",            # unbalanced '<'
+    "<S,S>>",          # unbalanced '>'
+    "<S, S> +",        # trailing '+', an empty term
+    "+ <S, S>",        # leading '+'
+    "<S, S> <S, S>",   # two terms without '+'
+    "<, S>",           # empty pair component
+    "<<S, S>>",        # reduced-generator brackets on a group expression
+])
+def test_parse_expression_rejects_malformed(text):
+    with pytest.raises(ArfError):
+        arf.parse_expression(arf.GROUP, G.group_plane(), text)
+
+
+def test_parse_expression_reduced_brackets():
+    P = R.PolyRing(["X", "Y"], coeff="Z")
+    e = arf.parse_expression(arf.REDUCED, P, "<<X, Y>>")
+    assert e.display() == "<<X, Y>>"
+    with pytest.raises(ArfError):
+        arf.parse_expression(arf.REDUCED, P, "<X, Y>")

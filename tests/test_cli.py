@@ -99,3 +99,18 @@ def test_scenario_json_deterministic(runner):
     assert a.output == b.output
     payload = json.loads(a.output)
     assert payload["ok"] is True
+
+
+@pytest.mark.parametrize("args", [
+    ["classes", "builtin:nope"],
+    ["homology", "HQ1", "--group-algebra", "builtin:ch1-order24"],  # DIM_GUARD
+    ["arf-eval", "<S, S> +", "--invariant", "upsilon", "--group", "builtin:ch2-plane"],
+])
+def test_errors_are_one_line(runner, args):
+    r = runner.invoke(main, args)
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)   # not an uncaught error
+    assert "Traceback" not in r.output
+    assert r.stdout == ""
+    (line,) = r.stderr.splitlines()
+    assert line.startswith("Error: ")
