@@ -18,7 +18,7 @@ from .groups import classes as gcl
 from .groups import core as gcore
 from .homology import (algebras as halg, chains as hch, operations as hops,
                        morita as hmor)
-from .rings.base import PolyRing
+from .rings.base import PolyRing, RingError
 
 
 EXIT_UNKNOWN = 2
@@ -27,8 +27,12 @@ EXIT_UNKNOWN = 2
 def load_group(spec):
     if spec.startswith("builtin:"):
         return gcore.builtin_group(spec.split(":", 1)[1])
-    with open(spec) as f:
-        return gcore.group_from_json(json.load(f))
+    try:
+        with open(spec) as f:
+            data = json.load(f)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise gcore.GroupError(f"cannot read group file {spec!r}: {exc}") from exc
+    return gcore.group_from_json(data)
 
 
 RINGS = {
@@ -37,6 +41,15 @@ RINGS = {
     "f2xy-inv": lambda: PolyRing(["X", "Y"], coeff="F2", laurent=True,
                                  involution="inverse"),
 }
+
+
+def ring_by_name(name):
+    try:
+        build = RINGS[name]
+    except KeyError:
+        raise RingError(f"unknown ring {name!r}; known rings: "
+                        + ", ".join(sorted(RINGS))) from None
+    return build()
 
 
 class _Main(click.Group):
@@ -96,7 +109,7 @@ def arf_eval_cmd(expr, invariant, group_spec, ring_spec, reduced, as_json):
         ctx = load_group(group_spec)
         flavor = arf.GROUP
     elif ring_spec:
-        ctx = RINGS[ring_spec]()
+        ctx = ring_by_name(ring_spec)
         flavor = arf.REDUCED if reduced else arf.RING
     else:
         raise click.UsageError("one of --group/--ring is required")
@@ -376,7 +389,7 @@ def _check_lc_dim(G, check):
 
 
 def _check_decide(G, check):
-    ring = RINGS[check["ring"]]()
+    ring = ring_by_name(check["ring"])
     e = arf.parse_expression(arf.GROUP, G, check["expr"]) if G else None
     _, q = k2diff.plane_group_invariant(e)
     verdict = "Zero" if q.is_zero() else "NonZero"

@@ -1,79 +1,128 @@
-"""Dense exact linear algebra over the prime fields F_p (p small).
+"""Exact linear algebra over the prime fields F_p (p small).
 
 Everything downstream (class counting, homology, colimit quotients) reduces
 to row-space bookkeeping over F_2 or F_3, so this module keeps a single
 reduced-echelon representation and hands out immutable quotient contexts.
+
+Over F_2 a row is one Python int, bit j holding coordinate j, and
+elimination is XOR.  Odd p (F_3, on tiny inputs only) keeps rows as lists.
+The packing never leaves this module: vectors go in as sequences of ints,
+taken mod p, and come out as tuples of ints in [0, p).
 """
 from __future__ import annotations
 
-import numpy as np
+# byte k -> the ASCII digit of k mod 2, and ASCII digits back to 0/1
+_PARITY_DIGIT = bytes(b"01"[k & 1] for k in range(256))
+_DIGIT_VALUE = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _inv_mod(a, p):
-    return pow(int(a) % p, p - 2, p)
+def _pack(vec):
+    """F_2 vector -> int with bit j = vec[j] mod 2."""
+    try:
+        raw = bytes(vec)
+    except ValueError:          # an entry outside [0, 256)
+        raw = bytes([x & 1 for x in vec])
+    return int(raw.translate(_PARITY_DIGIT)[::-1] or b"0", 2)
+
+
+def _unpack(bits, dim):
+    if not bits:
+        return (0,) * dim
+    return tuple(bin(bits)[:1:-1].ljust(dim, "0").encode().translate(_DIGIT_VALUE))
 
 
 class Subspace:
     """Row space of vectors in F_p^dim, stored in reduced echelon form.
 
     Instances are immutable after construction; `extended` returns a new
-    subspace.  Vectors go in and come out as tuples of ints in [0, p).
+    subspace.  Vectors go in and come out as tuples of ints in [0, p); a
+    vector whose length is not dim raises ValueError.
     """
 
     def __init__(self, dim, p=2, rows=()):
         self.dim = int(dim)
         self.p = int(p)
-        self._rows = []      # list of np arrays, pivot normalized to 1
-        self._pivots = []    # increasing pivot columns
+        # pivot column j -> the row with pivot j (its first nonzero entry,
+        # equal to 1); every other row is 0 at column j
+        self._rows = {}
+        self._mask = 0      # F_2 only: bit j set iff column j is a pivot
         for r in rows:
-            self._absorb(np.asarray(r, dtype=np.int64) % self.p)
+            self._absorb(self._coerce(r))
 
-    def _absorb(self, v):
-        v = self._reduce_arr(v.copy())
-        j = _first_nonzero(v)
-        if j is None:
-            return
-        v = (v * _inv_mod(v[j], self.p)) % self.p
-        # keep full rref: clear column j in the existing rows
-        for i, row in enumerate(self._rows):
-            c = row[j]
-            if c:
-                self._rows[i] = (row - c * v) % self.p
-        k = np.searchsorted(np.asarray(self._pivots, dtype=np.int64), j)
-        self._rows.insert(int(k), v)
-        self._pivots.insert(int(k), j)
+    def _coerce(self, vec):
+        if len(vec) != self.dim:
+            raise ValueError(f"vector of length {len(vec)}, expected {self.dim}")
+        if self.p == 2:
+            return _pack(vec)
+        return [int(x) % self.p for x in vec]
 
-    def _reduce_arr(self, v):
-        for j, row in zip(self._pivots, self._rows):
+    def _out(self, v):
+        return _unpack(v, self.dim) if self.p == 2 else tuple(v)
+
+    def _reduce(self, v):
+        rows = self._rows
+        if self.p == 2:
+            m = v & self._mask
+            while m:
+                low = m & -m
+                v ^= rows[low.bit_length() - 1]
+                m ^= low
+            return v
+        p = self.p
+        for j, row in rows.items():
             c = v[j]
             if c:
-                v = (v - c * row) % self.p
+                v = [(a - c * b) % p for a, b in zip(v, row)]
         return v
+
+    def _absorb(self, v):
+        v = self._reduce(v)
+        rows = self._rows
+        if self.p == 2:
+            if not v:
+                return
+            low = v & -v
+            j = low.bit_length() - 1
+            for k, row in rows.items():
+                if row & low:
+                    rows[k] = row ^ v
+            self._mask |= low
+        else:
+            j = next((i for i, x in enumerate(v) if x), None)
+            if j is None:
+                return
+            p = self.p
+            inv = pow(v[j], p - 2, p)
+            v = [x * inv % p for x in v]
+            for k, row in rows.items():
+                c = row[j]
+                if c:
+                    rows[k] = [(a - c * b) % p for a, b in zip(row, v)]
+        rows[j] = v
 
     @property
     def rank(self):
         return len(self._rows)
 
     def reduce(self, vec):
-        """Canonical residue of `vec` modulo the subspace."""
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        if v.shape != (self.dim,):
-            raise ValueError("vector has wrong length")
-        return tuple(int(x) for x in self._reduce_arr(v.copy()))
+        """Canonical residue of `vec` modulo the subspace: zero on every
+        pivot column, and equal for vectors in the same coset."""
+        return self._out(self._reduce(self._coerce(vec)))
 
     def contains(self, vec):
         return all(x == 0 for x in self.reduce(vec))
 
     def extended(self, rows):
         s = Subspace(self.dim, self.p)
-        s._rows = [r.copy() for r in self._rows]
-        s._pivots = list(self._pivots)
+        s._rows = dict(self._rows)
+        s._mask = self._mask
         for r in rows:
-            s._absorb(np.asarray(r, dtype=np.int64) % self.p)
+            s._absorb(s._coerce(r))
         return s
 
     def basis(self):
-        return [tuple(int(x) for x in r) for r in self._rows]
+        """The rows of the reduced echelon form, in increasing pivot order."""
+        return [self._out(self._rows[j]) for j in sorted(self._rows)]
 
 
 class QuotientContext:
@@ -99,7 +148,7 @@ class QuotientContext:
 
 
 def zeros(dim):
-    return tuple(0 for _ in range(dim))
+    return (0,) * dim
 
 
 def unit(dim, i, c=1):
@@ -109,33 +158,29 @@ def unit(dim, i, c=1):
 
 
 def add_vec(v, w, p=2):
-    return tuple((a + b) % p for a, b in zip(v, w))
-
-
-def _first_nonzero(v):
-    nz = np.nonzero(v)[0]
-    return int(nz[0]) if len(nz) else None
+    return tuple([(a + b) % p for a, b in zip(v, w)])
 
 
 def rref(matrix, ncols, p=2):
     """Reduced row echelon form of rows of length ncols.  Returns (rows,
-    pivot_columns)."""
+    pivot_columns): the rows as tuples, in increasing pivot order."""
     space = Subspace(ncols, p, matrix)
-    return space._rows, space._pivots
+    return space.basis(), sorted(space._rows)
 
 
 def kernel_basis(matrix, ncols, p=2):
     """Basis of {x : M x = 0} for M given as an iterable of rows."""
     rows, pivots = rref(matrix, ncols, p)
     pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
     basis = []
-    for f in free:
-        x = np.zeros(ncols, dtype=np.int64)
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        x = [0] * ncols
         x[f] = 1
         for j, row in zip(pivots, rows):
-            x[j] = (-row[f]) % p
-        basis.append(tuple(int(t) for t in x))
+            x[j] = -row[f] % p
+        basis.append(tuple(x))
     return basis
 
 
@@ -147,5 +192,5 @@ def solve(matrix, target, ncols, p=2):
     for j, row in zip(pivots, rows):
         if j == ncols:
             return None
-        x[j] = int(row[ncols])
+        x[j] = row[ncols]
     return tuple(x)

@@ -105,12 +105,23 @@ def test_scenario_json_deterministic(runner):
     ["classes", "builtin:nope"],
     ["homology", "HQ1", "--group-algebra", "builtin:ch1-order24"],  # DIM_GUARD
     ["arf-eval", "<S, S> +", "--invariant", "upsilon", "--group", "builtin:ch2-plane"],
+    ["classes", "{tmp}/missing.json"],
+    ["classes", "{tmp}/broken.json"],
+    ["arf-eval", "<S, S>", "--invariant", "omega", "--ring", "nope"],
 ])
-def test_errors_are_one_line(runner, args):
-    r = runner.invoke(main, args)
+def test_errors_are_one_line(runner, tmp_path, args):
+    (tmp_path / "broken.json").write_text('{"family": "finite_table", ')
+    r = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
     assert r.exit_code == 1
     assert isinstance(r.exception, SystemExit)   # not an uncaught error
     assert "Traceback" not in r.output
     assert r.stdout == ""
     (line,) = r.stderr.splitlines()
     assert line.startswith("Error: ")
+
+
+def test_unknown_ring_lists_known_names(runner):
+    r = runner.invoke(main, ["arf-eval", "<S, S>", "--invariant", "omega",
+                             "--ring", "nope"])
+    assert r.exit_code == 1
+    assert "plane" in r.stderr and "zxy" in r.stderr and "f2xy-inv" in r.stderr

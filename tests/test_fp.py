@@ -1,0 +1,143 @@
+"""Differential tests of the F_p kernel against brute-force enumeration."""
+import itertools
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+
+import arfkit.fp as fp
+
+CASES = [(p, dim) for p in (2, 3) for dim in range(7)]
+
+
+def _random_rows(rng, p, dim, n):
+    return [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(n)]
+
+
+def _span(rows, p, dim):
+    """Every F_p-combination of rows."""
+    out = set()
+    for coeffs in itertools.product(range(p), repeat=len(rows)):
+        out.add(tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) % p
+                      for j in range(dim)))
+    return out or {(0,) * dim}
+
+
+def _sub(v, w, p):
+    return tuple((a - b) % p for a, b in zip(v, w))
+
+
+def _apply(matrix, x, p):
+    return tuple(sum(a * b for a, b in zip(row, x)) % p for row in matrix)
+
+
+def _log(n, p):
+    k = 0
+    while p ** k < n:
+        k += 1
+    assert p ** k == n
+    return k
+
+
+@pytest.mark.parametrize("p,dim", CASES)
+def test_subspace_matches_brute_force(p, dim):
+    rng = random.Random(1000 * p + dim)
+    vectors = list(itertools.product(range(p), repeat=dim))
+    for _ in range(12):
+        rows = _random_rows(rng, p, dim, rng.randint(0, 5))
+        span = _span(rows, p, dim)
+        S = fp.Subspace(dim, p, rows)
+        assert S.rank == _log(len(span), p)
+        basis = S.basis()
+        assert len(basis) == S.rank and all(b in span for b in basis)
+        pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+        assert pivots == sorted(pivots)
+        residue = {}
+        for v in vectors:
+            r = S.reduce(v)
+            assert all(r[j] == 0 for j in pivots)
+            assert _sub(v, r, p) in span
+            assert S.contains(v) == (v in span)
+            residue[v] = r
+        # equal cosets give equal residues, and only they do
+        for _ in range(40):
+            v, w = rng.choice(vectors), rng.choice(vectors)
+            assert (residue[v] == residue[w]) == (_sub(v, w, p) in span)
+
+
+@pytest.mark.parametrize("p,dim", CASES)
+def test_extended_matches_one_build(p, dim):
+    rng = random.Random(2000 * p + dim)
+    for _ in range(12):
+        rows = _random_rows(rng, p, dim, rng.randint(0, 4))
+        more = _random_rows(rng, p, dim, rng.randint(0, 3))
+        S = fp.Subspace(dim, p, rows)
+        T = S.extended(more)
+        assert T.basis() == fp.Subspace(dim, p, rows + more).basis()
+        assert S.basis() == fp.Subspace(dim, p, rows).basis()   # S unchanged
+
+
+@pytest.mark.parametrize("p,dim", CASES)
+def test_kernel_basis_and_solve_match_brute_force(p, dim):
+    rng = random.Random(3000 * p + dim)
+    xs = list(itertools.product(range(p), repeat=dim))
+    for _ in range(12):
+        m = rng.randint(0, 5)
+        M = _random_rows(rng, p, dim, m)
+        rank = _log(len(_span(M, p, dim)), p)
+        K = fp.kernel_basis(M, dim, p)
+        assert len(K) == dim - rank
+        assert all(_apply(M, x, p) == (0,) * m for x in K)
+        assert fp.Subspace(dim, p, K).rank == len(K)
+        images = {_apply(M, x, p) for x in xs}
+        for _ in range(6):
+            target = tuple(rng.randrange(p) for _ in range(m))
+            x = fp.solve(M, target, dim, p)
+            if x is None:
+                assert target not in images
+            else:
+                assert len(x) == dim and _apply(M, x, p) == target
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_wrong_length_rows_are_rejected(p):
+    S = fp.Subspace(3, p, [(1, 0, 1)])
+    with pytest.raises(ValueError):
+        fp.Subspace(3, p, [(1, 0, 1, 1)])
+    with pytest.raises(ValueError):
+        fp.Subspace(3, p, [(1, 0)])
+    for bad in [(1, 0), (1, 0, 1, 0), ()]:
+        with pytest.raises(ValueError):
+            S.extended([bad])
+        with pytest.raises(ValueError):
+            S.reduce(bad)
+        with pytest.raises(ValueError):
+            S.contains(bad)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_entries_are_taken_mod_p(p):
+    rng = random.Random(4000 + p)
+    out_of_range = [-1, -p, p, 2 * p + 1, 255, 256, 257, -(2 ** 70), 2 ** 70 + 1]
+    for _ in range(30):
+        raw = [[rng.choice(out_of_range + [0, 1]) for _ in range(5)]
+               for _ in range(rng.randint(1, 4))]
+        vec = [rng.choice(out_of_range) for _ in range(5)]
+        mod = [[x % p for x in r] for r in raw]
+        S, T = fp.Subspace(5, p, raw), fp.Subspace(5, p, mod)
+        assert S.basis() == T.basis()
+        assert S.reduce(vec) == T.reduce([x % p for x in vec])
+        assert S.contains(vec) == T.contains([x % p for x in vec])
+        assert S.extended([vec]).basis() == T.extended([[x % p for x in vec]]).basis()
+
+
+def test_import_leaves_numpy_out():
+    # a fresh interpreter, so that imports made by other tests cannot mask it
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = "import sys, arfkit.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -182,13 +182,14 @@ def test_upsilon_values_match_homology_model():
 
 
 def test_j_dimension_matches_homology():
-    # two independently built models of the value group must agree
+    # two independently built models of the value group must agree, on the
+    # hand-picked groups and on the whole catalogue up to order 16
     for Gx in [G.cyclic_group(1), G.cyclic_group(2), G.cyclic_group(3),
                G.cyclic_group(4), G.abelian_group([2, 2]),
                G.symmetric_group(3), G.dihedral_group(4), G.cyclic_group(6),
-               G.metacyclic_group(4, 2, 3, 2, name="Q8")]:
+               G.metacyclic_group(4, 2, 3, 2, name="Q8")] + G.groups_upto(16):
         A = H.group_algebra(Gx, 2)
-        assert ups.j_group_dimension(Gx) == H.coker_one_plus_vartheta(A).dim
+        assert ups.j_group_dimension(Gx) == H.coker_one_plus_vartheta(A).dim, Gx.name
 
 
 def test_pullback_insert_positions_consistent(groupB):
