@@ -24,15 +24,18 @@ from .rings.base import PolyRing, RingError
 EXIT_UNKNOWN = 2
 
 
+def _read_json(path, what, error):
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def load_group(spec):
     if spec.startswith("builtin:"):
         return gcore.builtin_group(spec.split(":", 1)[1])
-    try:
-        with open(spec) as f:
-            data = json.load(f)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise gcore.GroupError(f"cannot read group file {spec!r}: {exc}") from exc
-    return gcore.group_from_json(data)
+    return gcore.group_from_json(_read_json(spec, "group file", gcore.GroupError))
 
 
 RINGS = {
@@ -137,8 +140,7 @@ def arf_eval_cmd(expr, invariant, group_spec, ring_spec, reduced, as_json):
 def derive_check_cmd(group, derivation, as_json):
     """Verify a derivation file {"start": ..., "steps": [...], "target": ...}."""
     G = load_group(group)
-    with open(derivation) as f:
-        data = json.load(f)
+    data = _read_json(derivation, "derivation file", arf.ArfError)
     ok, transcript = _run_derivation(G, data)
     if as_json:
         click.echo(json.dumps({"ok": ok, "transcript": transcript}))
@@ -186,8 +188,8 @@ def distinguish_cmd(group, expr1, expr2, as_json):
 def homology_cmd(which, group_spec, p, algebra_path, as_json):
     """Dimension and basis of a low-degree homology group."""
     if algebra_path:
-        with open(algebra_path) as f:
-            A = halg.algebra_from_json(json.load(f))
+        A = halg.algebra_from_json(_read_json(algebra_path, "algebra file",
+                                             halg.AlgebraError))
     elif group_spec:
         A = halg.group_algebra(load_group(group_spec), p)
     else:
@@ -263,6 +265,9 @@ def scenario_names():
 
 
 def load_scenario(name):
+    if name not in scenario_names():
+        raise ArfkitError(f"unknown scenario {name!r}; known scenarios: "
+                          + ", ".join(scenario_names()))
     path = resources.files("arfkit") / "scenarios" / f"{name}.json"
     return json.loads(path.read_text())
 

@@ -7,11 +7,12 @@ from .core import (Group, GroupError, FiniteTableGroup, FinitePermGroup,
                    group_xyz, pullback_cyclic_example,
                    builtin_group, group_from_json, BUILTIN_GROUPS)
 from .classes import (EquivClass, cl_classes, same_class, class_key,
-                      class_rep_element, conj_witness, two_power_roots,
-                      squaring_preperiod, equivalence_path, has_exact_classes)
+                      class_rep_element, conj_witness, conjugators,
+                      conjugacy_classes, two_power_roots, squaring_preperiod,
+                      has_exact_classes)
 from .structure import (centralizer, extended_centralizer, type_of,
                         ab_mod_squares, sharp_of_members, sharp_of_subgroup,
                         sharp_of_pullback, sharp_of_semidirect, SharpSpace,
                         FiniteSubgroup, PullbackSubgroup, LatticeSubgroup,
-                        FullGroup, subgroup_closure, conjugacy_classes,
+                        FullGroup, subgroup_closure,
                         hom_to_c2_count, groups_of_order, groups_upto)

@@ -3,7 +3,7 @@
 For finite groups the closure is computed exactly.  For the built-in
 infinite families we carry exact deciders: closed-form canonical
 representatives for the lattice products, and a bounded power/conjugacy
-search (complete, see `_pair_bound`) for the two-ends pull-backs.  A plain
+search (complete, see `_search_depth`) for the two-ends pull-backs.  A plain
 windowed closure is available for cross-validation and yields classes
 flagged approximate.
 """
@@ -51,9 +51,48 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
+def conjugators(G, g):
+    """{h: (x, ...)}: every x of the finite group G with x g x^-1 = h, in
+    G.elements() order.  One row per queried g, built on first use; rows
+    hold elements only, no reference back to G."""
+    table = derived(G, "conjugators", dict)
+    row = table.get(g)
+    if row is None:
+        row = {}
+        for x in G.elements():
+            row.setdefault(G.conj(g, x), []).append(x)
+        row = table.setdefault(g, {h: tuple(xs) for h, xs in row.items()})
+    return row
+
+
+def conjugacy_classes(G):
+    """Ordinary conjugacy classes of a finite group."""
+    seen = set()
+    classes = []
+    for g in G.elements():
+        if g not in seen:
+            orbit = frozenset(conjugators(G, g))
+            seen |= orbit
+            classes.append(orbit)
+    classes.sort(key=lambda c: G.key(min(c, key=G.key)))
+    return classes
+
+
 def cl_partition_finite(G):
     """Exact partition of a finite group under the generated equivalence."""
     return derived(G, "cl_partition", _partition_finite, G)
+
+
+def cl_part(G, z):
+    """The part of cl_partition_finite(G) holding z."""
+    part = derived(G, "cl_part", _part_map, G).get(z)
+    if part is None:
+        raise GroupError("element outside group")
+    return part
+
+
+def _part_map(G):
+    return {g: part for part in cl_partition_finite(G) for g in part}
 
 
 def _partition_finite(G):
@@ -62,8 +101,10 @@ def _partition_finite(G):
     for g in els:
         uf.union(g, G.inv(g))
         uf.union(g, G.mul(g, g))
-        for h in els:
-            uf.union(g, G.conj(g, h))
+    for orbit in conjugacy_classes(G):
+        g = next(iter(orbit))
+        for h in orbit:
+            uf.union(g, h)
     groups = {}
     for g in els:
         groups.setdefault(uf.find(g), set()).add(g)
@@ -108,7 +149,7 @@ def cl_classes(G, window=None, method="auto"):
     # plain windowed closure; merging is monotone in the window
     uf = _UnionFind(els)
     in_window = set(els)
-    conjugators = list(G.generators().values()) + els
+    movers = list(G.generators().values()) + els
     for g in els:
         gi = G.inv(g)
         if gi in in_window:
@@ -116,7 +157,7 @@ def cl_classes(G, window=None, method="auto"):
         gg = G.mul(g, g)
         if gg in in_window:
             uf.union(g, gg)
-        for h in conjugators:
+        for h in movers:
             c = G.conj(g, h)
             if c in in_window:
                 uf.union(g, c)
@@ -149,10 +190,7 @@ def same_class(G, z1, z2):
     if z1 == z2:
         return True
     if G.is_finite:
-        for part in cl_partition_finite(G):
-            if z1 in part:
-                return z2 in part
-        raise GroupError("element outside group")
+        return z2 in cl_part(G, z1)
     if isinstance(G, SemidirectZnC2):
         return class_key(G, z1) == class_key(G, z2)
     if isinstance(G, (PullbackCyclicGroup, PullbackDihedralGroup)):
@@ -163,10 +201,7 @@ def same_class(G, z1, z2):
 def class_key(G, z):
     """Canonical class key, or None when only pairwise decision exists."""
     if G.is_finite:
-        for part in cl_partition_finite(G):
-            if z in part:
-                return ("fin", G.key(min(part, key=G.key)))
-        raise GroupError("element outside group")
+        return ("fin", G.key(min(cl_part(G, z), key=G.key)))
     if isinstance(G, SemidirectZnC2):
         v, s = z
         if s or not any(v):
@@ -197,9 +232,7 @@ def class_rep_element(G, z):
     if k is None:
         return z
     if G.is_finite:
-        for part in cl_partition_finite(G):
-            if z in part:
-                return min(part, key=G.key)
+        return min(cl_part(G, z), key=G.key)
     return _preferred_rep(G, z)
 
 
@@ -208,6 +241,10 @@ def class_rep_element(G, z):
 
 def squaring_preperiod(E):
     """(pre, per) such that e^(2^(k+per)) = e^(2^k) for all e, k >= pre."""
+    return derived(E, "squaring_preperiod", _squaring_preperiod, E)
+
+
+def _squaring_preperiod(E):
     seq = [tuple(E.elements())]
     cur = seq[0]
     while True:
@@ -234,10 +271,8 @@ def _v2(n):
 def conj_witness(G, z1, z2):
     """An x with x z1 x^-1 = z2, or None.  Exact for all families."""
     if G.is_finite:
-        for x in G.elements():
-            if G.conj(z1, x) == z2:
-                return x
-        return None
+        xs = conjugators(G, z1).get(z2)
+        return xs[0] if xs else None
     if isinstance(G, SemidirectZnC2):
         (v1, s1), (v2, s2) = z1, z2
         if s1 != s2:
@@ -261,10 +296,8 @@ def conj_witness(G, z1, z2):
         (i1, e1), (i2, e2) = z1, z2
         if i1 != i2:
             return None
-        for ex in G.E.elements():
-            if G.E.conj(e1, ex) == e2:
-                return (G.hom[ex], ex)
-        return None
+        xs = conjugators(G.E, e1).get(e2)
+        return (G.hom[xs[0]], xs[0]) if xs else None
     if isinstance(G, PullbackDihedralGroup):
         return _dihedral_conj_witness(G, z1, z2)
     raise GroupError(f"no conjugacy decider for family {G.family}")
@@ -273,9 +306,7 @@ def conj_witness(G, z1, z2):
 def _dihedral_conj_witness(G, z1, z2):
     (d1, e1), (d2, e2) = z1, z2
     m = G.m
-    for ex in G.E.elements():
-        if G.E.conj(e1, ex) != e2:
-            continue
+    for ex in conjugators(G.E, e1).get(e2, ()):
         epsx, c = G.hom[ex]
         if d1[0] == 0:
             want = (0, -d1[1] if epsx else d1[1])
@@ -298,9 +329,30 @@ def _dihedral_conj_witness(G, z1, z2):
     return None
 
 
-def _pair_bound(G):
+def _search_depth(G, zs):
+    """Squarings the power/conjugacy search needs among the elements zs:
+    the preperiod and period of squaring on E, plus 2-valuation alignment
+    of the infinite-cyclic parts."""
     pre, per = squaring_preperiod(G.E)
-    return pre + per + 2
+    vals = [_v2(t) for t in (_t_exponent(G, z) for z in zs) if t]
+    return pre + per + 2 + max(vals, default=0) + 2
+
+
+def _power_conj(G, z, targets, amax):
+    """(a, j, x, eps) with x (z^(2^a))^eps x^-1 = targets[j] and a <= amax,
+    the least a and then the least j; or None."""
+    cur = z
+    for a in range(amax + 1):
+        inv = G.inv(cur)
+        for j, w in enumerate(targets):
+            x = conj_witness(G, cur, w)
+            if x is not None:
+                return (a, j, x, 1)
+            x = conj_witness(G, inv, w)
+            if x is not None:
+                return (a, j, x, -1)
+        cur = G.mul(cur, cur)
+    return None
 
 
 def _pullback_same_class(G, z1, z2):
@@ -312,25 +364,11 @@ def _pullback_same_class(G, z1, z2):
     from the preperiod/period of squaring on E plus 2-valuation alignment
     of the infinite-cyclic parts.
     """
-    bound = _pair_bound(G)
-    tpart = _t_exponent(G, z1), _t_exponent(G, z2)
-    extra = 0
-    if tpart[0] not in (None, 0) or tpart[1] not in (None, 0):
-        extra = max((_v2(t) or 0) for t in tpart if t not in (None, 0))
-    amax = bound + extra + 2
-    p1 = [z1]
-    p2 = [z2]
+    amax = _search_depth(G, (z1, z2))
+    powers = [z2]
     for _ in range(amax):
-        p1.append(G.mul(p1[-1], p1[-1]))
-        p2.append(G.mul(p2[-1], p2[-1]))
-    for a in range(amax + 1):
-        for b in range(amax + 1):
-            w = p2[b]
-            if conj_witness(G, p1[a], w) is not None:
-                return True
-            if conj_witness(G, p1[a], G.inv(w)) is not None:
-                return True
-    return False
+        powers.append(G.mul(powers[-1], powers[-1]))
+    return _power_conj(G, z1, powers, amax) is not None
 
 
 def _t_exponent(G, z):
@@ -348,51 +386,7 @@ def power_conj_search(G, z, targets):
     up to inversion for any a, a witness with a below the search bound is
     found (squaring on E is preperiodic and the T-exponent constrains a
     by 2-valuations only)."""
-    bound = _pair_bound(G)
-    tz = _t_exponent(G, z)
-    extra = (_v2(tz) or 0) if tz not in (None, 0) else 0
-    for t in targets:
-        tt = _t_exponent(G, t)
-        if tt not in (None, 0):
-            extra = max(extra, _v2(tt) or 0)
-    amax = bound + extra + 2
-    cur = z
-    for a in range(amax + 1):
-        for j, w in enumerate(targets):
-            x = conj_witness(G, cur, w)
-            if x is not None:
-                return (a, j, x, 1)
-            x = conj_witness(G, G.inv(cur), w)
-            if x is not None:
-                return (a, j, x, -1)
-        cur = G.mul(cur, cur)
-    return None
-
-
-def equivalence_path(G, z1, z2):
-    """(a, b, eps, x) with z1^(2^a) = x (z2^(2^b))^eps x^-1, or None."""
-    if G.is_finite or isinstance(G, SemidirectZnC2):
-        raise GroupError("equivalence_path is a pull-back helper")
-    bound = _pair_bound(G)
-    tpart = _t_exponent(G, z1), _t_exponent(G, z2)
-    extra = 0
-    if tpart[0] not in (None, 0) or tpart[1] not in (None, 0):
-        extra = max((_v2(t) or 0) for t in tpart if t not in (None, 0))
-    amax = bound + extra + 2
-    p1 = [z1]
-    p2 = [z2]
-    for _ in range(amax):
-        p1.append(G.mul(p1[-1], p1[-1]))
-        p2.append(G.mul(p2[-1], p2[-1]))
-    for a in range(amax + 1):
-        for b in range(amax + 1):
-            x = conj_witness(G, p2[b], p1[a])
-            if x is not None:
-                return (a, b, 1, x)
-            x = conj_witness(G, G.inv(p2[b]), p1[a])
-            if x is not None:
-                return (a, b, -1, x)
-    return None
+    return _power_conj(G, z, targets, _search_depth(G, (z, *targets)))
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,8 @@ class FiniteTableGroup(Group):
         n = len(self.labels)
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise GroupError("table shape does not match labels")
+        if any(type(x) is not int for r in self.table for x in r):
+            raise GroupError("table entries must be integers")
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._label_index) != n:
             raise GroupError("duplicate labels")
@@ -838,29 +840,32 @@ def builtin_group(name):
 def group_from_json(data):
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise GroupError("a group description is a JSON object")
     if "builtin" in data:
         return builtin_group(data["builtin"])
     fam = data.get("family")
+
+    def need(key):
+        if key not in data:
+            raise GroupError(f"{fam} group description lacks {key!r}")
+        return data[key]
+
     if fam == "finite_table":
-        return FiniteTableGroup(data["labels"], data["table"],
+        return FiniteTableGroup(need("labels"), need("table"),
                                 generator_names=data.get("generators"),
                                 name=data.get("name"))
     if fam == "finite_perm":
-        return FinitePermGroup(data["generators"], data["n"], cap=data.get("cap"),
+        return FinitePermGroup(need("generators"), need("n"), cap=data.get("cap"),
                                name=data.get("name"))
     if fam == "semidirect_zn_c2":
-        return SemidirectZnC2(data["rank"], var_names=data.get("vars"),
+        return SemidirectZnC2(need("rank"), var_names=data.get("vars"),
                               name=data.get("name"))
-    if fam == "pullback_cyclic":
-        E = group_from_json(data["E"])
-        return PullbackCyclicGroup(E, data["m"], data["hom"],
-                                   generator_words=_raw_gens(data.get("generators")),
-                                   name=data.get("name"))
-    if fam == "pullback_dihedral":
-        E = group_from_json(data["E"])
-        return PullbackDihedralGroup(E, data["m"], data["hom"],
-                                     generator_words=_raw_gens(data.get("generators")),
-                                     name=data.get("name"))
+    if fam in ("pullback_cyclic", "pullback_dihedral"):
+        cls = PullbackCyclicGroup if fam == "pullback_cyclic" else PullbackDihedralGroup
+        return cls(group_from_json(need("E")), need("m"), need("hom"),
+                   generator_words=_raw_gens(data.get("generators")),
+                   name=data.get("name"))
     raise GroupError(f"unknown family {fam!r}")
 
 

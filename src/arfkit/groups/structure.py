@@ -8,7 +8,8 @@ from .core import (GroupError, SemidirectZnC2, PullbackCyclicGroup,
                    PullbackDihedralGroup, cyclic_group, dihedral_group,
                    metacyclic_group, abelian_group, direct_product,
                    quotient_group, symmetric_group, alternating_group_4)
-from .classes import conj_witness
+# conjugacy_classes lives with the conjugator rows; kept importable here
+from .classes import conj_witness, conjugators, conjugacy_classes
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +114,7 @@ def subgroup_closure(G, gens):
 def centralizer(G, z):
     """G_z = {g : gz = zg}."""
     if G.is_finite:
-        return FiniteSubgroup(G, [g for g in G.elements() if G.mul(g, z) == G.mul(z, g)])
+        return FiniteSubgroup(G, conjugators(G, z)[z])
     if isinstance(G, SemidirectZnC2):
         v, s = z
         if z == G.identity:
@@ -123,8 +124,7 @@ def centralizer(G, z):
         # centralizer of a flip (v,1) is {1, z}
         return FiniteSubgroup(G, [G.identity, z])
     if isinstance(G, PullbackCyclicGroup):
-        e_members = [e for e in G.E.elements() if G.E.mul(e, z[1]) == G.E.mul(z[1], e)]
-        return PullbackSubgroup(G, e_members)
+        return PullbackSubgroup(G, conjugators(G.E, z[1])[z[1]])
     if isinstance(G, PullbackDihedralGroup):
         return _dihedral_stabilizer(G, z, allow_inverse=False)
     raise GroupError(f"unsupported family {G.family}")
@@ -133,9 +133,7 @@ def centralizer(G, z):
 def extended_centralizer(G, z):
     """Gbar_z = {g : g^-1 z g in {z, z^-1}}."""
     if G.is_finite:
-        zi = G.inv(z)
-        return FiniteSubgroup(G, [g for g in G.elements()
-                                  if G.conj(z, g) in (z, zi)])
+        return FiniteSubgroup(G, _fixing_or_inverting(G, z))
     if isinstance(G, SemidirectZnC2):
         v, s = z
         if s == 1 or z == G.identity:
@@ -143,47 +141,42 @@ def extended_centralizer(G, z):
             return centralizer(G, z)
         return FullGroup(G)
     if isinstance(G, PullbackCyclicGroup):
-        zi = G.inv(z)
-        e_members = [e for e in G.E.elements()
-                     if G.E.conj(z[1], e) in (z[1], zi[1])]
         # first coordinate is central, so conjugating to z^-1 needs i = -i
         if z[0] != 0:
-            e_members = [e for e in G.E.elements()
-                         if G.E.conj(z[1], e) == z[1]]
-        return PullbackSubgroup(G, e_members)
+            return centralizer(G, z)
+        return PullbackSubgroup(G, _fixing_or_inverting(G.E, z[1]))
     if isinstance(G, PullbackDihedralGroup):
         return _dihedral_stabilizer(G, z, allow_inverse=True)
     raise GroupError(f"unsupported family {G.family}")
 
 
+def _fixing_or_inverting(G, z):
+    """The x of the finite group G with x z x^-1 in {z, z^-1}."""
+    row = conjugators(G, z)
+    return row[z] + row.get(G.inv(z), ())
+
+
 def _dihedral_stabilizer(G, z, allow_inverse):
-    E = G.E
     (eps, i), ez = z
-    zinv = G.inv(z)
+    row = conjugators(G.E, ez)
+    fixing = row[ez]
+    inverting = row.get(G.E.inv(ez), ()) if allow_inverse else ()
     if eps == 0:
         # conjugation by (d, e) sends z to (T^(+-i), e ez e^-1), the sign
         # being the S-degree of d (forced by hom(e)); membership is a
         # condition on e alone.
-        e_members = []
-        for e in E.elements():
-            sdeg = G.hom[e][0]
-            target = (((0, -i) if sdeg else (0, i)), E.conj(ez, e))
-            if target == z or (allow_inverse and target == zinv):
-                e_members.append(e)
+        e_members = [e for e in fixing if i == 0 or not G.hom[e][0]]
+        e_members += [e for e in inverting if i == 0 or G.hom[e][0]]
         return PullbackSubgroup(G, e_members)
-    # S-type z: the D-side stabilizer of S T^i is {1, S T^i}, so the
-    # (extended) centralizer is finite and we can list it.
+    # S-type z: the D-side stabilizer of S T^i is {1, S T^i}, and both fix
+    # S T^i, so the (extended) centralizer is finite: each e sending ez to
+    # ez (or ez^-1) has at most one lift with D-part 1 or S T^i.
     members = []
-    for e in E.elements():
+    for e in fixing + inverting:
         sdeg, c = G.hom[e]
-        if sdeg == 0:
-            cands = [((0, 0), e)] if c % G.m == 0 else []
-        else:
-            cands = [((1, j), e) for j in (i,) if (j - c) % G.m == 0]
-        for g in cands:
-            t = G.conj(z, g)
-            if t == z or (allow_inverse and t == zinv):
-                members.append(g)
+        d = (1, i) if sdeg else (0, 0)
+        if (d[1] - c) % G.m == 0:
+            members.append((d, e))
     return FiniteSubgroup(G, members)
 
 
@@ -396,21 +389,6 @@ def _generating_set(G):
             if len(span) == G.order():
                 break
     return gens
-
-
-def conjugacy_classes(G):
-    """Ordinary conjugacy classes of a finite group."""
-    els = G.elements()
-    seen = set()
-    classes = []
-    for g in els:
-        if g in seen:
-            continue
-        orb = {G.conj(g, x) for x in els}
-        seen |= orb
-        classes.append(frozenset(orb))
-    classes.sort(key=lambda c: G.key(min(c, key=G.key)))
-    return classes
 
 
 # ---------------------------------------------------------------------------

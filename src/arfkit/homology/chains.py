@@ -287,17 +287,11 @@ def hq1(A: FiniteAlgebra):
         return flatten(A, 2, ch2) + tuple(x % p for x in c1)
 
     # cycle equations: b(xi) + c - invol(c) = 0
-    eqs = [[0] * amb for _ in range(d)]
+    eqs = [row + [0] * d for row in _b1_equations(A)]
     for i in range(d):
-        for j in range(d):
-            col = i * d + j
-            for k, c in enumerate(A.commutator(A.basis_vec(i), A.basis_vec(j))):
-                eqs[k][col] = c
-    for i in range(d):
-        col = d * d + i
         v = A.sub(A.basis_vec(i), A.invol(A.basis_vec(i)))
         for k, c in enumerate(v):
-            eqs[k][col] = (eqs[k][col] + c) % p
+            eqs[k][d * d + i] = c % p
     cycles = fp.kernel_basis(eqs, amb, p)
 
     rows = []

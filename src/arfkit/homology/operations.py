@@ -38,7 +38,7 @@ def theta_p_h0(A, c: HomologyClass, p=None) -> HomologyClass:
     p = p or A.p
     if p != A.p:
         raise AlgebraError("theta_p needs p = char of the algebra")
-    h0 = _space(A, "H0")
+    h0 = space(A, "H0")
     r = c.vec
     return h0.class_of(A.power(r, p))
 
@@ -77,7 +77,7 @@ def theta_p_h1(A, c: HomologyClass, shuffle_key=None) -> HomologyClass:
             rot = gamma[-t:] + gamma[:-t]  # sigma^t gamma, sigma a rotation
             out = t_add(p, out, t_scale(p, _gamma_chain(A, rot, summands, False), t))
             out = t_add(p, out, t_scale(p, _gamma_chain(A, rot, summands, True), -t))
-    hc1 = _space(A, "HC1")
+    hc1 = space(A, "HC1")
     return hc1.class_of(flatten(A, 2, out))
 
 
@@ -98,13 +98,13 @@ def _gamma_chain(A, tup, summands, swapped):
 
 def b_map(A, c: HomologyClass) -> HomologyClass:
     """B: HC_0 -> H_1, [r] -> [1 (x) r]."""
-    h1 = _space(A, "H1")
+    h1 = space(A, "H1")
     return h1.class_of(flatten(A, 2, tensor2(A, A.unit, c.vec)))
 
 
 def q_map(A, c: HomologyClass) -> HomologyClass:
     """q = theta_p . B: HC_0 -> HC_1, [r] -> [r^(p-1) (x) r]."""
-    hc1 = _space(A, "HC1")
+    hc1 = space(A, "HC1")
     r = c.vec
     return hc1.class_of(flatten(A, 2, tensor2(A, A.power(r, A.p - 1), r)))
 
@@ -119,7 +119,7 @@ def theta_aux(A, chain2):
         acc = A.add(acc, A.mul(A.mul(u, v), comms[i]))
         for j in range(i + 1, len(summands)):
             acc = A.add(acc, A.mul(comms[i], comms[j]))
-    h0 = _space(A, "H0")
+    h0 = space(A, "H0")
     return h0.class_of(acc)
 
 
@@ -252,9 +252,5 @@ def coker_one_plus_vartheta(A):
 # -- space cache -------------------------------------------------------------
 
 
-def _space(A, kind) -> HomologySpace:
-    return derived(A, kind, homology, A, kind)
-
-
 def space(A, kind) -> HomologySpace:
-    return _space(A, kind)
+    return derived(A, kind, homology, A, kind)

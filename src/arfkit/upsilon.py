@@ -13,6 +13,8 @@ transition maps become isomorphisms (infinite-order tail).
 """
 from __future__ import annotations
 
+import threading
+
 from . import fp
 from .arf import ArfExpression, ArfError, GROUP
 from .groups import classes as gcl
@@ -70,37 +72,21 @@ class FzData:
         """Group elements aligned with the sharp coordinates (the t
         coordinate, when present, has no element and is handled apart)."""
         sub = self.sub
-        if sub.kind in ("finite",):
+        if sub.kind == "finite":
             return list(sub.members)
+        G = self.G
         if sub.kind == "pullback":
-            G = self.G
-            out = []
-            for e in sub.e_members:
-                h = G.hom[e]
-                d = h if isinstance(G, PullbackCyclicGroup) else h
-                if isinstance(G, PullbackCyclicGroup):
-                    out.append((h, e))
-                else:
-                    out.append(((h[0], h[1]), e))
-            if isinstance(G, PullbackCyclicGroup):
-                out.append((G.m, G.E.identity))
-            else:
-                out.append(((0, G.m), G.E.identity))
+            out = [(G.hom[e], e) for e in sub.e_members]
+            t = G.m if isinstance(G, PullbackCyclicGroup) else (0, G.m)
+            out.append((t, G.E.identity))
             return out
-        if sub.kind == "lattice":
-            G = self.G
-            out = []
-            for i in range(G.rank):
-                out.append((tuple(1 if j == i else 0 for j in range(G.rank)), 0))
-            return out
-        if sub.kind == "full":
-            # only the lattice products reach here: finite and pull-back
+        if sub.kind in ("lattice", "full"):
+            # only the lattice products reach "full": finite and pull-back
             # centralizers always come back as explicit subgroups
-            G = self.G
-            out = []
-            for i in range(G.rank):
-                out.append((tuple(1 if j == i else 0 for j in range(G.rank)), 0))
-            out.append((tuple(0 for _ in range(G.rank)), 1))
+            n = G.rank
+            out = [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
+            if sub.kind == "full":
+                out.append(((0,) * n, 1))
             return out
         raise GroupError(f"unknown subgroup kind {sub.kind}")
 
@@ -273,6 +259,8 @@ class PullbackLc:
         self.cyclic = False
         self.loop_rows = []
         self.cycle_close = None
+        # queries extend the chain (maps, chain, zs) in place, one at a time
+        self._extend_lock = threading.Lock()
         stable = None
         pre, per = gcl.squaring_preperiod(G.E)
         for _ in range(self.MAX_CHAIN):
@@ -375,15 +363,16 @@ class PullbackLc:
         G = self.G
         src = fz_data(G, z)
         vec = src.coord(h, tbit)
-        for _ in range(self.MAX_CHAIN):
-            hit = gcl.power_conj_search(G, z, self.zs)
-            if hit is not None:
-                break
-            if self.cyclic:
+        with self._extend_lock:
+            for _ in range(self.MAX_CHAIN):
+                hit = gcl.power_conj_search(G, z, self.zs)
+                if hit is not None:
+                    break
+                if self.cyclic:
+                    raise ArfError("element class does not match this summand")
+                self._extend_chain()
+            else:
                 raise ArfError("element class does not match this summand")
-            self._extend_chain()
-        else:
-            raise ArfError("element class does not match this summand")
         a, j, x, eps = hit
         # x (z^(2^a))^eps x^-1 = chain[j].z; F(w) and F(w^-1) share coords
         cur = src
@@ -447,8 +436,7 @@ def l_of_class(G, z):
         lc = table.get(key)
         if lc is None:
             if G.is_finite:
-                part = next(p for p in gcl.cl_partition_finite(G) if z in p)
-                lc = table.setdefault(key, FiniteLc(G, part))
+                lc = table.setdefault(key, FiniteLc(G, gcl.cl_part(G, z)))
             else:
                 lc = table.setdefault(key, SemidirectLc(G, key))
         return lc
@@ -736,7 +724,6 @@ def eta_relation_elements(G, z, g1, g2):
     """The six relation families of the H_1 presentation, instantiated at
     (z; g1, g2); each entry is (tensor_part, y1, y2)."""
     zinv = G.inv(z)
-    gz_members = None
     out = []
     # 1: [g1^-1 z g1 (x) g2 + z (x) g1 + z (x) g1 g2, 0, 0]
     out.append(([(G.conj(z, G.inv(g1)), g2), (z, g1), (z, G.mul(g1, g2))],

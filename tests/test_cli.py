@@ -108,9 +108,19 @@ def test_scenario_json_deterministic(runner):
     ["classes", "{tmp}/missing.json"],
     ["classes", "{tmp}/broken.json"],
     ["arf-eval", "<S, S>", "--invariant", "omega", "--ring", "nope"],
+    ["derive-check", "builtin:c4", "{tmp}/broken.json"],
+    ["homology", "H0", "--algebra", "{tmp}/broken.json"],
+    ["scenario", "nope"],
+    ["classes", "{tmp}/no_table.json"],
+    ["classes", "{tmp}/text_entry.json"],
 ])
 def test_errors_are_one_line(runner, tmp_path, args):
     (tmp_path / "broken.json").write_text('{"family": "finite_table", ')
+    (tmp_path / "no_table.json").write_text(
+        '{"family": "finite_table", "labels": ["1"]}')
+    (tmp_path / "text_entry.json").write_text(
+        '{"family": "finite_table", "labels": ["1", "a"], '
+        '"table": [[0, 1], [1, "0"]]}')
     r = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
     assert r.exit_code == 1
     assert isinstance(r.exception, SystemExit)   # not an uncaught error

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import arfkit.groups as G
+import arfkit.groups.classes as gcl
 from arfkit.groups import GroupError
 
 
@@ -223,3 +224,157 @@ def test_element_io_roundtrip(groupB, plane):
     j = groupB.to_json()
     B2 = G.group_from_json(j)
     assert B2.order_of(B2.parse_element("(0,0|y)")) == 12
+
+
+# -- conjugator rows and the bounded power/conjugacy search -----------------
+
+
+def _two_ends_groups():
+    """The two-ends built-ins and the pull-backs of the fuzz battery."""
+    E = G.metacyclic_group(4, 2, 3, 0, names=("t", "s"), name="D4e")
+    PC = G.PullbackCyclicGroup(E, 2, [e // 4 for e in E.elements()],
+                               name="pb-cyclic-d4")
+    builtins = [G.builtin_group(name) for name in G.BUILTIN_GROUPS]
+    return [Gx for Gx in builtins if Gx.is_two_ends] + [PC]
+
+
+def _finite_groups():
+    return G.groups_upto(16) + [Gx.E for Gx in _two_ends_groups()]
+
+
+def test_conjugator_rows_match_brute_force():
+    for Gx in _finite_groups():
+        els = Gx.elements()
+        for g in els:
+            want = {}
+            for h in els:
+                xs = tuple(x for x in els if Gx.conj(g, x) == h)
+                if xs:
+                    want[h] = xs
+            assert G.conjugators(Gx, g) == want, (Gx.name, g)
+
+
+def test_centralizers_and_classes_match_brute_force():
+    for Gx in _finite_groups():
+        els = Gx.elements()
+        for z in els:
+            zi = Gx.inv(z)
+            cz = {x for x in els if Gx.mul(x, z) == Gx.mul(z, x)}
+            ez = {x for x in els if Gx.mul(Gx.mul(Gx.inv(x), z), x) in (z, zi)}
+            assert set(G.centralizer(Gx, z).members) == cz, (Gx.name, z)
+            assert set(G.extended_centralizer(Gx, z).members) == ez, (Gx.name, z)
+        orbits = {frozenset(Gx.conj(g, x) for x in els) for g in els}
+        assert set(G.conjugacy_classes(Gx)) == orbits, Gx.name
+
+
+def test_pullback_stabilizers_match_window_brute_force():
+    # window 3 holds every lift needed: the stabilizer of a T-type z is a
+    # condition on the e-part, that of an S-type S T^i (|i| <= 2) is finite
+    # with D-parts 1 and S T^i
+    for Gx in _two_ends_groups():
+        pool = Gx.window_elements(3)
+        for z in Gx.window_elements(2):
+            for sub, targets in ((G.centralizer(Gx, z), {z}),
+                                 (G.extended_centralizer(Gx, z), {z, Gx.inv(z)})):
+                fixing = [g for g in pool if Gx.conj(z, g) in targets]
+                if sub.kind == "pullback":
+                    assert set(sub.e_members) == {g[1] for g in fixing}, (Gx.name, z)
+                else:
+                    assert set(sub.members) == set(fixing), (Gx.name, z)
+
+
+def _scan_conj_witness(Gx, z1, z2):
+    """The pull-back conj_witness as a scan over E (reference)."""
+    E = Gx.E
+    if isinstance(Gx, G.PullbackCyclicGroup):
+        (i1, e1), (i2, e2) = z1, z2
+        if i1 != i2:
+            return None
+        for ex in E.elements():
+            if E.conj(e1, ex) == e2:
+                return (Gx.hom[ex], ex)
+        return None
+    (d1, e1), (d2, e2) = z1, z2
+    m = Gx.m
+    for ex in E.elements():
+        if E.conj(e1, ex) != e2:
+            continue
+        epsx, c = Gx.hom[ex]
+        if d1[0] == 0:
+            want = (0, -d1[1] if epsx else d1[1])
+            if want == d2:
+                return ((epsx, c), ex)
+        else:
+            if d2[0] != 1:
+                continue
+            i, i2 = d1[1], d2[1]
+            num = i + i2 if epsx else i - i2
+            if num % 2 == 0:
+                a = num // 2
+                if (a - c) % m == 0:
+                    return ((epsx, a), ex)
+    return None
+
+
+def _v2(n):
+    k = 0
+    while n % 2 == 0:
+        n //= 2
+        k += 1
+    return k
+
+
+def _scan_same_class(Gx, z1, z2):
+    """The pull-back class decider over all pairs of 2-power powers, with
+    the scanning conj_witness (reference)."""
+    if z1 == z2:
+        return True
+    pre, per = G.squaring_preperiod(Gx.E)
+    dihedral = isinstance(Gx, G.PullbackDihedralGroup)
+    tpart = [None if dihedral and z[0][0] else (z[0][1] if dihedral else z[0])
+             for z in (z1, z2)]
+    extra = max([_v2(abs(t)) for t in tpart if t], default=0)
+    amax = pre + per + 2 + extra + 2
+    p1, p2 = [z1], [z2]
+    for _ in range(amax):
+        p1.append(Gx.mul(p1[-1], p1[-1]))
+        p2.append(Gx.mul(p2[-1], p2[-1]))
+    return any(_scan_conj_witness(Gx, a, w) is not None
+               or _scan_conj_witness(Gx, a, Gx.inv(w)) is not None
+               for a in p1 for w in p2)
+
+
+def test_pullback_conj_witness_matches_scan():
+    for Gx in _two_ends_groups():
+        pool = Gx.window_elements(2)
+        for z1 in pool:
+            for z2 in pool:
+                assert G.conj_witness(Gx, z1, z2) == _scan_conj_witness(Gx, z1, z2), \
+                    (Gx.name, z1, z2)
+
+
+def test_pullback_same_class_matches_scan():
+    rng = random.Random(5)
+    for Gx in _two_ends_groups():
+        pool = Gx.window_elements(2)
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(300)]
+        # deep squares: the search depth must grow with the 2-valuation
+        for _ in range(20):
+            z = rng.choice(pool)
+            deep = Gx.power(z, 1 << rng.randint(3, 9))
+            pairs += [(deep, z), (z, Gx.inv(deep))]
+        for z1, z2 in pairs:
+            assert G.same_class(Gx, z1, z2) == _scan_same_class(Gx, z1, z2), \
+                (Gx.name, z1, z2)
+
+
+def test_power_conj_search_finds_chain_positions():
+    Gx = G.group_c2_c_c12()
+    X = Gx.parse_element("X")
+    chain = [Gx.power(X, 1 << k) for k in range(6)]
+    assert gcl.power_conj_search(Gx, X, chain) == (0, 0, Gx.identity, 1)
+    hit = gcl.power_conj_search(Gx, Gx.inv(chain[3]), chain)
+    a, j, x, eps = hit
+    w = Gx.power(Gx.power(Gx.inv(chain[3]), 1 << a), eps)
+    assert Gx.conj(w, x) == chain[j] and (a, j) == (0, 3)
+    assert gcl.power_conj_search(Gx, Gx.identity, chain) is None
