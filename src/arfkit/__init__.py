@@ -7,3 +7,13 @@ __version__ = "0.1.0"
 
 class ArfkitError(ValueError):
     """Base of the errors arfkit raises on bad input or a refused computation."""
+
+
+def need(data, key, error, what):
+    """data[key] of a JSON object read from outside; `error` names the
+    missing key, or says that `what` must be a JSON object."""
+    if not isinstance(data, dict):
+        raise error(f"{what} is not a JSON object")
+    if key not in data:
+        raise error(f"{what} lacks {key!r}")
+    return data[key]

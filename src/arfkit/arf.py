@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from . import ArfkitError
+from . import ArfkitError, need
 from .rings.matrices import t_alpha_u, is_gq, identity_matrix
 
 
@@ -303,7 +303,8 @@ def check_derivation(start, steps, target):
 def steps_from_json(data):
     out = []
     for d in data:
-        out.append(DerivationStep(d["relation"], d.get("pair", 0),
+        out.append(DerivationStep(need(d, "relation", ArfError, "derivation step"),
+                                  d.get("pair", 0),
                                   tuple(d.get("params", ())),
                                   d.get("reverse", False)))
     return out

@@ -13,7 +13,7 @@ from importlib import resources
 
 import click
 
-from . import ArfkitError, arf, k2diff, kinv, upsilon as ups
+from . import ArfkitError, arf, k2diff, kinv, need, upsilon as ups
 from .groups import classes as gcl
 from .groups import core as gcore
 from .homology import (algebras as halg, chains as hch, operations as hops,
@@ -152,9 +152,11 @@ def derive_check_cmd(group, derivation, as_json):
 
 
 def _run_derivation(G, data):
-    start = arf.parse_expression(arf.GROUP, G, data["start"])
-    target = arf.parse_expression(arf.GROUP, G, data["target"])
-    steps = arf.steps_from_json(data["steps"])
+    start, target, steps = (need(data, key, arf.ArfError, "derivation file")
+                            for key in ("start", "target", "steps"))
+    start = arf.parse_expression(arf.GROUP, G, start)
+    target = arf.parse_expression(arf.GROUP, G, target)
+    steps = arf.steps_from_json(steps)
     return arf.check_derivation(start, steps, target)
 
 

@@ -1,11 +1,9 @@
 """The equivalence g ~ g^-1 ~ hgh^-1 ~ g^2 and its class machinery.
 
-For finite groups the closure is computed exactly.  For the built-in
-infinite families we carry exact deciders: closed-form canonical
-representatives for the lattice products, and a bounded power/conjugacy
-search (complete, see `_search_depth`) for the two-ends pull-backs.  A plain
-windowed closure is available for cross-validation and yields classes
-flagged approximate.
+Every family has a total class key (`class_key`): the part of a finite
+group's exact partition, or a closed form (lattice products, and two-ends
+pull-backs through an orbit table on the finite fibre E).  A plain windowed
+closure, for cross-validation, yields classes flagged approximate.
 """
 from __future__ import annotations
 
@@ -21,14 +19,12 @@ from .core import (Group, GroupError, SemidirectZnC2, PullbackCyclicGroup,
 class EquivClass:
     group: Group = field(compare=False, repr=False)
     rep: object
-    members: object = field(default=None, compare=False)   # frozenset | None
+    members: frozenset = field(compare=False)
     certificate: tuple = ("full",)
     approximate: bool = False
 
     def __contains__(self, g):
-        if self.members is not None:
-            return g in self.members
-        return same_class(self.group, self.rep, g)
+        return g in self.members
 
     def label(self):
         return f"[{self.group.format_element(self.rep)}]"
@@ -126,24 +122,13 @@ def cl_classes(G, window=None, method="auto"):
     if window is None:
         raise GroupError("infinite family: cl_classes needs a window bound")
     els = G.window_elements(window)
-    exact = method != "window" and has_exact_classes(G)
-    if exact:
-        buckets = []
+    if method != "window" and has_exact_classes(G):
+        buckets = {}
         for g in els:
-            for b in buckets:
-                if same_class(G, g, b[0]):
-                    b.append(g)
-                    break
-            else:
-                buckets.append([g])
-        out = []
-        for b in buckets:
-            rep = min(b, key=G.key)
-            ck = class_key(G, rep)
-            if ck is not None:
-                rep = _preferred_rep(G, rep)
-            out.append(EquivClass(G, rep, frozenset(b),
-                                  ("window", window, canonicalizer_id(G)), False))
+            buckets.setdefault(class_key(G, g), []).append(g)
+        out = [EquivClass(G, class_rep_element(G, min(b, key=G.key)), frozenset(b),
+                          ("window", window, canonicalizer_id(G)), False)
+               for b in buckets.values()]
         out.sort(key=lambda c: G.key(c.rep))
         return out
     # plain windowed closure; merging is monotone in the window
@@ -173,8 +158,8 @@ def cl_classes(G, window=None, method="auto"):
 
 def canonicalizer_id(G):
     return {"semidirect_zn_c2": "semidirect-closed-form",
-            "pullback_cyclic": "pullback-power-conjugacy",
-            "pullback_dihedral": "pullback-power-conjugacy"}.get(G.family)
+            "pullback_cyclic": "pullback-class-key",
+            "pullback_dihedral": "pullback-class-key"}.get(G.family)
 
 
 def has_exact_classes(G):
@@ -187,21 +172,14 @@ def has_exact_classes(G):
 
 def same_class(G, z1, z2):
     """Exact decision of z1 ~ z2 in cl(G)."""
-    if z1 == z2:
-        return True
-    if G.is_finite:
-        return z2 in cl_part(G, z1)
-    if isinstance(G, SemidirectZnC2):
-        return class_key(G, z1) == class_key(G, z2)
-    if isinstance(G, (PullbackCyclicGroup, PullbackDihedralGroup)):
-        return _pullback_same_class(G, z1, z2)
-    raise GroupError(f"no exact class decider for family {G.family}")
+    return z1 == z2 or class_key(G, z1) == class_key(G, z2)
 
 
 def class_key(G, z):
-    """Canonical class key, or None when only pairwise decision exists."""
+    """Canonical key of the class of z: z1 ~ z2 in cl(G) iff their keys are
+    equal.  Keys are hashable; a finite group's key holds the part of z."""
     if G.is_finite:
-        return ("fin", G.key(min(cl_part(G, z), key=G.key)))
+        return ("fin", cl_part(G, z))
     if isinstance(G, SemidirectZnC2):
         v, s = z
         if s or not any(v):
@@ -214,26 +192,21 @@ def class_key(G, z):
                     v = tuple(-y for y in v)
                 break
         return ("lat", v)
-    return None
-
-
-def _preferred_rep(G, rep):
-    if isinstance(G, SemidirectZnC2):
-        k = class_key(G, rep)
-        if k == ("one",):
-            return G.identity
-        return (k[1], 0)
-    return rep
+    if isinstance(G, (PullbackCyclicGroup, PullbackDihedralGroup)):
+        return _pullback_key(G, z)
+    raise GroupError(f"no exact class decider for family {G.family}")
 
 
 def class_rep_element(G, z):
-    """A canonical representative element of the class of z (exact families)."""
-    k = class_key(G, z)
-    if k is None:
-        return z
+    """A representative element of the class of z: the least member for a
+    finite group, the primitive vector (or 1) for a lattice product, z
+    itself for a two-ends pull-back."""
     if G.is_finite:
         return min(cl_part(G, z), key=G.key)
-    return _preferred_rep(G, z)
+    if isinstance(G, SemidirectZnC2):
+        k = class_key(G, z)
+        return G.identity if k == ("one",) else (k[1], 0)
+    return z
 
 
 # -- pull-back machinery ----------------------------------------------------
@@ -355,28 +328,64 @@ def _power_conj(G, z, targets, amax):
     return None
 
 
-def _pullback_same_class(G, z1, z2):
-    """z1 ~ z2 iff some 2-power powers are conjugate (up to inversion).
-
-    Squaring commutes with conjugation and inversion, so the relation
-    "powers eventually conjugate" is an equivalence containing the three
-    generating moves and contained in their closure; the search bound comes
-    from the preperiod/period of squaring on E plus 2-valuation alignment
-    of the infinite-cyclic parts.
-    """
-    amax = _search_depth(G, (z1, z2))
-    powers = [z2]
-    for _ in range(amax):
-        powers.append(G.mul(powers[-1], powers[-1]))
-    return _power_conj(G, z1, powers, amax) is not None
-
-
 def _t_exponent(G, z):
+    """The T-exponent of z in a pull-back; None for an S-type z."""
     if isinstance(G, PullbackCyclicGroup):
         return z[0]
-    if isinstance(G, PullbackDihedralGroup):
-        return None if z[0][0] else z[0][1]
-    return None
+    return None if z[0][0] else z[0][1]
+
+
+def _pullback_key(G, z):
+    """The class key of z = (t, e) in a two-ends pull-back G with finite
+    fibre E, t the T-exponent of z (none for S-type z).
+
+    * t = 0 or S-type z: the cl(E) key of e.
+    * t != 0: if t < 0, replace (t, e) by z^-1 = (-t, e^-1).  With
+      v = v2(t), (pre, per) = squaring_preperiod(E), K the least multiple
+      of per with K >= pre + v and f = e^(2^(K-v)), the key is
+      ("t", t >> v, orbit of f), for E acting on itself by
+      x.f = x f^s(x) x^-1, s(x) = -1 iff hom(x) has a reflection.
+
+    Proof.  In any group z1 ~ z2 iff x z1^(2^a) x^-1 = z2^(+-2^b) for some
+    a, b, x: this relation contains the generating moves, lies in their
+    closure and is an equivalence (for transitivity raise the two links
+    to 2^c and 2^b and compose the conjugators).  Every x in E lifts to G.
+    A lift fixes t and conjugates e, except that a reflection in hom(x)
+    negates t; inverting then gives (t, x e^-1 x^-1).  So t = 0 is kept,
+    and (0, e1) ~ (0, e2) iff e1 ~ e2 in cl(E); an S-type z ~ z^2 =
+    (1, e^2), and e^2 ~ e.  For t = u 2^v > 0, u odd, the moves keeping
+    t > 0 act on e by x.f, an action commuting with squaring, and
+    z^(2^(L-v)) = (u 2^L, e^(2^(L-v))) has E-part f at every multiple
+    L >= K of per (L - v >= pre).  So z1 ~ z2 iff u1 = u2 and the E-parts
+    at some common level lie in one orbit; squaring keeps them so at every
+    higher level, among them a multiple of per above K1 and K2, where the
+    E-parts are f1 and f2.
+    """
+    t = _t_exponent(G, z)
+    E, e = G.E, z[1]
+    if not t:
+        return class_key(E, e)
+    if t < 0:
+        t, e = -t, E.inv(e)
+    pre, per = squaring_preperiod(E)
+    v = _v2(t)
+    K = -(-(pre + v) // per) * per
+    f = E.power(e, 1 << (K - v))
+    return ("t", t >> v, derived(G, "fibre_orbit_ids", _fibre_orbit_ids, G)[f])
+
+
+def _fibre_orbit_ids(G):
+    """{f: least member of its orbit} for the action x.f of `_pullback_key`
+    (in the cyclic family the orbits are the conjugacy classes of E)."""
+    E = G.E
+    dihedral = isinstance(G, PullbackDihedralGroup)
+    ids = {}
+    for f in E.elements():
+        if f not in ids:
+            for x in E.elements():
+                g = E.inv(f) if dihedral and G.hom[x][0] else f
+                ids.setdefault(E.conj(g, x), f)
+    return ids
 
 
 def power_conj_search(G, z, targets):

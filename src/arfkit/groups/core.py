@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from .. import ArfkitError
+from .. import ArfkitError, need
 
 
 class GroupError(ArfkitError):
@@ -846,24 +846,22 @@ def group_from_json(data):
         return builtin_group(data["builtin"])
     fam = data.get("family")
 
-    def need(key):
-        if key not in data:
-            raise GroupError(f"{fam} group description lacks {key!r}")
-        return data[key]
+    def required(key):
+        return need(data, key, GroupError, f"{fam} group description")
 
     if fam == "finite_table":
-        return FiniteTableGroup(need("labels"), need("table"),
+        return FiniteTableGroup(required("labels"), required("table"),
                                 generator_names=data.get("generators"),
                                 name=data.get("name"))
     if fam == "finite_perm":
-        return FinitePermGroup(need("generators"), need("n"), cap=data.get("cap"),
-                               name=data.get("name"))
+        return FinitePermGroup(required("generators"), required("n"),
+                               cap=data.get("cap"), name=data.get("name"))
     if fam == "semidirect_zn_c2":
-        return SemidirectZnC2(need("rank"), var_names=data.get("vars"),
+        return SemidirectZnC2(required("rank"), var_names=data.get("vars"),
                               name=data.get("name"))
     if fam in ("pullback_cyclic", "pullback_dihedral"):
         cls = PullbackCyclicGroup if fam == "pullback_cyclic" else PullbackDihedralGroup
-        return cls(group_from_json(need("E")), need("m"), need("hom"),
+        return cls(group_from_json(required("E")), required("m"), required("hom"),
                    generator_words=_raw_gens(data.get("generators")),
                    name=data.get("name"))
     raise GroupError(f"unknown family {fam!r}")

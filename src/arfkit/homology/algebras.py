@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 
-from .. import ArfkitError
+from .. import ArfkitError, need
 from ..groups.core import Group
 
 
@@ -132,8 +132,10 @@ class FiniteAlgebra:
 def algebra_from_json(data):
     if isinstance(data, str):
         data = json.loads(data)
-    return FiniteAlgebra(data["p"], data["labels"], data["mult"], data["unit"],
-                         data.get("involution"), data.get("name"))
+    p, labels, mult, unit = (need(data, key, AlgebraError, "algebra description")
+                             for key in ("p", "labels", "mult", "unit"))
+    return FiniteAlgebra(p, labels, mult, unit, data.get("involution"),
+                         data.get("name"))
 
 
 def group_algebra(G: Group, p=2):

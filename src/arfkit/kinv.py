@@ -22,53 +22,39 @@ from .rings.base import (RingError, PolyRing, GroupAlgebra, TruncatedRing,
 
 
 class KGClass:
-    """F_2 vector indexed by cl(G)-classes, held as representative elements."""
+    """F_2 vector indexed by cl(G)-classes, held as {class key: rep}."""
 
     def __init__(self, G, reps=()):
         self.G = G
-        acc = []
+        self._by_key = {}
         for z in reps:
-            self._toggle(acc, z)
-        self.reps = tuple(sorted(acc, key=G.key))
+            self._toggle(z)
 
-    def _toggle(self, acc, z):
-        for i, r in enumerate(acc):
-            if gclasses.same_class(self.G, r, z):
-                acc.pop(i)
-                return
-        acc.append(z)
+    def _toggle(self, z):
+        key = gclasses.class_key(self.G, z)
+        if self._by_key.pop(key, None) is None:
+            self._by_key[key] = z
+
+    @property
+    def reps(self):
+        return tuple(sorted(self._by_key.values(), key=self.G.key))
 
     def __add__(self, other):
-        out = KGClass(self.G)
-        acc = list(self.reps)
-        for z in other.reps:
-            self._toggle(acc, z)
-        out.reps = tuple(sorted(acc, key=self.G.key))
-        return out
+        return KGClass(self.G, [*self._by_key.values(), *other._by_key.values()])
 
     def is_zero(self):
-        return not self.reps
+        return not self._by_key
 
     def __eq__(self, other):
         if not isinstance(other, KGClass) or other.G is not self.G:
             return NotImplemented
-        if len(self.reps) != len(other.reps):
-            return False
-        used = [False] * len(other.reps)
-        for z in self.reps:
-            for i, w in enumerate(other.reps):
-                if not used[i] and gclasses.same_class(self.G, z, w):
-                    used[i] = True
-                    break
-            else:
-                return False
-        return True
+        return self._by_key.keys() == other._by_key.keys()
 
     def __hash__(self):
-        return hash(len(self.reps))
+        return hash(frozenset(self._by_key))
 
     def display(self):
-        if not self.reps:
+        if self.is_zero():
             return "0"
         return " + ".join(
             f"[{self.G.format_element(gclasses.class_rep_element(self.G, z))}]"

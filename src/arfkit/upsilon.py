@@ -20,7 +20,7 @@ from .arf import ArfExpression, ArfError, GROUP
 from .groups import classes as gcl
 from .groups import structure as gst
 from .groups.core import (GroupError, SemidirectZnC2, PullbackCyclicGroup,
-                          PullbackDihedralGroup, table_from_mul)
+                          table_from_mul)
 from .memo import derived
 
 
@@ -252,7 +252,6 @@ class PullbackLc:
 
     def __init__(self, G, z0):
         self.G = G
-        self.z0 = z0
         self.chain = [fz_data(G, z0)]
         self.zs = [z0]
         self.maps = []      # maps[k]: F(chain[k]) -> F(chain[k+1]) columns
@@ -355,9 +354,6 @@ class PullbackLc:
         self.chain.append(nxt)
         self.zs.append(z_next)
 
-    def matches(self, z):
-        return gcl.same_class(self.G, z, self.z0)
-
     def insert_entry(self, z, h, tbit=0):
         """Raw (position, vector) of the image of an F(z)-generator."""
         G = self.G
@@ -430,27 +426,18 @@ def _apply_matrix(matrix, vec):
 
 def l_of_class(G, z):
     """The colimit summand L([z])."""
-    if G.is_finite or isinstance(G, SemidirectZnC2):
-        table = derived(G, "lc", dict)
-        key = gcl.class_key(G, z)
-        lc = table.get(key)
-        if lc is None:
-            if G.is_finite:
-                lc = table.setdefault(key, FiniteLc(G, gcl.cl_part(G, z)))
-            else:
-                lc = table.setdefault(key, SemidirectLc(G, key))
-        return lc
-    if isinstance(G, (PullbackCyclicGroup, PullbackDihedralGroup)):
-        # the earliest match, so that racing first uses return one summand
-        pool = derived(G, "pullback_lc", list)
-        i = 0
-        while True:
-            if i == len(pool):
-                pool.append(PullbackLc(G, z))
-            if pool[i].matches(z):
-                return pool[i]
-            i += 1
-    raise UpsilonUnknown(f"no L(c) machinery for family {G.family}")
+    table = derived(G, "lc", dict)
+    key = gcl.class_key(G, z)
+    lc = table.get(key)
+    if lc is None:
+        if G.is_finite:
+            lc = FiniteLc(G, gcl.cl_part(G, z))
+        elif isinstance(G, SemidirectZnC2):
+            lc = SemidirectLc(G, key)
+        else:
+            lc = PullbackLc(G, z)
+        lc = table.setdefault(key, lc)
+    return lc
 
 
 class JValue:

@@ -113,6 +113,8 @@ def test_scenario_json_deterministic(runner):
     ["scenario", "nope"],
     ["classes", "{tmp}/no_table.json"],
     ["classes", "{tmp}/text_entry.json"],
+    ["derive-check", "builtin:c4", "{tmp}/empty.json"],
+    ["homology", "H0", "--algebra", "{tmp}/p_only.json"],
 ])
 def test_errors_are_one_line(runner, tmp_path, args):
     (tmp_path / "broken.json").write_text('{"family": "finite_table", ')
@@ -121,6 +123,8 @@ def test_errors_are_one_line(runner, tmp_path, args):
     (tmp_path / "text_entry.json").write_text(
         '{"family": "finite_table", "labels": ["1", "a"], '
         '"table": [[0, 1], [1, "0"]]}')
+    (tmp_path / "empty.json").write_text('{}')
+    (tmp_path / "p_only.json").write_text('{"p": 2}')
     r = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
     assert r.exit_code == 1
     assert isinstance(r.exception, SystemExit)   # not an uncaught error

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -238,6 +239,25 @@ def _two_ends_groups():
     return [Gx for Gx in builtins if Gx.is_two_ends] + [PC]
 
 
+def _more_pullbacks():
+    """Two more dihedral pull-backs (SD16 over D_1 by s-degree, D8 over
+    D_2), and two whose fibre orbits of odd-order elements are not single
+    points (S3 over C_2 by sign, C6 over D_1 by parity)."""
+    E1 = G.metacyclic_group(8, 2, 3)
+    PD1 = G.PullbackDihedralGroup(E1, 1, [((e // 8) & 1, 0) for e in E1.elements()],
+                                  name="pb-sd16-d1")
+    E2 = G.metacyclic_group(8, 2, 7)
+    PD2 = G.PullbackDihedralGroup(E2, 2, [((e // 8) & 1, (e % 8) % 2)
+                                          for e in E2.elements()],
+                                  name="pb-d8-d2")
+    S3 = G.dihedral_group(3)
+    PC3 = G.PullbackCyclicGroup(S3, 2, [e // 3 for e in S3.elements()],
+                                name="pb-s3-c2")
+    PD3 = G.PullbackDihedralGroup(G.cyclic_group(6), 1,
+                                  [(e % 2, 0) for e in range(6)], name="pb-c6-d1")
+    return [PD1, PD2, PC3, PD3]
+
+
 def _finite_groups():
     return G.groups_upto(16) + [Gx.E for Gx in _two_ends_groups()]
 
@@ -342,6 +362,69 @@ def _scan_same_class(Gx, z1, z2):
     return any(_scan_conj_witness(Gx, a, w) is not None
                or _scan_conj_witness(Gx, a, Gx.inv(w)) is not None
                for a in p1 for w in p2)
+
+
+def _pullback_same_class(Gx, z1, z2):
+    """z1 ~ z2 iff some 2-power powers are conjugate up to inversion: the
+    pairwise search over the powers of both elements (reference).
+
+    Squaring commutes with conjugation and inversion, so the relation
+    "powers eventually conjugate" is an equivalence containing the three
+    generating moves and contained in their closure; the search bound comes
+    from the preperiod/period of squaring on E plus 2-valuation alignment
+    of the infinite-cyclic parts."""
+    amax = gcl._search_depth(Gx, (z1, z2))
+    powers = [z2]
+    for _ in range(amax):
+        powers.append(Gx.mul(powers[-1], powers[-1]))
+    return gcl._power_conj(Gx, z1, powers, amax) is not None
+
+
+def test_class_key_matches_pullback_same_class():
+    # All window-3 pairs: the reference is an equivalence relation, so
+    # checking each key bucket against its first member, and the first
+    # members against each other, decides every pair.  Then 300 seeded
+    # pairs from window 8 and deep squares, where the key's level K and the
+    # reference's search depth grow with the 2-valuation.
+    rng = random.Random(11)
+    for Gx in _two_ends_groups() + _more_pullbacks():
+        pool = Gx.window_elements(3)
+        buckets = {}
+        for z in pool:
+            buckets.setdefault(gcl.class_key(Gx, z), []).append(z)
+        for first, *rest in buckets.values():
+            for z in rest:
+                assert _pullback_same_class(Gx, first, z), (Gx.name, first, z)
+        for (a, *_), (b, *_) in itertools.combinations(buckets.values(), 2):
+            assert not _pullback_same_class(Gx, a, b), (Gx.name, a, b)
+        wide = Gx.window_elements(8)
+        pairs = [(rng.choice(wide), rng.choice(wide)) for _ in range(300)]
+        for _ in range(20):
+            z = rng.choice(pool)
+            deep = Gx.power(z, 1 << rng.randint(3, 9))
+            pairs += [(deep, z), (z, Gx.inv(deep)), (deep, rng.choice(wide))]
+        for z1, z2 in pairs:
+            same = gcl.class_key(Gx, z1) == gcl.class_key(Gx, z2)
+            assert same == _pullback_same_class(Gx, z1, z2), (Gx.name, z1, z2)
+
+
+def test_two_ends_class_decisions_make_no_conjugacy_search(monkeypatch):
+    calls = []
+    real = gcl.conj_witness
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gcl, "conj_witness", counting)
+    # fresh descriptors, so first-use table builds are counted too
+    for Gx in _two_ends_groups() + _more_pullbacks():
+        pool = Gx.window_elements(2)
+        for z in pool:
+            gcl.class_key(Gx, z)
+            G.same_class(Gx, pool[0], z)
+        G.cl_classes(Gx, window=2)
+    assert calls == []
 
 
 def test_pullback_conj_witness_matches_scan():

@@ -23,6 +23,26 @@ def test_omega_paper_values(order24):
     assert w1 != w2 and not w1.is_zero() and not w2.is_zero()
 
 
+def test_kgclass_hash_and_set_follow_equality():
+    rng = random.Random(3)
+    for Gx in (G.group_order24(), G.group_plane(), G.group_c2_c_c12()):
+        pool = Gx.elements() if Gx.is_finite else Gx.window_elements(2)
+
+        def moved(z):      # another member of the class of z
+            return Gx.conj(Gx.inv(Gx.mul(z, z)), rng.choice(pool))
+
+        for _ in range(40):
+            reps = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+            a = kinv.KGClass(Gx, reps)
+            b = kinv.KGClass(Gx, [moved(z) for z in reversed(reps)])
+            z = rng.choice(pool)
+            c = a + kinv.KGClass(Gx, [z, moved(z)])
+            assert a == b == c and hash(a) == hash(b) == hash(c), (Gx.name, reps)
+            assert len({a, b, c}) == 1
+            d = a + kinv.KGClass(Gx, [z])
+            assert d != a and len({a, b, c, d}) == 2
+
+
 def test_omega_absorb_invariance(order24):
     invs = order24.involutions()
     for g in invs[:4]:
