@@ -303,10 +303,12 @@ def check_derivation(start, steps, target):
 def steps_from_json(data):
     out = []
     for d in data:
-        out.append(DerivationStep(need(d, "relation", ArfError, "derivation step"),
-                                  d.get("pair", 0),
-                                  tuple(d.get("params", ())),
-                                  d.get("reverse", False)))
+        relation = need(d, "relation", ArfError, "derivation step", str)
+        d = {"pair": 0, "params": [], "reverse": False, **d}
+        pair, params, reverse = (need(d, key, ArfError, "derivation step", kind)
+                                 for key, kind in (("pair", int), ("params", list),
+                                                   ("reverse", bool)))
+        out.append(DerivationStep(relation, pair, tuple(params), reverse))
     return out
 
 

@@ -152,8 +152,9 @@ def derive_check_cmd(group, derivation, as_json):
 
 
 def _run_derivation(G, data):
-    start, target, steps = (need(data, key, arf.ArfError, "derivation file")
-                            for key in ("start", "target", "steps"))
+    start, target, steps = (need(data, key, arf.ArfError, "derivation file", kind)
+                            for key, kind in (("start", str), ("target", str),
+                                              ("steps", list)))
     start = arf.parse_expression(arf.GROUP, G, start)
     target = arf.parse_expression(arf.GROUP, G, target)
     steps = arf.steps_from_json(steps)
@@ -241,7 +242,9 @@ def morita_check_cmd(group_spec, m, levels):
     A = halg.matrix_algebra(R, m)
     for k in range(1, levels + 1):
         for key in itertools.product(range(R.dim), repeat=k):
-            assert hmor.trace_chain(A, k, hmor.iota_chain(A, k, {key: 1})) == {key: 1}
+            if hmor.trace_chain(A, k, hmor.iota_chain(A, k, {key: 1})) != {key: 1}:
+                click.echo(f"Tr.iota = 1 FAILS at level {k}")
+                sys.exit(1)
         click.echo(f"Tr.iota = 1 on R^{k}: ok")
     for k in range(1, levels + 1):
         for key in itertools.product(range(A.dim), repeat=k):

@@ -6,8 +6,9 @@ reduced-echelon representation and hands out immutable quotient contexts.
 
 Over F_2 a row is one Python int, bit j holding coordinate j, and
 elimination is XOR.  Odd p (F_3, on tiny inputs only) keeps rows as lists.
-The packing never leaves this module: vectors go in as sequences of ints,
-taken mod p, and come out as tuples of ints in [0, p).
+The packing never leaves this module: vectors go in as sequences of ints or
+as sparse {column: coefficient} dicts, taken mod p, and come out as tuples
+of ints in [0, p).
 """
 from __future__ import annotations
 
@@ -35,8 +36,9 @@ class Subspace:
     """Row space of vectors in F_p^dim, stored in reduced echelon form.
 
     Instances are immutable after construction; `extended` returns a new
-    subspace.  Vectors go in and come out as tuples of ints in [0, p); a
-    vector whose length is not dim raises ValueError.
+    subspace.  Vectors come out as tuples of ints in [0, p).  They go in as
+    sequences of length dim or as sparse {column: coefficient} dicts; any
+    other length, or a column outside [0, dim), raises ValueError.
     """
 
     def __init__(self, dim, p=2, rows=()):
@@ -50,7 +52,13 @@ class Subspace:
             self._absorb(self._coerce(r))
 
     def _coerce(self, vec):
-        if len(vec) != self.dim:
+        if isinstance(vec, dict):
+            if vec and not (min(vec) >= 0 and max(vec) < self.dim):
+                raise ValueError(f"sparse vector with a column outside [0, {self.dim})")
+            if self.p == 2:
+                return sum([1 << j for j, c in vec.items() if c & 1])
+            vec = [vec.get(j, 0) for j in range(self.dim)]
+        elif len(vec) != self.dim:
             raise ValueError(f"vector of length {len(vec)}, expected {self.dim}")
         if self.p == 2:
             return _pack(vec)
@@ -120,6 +128,17 @@ class Subspace:
             s._absorb(s._coerce(r))
         return s
 
+    def independent(self, rows):
+        """The rows, in order, that are outside the span of this subspace and
+        of the rows kept before them: a basis of (span + rows) / span."""
+        probe, kept = self.extended(()), []
+        for r in rows:
+            rank = probe.rank
+            probe._absorb(probe._coerce(r))
+            if probe.rank > rank:
+                kept.append(r)
+        return kept
+
     def basis(self):
         """The rows of the reduced echelon form, in increasing pivot order."""
         return [self._out(self._rows[j]) for j in sorted(self._rows)]
@@ -130,21 +149,22 @@ class QuotientContext:
 
     def __init__(self, dim, p=2, rows=()):
         self.space = Subspace(dim, p, rows)
-        self.dim = dim
-        self.p = p
 
     @property
     def quotient_dim(self):
-        return self.dim - self.space.rank
+        return self.space.dim - self.space.rank
 
     def reduce(self, vec):
         return self.space.reduce(vec)
 
+    def extended(self, rows):
+        """This quotient divided further by `rows`; self is unchanged."""
+        q = object.__new__(QuotientContext)
+        q.space = self.space.extended(rows)
+        return q
+
     def is_zero(self, vec):
         return self.space.contains(vec)
-
-    def equal(self, v, w):
-        return self.reduce(v) == self.reduce(w)
 
 
 def zeros(dim):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 from .. import ArfkitError, need
 from ..groups.core import Group
@@ -11,25 +12,42 @@ class AlgebraError(ArfkitError):
     pass
 
 
+def _reduced(pairs, p):
+    """(k, c) pairs with distinct k -> the tuple of (k, c mod p), increasing
+    in k, over c mod p != 0."""
+    return tuple(sorted((k, c % p) for k, c in pairs if c % p))
+
+
+def _combine(p, terms):
+    """sum of c * v over a list of (c, v), v given as _reduced pairs; the
+    result in the same form."""
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    out = {}
+    for c, v in terms:
+        for k, e in v:
+            out[k] = out.get(k, 0) + c * e
+    return _reduced(out.items(), p)
+
+
 class FiniteAlgebra:
     """Basis-indexed algebra over F_p with optional anti-involution.
 
-    mult[i][j] is the coefficient vector of e_i e_j; involution, when
-    present, is the matrix row list im[i] = coefficients of the image of
-    e_i.  Associativity, the unit laws and the anti-involution axioms are
-    verified over all basis triples on construction.
+    The structure constants are sparse: mult[i][j] holds the pairs (k, c),
+    c != 0, of e_i e_j = sum c e_k, and involution[i], when present, holds
+    the image of e_i the same way.  Elements are coefficient tuples.
+    Associativity, the unit laws and the anti-involution axioms are verified
+    over all basis triples on construction.
     """
 
     def __init__(self, p, labels, mult, unit, involution=None, name=None, check=True):
         self.p = p
         self.labels = list(labels)
         self.dim = len(self.labels)
-        self.mult = [[tuple(c % p for c in mult[i][j]) for j in range(self.dim)]
-                     for i in range(self.dim)]
+        self.mult = [[_reduced(v, p) for v in row] for row in mult]
         self.unit = tuple(c % p for c in unit)
-        self.involution = None
-        if involution is not None:
-            self.involution = [tuple(c % p for c in row) for row in involution]
+        self.involution = (None if involution is None
+                           else [_reduced(row, p) for row in involution])
         self.name = name or "algebra"
         if check:
             self._validate()
@@ -54,19 +72,17 @@ class FiniteAlgebra:
         return tuple((a * c) % self.p for a in x)
 
     def mul(self, x, y):
+        mult, p = self.mult, self.p
+        ys = [(j, b) for j, b in enumerate(y) if b]
         out = [0] * self.dim
         for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                row = self.mult[i][j]
-                ab = a * b
-                for k, c in enumerate(row):
-                    if c:
-                        out[k] = (out[k] + ab * c) % self.p
-        return tuple(out)
+            if a:
+                row = mult[i]
+                for j, b in ys:
+                    ab = a * b
+                    for k, c in row[j]:
+                        out[k] += ab * c
+        return tuple([c % p for c in out])
 
     def power(self, x, k):
         acc = self.unit
@@ -77,42 +93,42 @@ class FiniteAlgebra:
     def invol(self, x):
         if self.involution is None:
             raise AlgebraError("no involution registered")
-        out = [0] * self.dim
+        out, p = [0] * self.dim, self.p
         for i, a in enumerate(x):
-            if not a:
-                continue
-            for k, c in enumerate(self.involution[i]):
-                if c:
-                    out[k] = (out[k] + a * c) % self.p
-        return tuple(out)
+            if a:
+                for k, c in self.involution[i]:
+                    out[k] += a * c
+        return tuple([c % p for c in out])
 
     def commutator(self, x, y):
         return self.sub(self.mul(x, y), self.mul(y, x))
 
     def _validate(self):
-        d = self.dim
+        d, p, mult, inv = self.dim, self.p, self.mult, self.involution
+        unit = _reduced(enumerate(self.unit), p)
         for i in range(d):
-            ei = self.basis_vec(i)
-            if self.mul(self.unit, ei) != ei or self.mul(ei, self.unit) != ei:
+            ei = ((i, 1),)
+            if (_combine(p, [(c, mult[s][i]) for s, c in unit]) != ei
+                    or _combine(p, [(c, mult[i][s]) for s, c in unit]) != ei):
                 raise AlgebraError("unit law fails")
         for i in range(d):
             for j in range(d):
-                for k in range(d):
-                    lhs = self.mul(self.basis_vec(i),
-                                   self.mul(self.basis_vec(j), self.basis_vec(k)))
-                    rhs = self.mul(self.mul(self.basis_vec(i), self.basis_vec(j)),
-                                   self.basis_vec(k))
-                    if lhs != rhs:
-                        raise AlgebraError("associativity fails")
-        if self.involution is not None:
+                # (e_i e_j) e_k = e_i (e_j e_k) for every k
+                ij = mult[i][j]
+                if ([_combine(p, [(c, mult[m][k]) for m, c in ij]) for k in range(d)]
+                        != [_combine(p, [(c, mult[i][m]) for m, c in jk])
+                            for jk in mult[j]]):
+                    raise AlgebraError("associativity fails")
+        if inv is not None:
             for i in range(d):
-                ei = self.basis_vec(i)
-                if self.invol(self.invol(ei)) != ei:
+                if _combine(p, [(c, inv[m]) for m, c in inv[i]]) != ((i, 1),):
                     raise AlgebraError("involution does not square to 1")
             for i in range(d):
                 for j in range(d):
-                    x, y = self.basis_vec(i), self.basis_vec(j)
-                    if self.invol(self.mul(x, y)) != self.mul(self.invol(y), self.invol(x)):
+                    # invol(e_i e_j) = invol(e_j) invol(e_i)
+                    if (_combine(p, [(c, inv[m]) for m, c in mult[i][j]])
+                            != _combine(p, [(a * b, mult[s][t])
+                                            for s, a in inv[j] for t, b in inv[i]])):
                         raise AlgebraError("involution is not an anti-homomorphism")
 
     def format_vec(self, x):
@@ -121,41 +137,58 @@ class FiniteAlgebra:
         return " + ".join(parts) if parts else "0"
 
     def to_json(self):
+        E = [self.basis_vec(i) for i in range(self.dim)]
         return {"p": self.p, "labels": self.labels,
-                "mult": [[list(v) for v in row] for row in self.mult],
+                "mult": [[list(self.mul(x, y)) for y in E] for x in E],
                 "unit": list(self.unit),
                 "involution": None if self.involution is None
-                else [list(r) for r in self.involution],
+                else [list(self.invol(x)) for x in E],
                 "name": self.name}
 
 
+def _int_array(x, shape):
+    """Whether x is nested lists of integers (not booleans) of this shape."""
+    if not shape:
+        return type(x) is int
+    return (isinstance(x, list) and len(x) == shape[0]
+            and all(_int_array(y, shape[1:]) for y in x))
+
+
 def algebra_from_json(data):
+    """The algebra of a JSON description in the format of `to_json`, with
+    dense coefficient vectors; each key is checked for type and shape."""
     if isinstance(data, str):
         data = json.loads(data)
-    p, labels, mult, unit = (need(data, key, AlgebraError, "algebra description")
+    what = "algebra description"
+    p, labels, mult, unit = (need(data, key, AlgebraError, what)
                              for key in ("p", "labels", "mult", "unit"))
-    return FiniteAlgebra(p, labels, mult, unit, data.get("involution"),
-                         data.get("name"))
+    invol, name = data.get("involution"), data.get("name")
+    d = len(labels) if isinstance(labels, list) else 0
+    for key, ok, kind in (
+            ("p", type(p) is int and p >= 2
+             and all(p % q for q in range(2, math.isqrt(p) + 1)), "a prime"),
+            ("labels", isinstance(labels, list)
+             and all(isinstance(s, str) for s in labels), "a list of strings"),
+            ("mult", _int_array(mult, (d, d, d)), f"a {d}x{d}x{d} array of integers"),
+            ("unit", _int_array(unit, (d,)), f"a list of {d} integers"),
+            ("involution", invol is None or _int_array(invol, (d, d)),
+             f"null or a {d}x{d} array of integers"),
+            ("name", name is None or isinstance(name, str), "a string")):
+        if not ok:
+            raise AlgebraError(f"{what}: {key!r} is not {kind}")
+    return FiniteAlgebra(p, labels, [[enumerate(v) for v in row] for row in mult],
+                         unit, None if invol is None else [enumerate(r) for r in invol],
+                         name)
 
 
 def group_algebra(G: Group, p=2):
     """F_p[G] with the inverse anti-involution."""
     els = G.elements()
     idx = {g: i for i, g in enumerate(els)}
-    d = len(els)
-    mult = [[None] * d for _ in range(d)]
-    for i, g in enumerate(els):
-        for j, h in enumerate(els):
-            v = [0] * d
-            v[idx[G.mul(g, h)]] = 1
-            mult[i][j] = v
-    unit = [0] * d
+    mult = [[((idx[G.mul(g, h)], 1),) for h in els] for g in els]
+    unit = [0] * len(els)
     unit[idx[G.identity]] = 1
-    invol = []
-    for g in els:
-        v = [0] * d
-        v[idx[G.inv(g)]] = 1
-        invol.append(v)
+    invol = [((idx[G.inv(g)], 1),) for g in els]
     return FiniteAlgebra(p, [G.format_element(g) for g in els], mult, unit,
                          invol, name=f"F{p}[{getattr(G, 'name', '?')}]")
 
@@ -170,34 +203,20 @@ def matrix_algebra(A: FiniteAlgebra, m):
             for s in range(d):
                 labels.append(f"E{i}{j}({A.labels[s]})")
                 basis.append((i, j, s))
-    D = len(basis)
     index = {b: t for t, b in enumerate(basis)}
-
-    def vec_of(i, j, coeffs):
-        v = [0] * D
-        for s, c in enumerate(coeffs):
-            if c:
-                v[index[(i, j, s)]] = c % A.p
-        return v
-
-    mult = [[None] * D for _ in range(D)]
-    for t1, (i, j, s1) in enumerate(basis):
-        for t2, (k, l, s2) in enumerate(basis):
-            if j != k:
-                mult[t1][t2] = [0] * D
-            else:
-                prod = A.mul(A.basis_vec(s1), A.basis_vec(s2))
-                mult[t1][t2] = vec_of(i, l, prod)
-    unit = [0] * D
+    # E_ij(a) E_kl(b) = E_il(ab) when j = k, else 0
+    mult = [[[(index[(i, l, s)], c) for s, c in A.mult[s1][s2]] if j == k else ()
+             for (k, l, s2) in basis] for (i, j, s1) in basis]
+    unit = [0] * len(basis)
     for i in range(m):
         for s, c in enumerate(A.unit):
             if c:
                 unit[index[(i, i, s)]] = c
     invol = None
     if A.involution is not None:
-        invol = []
-        for (i, j, s) in basis:
-            invol.append(vec_of(j, i, A.invol(A.basis_vec(s))))
+        # (E_ij(a))^* = E_ji(a^*)
+        invol = [[(index[(j, i, s2)], c) for s2, c in A.involution[s]]
+                 for (i, j, s) in basis]
     alg = FiniteAlgebra(A.p, labels, mult, unit, invol,
                         name=f"M{m}({A.name})", check=False)
     alg.base = A
@@ -208,4 +227,4 @@ def matrix_algebra(A: FiniteAlgebra, m):
 
 
 def field_algebra(p):
-    return FiniteAlgebra(p, ["1"], [[[1]]], [1], [[1]], name=f"F{p}")
+    return FiniteAlgebra(p, ["1"], [[((0, 1),)]], [1], [((0, 1),)], name=f"F{p}")

@@ -1,15 +1,17 @@
 """Chain-level Hochschild/cyclic/quaternionic homology in low degrees.
 
-Chains are sparse dicts {basis index tuple: coefficient}; quotient
-contexts are dense F_p row spaces.  The dimension guard refuses level-2
-chain spaces beyond ~20^3 rows instead of approximating.
+Chains are sparse dicts {basis index tuple: coefficient}; relations are
+sparse rows {column: coefficient} built on basis indices from the sparse
+structure constants (e_i (x) e_j is column i*d + j, and the T_1 part of
+HQ_1 is column d*d + k).  The dimension guard refuses algebras past
+dimension 32 (32^3 level-2 rows) instead of approximating.
 """
 from __future__ import annotations
 
 from .. import fp
 from .algebras import FiniteAlgebra, AlgebraError
 
-DIM_GUARD = 20
+DIM_GUARD = 32
 
 
 def check_guard(A):
@@ -44,15 +46,8 @@ def t_neg(p, x):
 
 def tensor2(A, x, y):
     """x (x) y for coefficient vectors x, y."""
-    out = {}
-    for i, a in enumerate(x):
-        if not a:
-            continue
-        for j, b in enumerate(y):
-            if not b:
-                continue
-            out[(i, j)] = (a * b) % A.p
-    return out
+    ys = [(j, b) for j, b in enumerate(y) if b]
+    return {(i, j): (a * b) % A.p for i, a in enumerate(x) if a for j, b in ys}
 
 
 def tensor_list(A, vecs):
@@ -85,10 +80,9 @@ def unflatten(A, k, vec):
     for idx, c in enumerate(vec):
         if c % A.p:
             key = []
-            m = idx
             for _ in range(k):
-                key.append(m % d)
-                m //= d
+                idx, i = divmod(idx, d)
+                key.append(i)
             out[tuple(reversed(key))] = c % A.p
     return out
 
@@ -97,31 +91,23 @@ def unflatten(A, k, vec):
 
 
 def boundary(A, k, chain):
-    """b: T_k -> T_(k-1) (T_1 -> 0)."""
+    """b: T_k -> T_(k-1) (T_1 -> 0).  Face i < k - 1 multiplies entries i
+    and i + 1, the last face entry k - 1 by entry 0; face i has sign (-1)^i."""
     if k == 1:
         return {}
-    p = A.p
+    p, mult = A.p, A.mult
     out = {}
-
-    def acc(key, c):
-        nonlocal out
-        if c % p:
-            out[key] = (out.get(key, 0) + c) % p
-            if out[key] == 0:
-                del out[key]
-
     for key, c in chain.items():
-        xs = [A.basis_vec(i) for i in key]
-        for i in range(k - 1):
-            merged = xs[:i] + [A.mul(xs[i], xs[i + 1])] + xs[i + 2:]
-            sgn = (-1) ** i
-            for kk, cc in tensor_list(A, merged).items():
-                acc(kk, sgn * c * cc)
-        merged = [A.mul(xs[-1], xs[0])] + xs[1:-1]
-        sgn = (-1) ** (k - 1)
-        for kk, cc in tensor_list(A, merged).items():
-            acc(kk, sgn * c * cc)
-    return out
+        for i in range(k):
+            if i < k - 1:
+                x, y, pre, post = key[i], key[i + 1], key[:i], key[i + 2:]
+            else:
+                x, y, pre, post = key[-1], key[0], (), key[1:-1]
+            sc = -c if i % 2 else c
+            for m, e in mult[x][y]:
+                kk = pre + (m,) + post
+                out[kk] = (out.get(kk, 0) + sc * e) % p
+    return {kk: c for kk, c in out.items() if c}
 
 
 def cyclic_x(A, k, chain):
@@ -163,13 +149,7 @@ class HomologySpace:
         self.ambient_dim = ambient_dim
         self.cycles = list(cycle_basis)
         self.context = fp.QuotientContext(ambient_dim, A.p, boundary_rows)
-        basis = []
-        probe = self.context.space
-        for v in cycle_basis:
-            if not probe.contains(v):
-                basis.append(v)
-                probe = probe.extended([v])
-        self.basis = basis
+        self.basis = self.context.space.independent(self.cycles)
 
     @property
     def dim(self):
@@ -180,9 +160,6 @@ class HomologySpace:
 
     def class_of(self, vec):
         return HomologyClass(self, tuple(vec))
-
-    def zero(self):
-        return HomologyClass(self, fp.zeros(self.ambient_dim))
 
 
 class HomologyClass:
@@ -224,53 +201,67 @@ class HomologyClass:
         return HomologyClass(self.space, fp.add_vec(self.vec, other.vec, self.space.A.p))
 
 
+def _row(terms):
+    """The sparse row {column: coefficient} summing (column, coefficient)
+    terms."""
+    row = {}
+    for col, c in terms:
+        row[col] = row.get(col, 0) + c
+    return row
+
+
 def homology(A: FiniteAlgebra, which):
     """Basis-with-context for H0, H1, HC0, HC1 or HQ1 of A."""
     check_guard(A)
-    d = A.dim
-    p = A.p
+    d, p = A.dim, A.p
     if which in ("H0", "HC0"):
-        rows = []
-        for i in range(d):
-            for j in range(d):
-                rows.append(A.commutator(A.basis_vec(i), A.basis_vec(j)))
         cycles = [fp.unit(d, i) for i in range(d)]
-        return HomologySpace(A, which, d, rows, cycles)
+        return HomologySpace(A, which, d, _commutator_rows(A), cycles)
     if which in ("H1", "HC1"):
-        eqs = _b1_equations(A)
-        cycles = fp.kernel_basis(eqs, d * d, p)
+        cycles = fp.kernel_basis(_b1_equations(A), d * d, p)
         rows = _b2_rows(A)
         if which == "HC1":
-            for i in range(d):
-                for j in range(d):
-                    ch = {(i, j): 1}
-                    ch = t_add(p, ch, t_neg(p, cyclic_x(A, 2, ch)))
-                    rows.append(flatten(A, 2, ch))
+            # (1 - x)(e_i (x) e_j) = e_i (x) e_j + e_j (x) e_i
+            rows += [_row([(i * d + j, 1), (j * d + i, 1)])
+                     for i in range(d) for j in range(d)]
         return HomologySpace(A, which, d * d, rows, cycles)
     if which == "HQ1":
         return hq1(A)
     raise AlgebraError(f"unknown homology {which!r}")
 
 
+def _commutator_rows(A):
+    """[e_i, e_j] for all i, j (i-major) as sparse rows over T_1."""
+    d, mult = A.dim, A.mult
+    return [_row(mult[i][j] + tuple((k, -c) for k, c in mult[j][i]))
+            for i in range(d) for j in range(d)]
+
+
 def _b1_equations(A):
-    d = A.dim
-    eqs = [[0] * (d * d) for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            col = i * d + j
-            for k, c in enumerate(A.commutator(A.basis_vec(i), A.basis_vec(j))):
-                eqs[k][col] = c
+    """b = [ , ]: T_2 -> T_1 as equations: row k holds the coefficient of
+    e_k in [e_i, e_j] at column i*d + j."""
+    eqs = [{} for _ in range(A.dim)]
+    for col, row in enumerate(_commutator_rows(A)):
+        for k, c in row.items():
+            eqs[k][col] = c
     return eqs
 
 
 def _b2_rows(A):
-    d = A.dim
+    """b(e_i (x) e_j (x) e_k) = e_i e_j (x) e_k - e_i (x) e_j e_k + e_k e_i (x) e_j
+    for all basis triples, as sparse rows over T_2."""
+    d, mult = A.dim, A.mult
     rows = []
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                ch = boundary(A, 3, {(i, j, k): 1})
-                rows.append(flatten(A, 2, ch))
+                # _row, unrolled: these d^3 rows are most of an H_1 or HQ_1 build
+                row = {m * d + k: c for m, c in mult[i][j]}
+                for m, c in mult[j][k]:
+                    row[i * d + m] = row.get(i * d + m, 0) - c
+                for m, c in mult[k][i]:
+                    row[m * d + j] = row.get(m * d + j, 0) + c
+                rows.append(row)
     return rows
 
 
@@ -280,42 +271,40 @@ def hq1(A: FiniteAlgebra):
     if A.involution is None:
         raise AlgebraError("HQ1 needs an anti-involution")
     check_guard(A)
-    d, p = A.dim, A.p
-    amb = d * d + d
-
-    def pack(ch2, c1):
-        return flatten(A, 2, ch2) + tuple(x % p for x in c1)
-
-    # cycle equations: b(xi) + c - invol(c) = 0
-    eqs = [row + [0] * d for row in _b1_equations(A)]
+    d, p, mult, inv = A.dim, A.p, A.mult, A.involution
+    D = d * d
+    # cycle equations: b(xi) + c - invol(c) = 0; column D + i is e_i - invol(e_i)
+    eqs = _b1_equations(A)
     for i in range(d):
-        v = A.sub(A.basis_vec(i), A.invol(A.basis_vec(i)))
-        for k, c in enumerate(v):
-            eqs[k][d * d + i] = c % p
-    cycles = fp.kernel_basis(eqs, amb, p)
-
+        for k, c in _row([(i, 1)] + [(k, -c) for k, c in inv[i]]).items():
+            eqs[k][D + i] = c
+    cycles = fp.kernel_basis(eqs, D + d, p)
     rows = []
-    E = [A.basis_vec(i) for i in range(d)]
     for i in range(d):
         for j in range(d):
-            r, s = E[i], E[j]
-            rs = A.mul(r, s)
-            ch = t_add(p, tensor2(A, r, s), tensor2(A, s, r))
-            rows.append(pack(ch, A.scale(A.add(rs, A.invol(rs)), -1)))
-            ch = t_add(p, tensor2(A, r, s), tensor2(A, A.invol(r), A.invol(s)))
-            rows.append(pack(ch, A.sub(A.mul(s, r), rs)))
-    for i in range(d):
-        rows.append(pack({}, A.scale(A.add(E[i], A.invol(E[i])), 2)))
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                x, y, z = E[i], E[j], E[k]
-                ch = tensor2(A, A.mul(x, y), z)
-                ch = t_add(p, ch, t_neg(p, tensor2(A, x, A.mul(y, z))))
-                ch = t_add(p, ch, tensor2(A, A.mul(z, x), y))
-                rows.append(pack(ch, A.zero_vec()))
-    return HomologySpace(A, "HQ1", amb, rows, cycles)
+            ij = mult[i][j]
+            # (r (x) s + s (x) r, -(rs + invol(rs))) for r = e_i, s = e_j
+            rows.append(_row([(i * d + j, 1), (j * d + i, 1)]
+                             + [(D + m, -c) for m, c in ij]
+                             + [(D + n, -c * e) for m, c in ij for n, e in inv[m]]))
+            # (r (x) s + invol(r) (x) invol(s), sr - rs)
+            rows.append(_row([(i * d + j, 1)]
+                             + [(a * d + b, ca * cb) for a, ca in inv[i] for b, cb in inv[j]]
+                             + [(D + m, c) for m, c in mult[j][i]]
+                             + [(D + m, -c) for m, c in ij]))
+    # (0, 2 (r + invol(r)))
+    rows += [_row([(D + i, 2)] + [(D + n, 2 * e) for n, e in inv[i]]) for i in range(d)]
+    # (b(x (x) y (x) z), 0): the T_2 rows of H_1
+    rows += _b2_rows(A)
+    return HomologySpace(A, "HQ1", D + d, rows, cycles)
 
 
 def hq_vector(A, ch2, c1):
     return flatten(A, 2, ch2) + tuple(x % A.p for x in c1)
+
+
+def hq_row(A, ch2, c1):
+    """(ch2, c1) in T_2 + T_1 as a sparse row {column: coefficient}."""
+    d = A.dim
+    return _row([(i * d + j, c) for (i, j), c in ch2.items()]
+                + [(d * d + k, c) for k, c in enumerate(c1)])

@@ -14,7 +14,7 @@ from .. import fp
 from ..memo import derived
 from .algebras import AlgebraError
 from .chains import (HomologySpace, HomologyClass, homology, hq1, tensor2,
-                     t_add, t_scale, flatten, unflatten, hq_vector)
+                     t_add, t_scale, flatten, unflatten, hq_vector, hq_row)
 
 
 # -- summand decomposition ---------------------------------------------------
@@ -96,19 +96,6 @@ def _gamma_chain(A, tup, summands, swapped):
     return tensor2(A, left, A.mul(a, b))
 
 
-def b_map(A, c: HomologyClass) -> HomologyClass:
-    """B: HC_0 -> H_1, [r] -> [1 (x) r]."""
-    h1 = space(A, "H1")
-    return h1.class_of(flatten(A, 2, tensor2(A, A.unit, c.vec)))
-
-
-def q_map(A, c: HomologyClass) -> HomologyClass:
-    """q = theta_p . B: HC_0 -> HC_1, [r] -> [r^(p-1) (x) r]."""
-    hc1 = space(A, "HC1")
-    r = c.vec
-    return hc1.class_of(flatten(A, 2, tensor2(A, A.power(r, A.p - 1), r)))
-
-
 def theta_aux(A, chain2):
     """The auxiliary theta: R (x) R -> R_ab,
     sum_{i<j} [u_i,v_i][u_j,v_j] + sum_i u_i v_i [u_i,v_i]."""
@@ -127,22 +114,10 @@ def theta_aux(A, chain2):
 
 
 def mu_rows(A):
-    """span{[x (x) x, 0]}: the images of mu over basis vectors plus their
-    polarizations."""
-    rows = []
-    for i in range(A.dim):
-        rows.append(hq_vector(A, tensor2(A, A.basis_vec(i), A.basis_vec(i)),
-                              A.zero_vec()))
-        for j in range(i + 1, A.dim):
-            ch = t_add(A.p, tensor2(A, A.basis_vec(i), A.basis_vec(j)),
-                       tensor2(A, A.basis_vec(j), A.basis_vec(i)))
-            rows.append(hq_vector(A, ch, A.zero_vec()))
-    return rows
-
-
-def nu_map(A, x):
-    """nu: R -> HQ_1, x -> [1 (x) x, 0]."""
-    return hq_vector(A, tensor2(A, A.unit, x), A.zero_vec())
+    """span{[x (x) x, 0]} as sparse rows: e_i (x) e_i and the polarizations
+    e_i (x) e_j + e_j (x) e_i (the dict literal has one key when i = j)."""
+    d = A.dim
+    return [{i * d + j: 1, j * d + i: 1} for i in range(d) for j in range(i, d)]
 
 
 def vartheta(A, c: HomologyClass):
@@ -151,10 +126,7 @@ def vartheta(A, c: HomologyClass):
     if c.space.kind != "HQ1":
         raise AlgebraError("vartheta expects an HQ1 class")
     d2 = A.dim * A.dim
-    from .chains import unflatten as _unf
-    ch2 = _unf(A, 2, c.vec[:d2])
-    c1 = tuple(c.vec[d2:])
-    out2, outc = vartheta_chain(A, ch2, c1)
+    out2, outc = vartheta_chain(A, unflatten(A, 2, c.vec[:d2]), c.vec[d2:])
     return _coker_mu(A).reduce(hq_vector(A, out2, outc))
 
 
@@ -188,8 +160,7 @@ class CokerMu:
     def __init__(self, A):
         self.A = A
         self.hq = hq1(A)
-        rows = self.hq.context.space.basis() + mu_rows(A)
-        self.context = fp.QuotientContext(self.hq.ambient_dim, A.p, rows)
+        self.context = self.hq.context.extended(mu_rows(A))
 
     def reduce(self, vec):
         return self.context.reduce(vec)
@@ -207,21 +178,15 @@ class CokerOnePlusVartheta:
         # A) keep in a reference cycle until the cyclic collector runs
         self.coker_mu = CokerMu(A)
         self.hq = self.coker_mu.hq
-        rows = list(self.coker_mu.context.space.basis())
+        D = A.dim * A.dim
+        rows = []
         for v in self.hq.basis:
-            ch2 = unflatten(A, 2, v[:A.dim * A.dim])
-            c1 = v[A.dim * A.dim:]
+            # (1 + vartheta)(ch2, c1)
+            ch2, c1 = unflatten(A, 2, v[:D]), v[D:]
             th2, thc = vartheta_chain(A, ch2, c1)
-            img = fp.add_vec(v, hq_vector(A, th2, thc), A.p)
-            rows.append(img)
-        self.context = fp.QuotientContext(self.hq.ambient_dim, A.p, rows)
-        basis = []
-        probe = self.context.space
-        for v in self.hq.cycles:
-            if not probe.contains(v):
-                basis.append(v)
-                probe = probe.extended([v])
-        self.basis = basis
+            rows.append(hq_row(A, t_add(2, ch2, th2), A.add(c1, thc)))
+        self.context = self.coker_mu.context.extended(rows)
+        self.basis = self.context.space.independent(self.hq.cycles)
 
     @property
     def dim(self):

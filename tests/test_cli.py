@@ -3,6 +3,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import arfkit.groups as G
+import arfkit.homology.morita as hmor
 from arfkit.cli import main, scenario_names
 
 
@@ -84,6 +86,14 @@ def test_morita_cmd(runner):
     assert r.exit_code == 0 and "ok" in r.output
 
 
+def test_morita_cmd_reports_a_failed_trace(runner, monkeypatch):
+    # the check is an explicit comparison, so it also runs under python -O
+    monkeypatch.setattr(hmor, "trace_chain", lambda A, k, chain: {})
+    r = runner.invoke(main, ["morita-check", "--m", "2", "--levels", "2"])
+    assert r.exit_code == 1
+    assert r.output.strip() == "Tr.iota = 1 FAILS at level 1"
+
+
 def test_scenarios_all_pass(runner):
     names = scenario_names()
     assert len(names) >= 7
@@ -103,7 +113,7 @@ def test_scenario_json_deterministic(runner):
 
 @pytest.mark.parametrize("args", [
     ["classes", "builtin:nope"],
-    ["homology", "HQ1", "--group-algebra", "builtin:ch1-order24"],  # DIM_GUARD
+    ["homology", "HQ1", "--group-algebra", "{tmp}/c6xc6.json"],  # DIM_GUARD
     ["arf-eval", "<S, S> +", "--invariant", "upsilon", "--group", "builtin:ch2-plane"],
     ["classes", "{tmp}/missing.json"],
     ["classes", "{tmp}/broken.json"],
@@ -115,6 +125,17 @@ def test_scenario_json_deterministic(runner):
     ["classes", "{tmp}/text_entry.json"],
     ["derive-check", "builtin:c4", "{tmp}/empty.json"],
     ["homology", "H0", "--algebra", "{tmp}/p_only.json"],
+    ["derive-check", "builtin:c4", "{tmp}/int_start.json"],
+    ["derive-check", "builtin:c4", "{tmp}/int_steps.json"],
+    ["homology", "H0", "--algebra", "{tmp}/int_mult.json"],
+    ["derive-check", "builtin:c4", "{tmp}/text_pair.json"],
+    ["derive-check", "builtin:c4", "{tmp}/int_params.json"],
+    ["homology", "H0", "--algebra", "{tmp}/p4.json"],
+    ["homology", "H0", "--algebra", "{tmp}/bool_mult.json"],
+    ["homology", "H0", "--algebra", "{tmp}/short_unit.json"],
+    ["homology", "H0", "--algebra", "{tmp}/wide_involution.json"],
+    ["homology", "H0", "--algebra", "{tmp}/int_labels.json"],
+    ["derive-check", "builtin:c4", "{tmp}/bool_pair.json"],
 ])
 def test_errors_are_one_line(runner, tmp_path, args):
     (tmp_path / "broken.json").write_text('{"family": "finite_table", ')
@@ -125,6 +146,25 @@ def test_errors_are_one_line(runner, tmp_path, args):
         '"table": [[0, 1], [1, "0"]]}')
     (tmp_path / "empty.json").write_text('{}')
     (tmp_path / "p_only.json").write_text('{"p": 2}')
+    (tmp_path / "c6xc6.json").write_text(json.dumps(G.abelian_group([6, 6]).to_json()))
+    for name, data in [
+            ("int_start", {"start": 5, "target": "<1,1>", "steps": []}),
+            ("int_steps", {"start": "<1,1>", "target": "<1,1>", "steps": 3}),
+            ("text_pair", {"start": "<1,1>", "target": "<1,1>",
+                           "steps": [{"relation": "Swap", "pair": "0"}]}),
+            ("int_params", {"start": "<1,1>", "target": "<1,1>",
+                            "steps": [{"relation": "Swap", "params": 3}]}),
+            ("int_mult", {"p": 2, "labels": ["1"], "mult": 3, "unit": [1]}),
+            ("p4", {"p": 4, "labels": ["1"], "mult": [[[1]]], "unit": [1]}),
+            ("bool_mult", {"p": 2, "labels": ["1"], "mult": [[[True]]], "unit": [1]}),
+            ("short_unit", {"p": 2, "labels": ["1", "g"], "unit": [1],
+                            "mult": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}),
+            ("wide_involution", {"p": 2, "labels": ["1"], "mult": [[[1]]],
+                                 "unit": [1], "involution": [[1, 0]]}),
+            ("int_labels", {"p": 2, "labels": [1], "mult": [[[1]]], "unit": [1]}),
+            ("bool_pair", {"start": "<1,1>", "target": "<1,1>",
+                           "steps": [{"relation": "Swap", "pair": True}]})]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
     r = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
     assert r.exit_code == 1
     assert isinstance(r.exception, SystemExit)   # not an uncaught error

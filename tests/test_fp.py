@@ -133,6 +133,48 @@ def test_entries_are_taken_mod_p(p):
         assert S.extended([vec]).basis() == T.extended([[x % p for x in vec]]).basis()
 
 
+@pytest.mark.parametrize("p,dim", CASES)
+def test_sparse_rows_match_dense_rows(p, dim):
+    # {column: coefficient} rows, entries not yet reduced mod p, give the
+    # same spaces, residues and greedy bases as the dense tuples
+    rng = random.Random(5000 * p + dim)
+    entries = [-1, 1, 2, p, 2 * p + 1, 2 ** 70 + 1]
+
+    def sparse(vec):
+        return {j: x + p * rng.choice([-1, 0, 1, 2 ** 70]) for j, x in enumerate(vec)
+                if x or rng.random() < 0.3}
+
+    for _ in range(12):
+        rows = _random_rows(rng, p, dim, rng.randint(0, 5))
+        more = _random_rows(rng, p, dim, rng.randint(0, 4))
+        S = fp.Subspace(dim, p, rows)
+        T = fp.Subspace(dim, p, [sparse(r) for r in rows])
+        assert T.basis() == S.basis()
+        assert S.extended([sparse(r) for r in more]).basis() == S.extended(more).basis()
+        for v in _random_rows(rng, p, dim, 5):
+            assert T.reduce(sparse(v)) == S.reduce(v)
+            assert T.contains(sparse(v)) == S.contains(v)
+        # independent: the rows that raise the rank, one extended copy each
+        probe, kept = S, []
+        for r in more:
+            if not probe.contains(r):
+                kept.append(r)
+                probe = probe.extended([r])
+        assert S.independent(more) == kept
+        assert S.basis() == fp.Subspace(dim, p, rows).basis()   # S unchanged
+        Q = fp.QuotientContext(dim, p, rows)
+        assert Q.extended(more).space.basis() == fp.Subspace(dim, p, rows + more).basis()
+        assert Q.quotient_dim == dim - S.rank
+        if dim:
+            odd = {rng.randrange(dim): rng.choice(entries)}
+            assert T.reduce(odd) == S.reduce([odd.get(j, 0) for j in range(dim)])
+    for bad in [{dim: 1}, {-1: 1}, {0: 1, dim + 5: 0}]:
+        with pytest.raises(ValueError):
+            fp.Subspace(dim, p, [bad])
+        with pytest.raises(ValueError):
+            fp.Subspace(dim, p).reduce(bad)
+
+
 def test_import_leaves_numpy_out():
     # a fresh interpreter, so that imports made by other tests cannot mask it
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

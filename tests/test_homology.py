@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -34,7 +36,7 @@ def test_hc1_field_vanishes():
 
 
 def test_dimension_guard():
-    A = H.group_algebra(G.abelian_group([5, 5]), 2)
+    A = H.group_algebra(G.abelian_group([6, 6]), 2)     # dimension 36 > 32
     with pytest.raises(AlgebraError):
         H.homology(A, "H1")
 
@@ -257,3 +259,185 @@ def test_algebra_json_roundtrip(algebras):
     A = algebras["F2[C2]"]
     B = H.algebra_from_json(A.to_json())
     assert B.mult == A.mult and B.involution == A.involution
+
+
+# -- the sparse representation against the dense one ------------------------
+
+# Computed with dense structure constants and dense relation rows (the
+# representation before sparse constants): (dim, sha256 prefix of the
+# repr of (basis, residues of 40 seeded vectors)).  The reduced echelon
+# form is unique, so a residue may not change by a single byte.
+DENSE_PINS = {
+    ("F2[S3]", "H0"): (3, "ab71b6c294ff70b9"),
+    ("F2[S3]", "H1"): (2, "5cf34cbd1f648adf"),
+    ("F2[S3]", "HC0"): (3, "03c4004cda88bd9a"),
+    ("F2[S3]", "HC1"): (1, "41db93605c24e6fa"),
+    ("F2[S3]", "HQ1"): (4, "38e151e30f2abaad"),
+    ("F2[S3]", "coker"): (2, "a12ccbba97862494"),
+    ("F3[C3]", "H0"): (3, "f7f23d5e570ed98b"),
+    ("F3[C3]", "H1"): (3, "d4300a3efdbe7608"),
+    ("F3[C3]", "HC0"): (3, "1ba1c309a8edc7d1"),
+    ("F3[C3]", "HC1"): (1, "12f578b2e809860b"),
+    ("F3[C3]", "HQ1"): (1, "6b62003698f63516"),
+    ("F2[Q8]", "H0"): (5, "8ab827daa4ce7d90"),
+    ("F2[Q8]", "H1"): (7, "dacb841c179d4f3d"),
+    ("F2[Q8]", "HC0"): (5, "57ac3d8210bc865c"),
+    ("F2[Q8]", "HC1"): (4, "8a1da81bda36bfed"),
+    ("F2[Q8]", "HQ1"): (9, "40ccb0a81ab55c9d"),
+    ("F2[Q8]", "coker"): (1, "194e3e4f9d9d56b0"),
+    ("M2(F2[C2])", "H0"): (2, "ce3d5f5fec0ed06e"),
+    ("M2(F2[C2])", "H1"): (2, "c858ffd33c374662"),
+    ("M2(F2[C2])", "HC0"): (2, "2c41c02150c87752"),
+    ("M2(F2[C2])", "HC1"): (1, "7536799e83b596c5"),
+    ("M2(F2[C2])", "HQ1"): (3, "c1d66b30ab88c7d8"),
+    ("M2(F2[C2])", "coker"): (1, "b5e8ab36cc3a8a3b"),
+}
+JSON_PINS = {"F2[S3]": "e5bf58b212ce9e52", "M2(F2[C2])": "53a8024921a28a18",
+             "F3[C3]": "63df3924c2ce706a"}
+
+
+def _pinned_algebras():
+    return {
+        "F2[S3]": H.group_algebra(G.symmetric_group(3), 2),
+        "F3[C3]": H.group_algebra(G.cyclic_group(3), 3),
+        "F2[Q8]": H.group_algebra(G.metacyclic_group(4, 2, 3, 2, name="Q8"), 2),
+        "M2(F2[C2])": H.matrix_algebra(H.group_algebra(G.cyclic_group(2), 2), 2),
+    }
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def test_homology_matches_dense_pins():
+    got = {}
+    for name, A in _pinned_algebras().items():
+        for k in ("H0", "H1", "HC0", "HC1", "HQ1"):
+            hs = H.homology(A, k)
+            rng = random.Random(f"{name}/{k}")
+            res = [hs.reduce(tuple(rng.randrange(A.p) for _ in range(hs.ambient_dim)))
+                   for _ in range(40)]
+            got[(name, k)] = (hs.dim, _digest((hs.basis, res)))
+        if A.p == 2:
+            cok = H.coker_one_plus_vartheta(A)
+            rng = random.Random(f"{name}/coker")
+            vecs = [tuple(rng.randrange(2) for _ in range(cok.hq.ambient_dim))
+                    for _ in range(40)]
+            res = [(cok.coker_mu.reduce(v), cok.reduce(v)) for v in vecs]
+            got[(name, "coker")] = (cok.dim, _digest((cok.basis, res)))
+        if name in JSON_PINS:
+            text = json.dumps(A.to_json()).encode()
+            assert hashlib.sha256(text).hexdigest()[:16] == JSON_PINS[name], name
+    assert got == DENSE_PINS
+
+
+def _dense_mul(p, table, x, y):
+    """sum_ij x_i y_j table[i][j], table[i][j] a dense coefficient list."""
+    out = [0] * len(x)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            for k, c in enumerate(table[i][j]):
+                out[k] += a * b * c
+    return tuple(v % p for v in out)
+
+
+def test_sparse_mul_matches_dense_reference():
+    rng = random.Random(41)
+    for p in (2, 3):
+        for d in (1, 2, 4, 6):
+            # arbitrary constants, not reduced mod p; the axioms are not checked
+            table = [[[rng.choice([0, 0, 0, 1, -1, p + 1, 7]) for _ in range(d)]
+                      for _ in range(d)] for _ in range(d)]
+            invol = [[rng.choice([0, 0, 1, 5]) for _ in range(d)] for _ in range(d)]
+            A = H.FiniteAlgebra(p, [str(i) for i in range(d)],
+                                [[enumerate(v) for v in row] for row in table],
+                                [1] + [0] * (d - 1), [enumerate(r) for r in invol],
+                                check=False)
+            for _ in range(30):
+                x = tuple(rng.randrange(-2, 2 * p) for _ in range(d))
+                y = tuple(rng.randrange(-2, 2 * p) for _ in range(d))
+                assert A.mul(x, y) == _dense_mul(p, table, x, y)
+                ref = [sum(a * invol[i][k] for i, a in enumerate(x)) % p for k in range(d)]
+                assert A.invol(x) == tuple(ref)
+    # group algebras: e_g e_h = e_gh and invol(e_g) = e_(g^-1)
+    for Gx in (G.symmetric_group(3), G.dihedral_group(4)):
+        A = H.group_algebra(Gx, 2)
+        els = Gx.elements()
+        for i, g in enumerate(els):
+            assert A.invol(A.basis_vec(i)) == A.basis_vec(els.index(Gx.inv(g)))
+            for j, h in enumerate(els):
+                assert A.mul(A.basis_vec(i), A.basis_vec(j)) == \
+                    A.basis_vec(els.index(Gx.mul(g, h)))
+
+
+def test_matrix_algebra_mul_is_matrix_product():
+    R = H.group_algebra(G.cyclic_group(3), 3)
+    A = H.matrix_algebra(R, 2)
+    rng = random.Random(43)
+
+    def entries(x):       # x in M_2(R) -> {(i, j): element of R}
+        out = {(i, j): [0] * R.dim for i in range(2) for j in range(2)}
+        for t, c in enumerate(x):
+            i, j, s = A.base_basis[t]
+            out[(i, j)][s] = c
+        return out
+
+    for _ in range(20):
+        x = tuple(rng.randrange(3) for _ in range(A.dim))
+        y = tuple(rng.randrange(3) for _ in range(A.dim))
+        X, Y, XY = entries(x), entries(y), entries(A.mul(x, y))
+        for i in range(2):
+            for l in range(2):
+                want = R.add(R.mul(X[(i, 0)], Y[(0, l)]), R.mul(X[(i, 1)], Y[(1, l)]))
+                assert tuple(XY[(i, l)]) == want
+
+
+def _boundary_reference(A, k, chain):
+    """b face by face through dense products of basis vectors."""
+    out = {}
+    for key, c in chain.items():
+        xs = [A.basis_vec(i) for i in key]
+        faces = [xs[:i] + [A.mul(xs[i], xs[i + 1])] + xs[i + 2:] for i in range(k - 1)]
+        faces.append([A.mul(xs[-1], xs[0])] + xs[1:-1])
+        for i, face in enumerate(faces):
+            out = H.t_add(A.p, out, H.t_scale(A.p, H.tensor_list(A, face), (-1) ** i * c))
+    return out
+
+
+def test_boundary_and_b2_rows_match_dense_reference():
+    from arfkit.homology.chains import _b2_rows
+    rng = random.Random(47)
+    for A in _pinned_algebras().values():
+        d = A.dim
+        rows = _b2_rows(A)
+        triples = [(i, j, k) for i in range(d) for j in range(d) for k in range(d)]
+        assert len(rows) == len(triples)
+        for row, key in zip(rows, triples):
+            dense = H.flatten(A, 2, _boundary_reference(A, 3, {key: 1}))
+            assert tuple(row.get(col, 0) % A.p for col in range(d * d)) == dense
+        for k in (2, 3, 4):
+            for _ in range(20):
+                chain = {tuple(rng.randrange(d) for _ in range(k)): rng.randrange(1, A.p + 1)
+                         for _ in range(3)}
+                assert H.boundary(A, k, chain) == _boundary_reference(A, k, chain)
+
+
+def test_planted_axiom_failures_still_raise():
+    base = H.group_algebra(G.cyclic_group(3), 2).to_json()
+    # e1 e1 = e2, e1 e2 = 0, e2 e1 = e1, e2 e2 = 0: (e1 e1) e1 = e1 but e1 (e1 e1) = 0
+    e = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    z = [0, 0, 0]
+    nonassoc = dict(base, involution=None,
+                    mult=[[e[0], e[1], e[2]], [e[1], e[2], z], [e[2], e[1], z]])
+    with pytest.raises(AlgebraError, match="associativity fails"):
+        H.algebra_from_json(nonassoc)
+    # e1 -> e2 -> e2 does not square to 1
+    with pytest.raises(AlgebraError, match="does not square to 1"):
+        H.algebra_from_json(dict(base, involution=[e[0], e[2], e[2]]))
+    # the identity is not an anti-homomorphism of the non-commutative F2[S3]
+    s3 = H.group_algebra(G.symmetric_group(3), 2).to_json()
+    with pytest.raises(AlgebraError, match="not an anti-homomorphism"):
+        H.algebra_from_json(dict(s3, involution=[[int(i == j) for j in range(6)]
+                                                 for i in range(6)]))
+    with pytest.raises(AlgebraError, match="unit law fails"):
+        H.algebra_from_json(dict(base, unit=[0, 1, 0]))

@@ -187,7 +187,10 @@ def test_j_dimension_matches_homology():
     for Gx in [G.cyclic_group(1), G.cyclic_group(2), G.cyclic_group(3),
                G.cyclic_group(4), G.abelian_group([2, 2]),
                G.symmetric_group(3), G.dihedral_group(4), G.cyclic_group(6),
-               G.metacyclic_group(4, 2, 3, 2, name="Q8")] + G.groups_upto(16):
+               G.metacyclic_group(4, 2, 3, 2, name="Q8"), G.cyclic_group(18),
+               G.dihedral_group(10), G.symmetric_group(4), G.builtin_group("ch1-order24"),
+               G.direct_product(G.alternating_group_4(), G.cyclic_group(2)),
+               G.cyclic_group(32)] + G.groups_upto(16):
         A = H.group_algebra(Gx, 2)
         assert ups.j_group_dimension(Gx) == H.coker_one_plus_vartheta(A).dim, Gx.name
 
