@@ -770,9 +770,7 @@ def group_c2_c_c12():
 
 
 def _s_degree_metacyclic(E, e):
-    # metacyclic element (i, j) got label index i + 12*j in construction;
-    # recover j-parity through the table: e * e has trivial s-degree iff ...
-    # simpler: elements were listed (i, j) with index = j*n + i.
+    # metacyclic_group lists a^i b^j at index = j*n + i
     n = E.order() // 2
     return (e // n) & 1
 
@@ -838,33 +836,75 @@ def builtin_group(name):
 
 
 def group_from_json(data):
+    """The group of a JSON description in the format of `to_json`; each key
+    is checked for type, and lists for the shape of their rows and entries."""
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise GroupError("a group description is a JSON object")
     if "builtin" in data:
-        return builtin_group(data["builtin"])
+        return builtin_group(need(data, "builtin", GroupError, "group description", str))
     fam = data.get("family")
+    what = f"{fam} group description"
 
-    def required(key):
-        return need(data, key, GroupError, f"{fam} group description")
+    def field(key, kind, ok=None, shape="", optional=False):
+        """data[key], a `kind` that passes `ok`; None for an optional key
+        that is absent or null."""
+        if optional and data.get(key) is None:
+            return None
+        value = need(data, key, GroupError, what, kind)
+        if ok is not None and not ok(value):
+            raise GroupError(f"{what}: {key!r} is not {shape}")
+        return value
 
+    name = field("name", str, optional=True)
     if fam == "finite_table":
-        return FiniteTableGroup(required("labels"), required("table"),
-                                generator_names=data.get("generators"),
-                                name=data.get("name"))
+        labels = field("labels", list, _strs, "a list of strings")
+        table = field("table", list, lambda t: all(isinstance(r, list) for r in t),
+                      "a list of rows")
+        gens = field("generators", dict,
+                     lambda d: all(v in labels or type(v) is int and 0 <= v < len(labels)
+                                   for v in d.values()),
+                     "an object of element labels", optional=True)
+        return FiniteTableGroup(labels, table, generator_names=gens, name=name)
     if fam == "finite_perm":
-        return FinitePermGroup(required("generators"), required("n"),
-                               cap=data.get("cap"), name=data.get("name"))
+        gens = field("generators", list, lambda gs: all(map(_ints, gs)),
+                     "a list of integer lists")
+        return FinitePermGroup(gens, field("n", int),
+                               cap=field("cap", int, optional=True), name=name)
     if fam == "semidirect_zn_c2":
-        return SemidirectZnC2(required("rank"), var_names=data.get("vars"),
-                              name=data.get("name"))
+        return SemidirectZnC2(field("rank", int),
+                              var_names=field("vars", list, _strs, "a list of strings",
+                                              optional=True),
+                              name=name)
     if fam in ("pullback_cyclic", "pullback_dihedral"):
-        cls = PullbackCyclicGroup if fam == "pullback_cyclic" else PullbackDihedralGroup
-        return cls(group_from_json(required("E")), required("m"), required("hom"),
-                   generator_words=_raw_gens(data.get("generators")),
-                   name=data.get("name"))
+        cyclic = fam == "pullback_cyclic"
+
+        def d_part(d):
+            return type(d) is int if cyclic else _ints(d) and len(d) == 2
+
+        E = group_from_json(field("E", dict))
+        m = field("m", int, lambda v: v >= 1, "a positive integer")
+        hom = field("hom", list, lambda h: all(map(d_part, h)),
+                    "a list of integers" if cyclic else "a list of integer pairs")
+        gens = field("generators", dict,
+                     lambda d: all(isinstance(g, (list, tuple)) and len(g) == 2
+                                   and d_part(g[0]) and type(g[1]) is int
+                                   for g in d.values()),
+                     "an object of [d, e] pairs", optional=True)
+        cls = PullbackCyclicGroup if cyclic else PullbackDihedralGroup
+        return cls(E, m, hom, generator_words=_raw_gens(gens), name=name)
     raise GroupError(f"unknown family {fam!r}")
+
+
+def _strs(x):
+    return all(isinstance(s, str) for s in x)
+
+
+def _ints(x):
+    """Whether x is a list (or, from `to_json`, a tuple) of integers, not
+    booleans."""
+    return isinstance(x, (list, tuple)) and all(type(i) is int for i in x)
 
 
 def _raw_gens(d):

@@ -24,9 +24,6 @@ class FiniteSubgroup:
         self.G = G
         self.members = tuple(sorted(set(members), key=G.key))
 
-    def generators(self):
-        return list(self.members)
-
     def __contains__(self, g):
         return g in self.members
 
@@ -42,9 +39,6 @@ class LatticeSubgroup:
     def __init__(self, G):
         self.G = G
 
-    def generators(self):
-        return [g for name, g in self.G.generators().items() if name != "S"]
-
     def __contains__(self, g):
         return g[1] == 0
 
@@ -54,9 +48,6 @@ class FullGroup:
 
     def __init__(self, G):
         self.G = G
-
-    def generators(self):
-        return list(self.G.generators().values())
 
     def __contains__(self, g):
         return True
@@ -75,18 +66,6 @@ class PullbackSubgroup:
             for b in self.e_members:
                 if G.E.mul(a, b) not in eset:
                     raise GroupError("e-part is not a subgroup")
-
-    def generators(self):
-        gens = []
-        if isinstance(self.G, PullbackCyclicGroup):
-            gens.append((self.G.m, self.G.E.identity))
-            for e in self.e_members:
-                gens.append((self.G.hom[e], e))
-        else:
-            gens.append(((0, self.G.m), self.G.E.identity))
-            for e in self.e_members:
-                gens.append((self.G.hom[e], e))
-        return gens
 
     def __contains__(self, g):
         return self.G.check_membership(g) and g[1] in self.e_members
@@ -195,15 +174,16 @@ def type_of(G, z):
 class SharpSpace:
     """An F_2 space presenting K_# = K_ab/(K_ab)^2 with a coordinate map.
 
-    `gens` are opaque labels; `coord(g)` maps a group element of K to its
+    `elements[i]` is the group element of coordinate i: `coord` sends it
+    to the i-th unit vector.  `coord(g)` maps a group element of K to its
     vector.  Quotients by extra subspaces are built downstream.
     """
 
-    def __init__(self, dim, rows, coord, labels=None):
-        self.dim = dim
-        self.context = fp.QuotientContext(dim, 2, rows)
+    def __init__(self, rows, coord, elements):
+        self.dim = len(elements)
+        self.context = fp.QuotientContext(self.dim, 2, rows)
         self._coord = coord
-        self.labels = labels
+        self.elements = elements
 
     def coord(self, g):
         return self._coord(g)
@@ -235,32 +215,32 @@ def sharp_of_members(G, members):
             raise GroupError("element outside subgroup")
         return fp.unit(n, index[g])
 
-    return SharpSpace(n, rows, coord, labels=[G.format_element(g) for g in members])
+    return SharpSpace(rows, coord, list(members))
 
 
 def sharp_of_pullback(sub):
     """K_# for a sub-pull-back, via the presentation
-    <t, u_e | u_e u_f = u_{ef} t^k(e,f), u_e t u_e^-1 = t^(+-1), u_1 = 1>."""
+    <t, u_e | u_e u_f = u_{ef} t^k(e,f), u_e t u_e^-1 = t^(+-1), u_1 = 1>.
+
+    Coordinate i < n-1 is u_e = (hom(e), e) for the i-th e-member, and
+    coordinate n-1 is t = (T^m, 1)."""
     G = sub.G
-    E = G.E
+    E, hom, m = G.E, G.hom, G.m
+    cyclic = isinstance(G, PullbackCyclicGroup)
     members = sub.e_members
     index = {e: i for i, e in enumerate(members)}
-    n = len(members) + 1      # coordinate n-1 is t = (T^m, 1)
+    n = len(members) + 1
     tcol = n - 1
+    ident = E.identity
     rows = []
-
-    def lift_exp(e):
-        h = G.hom[e]
-        return h if isinstance(h, int) else h[1]
 
     def carry(e, f):
         ef = E.mul(e, f)
-        if isinstance(G, PullbackCyclicGroup):
-            total = G.hom[e] + G.hom[f]
-            return (total - G.hom[ef]) // G.m
-        (e1, i1), (e2, i2) = G.hom[e], G.hom[f]
+        if cyclic:
+            return (hom[e] + hom[f] - hom[ef]) // m
+        (e1, i1), (e2, i2) = hom[e], hom[f]
         tot = (-i1 if e2 else i1) + i2
-        return (tot - G.hom[ef][1]) // G.m
+        return (tot - hom[ef][1]) // m
 
     for e in members:
         for f in members:
@@ -271,22 +251,28 @@ def sharp_of_pullback(sub):
             r[tcol] += carry(e, f)
             rows.append(r)
     rid = [0] * n
-    rid[index[E.identity]] = 1
+    rid[index[ident]] = 1
     rows.append(rid)
 
     def coord(g):
-        if g not in sub:
+        d, e = g
+        i = d if cyclic else d[1]
+        if e not in index or (i % m if cyclic else (d[0] & 1, i % m)) != hom[e]:
             raise GroupError("element outside subgroup")
-        e = g[1]
-        i = g[0] if isinstance(G, PullbackCyclicGroup) else g[0][1]
-        j = (i - lift_exp(e)) // G.m
+        j = (i - (hom[e] if cyclic else hom[e][1])) // m
         v = [0] * n
-        v[index[e]] = 1
         v[tcol] = j % 2
+        # g = u_e t^j; with u_1 = 1, t itself gets the unit vector of t
+        if e != ident or not v[tcol]:
+            v[index[e]] = 1
         return tuple(v)
 
-    labels = [f"u[{E.format_element(e)}]" for e in members] + ["t"]
-    return SharpSpace(n, rows, coord, labels=labels)
+    t = m if cyclic else (0, m)
+    return SharpSpace(rows, coord, [(hom[e], e) for e in members] + [(t, ident)])
+
+
+def _lattice_units(n):
+    return [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
 
 
 def sharp_of_semidirect(G):
@@ -297,7 +283,7 @@ def sharp_of_semidirect(G):
         v, s = g
         return tuple(x % 2 for x in v) + (s % 2,)
 
-    return SharpSpace(n + 1, [], coord, labels=G.var_names + ["S"])
+    return SharpSpace([], coord, _lattice_units(n) + [((0,) * n, 1)])
 
 
 def sharp_of_lattice(G):
@@ -309,7 +295,7 @@ def sharp_of_lattice(G):
             raise GroupError("element outside the lattice")
         return tuple(x % 2 for x in v)
 
-    return SharpSpace(n, [], coord, labels=list(G.var_names))
+    return SharpSpace([], coord, _lattice_units(n))
 
 
 def sharp_of_subgroup(sub):
@@ -320,12 +306,9 @@ def sharp_of_subgroup(sub):
     if sub.kind == "lattice":
         return sharp_of_lattice(sub.G)
     if sub.kind == "full":
-        G = sub.G
-        if isinstance(G, SemidirectZnC2):
-            return sharp_of_semidirect(G)
-        if G.is_finite:
-            return sharp_of_members(G, G.elements())
-        return sharp_of_pullback(PullbackSubgroup(G, G.E.elements()))
+        # only the lattice products have a "full" subgroup: finite and
+        # pull-back centralizers always come back as explicit subgroups
+        return sharp_of_semidirect(sub.G)
     raise GroupError(f"unknown subgroup kind {sub.kind}")
 
 

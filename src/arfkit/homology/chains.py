@@ -9,7 +9,7 @@ dimension 32 (32^3 level-2 rows) instead of approximating.
 from __future__ import annotations
 
 from .. import fp
-from .algebras import FiniteAlgebra, AlgebraError
+from .algebras import FiniteAlgebra, AlgebraError, format_vec
 
 DIM_GUARD = 32
 
@@ -141,10 +141,12 @@ class HomologySpace:
     """A quotient `cycles modulo boundaries` with canonical representatives.
 
     kind is one of H0 | H1 | HC0 | HC1 | HQ1; vectors live in the flat
-    ambient space (T_1, T_2, or T_2 + T_1 for HQ1)."""
+    ambient space (T_1, T_2, or T_2 + T_1 for HQ1).  The space keeps the
+    algebra's p and basis labels, not the algebra."""
 
     def __init__(self, A, kind, ambient_dim, boundary_rows, cycle_basis):
-        self.A = A
+        self.p = A.p
+        self.labels = A.labels
         self.kind = kind
         self.ambient_dim = ambient_dim
         self.cycles = list(cycle_basis)
@@ -169,20 +171,18 @@ class HomologyClass:
 
     def display(self):
         """Formal tensor sum of the canonical representative."""
-        A = self.space.A
+        labels = self.space.labels
+        d = len(labels)
         red = self.reduced()
         if self.space.kind in ("H0", "HC0"):
-            return "[" + A.format_vec(red) + "]"
+            return "[" + format_vec(labels, red) + "]"
+        pairs = [(f"{labels[col // d]}(x){labels[col % d]}", c)
+                 for col, c in enumerate(red[:d * d]) if c]
         if self.space.kind in ("H1", "HC1"):
-            terms = [f"{A.labels[i]}(x){A.labels[j]}"
-                     + (f"*{c}" if c != 1 else "")
-                     for (i, j), c in sorted(unflatten(A, 2, red).items())]
+            terms = [t + (f"*{c}" if c != 1 else "") for t, c in pairs]
             return "[" + " + ".join(terms) + "]" if terms else "[0]"
-        d2 = A.dim * A.dim
-        ch = unflatten(A, 2, red[:d2])
-        terms = [f"{A.labels[i]}(x){A.labels[j]}" for (i, j), c in sorted(ch.items())]
-        cpart = A.format_vec(red[d2:])
-        return "[" + (" + ".join(terms) or "0") + ", " + cpart + "]"
+        terms = " + ".join(t for t, _ in pairs) or "0"
+        return "[" + terms + ", " + format_vec(labels, red[d * d:]) + "]"
 
     def reduced(self):
         return self.space.reduce(self.vec)
@@ -198,7 +198,7 @@ class HomologyClass:
         return hash(self.reduced())
 
     def __add__(self, other):
-        return HomologyClass(self.space, fp.add_vec(self.vec, other.vec, self.space.A.p))
+        return HomologyClass(self.space, fp.add_vec(self.vec, other.vec, self.space.p))
 
 
 def _row(terms):

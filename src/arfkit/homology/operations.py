@@ -158,8 +158,7 @@ class CokerMu:
     """Coker(mu_{R/2R}) with exact class comparison."""
 
     def __init__(self, A):
-        self.A = A
-        self.hq = hq1(A)
+        self.hq = space(A, "HQ1")
         self.context = self.hq.context.extended(mu_rows(A))
 
     def reduce(self, vec):
@@ -173,10 +172,7 @@ class CokerOnePlusVartheta:
         if A.p != 2:
             raise AlgebraError("Upsilon needs characteristic 2")
         self.A = A
-        # a local CokerMu, not _coker_mu(A): stored on A, it and its HQ_1
-        # would live as long as A, which memoized spaces (they refer back to
-        # A) keep in a reference cycle until the cyclic collector runs
-        self.coker_mu = CokerMu(A)
+        self.coker_mu = _coker_mu(A)
         self.hq = self.coker_mu.hq
         D = A.dim * A.dim
         rows = []
@@ -218,4 +214,7 @@ def coker_one_plus_vartheta(A):
 
 
 def space(A, kind) -> HomologySpace:
+    """The homology space `kind` of A, built once per algebra."""
+    if kind == "HQ1":
+        return derived(A, kind, hq1, A)
     return derived(A, kind, homology, A, kind)

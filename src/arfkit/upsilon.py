@@ -19,8 +19,7 @@ from . import fp
 from .arf import ArfExpression, ArfError, GROUP
 from .groups import classes as gcl
 from .groups import structure as gst
-from .groups.core import (GroupError, SemidirectZnC2, PullbackCyclicGroup,
-                          table_from_mul)
+from .groups.core import SemidirectZnC2, table_from_mul
 from .memo import derived
 
 
@@ -35,24 +34,27 @@ class UpsilonUnknown(Exception):
 class FzData:
     """F(z): coordinates live in the sharp presentation space of the
     relevant subgroup, modulo the 2-power-root span; type-1 classes carry
-    an extra t coordinate."""
+    an extra t coordinate.
+
+    w[i] is 1 when sharp.elements[i] conjugates z to z^-1, which only
+    happens on type-2 summands."""
 
     def __init__(self, G, z):
-        self.G = G
         self.z = z
         self.type = gst.type_of(G, z)
         if self.type == 2:
-            self.sub = gst.extended_centralizer(G, z)
+            sub = gst.extended_centralizer(G, z)
         else:
-            self.sub = gst.centralizer(G, z)
-        self.sharp = gst.sharp_of_subgroup(self.sub)
+            sub = gst.centralizer(G, z)
+        self.sharp = gst.sharp_of_subgroup(sub)
+        self.w = [int(self.type == 2 and G.conj(z, g) != z) for g in self.sharp.elements]
         roots = gcl.two_power_roots(G, z)
-        self.sqrt_rows = [self.sharp.coord(r) for r in roots]
         self.has_t = self.type == 1
         self.dim = self.sharp.dim + (1 if self.has_t else 0)
         rows = [list(r) + [0] * (1 if self.has_t else 0)
                 for r in self.sharp.context.space.basis()]
-        rows += [list(r) + [0] * (1 if self.has_t else 0) for r in self.sqrt_rows]
+        rows += [list(self.sharp.coord(r)) + [0] * (1 if self.has_t else 0)
+                 for r in roots]
         self.context = fp.QuotientContext(self.dim, 2, rows)
 
     def coord(self, h, tbit=0):
@@ -68,32 +70,6 @@ class FzData:
             raise ArfError("no t coordinate on this summand")
         return fp.unit(self.dim, self.dim - 1)
 
-    def generator_elements(self):
-        """Group elements aligned with the sharp coordinates (the t
-        coordinate, when present, has no element and is handled apart)."""
-        sub = self.sub
-        if sub.kind == "finite":
-            return list(sub.members)
-        G = self.G
-        if sub.kind == "pullback":
-            out = [(G.hom[e], e) for e in sub.e_members]
-            t = G.m if isinstance(G, PullbackCyclicGroup) else (0, G.m)
-            out.append((t, G.E.identity))
-            return out
-        if sub.kind in ("lattice", "full"):
-            # only the lattice products reach "full": finite and pull-back
-            # centralizers always come back as explicit subgroups
-            n = G.rank
-            out = [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
-            if sub.kind == "full":
-                out.append(((0,) * n, 1))
-            return out
-        raise GroupError(f"unknown subgroup kind {sub.kind}")
-
-    def w(self, g):
-        """0 when g centralizes z, 1 when it conjugates z to z^-1."""
-        return 0 if self.G.conj(self.z, g) == self.z else 1
-
 
 def fz_data(G, z) -> FzData:
     table = derived(G, "fz", dict)
@@ -103,22 +79,22 @@ def fz_data(G, z) -> FzData:
     return fz
 
 
-def _arrow_rows(src: FzData, dst: FzData, elem_map, t_extra=None, ins_src=None,
-                ins_dst=None):
-    """Colimit relation rows ins_src(gen) + ins_dst(image(gen)) for the
-    generator elements, plus the t-coordinate bookkeeping."""
-    rows = []
-    for i, g in enumerate(src.generator_elements()):
-        img, tbit = elem_map(g)
-        rows.append(fp.add_vec(ins_src(fp.unit(src.dim, i)),
-                               ins_dst(dst.coord(img, tbit))))
+def _square_matrix(src: FzData, dst: FzData):
+    """Columns of the squaring arrow F(z) -> F(z^2): the image of each
+    coordinate of src, the t coordinate last."""
+    cols = [dst.coord(g, w if dst.has_t else 0)
+            for g, w in zip(src.sharp.elements, src.w)]
     if src.has_t:
-        if not dst.has_t:
-            raise ArfError("t coordinate cannot map to a t-free summand")
-        r1 = ins_src(fp.unit(src.dim, src.dim - 1))
-        r2 = ins_dst(dst.zero_with_t())
-        rows.append(fp.add_vec(r1, r2))
-    return rows
+        cols.append(dst.zero_with_t())
+    return cols
+
+
+def _conj_matrix(G, src: FzData, dst: FzData, x):
+    """Columns of the arrow F(z) -> F(z') induced by conjugation by x."""
+    cols = [dst.coord(G.conj(g, x)) for g in src.sharp.elements]
+    if src.has_t:
+        cols.append(dst.zero_with_t())
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +106,6 @@ class FiniteLc:
     all conjugation, squaring and inversion arrows."""
 
     def __init__(self, G, members):
-        self.G = G
         self.members = tuple(sorted(members, key=G.key))
         self.fz = {z: fz_data(G, z) for z in self.members}
         self.offset = {}
@@ -147,40 +122,20 @@ class FiniteLc:
         gens = gst._generating_set(G) or [G.identity]
         for z in self.members:
             src = self.fz[z]
-            # conjugation arrows by a generating set
-            for x in gens:
-                z2 = G.conj(z, x)
-                dst = self.fz[z2]
-                for row in _arrow_rows(src, dst,
-                                       lambda g, x=x: (G.conj(g, x), 0),
-                                       ins_src=lambda v, z=z: self._ins(z, v),
-                                       ins_dst=lambda v, z2=z2: self._ins(z2, v)):
-                    rows.add(row)
-            # squaring arrow
-            z2 = G.mul(z, z)
-            dst = self.fz[z2]
-            rows.update(self._square_rows(src, dst, z, z2))
-            # inversion arrow for type 3
+            # conjugation arrows by a generating set, the squaring arrow and,
+            # for type 3, the inversion arrow (F(z) and F(z^-1) share
+            # coordinates, so it is conjugation by 1)
+            arrows = [(G.conj(z, x), x) for x in gens] + [(G.mul(z, z), None)]
             if src.type == 3:
-                z2 = G.inv(z)
+                arrows.append((G.inv(z), G.identity))
+            for z2, x in arrows:
                 dst = self.fz[z2]
-                for row in _arrow_rows(src, dst, lambda g: (g, 0),
-                                       ins_src=lambda v, z=z: self._ins(z, v),
-                                       ins_dst=lambda v, z2=z2: self._ins(z2, v)):
-                    rows.add(row)
+                cols = (_square_matrix(src, dst) if x is None
+                        else _conj_matrix(G, src, dst, x))
+                for i, col in enumerate(cols):
+                    rows.add(fp.add_vec(self._ins(z, fp.unit(src.dim, i)),
+                                        self._ins(z2, col)))
         self.context = fp.QuotientContext(self.ambient, 2, sorted(rows))
-
-    def _square_rows(self, src, dst, z, z2):
-        if src.type == 1:
-            emap = lambda g: (g, 0)
-        elif src.type == 2 and dst.type == 1:
-            emap = lambda g: (g, src.w(g))
-        else:
-            emap = lambda g: (g, 0)
-        rows = _arrow_rows(src, dst, emap,
-                           ins_src=lambda v: self._ins(z, v),
-                           ins_dst=lambda v: self._ins(z2, v))
-        return set(rows)
 
     def _ins(self, z, vec):
         out = [0] * self.ambient
@@ -208,7 +163,6 @@ class SemidirectLc:
     L([1]) = C2; L([v]) = F_2{x_1..x_n, S}/<v mod 2> with identity arrows."""
 
     def __init__(self, G, key):
-        self.G = G
         self.key = key
         n = G.rank
         if key == ("one",):
@@ -225,7 +179,6 @@ class SemidirectLc:
         return self.context.quotient_dim
 
     def insert_element(self, z, h, tbit=0):
-        G = self.G
         if self.key == ("one",):
             # F(z) for type-1 z has trivial sharp part; only t survives
             return (tbit % 2,)
@@ -251,7 +204,6 @@ class PullbackLc:
     MAX_CHAIN = 64
 
     def __init__(self, G, z0):
-        self.G = G
         self.chain = [fz_data(G, z0)]
         self.zs = [z0]
         self.maps = []      # maps[k]: F(chain[k]) -> F(chain[k+1]) columns
@@ -273,8 +225,8 @@ class PullbackLc:
             if hit is not None:
                 j, x = hit
                 nxt = fz_data(G, z_next)
-                self.maps.append(self._square_matrix(self.chain[-1], nxt))
-                self.cycle_close = self._conj_matrix(nxt, self.chain[j], x)
+                self.maps.append(_square_matrix(self.chain[-1], nxt))
+                self.cycle_close = _conj_matrix(G, nxt, self.chain[j], x)
                 base = self.chain[j]
                 for i in range(base.dim):
                     v = fp.unit(base.dim, i)
@@ -286,10 +238,7 @@ class PullbackLc:
                 stable = j
                 self.cyclic = True
                 break
-            nxt = fz_data(G, z_next)
-            self.maps.append(self._square_matrix(self.chain[-1], nxt))
-            self.chain.append(nxt)
-            self.zs.append(z_next)
+            self._extend_chain(G)
             if len(self.chain) > pre + per + 2:
                 dims = {self.chain[t].context.quotient_dim
                         for t in range(len(self.chain) - per - 1, len(self.chain))}
@@ -304,24 +253,6 @@ class PullbackLc:
         self.dim = self._context_at(stable).quotient_dim
 
     # -- linear transport ----------------------------------------------------
-
-    def _square_matrix(self, src: FzData, dst: FzData):
-        cols = []
-        for g in src.generator_elements():
-            tbit = src.w(g) if (src.type == 2 and dst.type == 1) else 0
-            cols.append(dst.coord(g, tbit))
-        if src.has_t:
-            cols.append(dst.zero_with_t())
-        return cols
-
-    def _conj_matrix(self, src: FzData, dst: FzData, x):
-        G = self.G
-        cols = []
-        for g in src.generator_elements():
-            cols.append(dst.coord(G.conj(g, x), 0))
-        if src.has_t:
-            cols.append(dst.zero_with_t())
-        return cols
 
     def _is_iso(self, t):
         src = self.chain[t]
@@ -346,17 +277,15 @@ class PullbackLc:
             self._contexts[pos] = fp.QuotientContext(base.dim, 2, rows)
         return self._contexts[pos]
 
-    def _extend_chain(self):
-        G = self.G
+    def _extend_chain(self, G):
         z_next = G.mul(self.zs[-1], self.zs[-1])
         nxt = fz_data(G, z_next)
-        self.maps.append(self._square_matrix(self.chain[-1], nxt))
+        self.maps.append(_square_matrix(self.chain[-1], nxt))
         self.chain.append(nxt)
         self.zs.append(z_next)
 
-    def insert_entry(self, z, h, tbit=0):
+    def insert_entry(self, G, z, h, tbit=0):
         """Raw (position, vector) of the image of an F(z)-generator."""
-        G = self.G
         src = fz_data(G, z)
         vec = src.coord(h, tbit)
         with self._extend_lock:
@@ -366,18 +295,17 @@ class PullbackLc:
                     break
                 if self.cyclic:
                     raise ArfError("element class does not match this summand")
-                self._extend_chain()
+                self._extend_chain(G)
             else:
                 raise ArfError("element class does not match this summand")
         a, j, x, eps = hit
         # x (z^(2^a))^eps x^-1 = chain[j].z; F(w) and F(w^-1) share coords
         cur = src
         for _ in range(a):
-            nz = G.mul(cur.z, cur.z)
-            nxt = fz_data(G, nz)
-            vec = _apply_matrix(self._square_matrix(cur, nxt), vec)
+            nxt = fz_data(G, G.mul(cur.z, cur.z))
+            vec = _apply_matrix(_square_matrix(cur, nxt), vec)
             cur = nxt
-        vec = _apply_matrix(self._conj_matrix(cur, self.chain[j], x), vec)
+        vec = _apply_matrix(_conj_matrix(G, cur, self.chain[j], x), vec)
         pos = j
         while pos < self.stable:
             vec = _apply_matrix(self.maps[pos], vec)
@@ -456,7 +384,7 @@ class JValue:
         if isinstance(lc, PullbackLc):
             if h is None:
                 h = self.G.identity
-            entry = lc.insert_entry(z, h, tbit)
+            entry = lc.insert_entry(self.G, z, h, tbit)
             self._accumulate(lc, z, [entry])
             return
         if h is None:

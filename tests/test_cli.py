@@ -136,6 +136,14 @@ def test_scenario_json_deterministic(runner):
     ["homology", "H0", "--algebra", "{tmp}/wide_involution.json"],
     ["homology", "H0", "--algebra", "{tmp}/int_labels.json"],
     ["derive-check", "builtin:c4", "{tmp}/bool_pair.json"],
+    ["classes", "{tmp}/int_table.json"],
+    ["classes", "{tmp}/int_labels_table.json"],
+    ["classes", "{tmp}/int_perm_generators.json"],
+    ["classes", "{tmp}/text_n.json"],
+    ["classes", "{tmp}/text_cap.json"],
+    ["classes", "{tmp}/text_rank.json"],
+    ["classes", "{tmp}/text_m.json"],
+    ["classes", "{tmp}/zero_m.json"],
 ])
 def test_errors_are_one_line(runner, tmp_path, args):
     (tmp_path / "broken.json").write_text('{"family": "finite_table", ')
@@ -147,6 +155,7 @@ def test_errors_are_one_line(runner, tmp_path, args):
     (tmp_path / "empty.json").write_text('{}')
     (tmp_path / "p_only.json").write_text('{"p": 2}')
     (tmp_path / "c6xc6.json").write_text(json.dumps(G.abelian_group([6, 6]).to_json()))
+    pb_c4 = G.pullback_cyclic_example().to_json()
     for name, data in [
             ("int_start", {"start": 5, "target": "<1,1>", "steps": []}),
             ("int_steps", {"start": "<1,1>", "target": "<1,1>", "steps": 3}),
@@ -163,7 +172,16 @@ def test_errors_are_one_line(runner, tmp_path, args):
                                  "unit": [1], "involution": [[1, 0]]}),
             ("int_labels", {"p": 2, "labels": [1], "mult": [[[1]]], "unit": [1]}),
             ("bool_pair", {"start": "<1,1>", "target": "<1,1>",
-                           "steps": [{"relation": "Swap", "pair": True}]})]:
+                           "steps": [{"relation": "Swap", "pair": True}]}),
+            ("int_table", {"family": "finite_table", "labels": ["1"], "table": 5}),
+            ("int_labels_table", {"family": "finite_table", "labels": 5, "table": [[0]]}),
+            ("int_perm_generators", {"family": "finite_perm", "generators": 5, "n": 3}),
+            ("text_n", {"family": "finite_perm", "generators": [[1, 0, 2]], "n": "3"}),
+            ("text_cap", {"family": "finite_perm", "generators": [[1, 0, 2]], "n": 3,
+                          "cap": "5"}),
+            ("text_rank", {"family": "semidirect_zn_c2", "rank": "x"}),
+            ("text_m", {**pb_c4, "m": "2"}),
+            ("zero_m", {**pb_c4, "m": 0})]:
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     r = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
     assert r.exit_code == 1

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import arfkit.fp as fp
 import arfkit.groups as G
 import arfkit.groups.classes as gcl
 from arfkit.groups import GroupError
@@ -301,6 +302,28 @@ def test_pullback_stabilizers_match_window_brute_force():
                     assert set(sub.e_members) == {g[1] for g in fixing}, (Gx.name, z)
                 else:
                     assert set(sub.members) == set(fixing), (Gx.name, z)
+
+
+def test_sharp_elements_are_the_coordinate_units():
+    # elements[i] is the group element of coordinate i, in every presentation
+    S3, plane = G.symmetric_group(3), G.group_plane()
+    subs = [G.centralizer(S3, S3.parse_element("c")),
+            G.extended_centralizer(S3, S3.parse_element("c")),
+            G.centralizer(plane, ((1, 0), 0)),
+            G.centralizer(plane, plane.identity)]
+    for Gx in _two_ends_groups() + _more_pullbacks():
+        for z in Gx.window_elements(1):
+            subs += [G.centralizer(Gx, z), G.extended_centralizer(Gx, z)]
+    families = {(sub.kind, type(sub.G).__name__) for sub in subs}
+    assert {("finite", "FinitePermGroup"), ("pullback", "PullbackCyclicGroup"),
+            ("pullback", "PullbackDihedralGroup"), ("lattice", "SemidirectZnC2"),
+            ("full", "SemidirectZnC2")} <= families
+    for sub in subs:
+        sharp = G.sharp_of_subgroup(sub)
+        assert len(sharp.elements) == sharp.dim
+        for i, g in enumerate(sharp.elements):
+            assert g in sub
+            assert sharp.coord(g) == fp.unit(sharp.dim, i), (sub.kind, g)
 
 
 def _scan_conj_witness(Gx, z1, z2):

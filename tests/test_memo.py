@@ -1,10 +1,14 @@
+import gc
 import sys
 import threading
 import time
+import weakref
 
+import arfkit.arf as arf
 import arfkit.groups as G
 import arfkit.groups.classes as gcl
 import arfkit.homology as H
+import arfkit.homology.chains as hch
 import arfkit.homology.operations as hops
 import arfkit.upsilon as ups
 from arfkit.memo import derived
@@ -37,6 +41,71 @@ def test_value_group_builds_hq1_once(monkeypatch):
     A = H.group_algebra(G.cyclic_group(4), 2)
     hops.coker_one_plus_vartheta(A)
     assert len(calls) == 1
+
+
+def test_hq1_is_built_once_per_algebra(monkeypatch):
+    calls = []
+    hq1 = hch.hq1
+
+    def counting_hq1(A):
+        calls.append(A)
+        return hq1(A)
+
+    monkeypatch.setattr(hch, "hq1", counting_hq1)
+    monkeypatch.setattr(hops, "hq1", counting_hq1)
+    A = H.group_algebra(G.symmetric_group(3), 2)
+    hq = H.space(A, "HQ1")
+    H.vartheta(A, hq.class_of(hq.basis[0]))
+    H.coker_one_plus_vartheta(A)
+    H.coker_one_plus_vartheta(A)
+    assert len(calls) == 1
+
+
+def _two_ends_distinguish(Gx, gen):
+    """upsilon_distinguish on <g^(2^k) S, S>; the deep squares extend the
+    chain of the summand that the shallow one built."""
+    S, g = Gx.parse_element("S"), Gx.parse_element(gen)
+    invs = [Gx.mul(Gx.power(g, 1 << k), S) for k in range(10)]
+    lc = ups.l_of_class(Gx, Gx.mul(invs[1], S))
+    base = len(lc.zs)
+    exprs = [arf.ArfExpression(arf.GROUP, Gx, [(x, S)]) for x in invs]
+    exprs.append(arf.ArfExpression(arf.GROUP, Gx, [(invs[1], S), (S, S)]))
+    for e1, e2 in zip(exprs, exprs[1:]):
+        ups.upsilon_distinguish(e1, e2)
+    assert len(lc.zs) > base
+
+
+def _algebra_queries(A):
+    H.space(A, "H0")
+    H.space(A, "H1")
+    hq = H.space(A, "HQ1")
+    H.vartheta(A, hq.class_of(hq.basis[0]))
+    H.coker_one_plus_vartheta(A)
+
+
+def test_descriptors_die_with_their_last_name():
+    # derived data holds elements, indices and F_p data only, so no
+    # reference cycle keeps a queried group or algebra alive
+    cases = [
+        (lambda: G.dihedral_group(6), ups.j_group_dimension),
+        (G.group_c_by_d4, lambda Gx: _two_ends_distinguish(Gx, "Y^2")),
+        (G.group_c2_c_c12, lambda Gx: _two_ends_distinguish(Gx, "X")),
+        (G.group_plane, lambda Gx: [
+            ups.upsilon_eval(arf.parse_expression(arf.GROUP, Gx, e))
+            for e in ("<S, S*Y^2>", "<S*X, S*X*Y^2> + <1, 1>")]),
+        (lambda: H.group_algebra(G.symmetric_group(3), 2), _algebra_queries),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for make, query in cases:
+            obj = make()
+            query(obj)
+            ref = weakref.ref(obj)
+            del obj
+            assert ref() is None, make
+    finally:
+        gc.enable()
 
 
 def test_racing_first_uses_agree():
@@ -82,7 +151,7 @@ def test_two_ends_summand_extends_once_under_threads():
     serial_group = G.group_c2_c_c12()
     queries = _deep_queries(serial_group)
     lc = ups.l_of_class(serial_group, queries[0][0])
-    serial = [lc.insert_entry(z, h) for z, h in queries]
+    serial = [lc.insert_entry(serial_group, z, h) for z, h in queries]
 
     Gx = G.group_c2_c_c12()
     lc = ups.l_of_class(Gx, queries[0][0])
@@ -92,7 +161,7 @@ def test_two_ends_summand_extends_once_under_threads():
     def query(t):
         start.wait(timeout=10)
         order = queries[t % 2::2] + queries[1 - t % 2::2]
-        got[t] = {z: lc.insert_entry(z, h) for z, h in order}
+        got[t] = {z: lc.insert_entry(Gx, z, h) for z, h in order}
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

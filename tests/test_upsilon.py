@@ -140,7 +140,7 @@ def test_colimit_coherence_small():
             lc = ups.l_of_class(Gx, rep)
             for z in part:
                 fz = ups.fz_data(Gx, z)
-                for g in fz.generator_elements():
+                for g in fz.sharp.elements:
                     base = lc.insert_element(z, g)
                     for x in Gx.elements():
                         z2 = Gx.conj(z, x)
@@ -201,8 +201,8 @@ def test_pullback_insert_positions_consistent(groupB):
     lc = ups.l_of_class(groupB, z)
     h = groupB.parse_element("S*X^2*Y^2")
     z2 = groupB.mul(z, z)
-    e1 = lc.insert_entry(z, h)
-    e2 = lc.insert_entry(z2, h)   # arrow image of the same generator
+    e1 = lc.insert_entry(groupB, z, h)
+    e2 = lc.insert_entry(groupB, z2, h)   # arrow image of the same generator
     assert lc.resolve([e1, e2]) == ("zero",)
 
 
@@ -217,8 +217,8 @@ def test_pullback_lc_stable_and_cyclic(groupB):
     assert ups.l_of_class(groupB, groupB.parse_element("Y^4")) is lc2
     h1 = groupB.parse_element("S*Y^2")
     h2 = groupB.parse_element("S*X*Y^2")
-    v1 = lc2.resolve([lc2.insert_entry(z2, h1)])
-    v2 = lc2.resolve([lc2.insert_entry(z2, h2)])
+    v1 = lc2.resolve([lc2.insert_entry(groupB, z2, h1)])
+    v2 = lc2.resolve([lc2.insert_entry(groupB, z2, h2)])
     assert v1 != v2     # [S] vs [S + X] stay distinct in L([Y^2])
 
 
