@@ -14,5 +14,5 @@ from .structure import (centralizer, extended_centralizer, type_of,
                         ab_mod_squares, sharp_of_members, sharp_of_subgroup,
                         sharp_of_pullback, sharp_of_semidirect, SharpSpace,
                         FiniteSubgroup, PullbackSubgroup, LatticeSubgroup,
-                        FullGroup, subgroup_closure,
+                        FullGroup, subgroup_closure, generating_set,
                         hom_to_c2_count, groups_of_order, groups_upto)

@@ -388,6 +388,17 @@ def _fibre_orbit_ids(G):
     return ids
 
 
+def chain_reach(G, z, z0):
+    """A length n such that, for z ~ z0 of infinite order in a two-ends
+    pull-back, power_conj_search(G, z, chain) hits among the first n squares
+    chain[j] = z0^(2^j).  By `_pullback_key`, z^(2^(L-v)) is conjugate to
+    z0^(+-2^(L-v0)) at L = max(K, K0) < pre + per + max(v, v0), with v, v0
+    the 2-valuations of the T-exponents; the least hit has j <= L - v0."""
+    pre, per = squaring_preperiod(G.E)
+    t, t0 = _t_exponent(G, z), _t_exponent(G, z0)
+    return pre + per + max((_v2(t) if t else 0) - _v2(t0), 0)
+
+
 def power_conj_search(G, z, targets):
     """(a, j, x, eps) with x (z^(2^a))^eps x^-1 = targets[j], or None.
 

@@ -71,19 +71,16 @@ class PullbackSubgroup:
         return self.G.check_membership(g) and g[1] in self.e_members
 
 
-def subgroup_closure(G, gens):
-    """Member set generated by `gens` inside a finite group."""
-    seen = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                for y in (G.mul(x, g), G.mul(x, G.inv(g))):
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-        frontier = nxt
+def subgroup_closure(G, gens, span=()):
+    """Member set of the finite group G generated by `gens` and the members
+    of the subgroup `span`, grown from `span` by right multiplication."""
+    seen = set(span) | {G.identity}
+    todo = [G.mul(x, g) for x in seen for g in gens]
+    while todo:
+        y = todo.pop()
+        if y not in seen:
+            seen.add(y)
+            todo.extend(G.mul(y, g) for g in gens)
     return seen
 
 
@@ -196,19 +193,43 @@ class SharpSpace:
         return self.context.quotient_dim
 
 
+def generating_set(G, members=None):
+    """Generators of the finite subgroup `members` (default: all of G): each
+    member, in order, that the earlier ones do not generate."""
+    members = G.elements() if members is None else members
+    gens, span = [], {G.identity}
+    for g in members:
+        if g not in span:
+            gens.append(g)
+            span = subgroup_closure(G, gens, span)
+            if len(span) == len(members):
+                break
+    return gens
+
+
+def _relation_rows(n, index, gens, mul, ident, carry=None):
+    """The rows u_a + u_s + u_as (+ carry(a, s) t, t last) for the members a
+    of `index` and s in gens, and the row u_1.  They span every r(a, b):
+    mod 2, r(a, bc) = r(a, b) + r(ab, c) + r(b, c) and r(a, 1) = u_1 (the
+    carry is a 2-cocycle), and each b is a product of generators."""
+    rows = []
+    for a in index:
+        for s in gens:
+            r = [0] * n
+            for g in (a, s, mul(a, s)):
+                r[index[g]] += 1
+            if carry is not None:
+                r[n - 1] += carry(a, s)
+            rows.append(r)
+    return rows + [fp.unit(n, index[ident])]
+
+
 def sharp_of_members(G, members):
     """K_# for a finite subgroup given by its members."""
     members = tuple(sorted(set(members), key=G.key))
     index = {g: i for i, g in enumerate(members)}
     n = len(members)
-    rows = []
-    for a in members:
-        for b in members:
-            r = [0] * n
-            r[index[a]] += 1
-            r[index[b]] += 1
-            r[index[G.mul(a, b)]] += 1
-            rows.append(r)
+    rows = _relation_rows(n, index, generating_set(G, members), G.mul, G.identity)
 
     def coord(g):
         if g not in index:
@@ -232,7 +253,6 @@ def sharp_of_pullback(sub):
     n = len(members) + 1
     tcol = n - 1
     ident = E.identity
-    rows = []
 
     def carry(e, f):
         ef = E.mul(e, f)
@@ -242,17 +262,8 @@ def sharp_of_pullback(sub):
         tot = (-i1 if e2 else i1) + i2
         return (tot - hom[ef][1]) // m
 
-    for e in members:
-        for f in members:
-            r = [0] * n
-            r[index[e]] += 1
-            r[index[f]] += 1
-            r[index[E.mul(e, f)]] += 1
-            r[tcol] += carry(e, f)
-            rows.append(r)
-    rid = [0] * n
-    rid[index[ident]] = 1
-    rows.append(rid)
+    rows = _relation_rows(n, index, generating_set(E, members), E.mul, ident,
+                          carry)
 
     def coord(g):
         d, e = g
@@ -333,7 +344,7 @@ def hom_to_c2_count(G):
     """Brute-force count of homomorphisms G -> C2 (independent oracle
     for dim J_#)."""
     els = G.elements()
-    gens = _generating_set(G)
+    gens = generating_set(G)
     count = 0
     for bits in itertools.product((0, 1), repeat=len(gens)):
         # extend by BFS; fail on inconsistency
@@ -359,19 +370,6 @@ def hom_to_c2_count(G):
         if ok and len(val) == len(els):
             count += 1
     return count
-
-
-def _generating_set(G):
-    els = [g for g in G.elements() if g != G.identity]
-    gens = []
-    span = {G.identity}
-    for g in els:
-        if g not in span:
-            gens.append(g)
-            span = subgroup_closure(G, gens)
-            if len(span) == G.order():
-                break
-    return gens
 
 
 # ---------------------------------------------------------------------------

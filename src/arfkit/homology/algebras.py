@@ -132,7 +132,10 @@ class FiniteAlgebra:
                         raise AlgebraError("involution is not an anti-homomorphism")
 
     def format_vec(self, x):
-        return format_vec(self.labels, x)
+        """sum c*label over the nonzero coefficients of x."""
+        parts = [(f"{self.labels[i]}" if c == 1 else f"{c}*{self.labels[i]}")
+                 for i, c in enumerate(x) if c]
+        return " + ".join(parts) if parts else "0"
 
     def to_json(self):
         E = [self.basis_vec(i) for i in range(self.dim)]
@@ -142,13 +145,6 @@ class FiniteAlgebra:
                 "involution": None if self.involution is None
                 else [list(self.invol(x)) for x in E],
                 "name": self.name}
-
-
-def format_vec(labels, x):
-    """sum c*label over the nonzero coefficients of x."""
-    parts = [(f"{labels[i]}" if c == 1 else f"{c}*{labels[i]}")
-             for i, c in enumerate(x) if c]
-    return " + ".join(parts) if parts else "0"
 
 
 def _int_array(x, shape):

@@ -9,7 +9,7 @@ dimension 32 (32^3 level-2 rows) instead of approximating.
 from __future__ import annotations
 
 from .. import fp
-from .algebras import FiniteAlgebra, AlgebraError, format_vec
+from .algebras import FiniteAlgebra, AlgebraError
 
 DIM_GUARD = 32
 
@@ -142,11 +142,10 @@ class HomologySpace:
 
     kind is one of H0 | H1 | HC0 | HC1 | HQ1; vectors live in the flat
     ambient space (T_1, T_2, or T_2 + T_1 for HQ1).  The space keeps the
-    algebra's p and basis labels, not the algebra."""
+    algebra's p, not the algebra."""
 
     def __init__(self, A, kind, ambient_dim, boundary_rows, cycle_basis):
         self.p = A.p
-        self.labels = A.labels
         self.kind = kind
         self.ambient_dim = ambient_dim
         self.cycles = list(cycle_basis)
@@ -168,21 +167,6 @@ class HomologyClass:
     def __init__(self, space, vec):
         self.space = space
         self.vec = tuple(vec)
-
-    def display(self):
-        """Formal tensor sum of the canonical representative."""
-        labels = self.space.labels
-        d = len(labels)
-        red = self.reduced()
-        if self.space.kind in ("H0", "HC0"):
-            return "[" + format_vec(labels, red) + "]"
-        pairs = [(f"{labels[col // d]}(x){labels[col % d]}", c)
-                 for col, c in enumerate(red[:d * d]) if c]
-        if self.space.kind in ("H1", "HC1"):
-            terms = [t + (f"*{c}" if c != 1 else "") for t, c in pairs]
-            return "[" + " + ".join(terms) + "]" if terms else "[0]"
-        terms = " + ".join(t for t, _ in pairs) or "0"
-        return "[" + terms + ", " + format_vec(labels, red[d * d:]) + "]"
 
     def reduced(self):
         return self.space.reduce(self.vec)

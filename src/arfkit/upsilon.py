@@ -119,7 +119,7 @@ class FiniteLc:
             data = self.fz[z]
             for r in data.context.space.basis():
                 rows.add(self._ins(z, r))
-        gens = gst._generating_set(G) or [G.identity]
+        gens = gst.generating_set(G) or [G.identity]
         for z in self.members:
             src = self.fz[z]
             # conjugation arrows by a generating set, the squaring arrow and,
@@ -227,14 +227,9 @@ class PullbackLc:
                 nxt = fz_data(G, z_next)
                 self.maps.append(_square_matrix(self.chain[-1], nxt))
                 self.cycle_close = _conj_matrix(G, nxt, self.chain[j], x)
-                base = self.chain[j]
-                for i in range(base.dim):
-                    v = fp.unit(base.dim, i)
-                    w = v
-                    for t in range(j, len(self.maps)):
-                        w = _apply_matrix(self.maps[t], w)
-                    w = _apply_matrix(self.cycle_close, w)
-                    self.loop_rows.append(fp.add_vec(v, w))
+                loop = _compose(self.chain[j].dim, self.maps[j:] + [self.cycle_close])
+                self.loop_rows = [fp.add_vec(fp.unit(len(loop), i), w)
+                                  for i, w in enumerate(loop)]
                 stable = j
                 self.cyclic = True
                 break
@@ -250,6 +245,7 @@ class PullbackLc:
             raise UpsilonUnknown("squaring chain failed to stabilize")
         self.stable = stable
         self._contexts = {}
+        self._transport = {}    # z -> (position, columns of its arrow)
         self.dim = self._context_at(stable).quotient_dim
 
     # -- linear transport ----------------------------------------------------
@@ -286,38 +282,44 @@ class PullbackLc:
 
     def insert_entry(self, G, z, h, tbit=0):
         """Raw (position, vector) of the image of an F(z)-generator."""
+        vec = fz_data(G, z).coord(h, tbit)
+        hit = self._transport.get(z)
+        if hit is None:
+            with self._extend_lock:
+                hit = self._transport.get(z) or self._transport.setdefault(
+                    z, self._walk(G, z))
+        pos, cols = hit
+        return (pos, _apply_matrix(cols, vec))
+
+    def _walk(self, G, z):
+        """(position, columns) of the arrow F(z) -> F(chain[position]), built
+        once per z.  Targets run ahead as z0^(2^k); the chain grows to the hit."""
         src = fz_data(G, z)
-        vec = src.coord(h, tbit)
-        with self._extend_lock:
-            for _ in range(self.MAX_CHAIN):
-                hit = gcl.power_conj_search(G, z, self.zs)
-                if hit is not None:
-                    break
-                if self.cyclic:
-                    raise ArfError("element class does not match this summand")
-                self._extend_chain(G)
-            else:
-                raise ArfError("element class does not match this summand")
+        targets = list(self.zs)
+        reach = 0 if self.cyclic else gcl.chain_reach(G, z, self.zs[0])
+        while len(targets) < reach:
+            targets.append(G.mul(targets[-1], targets[-1]))
+        hit = gcl.power_conj_search(G, z, targets)
+        if hit is None:
+            raise ArfError("element class does not match this summand")
         a, j, x, eps = hit
+        while len(self.zs) <= j:
+            self._extend_chain(G)
         # x (z^(2^a))^eps x^-1 = chain[j].z; F(w) and F(w^-1) share coords
+        steps = []
         cur = src
         for _ in range(a):
             nxt = fz_data(G, G.mul(cur.z, cur.z))
-            vec = _apply_matrix(_square_matrix(cur, nxt), vec)
+            steps.append(_square_matrix(cur, nxt))
             cur = nxt
-        vec = _apply_matrix(_conj_matrix(G, cur, self.chain[j], x), vec)
-        pos = j
-        while pos < self.stable:
-            vec = _apply_matrix(self.maps[pos], vec)
-            pos += 1
+        steps.append(_conj_matrix(G, cur, self.chain[j], x))
+        pos = max(j, self.stable)
+        steps += self.maps[j:pos]
         if self.cyclic and pos > self.stable:
             # ride the cycle back to the base point
-            while pos < len(self.maps):
-                vec = _apply_matrix(self.maps[pos], vec)
-                pos += 1
-            vec = _apply_matrix(self.cycle_close, vec)
+            steps += self.maps[pos:] + [self.cycle_close]
             pos = self.stable
-        return (pos, vec)
+        return (pos, _compose(src.dim, steps))
 
     def resolve(self, entries):
         """Combine raw entries into a canonical reduced vector (appending
@@ -338,6 +340,15 @@ class PullbackLc:
 
     def zero(self):
         return fp.zeros(self.chain[self.stable].dim)
+
+
+def _compose(dim, steps):
+    """Columns of the composite of the arrows `steps` (each given by its
+    columns), applied in order to F_2^dim."""
+    cols = [fp.unit(dim, i) for i in range(dim)]
+    for step in steps:
+        cols = [_apply_matrix(step, c) for c in cols]
+    return cols
 
 
 def _apply_matrix(matrix, vec):

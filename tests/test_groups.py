@@ -6,6 +6,7 @@ import pytest
 import arfkit.fp as fp
 import arfkit.groups as G
 import arfkit.groups.classes as gcl
+import arfkit.groups.structure as gst
 from arfkit.groups import GroupError
 
 
@@ -141,6 +142,95 @@ def test_ab_mod_squares_vs_hom_count():
                G.alternating_group_4(), G.abelian_group([2, 4])]:
         dim = G.ab_mod_squares(Gx).quotient_dim
         assert G.hom_to_c2_count(Gx) == 2 ** dim
+
+
+def test_generating_set_generates_greedily():
+    # each generator lies outside the span of the earlier ones, and they
+    # span the subgroup; the span is recomputed from scratch here
+    def span(Gx, gens):
+        out, todo = {Gx.identity}, [Gx.identity]
+        while todo:
+            x = todo.pop()
+            for g in gens:
+                y = Gx.mul(x, g)
+                if y not in out:
+                    out.add(y)
+                    todo.append(y)
+        return out
+
+    for Gx in G.groups_upto(16) + [G.symmetric_group(4)]:
+        for members in [Gx.elements()] + [gst.centralizer(Gx, z).members
+                                          for z in Gx.elements()]:
+            gens = gst.generating_set(Gx, members)
+            for k, g in enumerate(gens):
+                assert g not in span(Gx, gens[:k])
+            assert span(Gx, gens) == set(members), Gx.name
+    assert gst.generating_set(G.cyclic_group(1)) == []
+
+
+def _all_pairs_basis(sub):
+    """Reduced basis of the K_# relations r(a, b) over all member pairs
+    (reference for the generator-sized presentations)."""
+    Gx = sub.G
+    if sub.kind == "finite":
+        members, mul, carry, n = sub.members, Gx.mul, None, len(sub.members)
+    else:
+        E, hom, m = Gx.E, Gx.hom, Gx.m
+        members, mul, n = sub.e_members, E.mul, len(sub.e_members) + 1
+
+        def carry(e, f):
+            if isinstance(Gx, G.PullbackCyclicGroup):
+                return (hom[e] + hom[f] - hom[mul(e, f)]) // m
+            (_, i1), (e2, i2) = hom[e], hom[f]
+            return ((-i1 if e2 else i1) + i2 - hom[mul(e, f)][1]) // m
+
+    index = {g: i for i, g in enumerate(members)}
+    rows = []
+    for a in members:
+        for b in members:
+            r = [0] * n
+            for g in (a, b, mul(a, b)):
+                r[index[g]] += 1
+            if carry is not None:
+                r[n - 1] += carry(a, b)
+            rows.append(r)
+    if carry is not None:
+        rows.append(fp.unit(n, index[Gx.E.identity]))
+    return fp.Subspace(n, 2, rows).basis()
+
+
+def _presented_subgroups():
+    """Centralizers and extended centralizers: every element of the 42
+    catalogue groups and of the three order-24 groups, and the window-2
+    elements of the three two-ends built-ins."""
+    finite = G.groups_upto(16) + [
+        G.group_order24(), G.symmetric_group(4),
+        G.direct_product(G.alternating_group_4(), G.cyclic_group(2))]
+    two_ends = [G.builtin_group(b) for b in ("ch1-c2-c-c12", "ch1-c-by-d4",
+                                             "pb-cyclic-c4")]
+    out = []
+    for Gx in finite + two_ends:
+        seen = set()
+        for z in (Gx.elements() if Gx.is_finite else Gx.window_elements(2)):
+            for sub in (gst.centralizer(Gx, z), gst.extended_centralizer(Gx, z)):
+                key = getattr(sub, "members", None) or sub.e_members
+                if key not in seen:
+                    seen.add(key)
+                    out.append(sub)
+    return out
+
+
+def test_generator_presentations_match_all_pairs(monkeypatch):
+    subs = _presented_subgroups()
+    assert len(subs) == 169
+    reference = [_all_pairs_basis(sub) for sub in subs]
+    for sub, basis in zip(subs, reference):
+        assert gst.sharp_of_subgroup(sub).context.space.basis() == basis
+    # planted: without the rows of the last generator some basis differs
+    real = gst.generating_set
+    monkeypatch.setattr(gst, "generating_set", lambda *a: real(*a)[:-1])
+    assert any(gst.sharp_of_subgroup(sub).context.space.basis() != basis
+               for sub, basis in zip(subs, reference))
 
 
 def test_group_axioms_random():

@@ -147,11 +147,15 @@ def _deep_queries(Gx):
     return [(z, z) for z in out]     # z centralizes itself
 
 
-def test_two_ends_summand_extends_once_under_threads():
+def test_two_ends_summand_extends_once_under_threads(monkeypatch):
     serial_group = G.group_c2_c_c12()
     queries = _deep_queries(serial_group)
     lc = ups.l_of_class(serial_group, queries[0][0])
     serial = [lc.insert_entry(serial_group, z, h) for z, h in queries]
+    searched = []
+    real = gcl.power_conj_search
+    monkeypatch.setattr(gcl, "power_conj_search",
+                        lambda G_, z, targets: searched.append(z) or real(G_, z, targets))
 
     Gx = G.group_c2_c_c12()
     lc = ups.l_of_class(Gx, queries[0][0])
@@ -177,6 +181,8 @@ def test_two_ends_summand_extends_once_under_threads():
     assert len(got) == 8
     for answers in got.values():
         assert [answers[z] for z, _ in queries] == serial
+    # every thread reads the one transport of each z
+    assert sorted(searched) == sorted(z for z, _ in queries)
     assert len(lc.zs) == len(set(lc.zs)) == len(lc.chain) == len(lc.maps) + 1
     for k in range(len(lc.zs) - 1):
         assert lc.zs[k + 1] == Gx.mul(lc.zs[k], lc.zs[k])

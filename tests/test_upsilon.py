@@ -206,6 +206,62 @@ def test_pullback_insert_positions_consistent(groupB):
     assert lc.resolve([e1, e2]) == ("zero",)
 
 
+def _walked_entry(Gx, lc, z, h, tbit):
+    """The image of an F(z)-generator walked one arrow at a time: the
+    power/conjugacy search over the chain, the squarings, the conjugation,
+    then the maps up to the stable point or around the cycle."""
+    src = ups.fz_data(Gx, z)
+    vec = src.coord(h, tbit)
+    a, j, x, _ = gcl.power_conj_search(Gx, z, lc.zs)
+    cur = src
+    for _ in range(a):
+        nxt = ups.fz_data(Gx, Gx.mul(cur.z, cur.z))
+        vec = ups._apply_matrix(ups._square_matrix(cur, nxt), vec)
+        cur = nxt
+    vec = ups._apply_matrix(ups._conj_matrix(Gx, cur, lc.chain[j], x), vec)
+    pos = j
+    while pos < lc.stable:
+        vec = ups._apply_matrix(lc.maps[pos], vec)
+        pos += 1
+    if lc.cyclic and pos > lc.stable:
+        while pos < len(lc.maps):
+            vec = ups._apply_matrix(lc.maps[pos], vec)
+            pos += 1
+        vec = ups._apply_matrix(lc.cycle_close, vec)
+        pos = lc.stable
+    return (pos, vec)
+
+
+def _z_times_c7():
+    """Z x C7: squaring permutes the classes of C7 in a 3-cycle, so deep
+    chain positions ride the cycle back to the base point."""
+    return G.PullbackCyclicGroup(G.cyclic_group(7), 1, [0] * 7, name="ZxC7")
+
+
+@pytest.mark.parametrize("make", [G.group_c2_c_c12, G.group_c_by_d4,
+                                  G.pullback_cyclic_example, _z_times_c7])
+def test_transport_table_matches_the_walk(make, monkeypatch):
+    Gx = make()
+    searched = []
+    real = gcl.power_conj_search
+    monkeypatch.setattr(gcl, "power_conj_search",
+                        lambda G_, z, targets: searched.append(z) or real(G_, z, targets))
+    zs = Gx.window_elements(3)
+    entries = {}
+    for z in zs:
+        lc = ups.l_of_class(Gx, z)
+        fz = ups.fz_data(Gx, z)
+        for h in fz.sharp.elements:
+            for tbit in ((0, 1) if fz.has_t else (0,)):
+                entries[z, h, tbit] = lc.insert_entry(Gx, z, h, tbit)
+    # one search per distinct z, however many generators it inserts
+    assert sorted(searched) == sorted(set(zs))
+    monkeypatch.undo()
+    for (z, h, tbit), entry in entries.items():
+        lc = ups.l_of_class(Gx, z)
+        assert lc.resolve([entry, _walked_entry(Gx, lc, z, h, tbit)]) == ("zero",)
+
+
 def test_pullback_lc_stable_and_cyclic(groupB):
     # infinite-order tail (stable case)
     z = groupB.parse_element("X^2*Y^2")
