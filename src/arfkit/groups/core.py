@@ -182,31 +182,29 @@ class FiniteTableGroup(Group):
     def _validate(self):
         n = len(self.labels)
         cols = list(zip(*self.table))
+        ordered = list(range(n))
         for i in range(n):
-            if sorted(self.table[i]) != list(range(n)) or sorted(cols[i]) != list(range(n)):
+            if sorted(self.table[i]) != ordered or sorted(cols[i]) != ordered:
                 raise GroupError("table is not a Latin square")
-        ident = None
-        for e in range(n):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n)):
-                ident = e
-                break
+        ident = next((e for e in ordered
+                      if self.table[e] == ordered and list(cols[e]) == ordered), None)
         if ident is None:
             raise GroupError("table has no identity")
         self._identity = ident
-        self._inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == ident:
-                    self._inv[a] = b
-                    break
-            if self._inv[a] is None or self.table[self._inv[a]][a] != ident:
-                raise GroupError("table has no two-sided inverses")
-        if n <= 128:
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                            raise GroupError("table is not associative")
+        self._inv = [row.index(ident) for row in self.table]
+        if any(self.table[b][a] != ident for a, b in enumerate(self._inv)):
+            raise GroupError("table has no two-sided inverses")
+        # Light's test: the b with (ab)c = a(bc) for all a, c include the
+        # identity and are closed under products, since for two of them
+        # (a(bb'))c = ((ab)b')c = (ab)(b'c) = a(b(b'c)) = a((bb')c).  So it
+        # suffices to check b in a set S whose right products, from the
+        # identity, reach every element: the greedy S of generating_set,
+        # which has |S| <= log2 n on a group (each member doubles the span).
+        from .structure import generating_set
+        t = self.table
+        for b in generating_set(self):
+            if any(t[t[a][b]] != [t[a][x] for x in t[b]] for a in range(n)):
+                raise GroupError("table is not associative")
 
     def mul(self, a, b):
         return self.table[a][b]

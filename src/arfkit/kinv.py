@@ -2,12 +2,15 @@
 
 omega sends <A,B> to the class of Tr(alpha(A)B) in K(G) = F_2[cl(G)]
 (group flavor) or R/kappa(R) (commutative flavor).  omega1 sends it to the
-unit class [1 + alpha(a) b T^2/(1+T)] in H^0(K_1(R_n, I_n)); for
+unit class [1 + alpha(a) b T^2/(1+T)] in H^0(K_1(R_n, I_n)), computed as a
+polynomial in u = T^2/(1+T) over the base ring and lifted to R_n once; for
 commutative R the lambda/mu pair identifies that Tate group with
 C(R) = Coker(1 + q), and equality of unit classes is decided through the
 proof's degree-by-degree norm normalization.
 """
 from __future__ import annotations
+
+from math import comb
 
 from . import fp
 from .arf import ArfExpression, ArfError, GROUP, RING
@@ -178,17 +181,13 @@ def additive_basis(ring):
         return [frozenset([g]) for g in els], to_coords, from_coords
     if isinstance(ring, TruncatedRing) and isinstance(ring.base, PrimeField) \
             and ring.base.p == 2:
-        n = ring.n
-
         def to_coords(x):
             return tuple(c % 2 for c in x)
 
         def from_coords(v):
             return ring.from_coeffs([c % 2 for c in v])
 
-        basis = [ring.t(k) for k in range(n + 1)]
-        basis[0] = ring.one()
-        return basis, to_coords, from_coords
+        return [ring.t(k) for k in range(ring.n + 1)], to_coords, from_coords
     if isinstance(ring, PrimeField) and ring.p == 2:
         return [1], lambda x: (x % 2,), lambda v: v[0] % 2
     raise RingError(f"no additive basis for {ring.name}")
@@ -283,7 +282,9 @@ class UnitClass:
         return self._group_data() == other._group_data()
 
     def __hash__(self):
-        return 0
+        # a commutative class has no canonical form (equality runs the norm
+        # normalization), so all of them share one hash
+        return hash(self._group_data()) if self.kind == "group" else 0
 
     def _group_data(self):
         """For group-algebra bases, the T^2 coefficient modulo Im(delta) is
@@ -306,24 +307,37 @@ def omega1(expr: ArfExpression, n=2):
     if n < 2:
         raise ArfError("omega1 needs truncation degree n >= 2")
     if expr.flavor == GROUP:
-        base = GroupAlgebra(expr.context)
-        pairs = [(base.element(a), base.element(b)) for a, b in expr.pairs]
+        G = expr.context
+        base = GroupAlgebra(G)
+        zs = [base.element(G.mul(G.inv(a), b)) for a, b in expr.pairs]
         kind = "group"
     elif expr.flavor == RING:
         base = expr.context
-        pairs = list(expr.pairs)
+        zs = [base.mul(base.involute(a), b) for a, b in expr.pairs]
         kind = "commutative"
     else:
         raise ArfError("omega1 expects a group or ring expression")
+    # prod_i (1 + z_i u) = sum_k e_k u^k for the central u = T^2/(1+T) in
+    # T^2 R_n; e_k sums the ordered products z_i1 ... z_ik, i1 < ... < ik
+    e = [base.one()] + [base.zero()] * (n // 2)
+    for i, z in enumerate(zs):
+        for k in range(min(i + 1, n // 2), 0, -1):
+            e[k] = base.add(e[k], base.mul(e[k - 1], z))
     Rn = TruncatedRing(base, n)
-    geom = Rn.inverse(Rn.add(Rn.one(), Rn.t()))      # (1+T)^-1
-    acc = Rn.one()
-    for a, b in pairs:
-        z = base.mul(base.involute(a), b)
-        factor = Rn.add(Rn.one(),
-                        Rn.mul(Rn.mul(Rn.scalar(z), Rn.t(2)), geom))
-        acc = Rn.mul(acc, factor)
-    return UnitClass(Rn, acc, kind)
+    return UnitClass(Rn, _lift_u_powers(Rn, e), kind)
+
+
+def _lift_u_powers(Rn, e):
+    """sum_k e[k] u^k in R_n, by u^k = sum_m (-1)^m C(k-1+m, m) T^(2k+m)."""
+    base = Rn.base
+    out = [e[0]] + [base.zero()] * Rn.n
+    for k in range(1, len(e)):
+        if base.is_zero(e[k]):
+            continue
+        for m in range(Rn.n - 2 * k + 1):
+            c = base.sum([e[k]] * comb(k - 1 + m, m))
+            out[2 * k + m] = base.add(out[2 * k + m], base.neg(c) if m % 2 else c)
+    return tuple(out)
 
 
 def lambda_(f: UnitClass) -> CRClass:
@@ -342,9 +356,7 @@ def mu(Rn: TruncatedRing, z) -> UnitClass:
     """mu([z]) = [1 + z T^2/(1+T)]."""
     if Rn.n % 2:
         raise ArfError("mu needs even truncation degree")
-    geom = Rn.inverse(Rn.add(Rn.one(), Rn.t()))
-    rep = Rn.add(Rn.one(), Rn.mul(Rn.mul(Rn.scalar(z), Rn.t(2)), geom))
-    return UnitClass(Rn, rep, "commutative")
+    return UnitClass(Rn, _lift_u_powers(Rn, [Rn.base.one(), z]), "commutative")
 
 
 def unit_classes_equal(Rn, f, g):
@@ -402,15 +414,9 @@ def normalize_unit(Rn, h):
 
 
 def _char2(ring):
-    if isinstance(ring, (GroupAlgebra,)):
-        return True
-    if isinstance(ring, PolyRing):
-        return ring.p == 2
-    if isinstance(ring, PrimeField):
-        return ring.p == 2
-    if isinstance(ring, TruncatedRing):
-        return _char2(ring.base)
-    return False
+    while isinstance(ring, TruncatedRing):
+        ring = ring.base
+    return isinstance(ring, (GroupAlgebra, PolyRing, PrimeField)) and ring.p == 2
 
 
 def _halve(ring, x):

@@ -64,12 +64,6 @@ class Ring:
     def is_zero(self, a):
         return a == self.zero()
 
-    def power(self, a, k):
-        acc = self.one()
-        for _ in range(k):
-            acc = self.mul(acc, a)
-        return acc
-
     # Lambda_1 and Gamma_1 of the anti-structure
     def in_lambda1(self, x):
         return self.is_zero(self.add(x, self.mul(self.involute(x), self.unit_u())))
@@ -526,10 +520,11 @@ class TruncatedRing(Ring):
     def mul(self, a, b):
         self._check(a, b)
         out = [self.base.zero()] * (self.n + 1)
+        nz = [(j, y) for j, y in enumerate(b) if not self.base.is_zero(y)]
         for i, x in enumerate(a):
             if self.base.is_zero(x):
                 continue
-            for j, y in enumerate(b):
+            for j, y in nz:
                 if i + j > self.n:
                     break
                 out[i + j] = self.base.add(out[i + j], self.base.mul(x, y))
@@ -552,8 +547,7 @@ class TruncatedRing(Ring):
     def _alpha_powers(self):
         """(-T/(1+T))^k for k = 0..n, truncated."""
         if self._alpha_t_powers is None:
-            geom = self.inverse(self.add(self.one(), self.t()))   # (1+T)^-1
-            base_t = self.mul(self.neg(self.t()), geom)
+            base_t = self.mul(self.neg(self.t()), self.geometric())
             pows = [self.one()]
             for _ in range(self.n):
                 pows.append(self.mul(pows[-1], base_t))
@@ -569,6 +563,11 @@ class TruncatedRing(Ring):
         if self.n >= 1:
             v[1] = u
         return tuple(v)
+
+    def geometric(self):
+        """(1+T)^-1 = sum_k (-1)^k T^k, in closed form."""
+        one = self.base.one()
+        return tuple(self.base.neg(one) if k % 2 else one for k in range(self.n + 1))
 
     def inverse(self, a):
         out = self.try_inverse(a)

@@ -236,13 +236,9 @@ def is_gq(M):
     AC = Aa @ C
     BD = Ba @ D
     for i in range(n):
-        if not _in_gamma1(R, AC.rows[i][i]) or not _in_gamma1(R, BD.rows[i][i]):
+        if not R.in_gamma1(AC.rows[i][i]) or not R.in_gamma1(BD.rows[i][i]):
             return False
     return True
-
-
-def _in_gamma1(R, x):
-    return R.is_zero(R.gamma1_reduce(x))
 
 
 def hyperbolic_image(A, ring=None):

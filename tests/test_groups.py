@@ -574,3 +574,24 @@ def test_power_conj_search_finds_chain_positions():
     w = Gx.power(Gx.power(Gx.inv(chain[3]), 1 << a), eps)
     assert Gx.conj(w, x) == chain[j] and (a, j) == (0, 3)
     assert gcl.power_conj_search(Gx, Gx.identity, chain) is None
+
+
+def test_table_associativity_is_checked_on_generators():
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(GroupError, match="table is not associative"):
+        G.FiniteTableGroup([str(i) for i in range(5)], loop)
+    # loop x C_26 has 130 elements
+    big = [[loop[a // 26][b // 26] * 26 + (a + b) % 26 for b in range(130)] for a in range(130)]
+    with pytest.raises(GroupError, match="table is not associative"):
+        G.FiniteTableGroup([str(i) for i in range(130)], big)
+    rng = random.Random(12)
+    for Gx in G.groups_upto(16) + [G.group_order24(), G.symmetric_group(4)]:
+        els = Gx.elements()
+        perm = list(range(len(els)))
+        rng.shuffle(perm)
+        idx = {g: i for i, g in enumerate(els)}
+        table = [[None] * len(els) for _ in els]
+        for a, g in enumerate(els):
+            for b, h in enumerate(els):
+                table[perm[a]][perm[b]] = perm[idx[Gx.mul(g, h)]]
+        assert G.FiniteTableGroup([str(i) for i in range(len(els))], table).order() == len(els)

@@ -4,6 +4,7 @@ import pytest
 
 import arfkit.arf as arf
 import arfkit.groups as G
+import arfkit.k2diff as k2diff
 import arfkit.kinv as kinv
 import arfkit.rings as R
 from arfkit.arf import ArfError
@@ -85,6 +86,84 @@ def test_omega1_double_pair_trivial():
     sq = f.Rn.mul(f.rep, f.rep)
     assert kinv.unit_classes_equal(f.Rn, sq, f.Rn.one())
     assert kinv.lambda_(kinv.UnitClass(f.Rn, sq, "commutative")).is_zero()
+
+
+
+def _omega1_reference(expr, n):
+    """omega1 as the per-pair product in R_n with a series (1+T)^-1."""
+    if expr.flavor == arf.GROUP:
+        base = R.GroupAlgebra(expr.context)
+        pairs = [(base.element(a), base.element(b)) for a, b in expr.pairs]
+    else:
+        base, pairs = expr.context, list(expr.pairs)
+    Rn = R.TruncatedRing(base, n)
+    geom = Rn.inverse(Rn.add(Rn.one(), Rn.t()))
+    acc = Rn.one()
+    for a, b in pairs:
+        z = base.mul(base.involute(a), b)
+        acc = Rn.mul(acc, Rn.add(Rn.one(), Rn.mul(Rn.mul(Rn.scalar(z), Rn.t(2)), geom)))
+    return acc
+
+
+def _random_poly(rng, P, terms, coeffs):
+    return P.sum(P.monomial([rng.randint(0, 2) for _ in P.vars], rng.choice(coeffs))
+                 for _ in range(terms))
+
+
+def test_omega1_and_mu_match_the_series_product(monkeypatch):
+    rng = random.Random(10)
+    group_pools = [(Gx, Gx.involutions() if Gx.is_finite else Gx.involutions(window=3))
+                   for Gx in (G.group_order24(), G.symmetric_group(4), G.group_c2_c_c12())]
+    ZXY = R.PolyRing(["X", "Y"], coeff="Z")
+    rings = [(ZXY, (-3, -2, -1, 1, 2, 3)), (k2diff.plane_ring(), (1,)),
+             (R.PolyRing(["X"], coeff="F2"), (1,))]
+    omega1_cases, mu_cases = [], []
+    for n in range(2, 7):
+        for Gx, pool in group_pools:
+            for _ in range(20):
+                pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(1, 5))]
+                omega1_cases.append((arf.ArfExpression(arf.GROUP, Gx, pairs), n))
+        for P, coeffs in rings:
+            for _ in range(20):
+                pairs = [(_random_poly(rng, P, 2, coeffs), _random_poly(rng, P, 2, coeffs))
+                         for _ in range(rng.randint(1, 4))]
+                omega1_cases.append((arf.ArfExpression(arf.RING, P, pairs), n))
+                if n % 2 == 0:
+                    mu_cases.append((R.TruncatedRing(P, n), _random_poly(rng, P, 3, coeffs)))
+    want = [_omega1_reference(e, n) for e, n in omega1_cases]
+    want_mu = []
+    for Rn, z in mu_cases:
+        geom = Rn.inverse(Rn.add(Rn.one(), Rn.t()))
+        want_mu.append(Rn.add(Rn.one(), Rn.mul(Rn.mul(Rn.scalar(z), Rn.t(2)), geom)))
+    calls = []
+    series = R.TruncatedRing.try_inverse
+    monkeypatch.setattr(R.TruncatedRing, "try_inverse",
+                        lambda self, a: calls.append(a) or series(self, a))
+    for (e, n), w in zip(omega1_cases, want):
+        got = kinv.omega1(e, n)
+        got.Rn.involute(got.rep)
+        assert got.rep == w, (e.context.name, n, e.pairs)
+    for (Rn, z), w in zip(mu_cases, want_mu):
+        assert kinv.mu(Rn, z).rep == w, (Rn.name, z)
+    assert calls == []
+    # over Z the T^3.. coefficients carry signs and binomials C(k-1+m, m)
+    x = ZXY.variable("X")
+    e = arf.ArfExpression(arf.RING, ZXY, [(x, x), (x, ZXY.one()), (ZXY.one(), ZXY.one())])
+    assert any(abs(c) > 1 for coeff in kinv.omega1(e, 6).rep for _, c in coeff)
+
+
+def test_unit_class_hash_follows_group_equality():
+    order24 = G.group_order24()
+    e1 = arf.parse_expression(arf.GROUP, order24, "<X^2*S, S>")
+    e2 = arf.parse_expression(arf.GROUP, order24, "<X^4*S, X^2*S>")
+    f1, f2 = kinv.omega1(e1), kinv.omega1(e2)
+    assert f1 == f2 and hash(f1) == hash(f2)
+    invs = order24.involutions()
+    values = [kinv.omega1(arf.ArfExpression(arf.GROUP, order24, [(g, h)]))
+              for g in invs for h in invs]
+    assert len(set(values)) == len({kinv.omega(arf.ArfExpression(arf.GROUP, order24, [(g, h)]))
+                                     for g in invs for h in invs}) == 2
+    assert len({hash(v) for v in values}) == 2
 
 
 @pytest.fixture(scope="module")
