@@ -6,9 +6,12 @@ reduced-echelon representation and hands out immutable quotient contexts.
 
 Over F_2 a row is one Python int, bit j holding coordinate j, and
 elimination is XOR.  Odd p (F_3, on tiny inputs only) keeps rows as lists.
-The packing never leaves this module: vectors go in as sequences of ints or
-as sparse {column: coefficient} dicts, taken mod p, and come out as tuples
-of ints in [0, p).
+Vectors go in as sequences of ints or as sparse {column: coefficient}
+dicts, taken mod p, and come out as tuples of ints in [0, p).  Inside the
+package, the rows that build a subspace over F_2 (the `rows` of `Subspace`,
+`QuotientContext`, `extended`, `independent` and `kernel_basis`) may also
+be that packed int already, so that relation families built as ints skip
+the conversion.
 """
 from __future__ import annotations
 
@@ -38,7 +41,10 @@ class Subspace:
     Instances are immutable after construction; `extended` returns a new
     subspace.  Vectors come out as tuples of ints in [0, p).  They go in as
     sequences of length dim or as sparse {column: coefficient} dicts; any
-    other length, or a column outside [0, dim), raises ValueError.
+    other length, or a column outside [0, dim), raises ValueError.  A row
+    that builds the subspace may also be a packed F_2 int (see the module
+    docstring); a negative one, one with a bit at dim or past it, or one
+    over an odd p raises ValueError.
     """
 
     def __init__(self, dim, p=2, rows=()):
@@ -49,7 +55,18 @@ class Subspace:
         self._rows = {}
         self._mask = 0      # F_2 only: bit j set iff column j is a pivot
         for r in rows:
-            self._absorb(self._coerce(r))
+            self._absorb(self._coerce_row(r))
+
+    def _coerce_row(self, row):
+        """A row that builds the subspace: an int is a packed F_2 row, bit j
+        = column j (p = 2 only); anything else goes through _coerce."""
+        if type(row) is not int:
+            return self._coerce(row)
+        if self.p != 2:
+            raise ValueError(f"packed row over F_{self.p}; packed rows are F_2 only")
+        if row < 0 or row >> self.dim:
+            raise ValueError(f"packed row with a bit outside [0, {self.dim})")
+        return row
 
     def _coerce(self, vec):
         if isinstance(vec, dict):
@@ -125,7 +142,7 @@ class Subspace:
         s._rows = dict(self._rows)
         s._mask = self._mask
         for r in rows:
-            s._absorb(s._coerce(r))
+            s._absorb(s._coerce_row(r))
         return s
 
     def independent(self, rows):
@@ -134,7 +151,7 @@ class Subspace:
         probe, kept = self.extended(()), []
         for r in rows:
             rank = probe.rank
-            probe._absorb(probe._coerce(r))
+            probe._absorb(probe._coerce_row(r))
             if probe.rank > rank:
                 kept.append(r)
         return kept
@@ -149,6 +166,28 @@ class QuotientContext:
 
     def __init__(self, dim, p=2, rows=()):
         self.space = Subspace(dim, p, rows)
+
+    @classmethod
+    def direct_sum(cls, dim, blocks):
+        """F_2^dim modulo the span of `blocks` of rows whose spans share no
+        column; a shared column raises ValueError.  Each block is reduced
+        alone, and the union of the reduced rows is the reduced echelon
+        form of the whole span.  That saves time because a new pivot's
+        back-substitution scans every stored row."""
+        space, seen = Subspace(dim, 2), 0
+        for rows in blocks:
+            part = Subspace(dim, 2, rows)
+            support = 0
+            for row in part._rows.values():
+                support |= row
+            if support & seen:
+                raise ValueError("blocks of a direct sum share a column")
+            seen |= support
+            space._rows.update(part._rows)
+            space._mask |= part._mask
+        q = object.__new__(cls)
+        q.space = space
+        return q
 
     @property
     def quotient_dim(self):

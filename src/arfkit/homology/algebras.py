@@ -6,6 +6,7 @@ import math
 
 from .. import ArfkitError, need
 from ..groups.core import Group
+from ..groups.structure import conjugacy_classes, generating_set
 
 
 class AlgebraError(ArfkitError):
@@ -37,7 +38,17 @@ class FiniteAlgebra:
     c != 0, of e_i e_j = sum c e_k, and involution[i], when present, holds
     the image of e_i the same way.  Elements are coefficient tuples.
     Associativity, the unit laws and the anti-involution axioms are verified
-    over all basis triples on construction.
+    on construction.
+
+    `middles` lists basis indices s such that the unit and products of the
+    e_s span the algebra: associativity is checked, and the boundaries
+    b(e_i (x) e_s (x) e_k) of `chains._b2_rows` are written, for those s
+    only.  It is every index unless a constructor knows better
+    (`group_algebra` sets the identity and a generating set of the group).
+    `parts`, when not None, gives each basis element a part.  Then every
+    e_i e_j is one basis element, e_i (x) e_j lies over the part of e_i e_j,
+    and no relation row of H_1, HC_1 or HQ_1 lies over two parts, so
+    `chains` reduces each part's rows alone (`group_algebra` sets it).
     """
 
     def __init__(self, p, labels, mult, unit, involution=None, name=None, check=True):
@@ -49,6 +60,8 @@ class FiniteAlgebra:
         self.involution = (None if involution is None
                            else [_reduced(row, p) for row in involution])
         self.name = name or "algebra"
+        self.middles = range(self.dim)
+        self.parts = None
         if check:
             self._validate()
 
@@ -111,8 +124,12 @@ class FiniteAlgebra:
             if (_combine(p, [(c, mult[s][i]) for s, c in unit]) != ei
                     or _combine(p, [(c, mult[i][s]) for s, c in unit]) != ei):
                 raise AlgebraError("unit law fails")
+        # Light's test: the x with (e_i x) e_k = e_i (x e_k) for all i, k
+        # form a subspace that holds the unit and is closed under products,
+        # since for two of them (a(xy))c = ((ax)y)c = (ax)(yc) = a(x(yc))
+        # = a((xy)c).  So the middles suffice.
         for i in range(d):
-            for j in range(d):
+            for j in self.middles:
                 # (e_i e_j) e_k = e_i (e_j e_k) for every k
                 ij = mult[i][j]
                 if ([_combine(p, [(c, mult[m][k]) for m, c in ij]) for k in range(d)]
@@ -183,15 +200,25 @@ def algebra_from_json(data):
 
 
 def group_algebra(G: Group, p=2):
-    """F_p[G] with the inverse anti-involution."""
+    """F_p[G] with the inverse anti-involution.  Its middles are the
+    identity and `generating_set(G)`: each element of a finite group is a
+    product of generators, so the e_g they span are the whole basis."""
     els = G.elements()
     idx = {g: i for i, g in enumerate(els)}
     mult = [[((idx[G.mul(g, h)], 1),) for h in els] for g in els]
     unit = [0] * len(els)
     unit[idx[G.identity]] = 1
     invol = [((idx[G.inv(g)], 1),) for g in els]
-    return FiniteAlgebra(p, [G.format_element(g) for g in els], mult, unit,
-                         invol, name=f"F{p}[{getattr(G, 'name', '?')}]")
+    A = FiniteAlgebra(p, [G.format_element(g) for g in els], mult, unit,
+                      invol, name=f"F{p}[{getattr(G, 'name', '?')}]", check=False)
+    A.middles = (idx[G.identity],) + tuple(idx[g] for g in generating_set(G))
+    A._validate()
+    # parts: the conjugacy classes, each merged with its inverse class.  The
+    # columns of a row lie over conjugate products (b(g (x) s (x) k) over
+    # gs.k, g.sk and kg.s) or over inverse ones (the involution inverts)
+    cls = {g: k for k, c in enumerate(conjugacy_classes(G)) for g in c}
+    A.parts = [min(cls[g], cls[G.inv(g)]) for g in els]
+    return A
 
 
 def matrix_algebra(A: FiniteAlgebra, m):

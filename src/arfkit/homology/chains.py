@@ -1,17 +1,18 @@
 """Chain-level Hochschild/cyclic/quaternionic homology in low degrees.
 
 Chains are sparse dicts {basis index tuple: coefficient}; relations are
-sparse rows {column: coefficient} built on basis indices from the sparse
-structure constants (e_i (x) e_j is column i*d + j, and the T_1 part of
-HQ_1 is column d*d + k).  The dimension guard refuses algebras past
-dimension 32 (32^3 level-2 rows) instead of approximating.
+rows built on basis indices from the sparse structure constants (e_i (x) e_j
+is column i*d + j, and the T_1 part of HQ_1 is column d*d + k).  Over F_2 a
+relation row is a packed int, bit j = column j, handed to `fp` as is; over
+an odd p it is a sparse dict {column: coefficient}.  The dimension guard
+refuses algebras past dimension 64 instead of approximating.
 """
 from __future__ import annotations
 
 from .. import fp
 from .algebras import FiniteAlgebra, AlgebraError
 
-DIM_GUARD = 32
+DIM_GUARD = 64
 
 
 def check_guard(A):
@@ -149,7 +150,7 @@ class HomologySpace:
         self.kind = kind
         self.ambient_dim = ambient_dim
         self.cycles = list(cycle_basis)
-        self.context = fp.QuotientContext(ambient_dim, A.p, boundary_rows)
+        self.context = _quotient(A, kind, ambient_dim, boundary_rows)
         self.basis = self.context.space.independent(self.cycles)
 
     @property
@@ -161,6 +162,21 @@ class HomologySpace:
 
     def class_of(self, vec):
         return HomologyClass(self, tuple(vec))
+
+
+def _quotient(A, kind, dim, rows):
+    """F_p^dim modulo rows.  Over F_2 with A.parts, the T_2 kinds split the
+    rows by the part of their lowest column (e_i (x) e_j lies over e_i e_j,
+    and the T_1 columns of HQ_1 follow) and reduce each part alone."""
+    if A.p != 2 or A.parts is None or kind in ("H0", "HC0"):
+        return fp.QuotientContext(dim, A.p, rows)
+    parts = A.parts
+    column_part = [parts[m] for row in A.mult for ((m, _),) in row] + parts
+    blocks = [[] for _ in parts]
+    for r in rows:
+        if r:
+            blocks[column_part[(r & -r).bit_length() - 1]].append(r)
+    return fp.QuotientContext.direct_sum(dim, [b for b in blocks if b])
 
 
 class HomologyClass:
@@ -194,19 +210,33 @@ def _row(terms):
     return row
 
 
+def _packed(terms):
+    """The same sum over F_2, as a packed int: bit j = column j."""
+    row = 0
+    for col, c in terms:
+        row ^= (c & 1) << col
+    return row
+
+
+def _packer(A):
+    """The row builder of A's relation families: packed ints over F_2."""
+    return _packed if A.p == 2 else _row
+
+
 def homology(A: FiniteAlgebra, which):
     """Basis-with-context for H0, H1, HC0, HC1 or HQ1 of A."""
     check_guard(A)
     d, p = A.dim, A.p
     if which in ("H0", "HC0"):
         cycles = [fp.unit(d, i) for i in range(d)]
-        return HomologySpace(A, which, d, _commutator_rows(A), cycles)
+        return HomologySpace(A, which, d, _commutator_rows(A, _packer(A)), cycles)
     if which in ("H1", "HC1"):
         cycles = fp.kernel_basis(_b1_equations(A), d * d, p)
         rows = _b2_rows(A)
         if which == "HC1":
             # (1 - x)(e_i (x) e_j) = e_i (x) e_j + e_j (x) e_i
-            rows += [_row([(i * d + j, 1), (j * d + i, 1)])
+            pack = _packer(A)
+            rows += [pack([(i * d + j, 1), (j * d + i, 1)])
                      for i in range(d) for j in range(d)]
         return HomologySpace(A, which, d * d, rows, cycles)
     if which == "HQ1":
@@ -214,10 +244,10 @@ def homology(A: FiniteAlgebra, which):
     raise AlgebraError(f"unknown homology {which!r}")
 
 
-def _commutator_rows(A):
-    """[e_i, e_j] for all i, j (i-major) as sparse rows over T_1."""
+def _commutator_rows(A, pack):
+    """[e_i, e_j] for all i, j (i-major) as rows over T_1, built by pack."""
     d, mult = A.dim, A.mult
-    return [_row(mult[i][j] + tuple((k, -c) for k, c in mult[j][i]))
+    return [pack(mult[i][j] + tuple((k, -c) for k, c in mult[j][i]))
             for i in range(d) for j in range(d)]
 
 
@@ -225,26 +255,44 @@ def _b1_equations(A):
     """b = [ , ]: T_2 -> T_1 as equations: row k holds the coefficient of
     e_k in [e_i, e_j] at column i*d + j."""
     eqs = [{} for _ in range(A.dim)]
-    for col, row in enumerate(_commutator_rows(A)):
+    for col, row in enumerate(_commutator_rows(A, _row)):
         for k, c in row.items():
             eqs[k][col] = c
     return eqs
 
 
 def _b2_rows(A):
-    """b(e_i (x) e_j (x) e_k) = e_i e_j (x) e_k - e_i (x) e_j e_k + e_k e_i (x) e_j
-    for all basis triples, as sparse rows over T_2."""
-    d, mult = A.dim, A.mult
+    """b(e_i (x) e_s (x) e_k) = e_i e_s (x) e_k - e_i (x) e_s e_k + e_k e_i (x) e_s
+    for every i, k and every s in A.middles, as rows over T_2 (i-major, then
+    s, then k).
+
+    They span b(T_3).  In the sign convention of `boundary`, b∘b = 0 on T_4
+    gives
+
+        b(a (x) bc (x) d) = b(ab (x) c (x) d) + b(a (x) b (x) cd) - b(da (x) b (x) c),
+
+    so the y with every b(x (x) y (x) z) in the span form a subspace closed
+    under products.  It holds the middles, and products of the middles span
+    A (see `FiniteAlgebra`).
+    """
+    d, mult, middles = A.dim, A.mult, A.middles
+    if A.p == 2:
+        # e_x e_y (x) e_0 and e_0 (x) e_x e_y packed; a row is three shifted
+        # entries, XORed (over F_2 every structure constant is 1)
+        left = [[sum(1 << m * d for m, _ in v) for v in row] for row in mult]
+        right = [[sum(1 << m for m, _ in v) for v in row] for row in mult]
+        return [(left[i][s] << k) ^ (right[s][k] << i * d) ^ (left[k][i] << s)
+                for i in range(d) for s in middles for k in range(d)]
     rows = []
     for i in range(d):
-        for j in range(d):
+        for s in middles:
             for k in range(d):
-                # _row, unrolled: these d^3 rows are most of an H_1 or HQ_1 build
-                row = {m * d + k: c for m, c in mult[i][j]}
-                for m, c in mult[j][k]:
+                # _row, unrolled: these rows are most of an H_1 or HQ_1 build
+                row = {m * d + k: c for m, c in mult[i][s]}
+                for m, c in mult[s][k]:
                     row[i * d + m] = row.get(i * d + m, 0) - c
                 for m, c in mult[k][i]:
-                    row[m * d + j] = row.get(m * d + j, 0) + c
+                    row[m * d + s] = row.get(m * d + s, 0) + c
                 rows.append(row)
     return rows
 
@@ -263,21 +311,24 @@ def hq1(A: FiniteAlgebra):
         for k, c in _row([(i, 1)] + [(k, -c) for k, c in inv[i]]).items():
             eqs[k][D + i] = c
     cycles = fp.kernel_basis(eqs, D + d, p)
+    pack = _packer(A)
     rows = []
     for i in range(d):
         for j in range(d):
             ij = mult[i][j]
             # (r (x) s + s (x) r, -(rs + invol(rs))) for r = e_i, s = e_j
-            rows.append(_row([(i * d + j, 1), (j * d + i, 1)]
+            rows.append(pack([(i * d + j, 1), (j * d + i, 1)]
                              + [(D + m, -c) for m, c in ij]
                              + [(D + n, -c * e) for m, c in ij for n, e in inv[m]]))
             # (r (x) s + invol(r) (x) invol(s), sr - rs)
-            rows.append(_row([(i * d + j, 1)]
+            rows.append(pack([(i * d + j, 1)]
                              + [(a * d + b, ca * cb) for a, ca in inv[i] for b, cb in inv[j]]
                              + [(D + m, c) for m, c in mult[j][i]]
                              + [(D + m, -c) for m, c in ij]))
-    # (0, 2 (r + invol(r)))
-    rows += [_row([(D + i, 2)] + [(D + n, 2 * e) for n, e in inv[i]]) for i in range(d)]
+    # (0, 2 (r + invol(r))): zero over F_2
+    if p != 2:
+        rows += [_row([(D + i, 2)] + [(D + n, 2 * e) for n, e in inv[i]])
+                 for i in range(d)]
     # (b(x (x) y (x) z), 0): the T_2 rows of H_1
     rows += _b2_rows(A)
     return HomologySpace(A, "HQ1", D + d, rows, cycles)

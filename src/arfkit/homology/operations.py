@@ -114,9 +114,12 @@ def theta_aux(A, chain2):
 
 
 def mu_rows(A):
-    """span{[x (x) x, 0]} as sparse rows: e_i (x) e_i and the polarizations
-    e_i (x) e_j + e_j (x) e_i (the dict literal has one key when i = j)."""
+    """span{[x (x) x, 0]} as rows: e_i (x) e_i and the polarizations
+    e_i (x) e_j + e_j (x) e_i, packed over F_2 and sparse dicts otherwise
+    (either form has one entry when i = j)."""
     d = A.dim
+    if A.p == 2:
+        return [(1 << i * d + j) | (1 << j * d + i) for i in range(d) for j in range(i, d)]
     return [{i * d + j: 1, j * d + i: 1} for i in range(d) for j in range(i, d)]
 
 

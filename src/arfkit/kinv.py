@@ -273,6 +273,7 @@ class UnitClass:
         self.Rn = Rn
         self.rep = rep
         self.kind = kind  # "commutative" | "group"
+        self._data = None   # _group_data(), built on first use
 
     def __eq__(self, other):
         if not (isinstance(other, UnitClass) and other.kind == self.kind):
@@ -289,14 +290,17 @@ class UnitClass:
     def _group_data(self):
         """For group-algebra bases, the T^2 coefficient modulo Im(delta) is
         a complete invariant of classes represented with trivial T part;
-        on involution products it coincides with the cl(G)-class vector."""
-        base = self.Rn.base
-        if not isinstance(base, GroupAlgebra):
-            raise ArfError("group data needs a group-algebra base")
-        c = self.rep[2] if self.Rn.n >= 2 else base.zero()
-        if not base.is_zero(self.rep[1]):
-            raise ArfError("representative carries a T coefficient")
-        return KGClass(base.G, list(c))
+        on involution products it coincides with the cl(G)-class vector.
+        Built once per instance, so comparing and hashing are lookups."""
+        if self._data is None:
+            base = self.Rn.base
+            if not isinstance(base, GroupAlgebra):
+                raise ArfError("group data needs a group-algebra base")
+            c = self.rep[2] if self.Rn.n >= 2 else base.zero()
+            if not base.is_zero(self.rep[1]):
+                raise ArfError("representative carries a T coefficient")
+            self._data = KGClass(base.G, list(c))
+        return self._data
 
     def display(self):
         return "[" + self.Rn.format(self.rep) + "]"

@@ -175,6 +175,73 @@ def test_sparse_rows_match_dense_rows(p, dim):
             fp.Subspace(dim, p).reduce(bad)
 
 
+@pytest.mark.parametrize("dim", range(7))
+def test_packed_rows_match_dense_and_sparse_rows(dim):
+    # an F_2 row packed into an int, bit j = column j, builds the same
+    # spaces, residues and greedy bases as its tuple and dict forms
+    rng = random.Random(6000 + dim)
+
+    def packed(vec):
+        return sum(1 << j for j, x in enumerate(vec) if x)
+
+    def sparse(vec):
+        return {j: x for j, x in enumerate(vec) if x}
+
+    for _ in range(12):
+        rows = _random_rows(rng, 2, dim, rng.randint(0, 5))
+        more = _random_rows(rng, 2, dim, rng.randint(0, 4))
+        S = fp.Subspace(dim, 2, rows)
+        for form in (packed, sparse):
+            T = fp.Subspace(dim, 2, [form(r) for r in rows])
+            assert T.basis() == S.basis()
+            assert T.rank == S.rank
+            for v in _random_rows(rng, 2, dim, 5):
+                assert T.reduce(v) == S.reduce(v)
+            assert S.extended([form(r) for r in more]).basis() == S.extended(more).basis()
+            assert S.independent([form(r) for r in more]) == \
+                [form(r) for r in S.independent(more)]
+            Q = fp.QuotientContext(dim, 2, [form(r) for r in rows])
+            assert Q.extended([form(r) for r in more]).space.basis() == \
+                fp.Subspace(dim, 2, rows + more).basis()
+        M = _random_rows(rng, 2, dim, rng.randint(0, 4))
+        assert fp.kernel_basis([packed(r) for r in M], dim) == fp.kernel_basis(M, dim)
+    for bad in (-1, -(1 << dim), 1 << dim, 3 << dim):
+        with pytest.raises(ValueError):
+            fp.Subspace(dim, 2, [bad])
+        with pytest.raises(ValueError):
+            fp.QuotientContext(dim, 2).extended([bad])
+    # packed rows are F_2 only
+    for good_at_2 in (0, 1):
+        with pytest.raises(ValueError):
+            fp.Subspace(max(dim, 1), 3, [good_at_2])
+    with pytest.raises(ValueError):
+        fp.Subspace(3, 3, [(1, 0, 1)]).extended([5])
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_direct_sum_matches_one_build(dim):
+    # rows split into blocks over disjoint column sets: each block reduced
+    # alone gives the reduced echelon form of all rows together
+    rng = random.Random(7000 + dim)
+    for _ in range(12):
+        owner = [rng.randrange(3) for _ in range(dim)]     # column -> block
+        blocks = [[sum(1 << j for j in range(dim) if owner[j] == b and rng.random() < 0.6)
+                   for _ in range(rng.randint(0, 3))] for b in range(3)]
+        rows = [r for block in blocks for r in block]
+        rng.shuffle(rows)
+        Q = fp.QuotientContext.direct_sum(dim, blocks)
+        S = fp.Subspace(dim, 2, rows)
+        assert Q.space.basis() == S.basis() and Q.quotient_dim == dim - S.rank
+        for v in _random_rows(rng, 2, dim, 6):
+            assert Q.reduce(v) == S.reduce(v)
+        more = _random_rows(rng, 2, dim, 2)
+        assert Q.extended(more).space.basis() == S.extended(more).basis()
+        assert Q.space.independent(more) == S.independent(more)
+    shared = (1 << dim) - 1
+    with pytest.raises(ValueError):
+        fp.QuotientContext.direct_sum(dim, [[1], [shared]])
+
+
 def test_import_leaves_numpy_out():
     # a fresh interpreter, so that imports made by other tests cannot mask it
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

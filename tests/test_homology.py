@@ -36,7 +36,7 @@ def test_hc1_field_vanishes():
 
 
 def test_dimension_guard():
-    A = H.group_algebra(G.abelian_group([6, 6]), 2)     # dimension 36 > 32
+    A = H.group_algebra(G.abelian_group([8, 9]), 2)     # dimension 72 > 64
     with pytest.raises(AlgebraError):
         H.homology(A, "H1")
 
@@ -404,17 +404,25 @@ def _boundary_reference(A, k, chain):
     return out
 
 
+def _dense_row(A, row, ncols):
+    """A relation row, packed (F_2) or sparse, as a coefficient tuple."""
+    if A.p == 2:
+        assert type(row) is int
+        return tuple(row >> col & 1 for col in range(ncols))
+    return tuple(row.get(col, 0) % A.p for col in range(ncols))
+
+
 def test_boundary_and_b2_rows_match_dense_reference():
     from arfkit.homology.chains import _b2_rows
     rng = random.Random(47)
     for A in _pinned_algebras().values():
         d = A.dim
         rows = _b2_rows(A)
-        triples = [(i, j, k) for i in range(d) for j in range(d) for k in range(d)]
+        triples = [(i, s, k) for i in range(d) for s in A.middles for k in range(d)]
         assert len(rows) == len(triples)
         for row, key in zip(rows, triples):
             dense = H.flatten(A, 2, _boundary_reference(A, 3, {key: 1}))
-            assert tuple(row.get(col, 0) % A.p for col in range(d * d)) == dense
+            assert _dense_row(A, row, d * d) == dense
         for k in (2, 3, 4):
             for _ in range(20):
                 chain = {tuple(rng.randrange(d) for _ in range(k)): rng.randrange(1, A.p + 1)
@@ -422,7 +430,13 @@ def test_boundary_and_b2_rows_match_dense_reference():
                 assert H.boundary(A, k, chain) == _boundary_reference(A, k, chain)
 
 
-def test_planted_axiom_failures_still_raise():
+# a Latin square with identity 0 and two-sided inverses that is not
+# associative: (1*1)*2 = 2 but 1*(1*2) = 1*3 = 4
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+def test_planted_axiom_failures_still_raise(monkeypatch):
     base = H.group_algebra(G.cyclic_group(3), 2).to_json()
     # e1 e1 = e2, e1 e2 = 0, e2 e1 = e1, e2 e2 = 0: (e1 e1) e1 = e1 but e1 (e1 e1) = 0
     e = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -441,3 +455,82 @@ def test_planted_axiom_failures_still_raise():
                                                  for i in range(6)]))
     with pytest.raises(AlgebraError, match="unit law fails"):
         H.algebra_from_json(dict(base, unit=[0, 1, 0]))
+    # an algebra from JSON checks every middle.  Here e1 e1 = e1 e2 = e2 e1
+    # = 0 and e2 e2 = 1: (e2 e2) e1 = e1 but e2 (e2 e1) = 0.  Only the middle
+    # e2 fails, and products of 1 and e1 never reach e2, so a check on the
+    # middles 1, e1 alone passes.
+    assert list(H.algebra_from_json(base).middles) == [0, 1, 2]
+    only_e2 = [[e[0], e[1], e[2]], [e[1], z, z], [e[2], z, e[0]]]
+    with pytest.raises(AlgebraError, match="associativity fails"):
+        H.algebra_from_json(dict(base, involution=None, mult=only_e2))
+    A = H.FiniteAlgebra(2, ["1", "a", "b"], [[enumerate(v) for v in row] for row in only_e2],
+                        [1, 0, 0], check=False)
+    A.middles = (0, 1)
+    A._validate()
+    # a group algebra checks the middles 1 and generating_set(G) only; a
+    # non-associative table that got past its group's own check still fails
+    # there
+    from arfkit.groups.structure import generating_set
+    with pytest.raises(G.GroupError, match="not associative"):
+        G.FiniteTableGroup(list("eabcd"), LOOP5)
+
+    def identity_and_inverses_only(self):
+        self._identity = 0
+        self._inv = [row.index(0) for row in self.table]
+
+    monkeypatch.setattr(G.FiniteTableGroup, "_validate", identity_and_inverses_only)
+    loop = G.FiniteTableGroup(list("eabcd"), LOOP5)
+    assert len(generating_set(loop)) == 2       # 3 middles of 5
+    with pytest.raises(AlgebraError, match="associativity fails"):
+        H.group_algebra(loop, 2)
+
+
+# -- boundary rows and the associativity check on generator middles --------
+
+
+def _all_middles(A):
+    """A fresh copy of A (nothing memoized) whose middles are every basis
+    index: all d^3 rows b(e_i (x) e_j (x) e_k), the reference."""
+    return H.FiniteAlgebra(A.p, A.labels, A.mult, A.unit, A.involution,
+                           name=A.name, check=False)
+
+
+def _relation_bases(A):
+    """basis() of the H1, HC1 and HQ1 contexts and, over F_2, of the
+    Coker(1 + vartheta) context, each with its basis of cycle classes."""
+    out = [(s.context.space.basis(), s.basis)
+           for s in (H.space(A, k) for k in ("H1", "HC1", "HQ1"))]
+    if A.p == 2:
+        cok = H.coker_one_plus_vartheta(A)
+        out.append((cok.context.space.basis(), cok.basis))
+    return out
+
+
+def test_generator_middles_match_all_middles():
+    groups = G.groups_upto(16) + [
+        G.cyclic_group(18), G.dihedral_group(10), G.symmetric_group(4),
+        G.builtin_group("ch1-order24"),
+        G.direct_product(G.alternating_group_4(), G.cyclic_group(2)), G.cyclic_group(32)]
+    algebras = [H.group_algebra(Gx, 2) for Gx in groups]
+    assert all(len(A.middles) < A.dim for A in algebras if A.dim > 2)
+    M = H.matrix_algebra(H.group_algebra(G.cyclic_group(2), 2), 2)
+    assert list(M.middles) == list(range(M.dim))
+    for A in algebras + [M, H.group_algebra(G.cyclic_group(3), 3)]:
+        assert _relation_bases(A) == _relation_bases(_all_middles(A)), A.name
+
+
+def test_dropping_a_generator_middle_changes_a_dimension():
+    """Planted fault: without its last generator middle, the boundary rows of
+    each group algebra below no longer span b(T_3), and H1 or HQ1 changes
+    dimension.  Dropping the middle 1 alone is no fault to plant: in a
+    finite group 1 is a product of generators (a power of one), so its rows
+    lie in the span of the others, and on the groups of
+    test_generator_middles_match_all_middles no dimension changed.  (C1 is
+    the exception: its only middle is 1, the empty word.)"""
+    for Gx in [G.symmetric_group(3), G.metacyclic_group(4, 2, 3, 2, name="Q8"),
+               G.dihedral_group(4), G.abelian_group([4, 2]), G.abelian_group([3, 3])]:
+        A = H.group_algebra(Gx, 2)
+        cut = H.group_algebra(Gx, 2)
+        cut.middles = A.middles[:-1]
+        dims = [(H.space(B, "H1").dim, H.space(B, "HQ1").dim) for B in (A, cut)]
+        assert dims[0] != dims[1], Gx.name

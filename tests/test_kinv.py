@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -164,6 +165,38 @@ def test_unit_class_hash_follows_group_equality():
     assert len(set(values)) == len({kinv.omega(arf.ArfExpression(arf.GROUP, order24, [(g, h)]))
                                      for g in invs for h in invs}) == 2
     assert len({hash(v) for v in values}) == 2
+
+
+def test_unit_class_group_data_is_built_once(monkeypatch):
+    # the group rewrites of the rewrite-battery workload (seed 1): eq and
+    # hash of their omega1 values are those of class data built afresh, as
+    # before, and each value builds its class data once
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    values = {}
+    for kind, name, data in workloads.RewriteBattery(1).plan:
+        if kind == "group-rewrite":
+            Gx = values[name][0].Rn.base.G if name in values else G.builtin_group(name)
+            pairs, rel, idx, params = data
+            e = arf.ArfExpression(arf.GROUP, Gx, pairs)
+            e2 = arf.apply_step(e, arf.DerivationStep(rel, idx, params))
+            values.setdefault(name, []).extend([kinv.omega1(e), kinv.omega1(e2)])
+    # the class data as every eq and hash used to build it
+    fresh = {id(u): kinv.KGClass(u.Rn.base.G, list(u.rep[2]))
+             for vals in values.values() for u in vals}
+    built = []
+    init = kinv.KGClass.__init__
+    monkeypatch.setattr(kinv.KGClass, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    outcomes = set()
+    for vals in values.values():
+        for i, u in enumerate(vals):
+            assert hash(u) == hash(fresh[id(u)])
+            for v in vals[max(0, i - 12):i + 1]:
+                assert (u == v) == (fresh[id(u)] == fresh[id(v)]) == (v == u)
+                outcomes.add(u == v)
+    assert outcomes == {True, False}
+    assert len(built) == len(fresh)
 
 
 @pytest.fixture(scope="module")
