@@ -302,33 +302,42 @@ def scenario_cmd(name, list_all, as_json):
 
 
 def run_scenario(data):
-    G = load_group(data["group"]) if "group" in data else None
+    """The results of a scenario's checks; malformed data raises an
+    ArfkitError naming what is wrong."""
+    G = load_group(need(data, "group", ArfkitError, "scenario", str))
     results = []
-    for check in data["checks"]:
-        kind = check["kind"]
-        handler = _CHECKS[kind]
-        ok, label = handler(G, check)
+    for check in need(data, "checks", ArfkitError, "scenario", list):
+        kind = need(check, "kind", ArfkitError, "scenario check", str)
+        if kind not in _CHECKS:
+            raise ArfkitError(f"unknown scenario check kind {kind!r}; known kinds: "
+                              + ", ".join(sorted(_CHECKS)))
+        ok, label = _CHECKS[kind](G, check)
         results.append({"ok": bool(ok), "label": label,
                         "provenance": check.get("provenance", "")})
     return results
 
 
+def _field(obj, key, kind=object, what=None):
+    """obj[key] of a scenario check (or of its part `what`)."""
+    return need(obj, key, ArfkitError, what or f"{obj.get('kind')} check", kind)
+
+
 def _check_classes(G, check):
     cls = gcl.cl_classes(G, window=check.get("window"))
     got = [c.label() for c in cls]
-    return got == check["expect"], f"cl(G) = {', '.join(got)}"
+    return got == _field(check, "expect", list), f"cl(G) = {', '.join(got)}"
 
 
 def _check_omega(G, check):
-    e = arf.parse_expression(arf.GROUP, G, check["expr"])
-    val = kinv.omega(e)
-    expect = kinv.omega(arf.parse_expression(arf.GROUP, G, check["expect"]))
-    return val == expect, f"omega({check['expr']}) = {val.display()}"
+    expr = _field(check, "expr", str)
+    val = kinv.omega(arf.parse_expression(arf.GROUP, G, expr))
+    expect = kinv.omega(arf.parse_expression(arf.GROUP, G, _field(check, "expect", str)))
+    return val == expect, f"omega({expr}) = {val.display()}"
 
 
 def _check_omega_basis(G, check):
     vals = [kinv.omega(arf.parse_expression(arf.GROUP, G, t))
-            for t in check["exprs"]]
+            for t in _field(check, "exprs", list)]
     distinct = all(not (vals[i] == vals[j])
                    for i in range(len(vals)) for j in range(i + 1, len(vals)))
     nonzero = all(not v.is_zero() for v in vals)
@@ -341,27 +350,28 @@ def _check_derivation(G, check):
 
 
 def _check_distinguish(G, check):
-    e1 = arf.parse_expression(arf.GROUP, G, check["expr1"])
-    e2 = arf.parse_expression(arf.GROUP, G, check["expr2"])
+    e1 = arf.parse_expression(arf.GROUP, G, _field(check, "expr1", str))
+    e2 = arf.parse_expression(arf.GROUP, G, _field(check, "expr2", str))
     r = ups.upsilon_distinguish(e1, e2)
-    want = check["expect"]
+    want = _field(check, "expect", str)
     ok = r.verdict == want or (want == "SameImage" and r.same_image)
     return ok, f"distinguish -> {r.verdict}"
 
 
 def _check_upsilon(G, check):
-    e = arf.parse_expression(arf.GROUP, G, check["expr"])
-    val = ups.upsilon_eval(e)
+    expr = _field(check, "expr", str)
+    val = ups.upsilon_eval(arf.parse_expression(arf.GROUP, G, expr))
+    label = f"Upsilon({expr}) = {val.display()}"
     if check.get("expect") == "zero":
-        return val.is_zero(), f"Upsilon({check['expr']}) = {val.display()}"
+        return val.is_zero(), label
     if "expect_pair" in check:
-        z = G.parse_element(check["expect_pair"]["class_of"])
+        pair = _field(check, "expect_pair", dict)
+        z = G.parse_element(_field(pair, "class_of", str, "expect_pair"))
         want = ups.JValue(G)
-        h = check["expect_pair"].get("element")
-        want.add_insert(z, G.parse_element(h) if h else None,
-                        check["expect_pair"].get("tbit", 0))
-        return val == want, f"Upsilon({check['expr']}) = {val.display()}"
-    return not val.is_zero(), f"Upsilon({check['expr']}) = {val.display()}"
+        h = pair.get("element")
+        want.add_insert(z, G.parse_element(h) if h else None, pair.get("tbit", 0))
+        return val == want, label
+    return not val.is_zero(), label
 
 
 def _check_upsilon_table(G, check):
@@ -370,23 +380,29 @@ def _check_upsilon_table(G, check):
     rng = range(-check.get("range", 3), check.get("range", 3) + 1)
 
     def element(pattern, i, j):
-        (ax, bx, cx), (ay, by, cy), s = pattern
-        return ((ax * i + bx * j + cx, ay * i + by * j + cy), s)
+        try:
+            (ax, bx, cx), (ay, by, cy), s = pattern
+            return ((ax * i + bx * j + cx, ay * i + by * j + cy), s)
+        except (TypeError, ValueError):
+            raise ArfkitError(f"upsilon-table pattern {pattern!r} is not "
+                              "[[ci, cj, c0], [ci, cj, c0], s]") from None
 
     ok = True
     n = 0
+    families = _field(check, "families", list)
     for i in rng:
         for j in rng:
-            for fam in check["families"]:
-                g = element(fam["g"], i, j)
-                h = element(fam["h"], i, j)
+            for fam in families:
+                g = element(_field(fam, "g", list, "upsilon-table family"), i, j)
+                h = element(_field(fam, "h", list, "upsilon-table family"), i, j)
                 val = ups.upsilon_eval(arf.ArfExpression(arf.GROUP, G, [(g, h)]))
                 want = ups.JValue(G)
                 z = G.mul(g, h)
                 if fam.get("t"):
                     want.add_insert(z, None, 1)
                 else:
-                    want.add_insert(z, element(fam["image"], i, j))
+                    want.add_insert(z, element(_field(fam, "image", list,
+                                                      "upsilon-table family"), i, j))
                 if not (val == want) or val.is_zero():
                     ok = False
                 n += 1
@@ -394,26 +410,28 @@ def _check_upsilon_table(G, check):
 
 
 def _check_lc_dim(G, check):
-    lc = ups.l_of_class(G, G.parse_element(check["class_of"]))
-    return lc.dim == check["dim"], f"dim L([{check['class_of']}]) = {lc.dim}"
+    class_of = _field(check, "class_of", str)
+    lc = ups.l_of_class(G, G.parse_element(class_of))
+    return lc.dim == _field(check, "dim", int), f"dim L([{class_of}]) = {lc.dim}"
 
 
 def _check_decide(G, check):
-    ring = ring_by_name(check["ring"])
-    e = arf.parse_expression(arf.GROUP, G, check["expr"]) if G else None
+    ring_by_name(_field(check, "ring", str))
+    e = arf.parse_expression(arf.GROUP, G, _field(check, "expr", str))
     _, q = k2diff.plane_group_invariant(e)
     verdict = "Zero" if q.is_zero() else "NonZero"
-    return verdict == check["expect"], f"Omega-part of psi image: {verdict}"
+    return verdict == _field(check, "expect", str), f"Omega-part of psi image: {verdict}"
 
 
 def _check_homology_upsilon(G, check):
     A = halg.group_algebra(G, 2)
     cok = hops.coker_one_plus_vartheta(A)
-    g = G.parse_element(check["element"])
+    element = _field(check, "element", str)
+    g = G.parse_element(element)
     idx = G.elements().index(g)
     v = cok.upsilon_pair(A.basis_vec(idx), A.basis_vec(idx))
-    ok = any(v) == (check["expect"] == "nonzero")
-    return ok, f"homology Upsilon(<{check['element']},{check['element']}>) " \
+    ok = any(v) == (_field(check, "expect", str) == "nonzero")
+    return ok, f"homology Upsilon(<{element},{element}>) " \
                f"{'non' if any(v) else ''}zero"
 
 

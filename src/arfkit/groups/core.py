@@ -448,6 +448,22 @@ class _PullbackBase(Group):
         if self.hom[self.E.identity] != self._hom_identity():
             raise GroupError("hom does not fix the identity")
 
+    def _lift(self, e, i):
+        """The pair over e with T-exponent i; it is an element when i is
+        congruent mod m to the T-exponent of hom(e)."""
+        raise NotImplementedError
+
+    def window_elements(self, bound):
+        """The elements with T-exponent in [-bound, bound], in key order.
+        Over each e these exponents step by m from the least one that fits."""
+        out = []
+        for e in self.E.elements():
+            base = next(i for i in range(self.m) if self.check_membership(self._lift(e, i)))
+            first = (base + bound) % self.m - bound
+            out += [self._lift(e, i) for i in range(first, bound + 1, self.m)]
+        out.sort(key=self.key)
+        return out
+
     def generators(self):
         return {nm: self.parse_element_raw(raw) for nm, raw in self._gen_words.items()}
 
@@ -489,17 +505,8 @@ class PullbackCyclicGroup(_PullbackBase):
             return None
         return self.E.order_of(g[1])
 
-    def window_elements(self, bound):
-        out = []
-        for e in self.E.elements():
-            base = self.hom[e]
-            i = base - self.m * ((base + bound) // self.m)
-            while i <= bound:
-                if abs(i) <= bound:
-                    out.append((i, e))
-                i += self.m
-        out.sort(key=self.key)
-        return out
+    def _lift(self, e, i):
+        return (i, e)
 
     def key(self, g):
         return (g[0], g[1])
@@ -572,17 +579,8 @@ class PullbackDihedralGroup(_PullbackBase):
         k = self.order_of(sq)
         return None if k is None else 2 * k
 
-    def window_elements(self, bound):
-        out = []
-        for e in self.E.elements():
-            eps, base = self.hom[e]
-            i = base - self.m * ((base + bound) // self.m)
-            while i <= bound:
-                if abs(i) <= bound:
-                    out.append(((eps, i), e))
-                i += self.m
-        out.sort(key=self.key)
-        return out
+    def _lift(self, e, i):
+        return ((self.hom[e][0], i), e)
 
     def key(self, g):
         (eps, i), e = g

@@ -173,20 +173,17 @@ class SharpSpace:
 
     `elements[i]` is the group element of coordinate i: `coord` sends it
     to the i-th unit vector.  `coord(g)` maps a group element of K to its
-    vector.  Quotients by extra subspaces are built downstream.
+    vector, a tuple.  Quotients by extra subspaces are built downstream.
     """
 
     def __init__(self, rows, coord, elements):
         self.dim = len(elements)
         self.context = fp.QuotientContext(self.dim, 2, rows)
-        self._coord = coord
+        self.coord = coord
         self.elements = elements
 
-    def coord(self, g):
-        return self._coord(g)
-
     def reduce(self, g):
-        return self.context.reduce(self._coord(g))
+        return self.context.reduce(self.coord(g))
 
     @property
     def quotient_dim(self):

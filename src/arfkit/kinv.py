@@ -65,12 +65,15 @@ class KGClass:
 
 
 # ---------------------------------------------------------------------------
-# C(R) for commutative rings: monomial-orbit and finite backends
+# C(R) for commutative rings: monomial-orbit and finite backends.  Each
+# backend reduces a ring element to canonical data and answers `is_zero` and
+# `show` on that data, so CRClass never looks inside it.
 
 
 class COrbitContext:
     """R/kappa(R) for sparse polynomial rings: coefficients mod 2, monomial
-    orbits under m ~ m^2 (~ m^-1 when the involution inverts)."""
+    orbits under m ~ m^2 (~ m^-1 when the involution inverts).  A value is
+    the frozenset of its canonical monomials."""
 
     def __init__(self, ring: PolyRing):
         self.ring = ring
@@ -90,6 +93,14 @@ class COrbitContext:
             r = self.canonical_monomial(e)
             cnt[r] = (cnt.get(r, 0) + c) % 2
         return frozenset(e for e, c in cnt.items() if c)
+
+    @staticmethod
+    def is_zero(value):
+        return not value
+
+    def show(self, value):
+        mk = self.ring.monomial
+        return " + ".join(f"[{self.ring.format(mk(e))}]" for e in sorted(value))
 
     def kappa_witness(self, z):
         """(x, y) with z = x + alpha(x) + y + y^2 modulo 2R, or None.
@@ -123,7 +134,8 @@ class COrbitContext:
 
 
 class CFiniteContext:
-    """C(R) for a finite commutative ring with an enumerable additive basis."""
+    """C(R) for a finite commutative ring with an enumerable additive basis.
+    A value is a reduced coordinate vector over that basis."""
 
     def __init__(self, ring):
         self.ring = ring
@@ -144,6 +156,13 @@ class CFiniteContext:
 
     def reduce(self, x):
         return self.context.reduce(self.to_coords(x))
+
+    @staticmethod
+    def is_zero(value):
+        return not any(value)
+
+    def show(self, value):
+        return "[" + self.ring.format(self.from_coords(value)) + "]"
 
     def kappa_witness(self, z):
         cols = [list(v) for (_, _, v) in self._witness_cols]
@@ -207,9 +226,7 @@ class CRClass:
         self.value = value
 
     def is_zero(self):
-        if isinstance(self.value, frozenset):
-            return not self.value
-        return all(c == 0 for c in self.value)
+        return self.context.is_zero(self.value)
 
     def __eq__(self, other):
         return (isinstance(other, CRClass) and self.context.ring is other.context.ring
@@ -219,16 +236,7 @@ class CRClass:
         return hash(self.value)
 
     def display(self):
-        ctx = self.context
-        if isinstance(self.value, frozenset):
-            if not self.value:
-                return "0"
-            mk = ctx.ring.monomial
-            return " + ".join(f"[{ctx.ring.format(mk(e))}]"
-                              for e in sorted(self.value))
-        if self.is_zero():
-            return "0"
-        return "[" + ctx.ring.format(ctx.from_coords(self.value)) + "]"
+        return "0" if self.is_zero() else self.context.show(self.value)
 
 
 def cr_reduce(ring, x):

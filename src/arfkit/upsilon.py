@@ -6,6 +6,12 @@ with an extra order-two marker in the self-inverse case.  J(G) is the
 colimit of the F(z) along conjugation, squaring and inversion; Upsilon
 sends a pair <g,h> to [1,t] or [h] in the summand of the class of gh.
 
+Every summand backend speaks one protocol, and JValue calls nothing else:
+`insert_entry(G, z, h, tbit)` is the payload of the generator [h] (with
+t-bit) of F(z), `combine(a, b)` adds two payloads, `resolve(payload)` is the
+canonical value of a payload (None when it is zero) and `show(G, value)`
+prints a resolved value.
+
 Finite groups build each L(c) as one exact quotient.  The lattice products
 use closed forms; the two-ends pull-backs walk the squaring chain of a
 class until it cycles (finite-order tail, quotient by the loop map) or the
@@ -58,12 +64,12 @@ class FzData:
         self.context = fp.QuotientContext(self.dim, 2, rows)
 
     def coord(self, h, tbit=0):
-        v = list(self.sharp.coord(h))
+        v = self.sharp.coord(h)
         if self.has_t:
-            v.append(tbit % 2)
-        elif tbit:
+            return v + (tbit % 2,)
+        if tbit:
             raise ArfError("no t coordinate on this summand")
-        return tuple(v)
+        return v
 
     def zero_with_t(self):
         if not self.has_t:
@@ -101,7 +107,22 @@ def _conj_matrix(G, src: FzData, dst: FzData, x):
 # L(c) backends
 
 
-class FiniteLc:
+class _ReducedLc:
+    """Shared protocol of the finite and lattice backends: a payload is a
+    vector reduced modulo `self.context`, so it is already canonical."""
+
+    @property
+    def dim(self):
+        return self.context.quotient_dim
+
+    combine = staticmethod(fp.add_vec)
+
+    @staticmethod
+    def resolve(vec):
+        return vec if any(vec) else None
+
+
+class FiniteLc(_ReducedLc):
     """L(c) for a finite group: the direct sum of the F(z), z in c, modulo
     all conjugation, squaring and inversion arrows."""
 
@@ -140,53 +161,38 @@ class FiniteLc:
     def _ins(self, z, vec):
         out = [0] * self.ambient
         off = self.offset[z]
-        for i, c in enumerate(vec):
-            out[off + i] = c
+        out[off:off + len(vec)] = vec
         return tuple(out)
 
-    @property
-    def dim(self):
-        return self.context.quotient_dim
+    def insert_entry(self, G, z, h, tbit=0):
+        return self.context.reduce(self._ins(z, self.fz[z].coord(h, tbit)))
 
-    def insert(self, z, vec):
-        return self.context.reduce(self._ins(z, vec))
-
-    def insert_element(self, z, h, tbit=0):
-        return self.insert(z, self.fz[z].coord(h, tbit))
-
-    def zero(self):
-        return fp.zeros(self.ambient)
+    def show(self, G, vec):
+        return _vec_str(vec)
 
 
-class SemidirectLc:
+class SemidirectLc(_ReducedLc):
     """Closed-form L(c) for Z^n x| C2 (cross-validated by windows):
     L([1]) = C2; L([v]) = F_2{x_1..x_n, S}/<v mod 2> with identity arrows."""
 
     def __init__(self, G, key):
         self.key = key
-        n = G.rank
         if key == ("one",):
-            self.ambient = 1
             self.context = fp.QuotientContext(1, 2, [])
         else:
-            v = key[1]
-            self.ambient = n + 1
-            row = tuple(x % 2 for x in v) + (0,)
-            self.context = fp.QuotientContext(n + 1, 2, [row])
+            row = tuple(x % 2 for x in key[1]) + (0,)
+            self.context = fp.QuotientContext(G.rank + 1, 2, [row])
 
-    @property
-    def dim(self):
-        return self.context.quotient_dim
-
-    def insert_element(self, z, h, tbit=0):
+    def insert_entry(self, G, z, h, tbit=0):
         if self.key == ("one",):
             # F(z) for type-1 z has trivial sharp part; only t survives
             return (tbit % 2,)
         v, s = h
         return self.context.reduce(tuple(x % 2 for x in v) + (s % 2,))
 
-    def zero(self):
-        return fp.zeros(self.ambient)
+    def show(self, G, vec):
+        names = ["t"] if self.key == ("one",) else list(G.var_names) + ["S"]
+        return "+".join(n for n, c in zip(names, vec) if c)
 
 
 class PullbackLc:
@@ -199,7 +205,8 @@ class PullbackLc:
     (all data is periodic in the exponent), so the colimit is the stable F
     and values are compared by pushing to a common chain position.
 
-    Values carry their chain position; `resolve` combines raw entries."""
+    A payload is a list of raw (chain position, vector) entries; `resolve`
+    pushes them to a common position and reduces there."""
 
     MAX_CHAIN = 64
 
@@ -281,7 +288,7 @@ class PullbackLc:
         self.zs.append(z_next)
 
     def insert_entry(self, G, z, h, tbit=0):
-        """Raw (position, vector) of the image of an F(z)-generator."""
+        """The one raw (position, vector) entry of an F(z)-generator."""
         vec = fz_data(G, z).coord(h, tbit)
         hit = self._transport.get(z)
         if hit is None:
@@ -289,7 +296,7 @@ class PullbackLc:
                 hit = self._transport.get(z) or self._transport.setdefault(
                     z, self._walk(G, z))
         pos, cols = hit
-        return (pos, _apply_matrix(cols, vec))
+        return [(pos, _apply_matrix(cols, vec))]
 
     def _walk(self, G, z):
         """(position, columns) of the arrow F(z) -> F(chain[position]), built
@@ -321,11 +328,14 @@ class PullbackLc:
             pos = self.stable
         return (pos, _compose(src.dim, steps))
 
+    @staticmethod
+    def combine(entries, more):
+        return entries + more
+
     def resolve(self, entries):
-        """Combine raw entries into a canonical reduced vector (appending
-        a position marker when the colimit is read off a deep position)."""
-        if not entries:
-            return ("empty",)
+        """("at", position, reduced vector) of the sum of the entries, or
+        None when it is zero.  The position is the stable point of a cyclic
+        chain, else the deepest entry's."""
         top = max(pos for pos, _ in entries)
         acc = fp.zeros(self.chain[top].dim)
         for pos, vec in entries:
@@ -335,11 +345,11 @@ class PullbackLc:
             acc = fp.add_vec(acc, vec)
         red = self._context_at(top).reduce(acc)
         if not any(red):
-            return ("zero",)
+            return None
         return ("at", top if not self.cyclic else self.stable, red)
 
-    def zero(self):
-        return fp.zeros(self.chain[self.stable].dim)
+    def show(self, G, value):
+        return _vec_str(value[2])
 
 
 def _compose(dim, steps):
@@ -380,97 +390,60 @@ def l_of_class(G, z):
 
 
 class JValue:
-    """An element of J(G) = sum over classes of L(c).
-
-    The finite and lattice backends hold one reduced vector per class; the
-    two-ends backend accumulates raw (position, vector) entries which are
-    resolved jointly (pushed to a common chain position) on comparison."""
+    """An element of J(G) = sum over classes of L(c): for each summand met,
+    the class witness inserted first and the summand's payload."""
 
     def __init__(self, G):
         self.G = G
-        self.parts = []   # list of [lc, class witness z, payload]
+        self.parts = {}   # lc -> [class witness z, payload]
 
     def add_insert(self, z, h=None, tbit=0):
+        """Add the generator [h] (h = 1 when None) with t-bit of F(z)."""
         lc = l_of_class(self.G, z)
-        if isinstance(lc, PullbackLc):
-            if h is None:
-                h = self.G.identity
-            entry = lc.insert_entry(self.G, z, h, tbit)
-            self._accumulate(lc, z, [entry])
-            return
-        if h is None:
-            if isinstance(lc, FiniteLc):
-                vec = lc.insert(z, lc.fz[z].zero_with_t())
-            else:
-                vec = lc.insert_element(z, self.G.identity, tbit)
-        else:
-            vec = lc.insert_element(z, h, tbit)
-        self._accumulate(lc, z, vec)
+        h = self.G.identity if h is None else h
+        self._accumulate(lc, z, lc.insert_entry(self.G, z, h, tbit))
 
     def _accumulate(self, lc, z, payload):
-        for part in self.parts:
-            if part[0] is lc:
-                if isinstance(lc, PullbackLc):
-                    part[2] = part[2] + payload
-                else:
-                    part[2] = fp.add_vec(part[2], payload)
-                return
-        self.parts.append([lc, z, list(payload) if isinstance(lc, PullbackLc)
-                           else payload])
+        part = self.parts.get(lc)
+        if part is None:
+            self.parts[lc] = [z, payload]
+        else:
+            part[1] = lc.combine(part[1], payload)
 
     def __add__(self, other):
         out = JValue(self.G)
-        out.parts = [[lc, z, (list(p) if isinstance(lc, PullbackLc) else p)]
-                     for lc, z, p in self.parts]
-        for lc, z, p in other.parts:
+        out.parts = {lc: list(part) for lc, part in self.parts.items()}
+        for lc, (z, p) in other.parts.items():
             out._accumulate(lc, z, p)
         return out
 
-    def _resolved(self):
+    def nonzero_parts(self):
+        """(lc, class witness, resolved value) of each nonzero summand."""
         out = []
-        for lc, z, p in self.parts:
-            if isinstance(lc, PullbackLc):
-                r = lc.resolve(p)
-                if r != ("empty",) and r != ("zero",):
-                    out.append((lc, z, r))
-            elif any(p):
-                out.append((lc, z, p))
+        for lc, (z, p) in self.parts.items():
+            value = lc.resolve(p)
+            if value is not None:
+                out.append((lc, z, value))
         return out
 
     def is_zero(self):
-        return not self._resolved()
+        return not self.nonzero_parts()
 
     def __eq__(self, other):
         return isinstance(other, JValue) and (self + other).is_zero()
 
-    def nonzero_parts(self):
-        return self._resolved()
-
     def display(self):
-        parts = self._resolved()
+        parts = self.nonzero_parts()
         if not parts:
             return "0"
         out = []
-        for lc, z, vec in sorted(parts, key=lambda p: self.G.key(p[1])):
+        for lc, z, value in sorted(parts, key=lambda p: self.G.key(p[1])):
             rep = gcl.class_rep_element(self.G, z)
-            out.append(f"L([{self.G.format_element(rep)}]): "
-                       f"{_coords_str(self.G, lc, vec)}")
+            out.append(f"L([{self.G.format_element(rep)}]): {lc.show(self.G, value)}")
         return "; ".join(out)
 
 
-def _coords_str(G, lc, vec):
-    if isinstance(lc, SemidirectLc):
-        if lc.key == ("one",):
-            return "t" if vec[0] else "0"
-        names = list(G.var_names) + ["S"]
-        terms = [names[i] for i, c in enumerate(vec) if c]
-        return "+".join(terms) if terms else "0"
-    return _vec_str(vec)
-
-
 def _vec_str(vec):
-    if isinstance(vec, tuple) and vec and vec[0] == "at":
-        return "(" + ",".join(str(c) for c in vec[2]) + ")"
     return "(" + ",".join(str(c) for c in vec) + ")"
 
 

@@ -105,9 +105,9 @@ def test_ac04_upsilon_table():
     # the expected generator quotients: L([Y]) kills exactly <Y>
     lcY = ups.l_of_class(P, P.parse_element("Y"))
     zY = P.parse_element("Y")
-    assert all(c == 0 for c in lcY.insert_element(zY, ((0, 1), 0)))
-    assert any(lcY.insert_element(zY, ((1, 0), 0)))
-    assert any(lcY.insert_element(zY, S))
+    assert all(c == 0 for c in lcY.insert_entry(P, zY, ((0, 1), 0)))
+    assert any(lcY.insert_entry(P, zY, ((1, 0), 0)))
+    assert any(lcY.insert_entry(P, zY, S))
     _report("AC4 Ch IV example table (|i|,|j| <= 3)", t0)
 
 

@@ -1,11 +1,14 @@
+import copy
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
 
 import arfkit.groups as G
 import arfkit.homology.morita as hmor
-from arfkit.cli import main, scenario_names
+from arfkit import ArfkitError
+from arfkit.cli import load_scenario, main, run_scenario, scenario_names
 
 
 @pytest.fixture()
@@ -101,6 +104,43 @@ def test_scenarios_all_pass(runner):
         r = runner.invoke(main, ["scenario", name])
         assert r.exit_code == 0, (name, r.output)
         assert r.output.strip().endswith("PASS")
+
+
+
+def _planted(name, edit):
+    data = copy.deepcopy(load_scenario(name))
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: {}, "scenario lacks 'group'"),
+    (lambda: {"group": "builtin:c2"}, "scenario lacks 'checks'"),
+    (lambda: {"group": "builtin:c2", "checks": 5}, "scenario: 'checks' is int, not list"),
+    (lambda: [], "scenario is not a JSON object"),
+    (lambda: _planted("hq1-c2-upsilon", lambda d: d["checks"].append(5)),
+     "scenario check is not a JSON object"),
+    (lambda: _planted("hq1-c2-upsilon", lambda d: d["checks"][0].update(kind="nope")),
+     "unknown scenario check kind 'nope'"),
+    (lambda: _planted("hq1-c2-upsilon", lambda d: d["checks"][0].pop("kind")),
+     "scenario check lacks 'kind'"),
+    (lambda: _planted("ch4-upsilon-table", lambda d: d["checks"][2].pop("class_of")),
+     "lc-dim check lacks 'class_of'"),
+    (lambda: _planted("ch4-upsilon-table", lambda d: d["checks"][2].update(dim="2")),
+     "lc-dim check: 'dim' is str, not int"),
+    (lambda: _planted("ch4-upsilon-table", lambda d: d["checks"][0]["expect_pair"].clear()),
+     "expect_pair lacks 'class_of'"),
+    (lambda: _planted("ch4-upsilon-table", lambda d: d["checks"][1]["families"][0].pop("h")),
+     "upsilon-table family lacks 'h'"),
+    (lambda: _planted("ch4-upsilon-table",
+                      lambda d: d["checks"][1]["families"][0].update(g=[1, 2])),
+     "upsilon-table pattern [1, 2] is not"),
+    (lambda: _planted("ch2-sec5-distinct", lambda d: d["checks"][1].pop("expr2")),
+     "distinguish check lacks 'expr2'"),
+])
+def test_run_scenario_rejects_malformed_data(make, message):
+    with pytest.raises(ArfkitError, match=re.escape(message)):
+        run_scenario(make())
 
 
 def test_scenario_json_deterministic(runner):

@@ -330,6 +330,23 @@ def _two_ends_groups():
     return [Gx for Gx in builtins if Gx.is_two_ends] + [PC]
 
 
+
+def test_pullback_window_is_every_member_in_key_order():
+    # reference: every candidate over e with |T-exponent| <= bound that
+    # satisfies the pull-back condition, sorted by key
+    for Gx in _two_ends_groups() + _more_pullbacks():
+        for bound in range(7):
+            cands = []
+            for e in Gx.E.elements():
+                for i in range(-bound, bound + 1):
+                    if Gx.family == "pullback_cyclic":
+                        cands.append((i, e))
+                    else:
+                        cands += [((0, i), e), ((1, i), e)]
+            want = sorted((g for g in cands if Gx.check_membership(g)), key=Gx.key)
+            assert Gx.window_elements(bound) == want, (Gx.name, bound)
+
+
 def _more_pullbacks():
     """Two more dihedral pull-backs (SD16 over D_1 by s-degree, D8 over
     D_2), and two whose fibre orbits of odd-order elements are not single

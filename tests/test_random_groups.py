@@ -1,0 +1,89 @@
+"""A seeded differential battery over random finite groups.
+
+Subgroups of S5 and S6 are drawn from one to three random permutations,
+and some are multiplied by C2 once or twice so that orders 16 and 32 occur.
+Each group is checked against the homology model of its value group and
+against a copy of itself with the elements relabelled at random.
+"""
+import random
+
+import arfkit.arf as arf
+import arfkit.groups as G
+import arfkit.groups.classes as gcl
+import arfkit.groups.structure as gst
+import arfkit.homology as H
+import arfkit.upsilon as ups
+
+MAX_ORDER = 32
+
+
+def _random_groups(rng, count):
+    symmetric = [G.symmetric_group(5), G.symmetric_group(6)]
+    c2 = G.cyclic_group(2)
+    out = []
+    while len(out) < count:
+        S = rng.choice(symmetric)
+        gens = rng.sample(S.elements(), rng.randint(1, 3))
+        members = sorted(gst.subgroup_closure(S, gens))
+        if len(members) > MAX_ORDER:
+            continue
+        Gx = G.table_from_mul(members, S.mul, labels=[S.format_element(g) for g in members],
+                              name=f"<{len(gens)} in S{S.n}>")
+        while 2 * Gx.order() <= MAX_ORDER and rng.random() < 0.3:
+            Gx = G.direct_product(Gx, c2, name=f"{Gx.name}xC2")
+        # a group of order 32 costs about 1 s here (one summand L(c) over
+        # all 32 elements, built twice), so the battery keeps only the first
+        if Gx.order() < MAX_ORDER or all(Hx.order() < MAX_ORDER for Hx in out):
+            out.append(Gx)
+    return out
+
+
+def _relabelled(rng, Gx):
+    """A copy of Gx with shuffled element indices, and the map into it."""
+    els = Gx.elements()
+    rng.shuffle(els)
+    copy = G.table_from_mul(els, Gx.mul, labels=[Gx.format_element(g) for g in els],
+                            name=f"relabelled {Gx.name}")
+    return copy, {g: i for i, g in enumerate(els)}
+
+
+def _random_expressions(rng, Gx, count):
+    invs = Gx.involutions()
+    return [[(rng.choice(invs), rng.choice(invs)) for _ in range(rng.randint(1, 3))]
+            for _ in range(count)]
+
+
+def _check_group(rng, Gx):
+    jdim = ups.j_group_dimension(Gx)
+    assert jdim == H.coker_one_plus_vartheta(H.group_algebra(Gx, 2)).dim, Gx.name
+    Rx, phi = _relabelled(rng, Gx)
+    parts = {frozenset(phi[g] for g in p) for p in gcl.cl_partition_finite(Gx)}
+    assert parts == set(map(frozenset, gcl.cl_partition_finite(Rx))), Gx.name
+    assert ups.j_group_dimension(Rx) == jdim, Gx.name
+
+    def both(pairs):
+        return (arf.ArfExpression(arf.GROUP, Gx, pairs),
+                arf.ArfExpression(arf.GROUP, Rx, [(phi[a], phi[b]) for a, b in pairs]))
+
+    exprs = [both(p) for p in _random_expressions(rng, Gx, 6)]
+    for e, r in exprs:
+        assert ups.upsilon_eval(e).is_zero() == ups.upsilon_eval(r).is_zero(), Gx.name
+    verdicts = set()
+    for (e1, r1), (e2, r2) in zip(exprs, exprs[1:]):
+        verdict = ups.upsilon_distinguish(e1, e2).verdict
+        assert ups.upsilon_distinguish(r1, r2).verdict == verdict, Gx.name
+        verdicts.add(verdict)
+    return verdicts
+
+
+def test_random_subgroups_agree_with_homology_and_relabelling():
+    rng = random.Random(2)
+    groups = _random_groups(rng, 60)
+    verdicts = set()
+    for Gx in groups:
+        verdicts |= _check_group(rng, Gx)
+    # the draw reaches the orders that the plain subgroup draw misses, and
+    # the verdicts compared are not all one kind
+    orders = {Gx.order() for Gx in groups}
+    assert {16, 32} <= orders
+    assert {"Distinct", "SameImage"} <= verdicts

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -141,10 +142,10 @@ def test_colimit_coherence_small():
             for z in part:
                 fz = ups.fz_data(Gx, z)
                 for g in fz.sharp.elements:
-                    base = lc.insert_element(z, g)
+                    base = lc.insert_entry(Gx, z, g)
                     for x in Gx.elements():
                         z2 = Gx.conj(z, x)
-                        assert lc.insert_element(z2, Gx.conj(g, x)) == base
+                        assert lc.insert_entry(Gx, z2, Gx.conj(g, x)) == base
 
 
 def test_eta_relations_small():
@@ -204,7 +205,7 @@ def test_pullback_insert_positions_consistent(groupB):
     z2 = groupB.mul(z, z)
     e1 = lc.insert_entry(groupB, z, h)
     e2 = lc.insert_entry(groupB, z2, h)   # arrow image of the same generator
-    assert lc.resolve([e1, e2]) == ("zero",)
+    assert lc.resolve(lc.combine(e1, e2)) is None
 
 
 def _walked_entry(Gx, lc, z, h, tbit):
@@ -260,7 +261,7 @@ def test_transport_table_matches_the_walk(make, monkeypatch):
     monkeypatch.undo()
     for (z, h, tbit), entry in entries.items():
         lc = ups.l_of_class(Gx, z)
-        assert lc.resolve([entry, _walked_entry(Gx, lc, z, h, tbit)]) == ("zero",)
+        assert lc.resolve(lc.combine(entry, [_walked_entry(Gx, lc, z, h, tbit)])) is None
 
 
 def test_pullback_lc_stable_and_cyclic(groupB):
@@ -274,8 +275,8 @@ def test_pullback_lc_stable_and_cyclic(groupB):
     assert ups.l_of_class(groupB, groupB.parse_element("Y^4")) is lc2
     h1 = groupB.parse_element("S*Y^2")
     h2 = groupB.parse_element("S*X*Y^2")
-    v1 = lc2.resolve([lc2.insert_entry(groupB, z2, h1)])
-    v2 = lc2.resolve([lc2.insert_entry(groupB, z2, h2)])
+    v1 = lc2.resolve(lc2.insert_entry(groupB, z2, h1))
+    v2 = lc2.resolve(lc2.insert_entry(groupB, z2, h2))
     assert v1 != v2     # [S] vs [S + X] stay distinct in L([Y^2])
 
 
@@ -318,3 +319,59 @@ def test_unknown_for_window_only():
     f = arf.ArfExpression(arf.GROUP, Q, [(Q.identity, Q.identity)])
     r = ups.upsilon_distinguish(f, f)
     assert r.verdict == "Unknown"
+
+
+def _value_battery():
+    """Upsilon displays, verdicts, witnesses and transcripts at a fixed query
+    order, on fresh descriptors: the catalogue up to order 16, the order-24
+    group, S4 and the five infinite built-ins."""
+    rng = random.Random(2026)
+    groups = G.groups_upto(16) + [G.group_order24(), G.symmetric_group(4)]
+    groups += [G.builtin_group(n) for n in ("ch1-c-by-d4", "ch1-c2-c-c12",
+                                            "ch2-plane", "ch4-xyz", "pb-cyclic-c4")]
+    out = []
+    for Gx in groups:
+        fmt = Gx.format_element
+        if Gx.is_finite:
+            for part in gcl.cl_partition_finite(Gx):
+                zs = sorted(part, key=Gx.key)
+                for z in dict.fromkeys((zs[0], zs[-1])):
+                    fz = ups.fz_data(Gx, z)
+                    singles = []
+                    for h in fz.sharp.elements:
+                        v = ups.JValue(Gx)
+                        v.add_insert(z, h)
+                        singles.append(v)
+                    if fz.has_t:
+                        v = ups.JValue(Gx)
+                        v.add_insert(z, None, 1)
+                        singles.append(v)
+                    total = ups.JValue(Gx)
+                    for v in singles:
+                        total = total + v
+                        out.append(f"{Gx.name} [{fmt(z)}] {v.display()} | {total.display()}")
+        invs = Gx.involutions() if Gx.is_finite else Gx.involutions(window=2)
+        exprs = []
+        for _ in range(10):
+            pairs = [(rng.choice(invs), rng.choice(invs)) for _ in range(rng.randint(1, 3))]
+            e = arf.ArfExpression(arf.GROUP, Gx, pairs)
+            v = ups.upsilon_eval(e)
+            exprs.append(e)
+            out.append(f"{Gx.name} {e.display()} -> {v.display()} {v.is_zero()}")
+        for e1, e2 in itertools.combinations(exprs, 2):
+            r = ups.upsilon_distinguish(e1, e2)
+            w = r.witness
+            if w is not None and w[0] != "omega":
+                w = (fmt(w[0]), w[1])
+            out.append(f"{Gx.name} {e1.display()} ~ {e2.display()}: {r.verdict} "
+                       f"{w!r} {r.transcript!r} {r.same_image}")
+    return out
+
+
+def test_value_battery_is_pinned():
+    # the digest was taken while JValue still branched on each summand
+    # backend; every display, verdict, witness and transcript must keep it
+    records = _value_battery()
+    assert len(records) == 4103
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "43f145a088efdb6a346ffe0cf842dbc004d7579d3b6a8436fa4278589d92d06f"
