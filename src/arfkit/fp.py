@@ -11,7 +11,9 @@ dicts, taken mod p, and come out as tuples of ints in [0, p).  Inside the
 package, the rows that build a subspace over F_2 (the `rows` of `Subspace`,
 `QuotientContext`, `extended`, `independent` and `kernel_basis`) may also
 be that packed int already, so that relation families built as ints skip
-the conversion.
+the conversion.  The finite builds stay packed on the way out as well:
+`Subspace.packed_basis` hands out the echelon rows as ints, and
+`kernel_packed` the F_2 kernel; `pack` and `unpack` convert at the API.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ _PARITY_DIGIT = bytes(b"01"[k & 1] for k in range(256))
 _DIGIT_VALUE = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _pack(vec):
+def pack(vec):
     """F_2 vector -> int with bit j = vec[j] mod 2."""
     try:
         raw = bytes(vec)
@@ -29,7 +31,8 @@ def _pack(vec):
     return int(raw.translate(_PARITY_DIGIT)[::-1] or b"0", 2)
 
 
-def _unpack(bits, dim):
+def unpack(bits, dim):
+    """int with bit j = coordinate j -> the F_2 vector of length dim."""
     if not bits:
         return (0,) * dim
     return tuple(bin(bits)[:1:-1].ljust(dim, "0").encode().translate(_DIGIT_VALUE))
@@ -78,11 +81,11 @@ class Subspace:
         elif len(vec) != self.dim:
             raise ValueError(f"vector of length {len(vec)}, expected {self.dim}")
         if self.p == 2:
-            return _pack(vec)
+            return pack(vec)
         return [int(x) % self.p for x in vec]
 
     def _out(self, v):
-        return _unpack(v, self.dim) if self.p == 2 else tuple(v)
+        return unpack(v, self.dim) if self.p == 2 else tuple(v)
 
     def _reduce(self, v):
         rows = self._rows
@@ -160,6 +163,12 @@ class Subspace:
         """The rows of the reduced echelon form, in increasing pivot order."""
         return [self._out(self._rows[j]) for j in sorted(self._rows)]
 
+    def packed_basis(self):
+        """basis() over F_2 as packed ints, bit j = column j."""
+        if self.p != 2:
+            raise ValueError(f"packed rows are F_2 only, not F_{self.p}")
+        return [self._rows[j] for j in sorted(self._rows)]
+
 
 class QuotientContext:
     """F_p^dim modulo a subspace, with canonical representatives."""
@@ -227,8 +236,27 @@ def rref(matrix, ncols, p=2):
     return space.basis(), sorted(space._rows)
 
 
+def kernel_packed(matrix, ncols):
+    """Basis of {x : M x = 0} over F_2 as packed ints, for M given as an
+    iterable of rows: one vector per non-pivot column f, in increasing f,
+    with bit f set and, for each pivot j, bit j equal to entry f of the
+    reduced row with pivot j."""
+    space = Subspace(ncols, 2, matrix)
+    out = {f: 1 << f for f in range(ncols) if not space._mask >> f & 1}
+    for j, row in space._rows.items():
+        rest = row ^ (1 << j)       # bits of non-pivot columns only
+        while rest:
+            low = rest & -rest
+            out[low.bit_length() - 1] |= 1 << j
+            rest ^= low
+    return list(out.values())
+
+
 def kernel_basis(matrix, ncols, p=2):
-    """Basis of {x : M x = 0} for M given as an iterable of rows."""
+    """Basis of {x : M x = 0} for M given as an iterable of rows, as tuples;
+    over F_2 the vectors of kernel_packed, in its order."""
+    if p == 2:
+        return [unpack(x, ncols) for x in kernel_packed(matrix, ncols)]
     rows, pivots = rref(matrix, ncols, p)
     pivset = set(pivots)
     basis = []

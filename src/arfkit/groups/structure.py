@@ -206,19 +206,18 @@ def generating_set(G, members=None):
 
 def _relation_rows(n, index, gens, mul, ident, carry=None):
     """The rows u_a + u_s + u_as (+ carry(a, s) t, t last) for the members a
-    of `index` and s in gens, and the row u_1.  They span every r(a, b):
-    mod 2, r(a, bc) = r(a, b) + r(ab, c) + r(b, c) and r(a, 1) = u_1 (the
-    carry is a 2-cocycle), and each b is a product of generators."""
+    of `index` and s in gens, and the row u_1, packed for `fp` (bit j =
+    coordinate j, so t is bit n - 1).  They span every r(a, b): mod 2,
+    r(a, bc) = r(a, b) + r(ab, c) + r(b, c) and r(a, 1) = u_1 (the carry is
+    a 2-cocycle), and each b is a product of generators."""
     rows = []
     for a in index:
         for s in gens:
-            r = [0] * n
-            for g in (a, s, mul(a, s)):
-                r[index[g]] += 1
+            r = (1 << index[a]) ^ (1 << index[s]) ^ (1 << index[mul(a, s)])
             if carry is not None:
-                r[n - 1] += carry(a, s)
+                r ^= (carry(a, s) & 1) << (n - 1)
             rows.append(r)
-    return rows + [fp.unit(n, index[ident])]
+    return rows + [1 << index[ident]]
 
 
 def sharp_of_members(G, members):

@@ -143,7 +143,8 @@ class HomologySpace:
 
     kind is one of H0 | H1 | HC0 | HC1 | HQ1; vectors live in the flat
     ambient space (T_1, T_2, or T_2 + T_1 for HQ1).  The space keeps the
-    algebra's p, not the algebra."""
+    algebra's p, not the algebra.  `cycles` are rows as `fp` builds them
+    (packed ints over F_2); `basis` holds the independent ones as tuples."""
 
     def __init__(self, A, kind, ambient_dim, boundary_rows, cycle_basis):
         self.p = A.p
@@ -151,7 +152,8 @@ class HomologySpace:
         self.ambient_dim = ambient_dim
         self.cycles = list(cycle_basis)
         self.context = _quotient(A, kind, ambient_dim, boundary_rows)
-        self.basis = self.context.space.independent(self.cycles)
+        self.basis = vectors(self.p, ambient_dim,
+                             self.context.space.independent(self.cycles))
 
     @property
     def dim(self):
@@ -162,6 +164,21 @@ class HomologySpace:
 
     def class_of(self, vec):
         return HomologyClass(self, tuple(vec))
+
+
+def vectors(p, dim, rows):
+    """Rows as `fp` builds them (packed ints over F_2, tuples over odd p) as
+    tuples."""
+    return [fp.unpack(r, dim) for r in rows] if p == 2 else list(rows)
+
+
+def _kernel(A, equations, ncols):
+    """Basis of the kernel of `equations`, as rows that `fp` builds: packed
+    ints over F_2 (no unpacking of the thousands of T_2 cycles), tuples
+    over odd p."""
+    if A.p == 2:
+        return fp.kernel_packed(equations, ncols)
+    return fp.kernel_basis(equations, ncols, A.p)
 
 
 def _quotient(A, kind, dim, rows):
@@ -228,10 +245,10 @@ def homology(A: FiniteAlgebra, which):
     check_guard(A)
     d, p = A.dim, A.p
     if which in ("H0", "HC0"):
-        cycles = [fp.unit(d, i) for i in range(d)]
+        cycles = [1 << i if p == 2 else fp.unit(d, i) for i in range(d)]
         return HomologySpace(A, which, d, _commutator_rows(A, _packer(A)), cycles)
     if which in ("H1", "HC1"):
-        cycles = fp.kernel_basis(_b1_equations(A), d * d, p)
+        cycles = _kernel(A, _b1_equations(A), d * d)
         rows = _b2_rows(A)
         if which == "HC1":
             # (1 - x)(e_i (x) e_j) = e_i (x) e_j + e_j (x) e_i
@@ -310,7 +327,7 @@ def hq1(A: FiniteAlgebra):
     for i in range(d):
         for k, c in _row([(i, 1)] + [(k, -c) for k, c in inv[i]]).items():
             eqs[k][D + i] = c
-    cycles = fp.kernel_basis(eqs, D + d, p)
+    cycles = _kernel(A, eqs, D + d)
     pack = _packer(A)
     rows = []
     for i in range(d):

@@ -14,7 +14,8 @@ from .. import fp
 from ..memo import derived
 from .algebras import AlgebraError
 from .chains import (HomologySpace, HomologyClass, homology, hq1, tensor2,
-                     t_add, t_scale, flatten, unflatten, hq_vector, hq_row)
+                     t_add, t_scale, flatten, unflatten, hq_vector, hq_row,
+                     vectors)
 
 
 # -- summand decomposition ---------------------------------------------------
@@ -185,7 +186,8 @@ class CokerOnePlusVartheta:
             th2, thc = vartheta_chain(A, ch2, c1)
             rows.append(hq_row(A, t_add(2, ch2, th2), A.add(c1, thc)))
         self.context = self.coker_mu.context.extended(rows)
-        self.basis = self.context.space.independent(self.hq.cycles)
+        self.basis = vectors(2, self.hq.ambient_dim,
+                             self.context.space.independent(self.hq.cycles))
 
     @property
     def dim(self):

@@ -57,10 +57,9 @@ class FzData:
         roots = gcl.two_power_roots(G, z)
         self.has_t = self.type == 1
         self.dim = self.sharp.dim + (1 if self.has_t else 0)
-        rows = [list(r) + [0] * (1 if self.has_t else 0)
-                for r in self.sharp.context.space.basis()]
-        rows += [list(self.sharp.coord(r)) + [0] * (1 if self.has_t else 0)
-                 for r in roots]
+        # packed rows: the t coordinate is the top bit, 0 on all of them
+        rows = self.sharp.context.space.packed_basis()
+        rows += [fp.pack(self.sharp.coord(r)) for r in roots]
         self.context = fp.QuotientContext(self.dim, 2, rows)
 
     def coord(self, h, tbit=0):
@@ -135,14 +134,14 @@ class FiniteLc(_ReducedLc):
             self.offset[z] = pos
             pos += self.fz[z].dim
         self.ambient = pos
+        # packed rows: coordinate i of F(z) is bit offset[z] + i
         rows = set()
         for z in self.members:
-            data = self.fz[z]
-            for r in data.context.space.basis():
-                rows.add(self._ins(z, r))
+            off = self.offset[z]
+            rows.update(r << off for r in self.fz[z].context.space.packed_basis())
         gens = gst.generating_set(G) or [G.identity]
         for z in self.members:
-            src = self.fz[z]
+            src, off = self.fz[z], self.offset[z]
             # conjugation arrows by a generating set, the squaring arrow and,
             # for type 3, the inversion arrow (F(z) and F(z^-1) share
             # coordinates, so it is conjugation by 1)
@@ -150,12 +149,11 @@ class FiniteLc(_ReducedLc):
             if src.type == 3:
                 arrows.append((G.inv(z), G.identity))
             for z2, x in arrows:
-                dst = self.fz[z2]
+                dst, off2 = self.fz[z2], self.offset[z2]
                 cols = (_square_matrix(src, dst) if x is None
                         else _conj_matrix(G, src, dst, x))
                 for i, col in enumerate(cols):
-                    rows.add(fp.add_vec(self._ins(z, fp.unit(src.dim, i)),
-                                        self._ins(z2, col)))
+                    rows.add((1 << (off + i)) ^ (fp.pack(col) << off2))
         self.context = fp.QuotientContext(self.ambient, 2, sorted(rows))
 
     def _ins(self, z, vec):
@@ -532,10 +530,9 @@ class SigmaSummand:
         if self.type == 1:
             sub = gst.centralizer(G, z)
             self.sharp = gst.sharp_of_subgroup(sub)
-            rows = list(self.sharp.context.space.basis())
-            rows.append(self.sharp.coord(z))
-            self.dim = self.sharp.dim + 1
-            rows = [tuple(r) + (0,) for r in rows]
+            rows = self.sharp.context.space.packed_basis()
+            rows.append(fp.pack(self.sharp.coord(z)))
+            self.dim = self.sharp.dim + 1      # the C2 coordinate, top bit
             self.context = fp.QuotientContext(self.dim, 2, rows)
         elif self.type == 2:
             sub = gst.extended_centralizer(G, z)
@@ -550,16 +547,14 @@ class SigmaSummand:
             self.P = P
             self._pair_index = {pr: i for i, pr in enumerate(pairs)}
             self.sharp = gst.sharp_of_members(P, P.elements())
-            rows = list(self.sharp.context.space.basis())
-            rows.append(self.sharp.coord(self._pair_index[(z, 2)]))
             self.dim = self.sharp.dim
-            self.context = fp.QuotientContext(self.dim, 2, rows)
+            self.context = self.sharp.context.extended(
+                [self.sharp.coord(self._pair_index[(z, 2)])])
         else:
             sub = gst.centralizer(G, z)
             self.sharp = gst.sharp_of_subgroup(sub)
             self.dim = self.sharp.dim
-            self.context = fp.QuotientContext(self.dim, 2,
-                                              self.sharp.context.space.basis())
+            self.context = self.sharp.context
 
     @property
     def quotient_dim(self):

@@ -1,0 +1,136 @@
+"""The packed F_2 builds against the dense builders they replaced.
+
+The K_# relation rows, F(z), L(c) and the kernels of `fp` are built from
+packed ints.  The builders below are the dense tuple versions that came
+before, kept as references: every SharpSpace, F(z) and L(c) must come out
+with the same reduced echelon basis, and the packed kernel must equal the
+tuple one.
+"""
+import random
+
+import pytest
+
+import arfkit.fp as fp
+import arfkit.groups as G
+import arfkit.groups.classes as gcl
+import arfkit.groups.structure as gst
+import arfkit.upsilon as ups
+
+
+# -- the dense references ------------------------------------------------------
+
+
+def _dense_relation_rows(n, index, gens, mul, ident):
+    rows = []
+    for a in index:
+        for s in gens:
+            r = [0] * n
+            for g in (a, s, mul(a, s)):
+                r[index[g]] += 1
+            rows.append(r)
+    return rows + [fp.unit(n, index[ident])]
+
+
+def _dense_sharp_basis(Gx, members):
+    """K_# of the finite subgroup `members`, as sharp_of_members built it."""
+    members = tuple(sorted(set(members), key=Gx.key))
+    index = {g: i for i, g in enumerate(members)}
+    rows = _dense_relation_rows(len(members), index,
+                                gst.generating_set(Gx, members), Gx.mul, Gx.identity)
+    return fp.QuotientContext(len(members), 2, rows).space.basis()
+
+
+def _dense_fz_basis(Gx, fz):
+    """F(z) from the dense sharp rows and each 2-power root's tuple."""
+    pad = [0] * (1 if fz.has_t else 0)
+    rows = [list(r) + pad for r in _dense_sharp_basis(Gx, fz.sharp.elements)]
+    rows += [list(fz.sharp.coord(r)) + pad for r in gcl.two_power_roots(Gx, fz.z)]
+    return fp.QuotientContext(fz.dim, 2, rows).space.basis()
+
+
+def _dense_lc_basis(Gx, lc, fz_basis):
+    """L(c) from length-`ambient` tuples: each F(z) basis row and each arrow
+    row u_i + col, placed by _ins and summed by fp.add_vec."""
+    def ins(z, vec):
+        out = [0] * lc.ambient
+        out[lc.offset[z]:lc.offset[z] + len(vec)] = vec
+        return tuple(out)
+
+    rows = set()
+    for z in lc.members:
+        for r in fz_basis[z]:
+            rows.add(ins(z, r))
+    gens = gst.generating_set(Gx) or [Gx.identity]
+    for z in lc.members:
+        src = lc.fz[z]
+        arrows = [(Gx.conj(z, x), x) for x in gens] + [(Gx.mul(z, z), None)]
+        if src.type == 3:
+            arrows.append((Gx.inv(z), Gx.identity))
+        for z2, x in arrows:
+            dst = lc.fz[z2]
+            cols = (ups._square_matrix(src, dst) if x is None
+                    else ups._conj_matrix(Gx, src, dst, x))
+            for i, col in enumerate(cols):
+                rows.add(fp.add_vec(ins(z, fp.unit(src.dim, i)), ins(z2, col)))
+    return fp.QuotientContext(lc.ambient, 2, sorted(rows)).space.basis()
+
+
+def _tuple_kernel_basis(matrix, ncols):
+    """The F_2 kernel from the tuple rows of fp.rref."""
+    rows, pivots = fp.rref(matrix, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [0] * ncols
+        x[f] = 1
+        for j, row in zip(pivots, rows):
+            x[j] = row[f]
+        basis.append(tuple(x))
+    return basis
+
+
+# -- the comparisons -----------------------------------------------------------
+
+
+def test_packed_builds_match_the_dense_builders():
+    groups = G.groups_upto(16) + [
+        G.builtin_group("ch1-order24"), G.symmetric_group(4), G.dihedral_group(24),
+        G.direct_product(G.cyclic_group(2), G.symmetric_group(4))]
+    assert len(groups) == 46
+    for Gx in groups:
+        assert gst.ab_mod_squares(Gx).context.space.basis() == \
+            _dense_sharp_basis(Gx, Gx.elements()), Gx.name
+        fz_basis = {}
+        for z in Gx.elements():
+            fz = ups.fz_data(Gx, z)
+            assert fz.sharp.context.space.basis() == \
+                _dense_sharp_basis(Gx, fz.sharp.elements), (Gx.name, z)
+            fz_basis[z] = _dense_fz_basis(Gx, fz)
+            assert fz.context.space.basis() == fz_basis[z], (Gx.name, z)
+        for part in gcl.cl_partition_finite(Gx):
+            lc = ups.l_of_class(Gx, min(part, key=Gx.key))
+            assert lc.context.space.basis() == _dense_lc_basis(Gx, lc, fz_basis), Gx.name
+
+
+def _random_matrix(rng, nrows, ncols):
+    return [tuple(rng.randrange(2) for _ in range(ncols)) for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("ncols", [0, 1, 2, 5, 9, 17, 40])
+def test_packed_kernel_matches_the_tuple_kernel(ncols):
+    rng = random.Random(8000 + ncols)
+    cases = [[], [(0,) * ncols] * 3,                         # the zero matrix
+             [fp.unit(ncols, i) for i in range(ncols)]]      # full rank
+    cases += [_random_matrix(rng, rng.randint(1, ncols + 2), ncols) for _ in range(10)]
+    for M in cases:
+        want = _tuple_kernel_basis(M, ncols)
+        packed = fp.kernel_packed(M, ncols)
+        assert [fp.unpack(x, ncols) for x in packed] == want
+        assert fp.kernel_basis(M, ncols) == want
+        # the row forms fp builds from give the same kernel
+        assert fp.kernel_packed([fp.pack(r) for r in M], ncols) == packed
+        assert fp.kernel_packed([{j: 1 for j, x in enumerate(r) if x} for r in M],
+                                ncols) == packed
+    assert fp.kernel_packed([], ncols) == [1 << f for f in range(ncols)]
+    assert fp.kernel_packed([fp.unit(ncols, i) for i in range(ncols)], ncols) == []
