@@ -14,6 +14,14 @@ be that packed int already, so that relation families built as ints skip
 the conversion.  The finite builds stay packed on the way out as well:
 `Subspace.packed_basis` hands out the echelon rows as ints, and
 `kernel_packed` the F_2 kernel; `pack` and `unpack` convert at the API.
+
+Over F_2 a build does not back-substitute each new pivot into every stored
+row.  A new row is reduced by the stored rows and then by a batch of new
+pivots, and elimination runs inside the batch only.  Every few dozen new
+pivots (about sqrt(16 rank)), and at the end, the batch is folded in: each
+stored row is reduced by the batch once.  So a build or `extended` still
+returns its subspace in full reduced echelon form (Albrecht and Pernet,
+arXiv:1006.1744, block dense elimination over GF(2)).
 """
 from __future__ import annotations
 
@@ -48,6 +56,11 @@ class Subspace:
     that builds the subspace may also be a packed F_2 int (see the module
     docstring); a negative one, one with a bit at dim or past it, or one
     over an odd p raises ValueError.
+
+    Over F_2 a build gathers its new pivots in batches and folds each batch
+    into the stored rows (see the module docstring); odd p back-substitutes
+    one row at a time.  Either way the rows are in reduced echelon form
+    when the constructor or `extended` returns.
     """
 
     def __init__(self, dim, p=2, rows=()):
@@ -57,8 +70,7 @@ class Subspace:
         # equal to 1); every other row is 0 at column j
         self._rows = {}
         self._mask = 0      # F_2 only: bit j set iff column j is a pivot
-        for r in rows:
-            self._absorb(self._coerce_row(r))
+        self._absorb_all(rows)
 
     def _coerce_row(self, row):
         """A row that builds the subspace: an int is a packed F_2 row, bit j
@@ -88,45 +100,63 @@ class Subspace:
         return unpack(v, self.dim) if self.p == 2 else tuple(v)
 
     def _reduce(self, v):
-        rows = self._rows
         if self.p == 2:
-            m = v & self._mask
-            while m:
-                low = m & -m
-                v ^= rows[low.bit_length() - 1]
-                m ^= low
-            return v
+            return _reduce_f2(v, self._rows, self._mask)
         p = self.p
-        for j, row in rows.items():
+        for j, row in self._rows.items():
             c = v[j]
             if c:
                 v = [(a - c * b) % p for a, b in zip(v, row)]
         return v
 
+    def _absorb_all(self, rows):
+        """Add `rows` to the span; the reduced echelon form holds again on
+        return.  Over F_2 new pivots gather in a _Batch, folded into the
+        stored rows every `_fold_size` pivots and at the end."""
+        if self.p != 2:
+            for r in rows:
+                self._absorb(self._coerce_row(r))
+            return
+        batch = _Batch()
+        limit = _fold_size(len(self._rows))
+        for r in rows:
+            v = _reduce_f2(self._coerce_row(r), self._rows, self._mask)
+            if v and batch.add(v) and len(batch.rows) >= limit:
+                self._fold(batch)
+                batch = _Batch()
+                limit = _fold_size(len(self._rows))
+        self._fold(batch)
+
+    def _fold(self, batch):
+        """Clear the batch pivots from every stored row, one reduction per
+        row, and store the batch rows."""
+        rows, mask = batch.rows, batch.mask
+        if not rows:
+            return
+        stored = self._rows
+        for k, row in stored.items():
+            if row & mask:
+                stored[k] = _reduce_f2(row, rows, mask)
+        stored.update(rows)
+        self._mask |= mask
+
     def _absorb(self, v):
+        """Odd p: add one row, back-substituting its pivot at once.  True
+        when it raised the rank."""
         v = self._reduce(v)
+        j = next((i for i, x in enumerate(v) if x), None)
+        if j is None:
+            return False
+        p = self.p
+        inv = pow(v[j], p - 2, p)
+        v = [x * inv % p for x in v]
         rows = self._rows
-        if self.p == 2:
-            if not v:
-                return
-            low = v & -v
-            j = low.bit_length() - 1
-            for k, row in rows.items():
-                if row & low:
-                    rows[k] = row ^ v
-            self._mask |= low
-        else:
-            j = next((i for i, x in enumerate(v) if x), None)
-            if j is None:
-                return
-            p = self.p
-            inv = pow(v[j], p - 2, p)
-            v = [x * inv % p for x in v]
-            for k, row in rows.items():
-                c = row[j]
-                if c:
-                    rows[k] = [(a - c * b) % p for a, b in zip(row, v)]
+        for k, row in rows.items():
+            c = row[j]
+            if c:
+                rows[k] = [(a - c * b) % p for a, b in zip(row, v)]
         rows[j] = v
+        return True
 
     @property
     def rank(self):
@@ -144,18 +174,20 @@ class Subspace:
         s = Subspace(self.dim, self.p)
         s._rows = dict(self._rows)
         s._mask = self._mask
-        for r in rows:
-            s._absorb(s._coerce_row(r))
+        s._absorb_all(rows)
         return s
 
     def independent(self, rows):
         """The rows, in order, that are outside the span of this subspace and
         of the rows kept before them: a basis of (span + rows) / span."""
-        probe, kept = self.extended(()), []
+        if self.p != 2:
+            probe = self.extended(())
+            return [r for r in rows if probe._absorb(probe._coerce_row(r))]
+        # the kept rows, reduced by self, span a probe that self never sees
+        probe, kept = _Batch(), []
         for r in rows:
-            rank = probe.rank
-            probe._absorb(probe._coerce_row(r))
-            if probe.rank > rank:
+            v = _reduce_f2(self._coerce_row(r), self._rows, self._mask)
+            if v and probe.add(v):
                 kept.append(r)
         return kept
 
@@ -170,6 +202,56 @@ class Subspace:
         return [self._rows[j] for j in sorted(self._rows)]
 
 
+def _reduce_f2(v, rows, mask):
+    """v with every pivot of `rows` ({pivot j: row}; `mask` has bit j set
+    for each pivot) cleared by adding that pivot's row.  The rows must be
+    zero on one another's pivots, so one pass clears them all."""
+    m = v & mask
+    while m:
+        low = m & -m
+        v ^= rows[low.bit_length() - 1]
+        m ^= low
+    return v
+
+
+def _fold_size(rank):
+    """How many new pivots a batch gathers before it is folded into `rank`
+    stored rows.  A fold reduces every stored row, a new row is reduced by
+    the batch as well, so the total work is least near sqrt(rank)."""
+    return max(32, int((16 * rank) ** 0.5))
+
+
+class _Batch:
+    """F_2 pivots not yet folded into a Subspace: rows in reduced echelon
+    form among themselves, each reduced by the stored rows when it came."""
+
+    __slots__ = ("rows", "mask", "support")
+
+    def __init__(self):
+        self.rows = {}
+        self.mask = 0
+        # every bit of every row is in support, so a new pivot outside it
+        # needs no back-substitution (rows that come reduced skip the scan)
+        self.support = 0
+
+    def add(self, v):
+        """Reduce v, which is zero on the stored pivots, by the batch; keep it
+        if something is left.  True when it gave a new pivot."""
+        v = _reduce_f2(v, self.rows, self.mask)
+        if not v:
+            return False
+        low = v & -v
+        rows = self.rows
+        if self.support & low:
+            for k, row in rows.items():
+                if row & low:
+                    rows[k] = row ^ v
+        rows[low.bit_length() - 1] = v
+        self.mask |= low
+        self.support |= v
+        return True
+
+
 class QuotientContext:
     """F_p^dim modulo a subspace, with canonical representatives."""
 
@@ -181,8 +263,8 @@ class QuotientContext:
         """F_2^dim modulo the span of `blocks` of rows whose spans share no
         column; a shared column raises ValueError.  Each block is reduced
         alone, and the union of the reduced rows is the reduced echelon
-        form of the whole span.  That saves time because a new pivot's
-        back-substitution scans every stored row."""
+        form of the whole span.  That saves time because no block's rows
+        are ever reduced by another block's."""
         space, seen = Subspace(dim, 2), 0
         for rows in blocks:
             part = Subspace(dim, 2, rows)

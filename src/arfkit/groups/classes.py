@@ -414,26 +414,17 @@ def power_conj_search(G, z, targets):
 
 
 def two_power_roots(G, z, t_window=None):
-    """Elements g with g^(2^k) = z for some k >= 0.
+    """Elements g with g^(2^k) = z for some k >= 0, as a tuple.
 
-    For infinite families the returned list is a finite set whose images
+    A finite group builds the roots of all its elements at once, on first
+    use.  For infinite families the tuple is a finite set whose images
     exhaust the images of all roots in any mod-2 abelianization: roots come
     in translation families with period dividing 2m in the T-exponent, so
     representatives over a 2m-window suffice.
     """
-    out = {z}
     if G.is_finite:
-        for g in G.elements():
-            x = g
-            seen = set()
-            k = 0
-            while x not in seen:
-                if x == z:
-                    out.add(g)
-                seen.add(x)
-                x = G.mul(x, x)
-                k += 1
-        return sorted(out, key=G.key)
+        return derived(G, "two_power_roots", _finite_roots, G).get(z, (z,))
+    out = {z}
     if isinstance(G, SemidirectZnC2):
         v, s = z
         if s == 0 and any(v):
@@ -441,15 +432,29 @@ def two_power_roots(G, z, t_window=None):
             while all(x % 2 == 0 for x in w):
                 w = tuple(x // 2 for x in w)
                 out.add((w, 0))
-            return sorted(out, key=G.key)
+            return tuple(sorted(out, key=G.key))
         if s == 0:  # z = identity: all flips and the identity are roots
             for eps in itertools.product((0, 1), repeat=G.rank):
                 out.add((eps, 1))
-            return sorted(out, key=G.key)
-        return [z]
+            return tuple(sorted(out, key=G.key))
+        return (z,)
     if isinstance(G, (PullbackCyclicGroup, PullbackDihedralGroup)):
         return _pullback_roots(G, z)
     raise GroupError(f"no root solver for family {G.family}")
+
+
+def _finite_roots(G):
+    """{z: the 2-power roots of z} for a finite group, from one walk
+    g, g^2, g^4, ... per element g until it repeats."""
+    roots = {}
+    for g in G.elements():
+        x, seen = g, set()
+        while x not in seen:
+            seen.add(x)
+            x = G.mul(x, x)
+        for x in seen:
+            roots.setdefault(x, []).append(g)
+    return {z: tuple(sorted(gs, key=G.key)) for z, gs in roots.items()}
 
 
 def _pullback_roots(G, z):
@@ -460,7 +465,7 @@ def _pullback_roots(G, z):
     i = _t_exponent(G, z)
     if i is None:
         # S-type z: any 2^k-th power with k >= 1 has S-free first part
-        return sorted(out, key=G.key)
+        return tuple(sorted(out, key=G.key))
     kmax = (pre + per if i == 0 else _v2(i) or 0)
     for k in range(1, kmax + 1):
         for e in E.elements():
@@ -477,7 +482,7 @@ def _pullback_roots(G, z):
                 if epsh == 1:
                     out.add(((1, c), e))
                     out.add(((1, c + G.m), e))
-    return sorted(out, key=G.key)
+    return tuple(sorted(out, key=G.key))
 
 
 def _make(G, eps, i, e):

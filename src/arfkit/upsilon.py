@@ -52,7 +52,7 @@ class FzData:
             sub = gst.extended_centralizer(G, z)
         else:
             sub = gst.centralizer(G, z)
-        self.sharp = gst.sharp_of_subgroup(sub)
+        self.sharp = _sharp_of(G, sub)
         self.w = [int(self.type == 2 and G.conj(z, g) != z) for g in self.sharp.elements]
         roots = gcl.two_power_roots(G, z)
         self.has_t = self.type == 1
@@ -76,6 +76,18 @@ class FzData:
         return fp.unit(self.dim, self.dim - 1)
 
 
+def _sharp_of(G, sub):
+    """K_# of a centralizer; a finite one is built once per member set, so
+    the elements of one centralizer share it."""
+    if sub.kind != "finite":
+        return gst.sharp_of_subgroup(sub)
+    table = derived(G, "sharp", dict)
+    sharp = table.get(sub.members)
+    if sharp is None:
+        sharp = table.setdefault(sub.members, gst.sharp_of_members(G, sub.members))
+    return sharp
+
+
 def fz_data(G, z) -> FzData:
     table = derived(G, "fz", dict)
     fz = table.get(z)
@@ -84,22 +96,26 @@ def fz_data(G, z) -> FzData:
     return fz
 
 
+def _arrow_column(G, src: FzData, dst: FzData, x, i):
+    """Column i of the arrow F(z) -> F(z') induced by conjugation by x, or
+    of the squaring arrow F(z) -> F(z^2) when x is None: the image of
+    coordinate i of src, the t coordinate last."""
+    if i == src.sharp.dim:
+        return dst.zero_with_t()
+    g = src.sharp.elements[i]
+    if x is None:
+        return dst.coord(g, src.w[i] if dst.has_t else 0)
+    return dst.coord(G.conj(g, x))
+
+
 def _square_matrix(src: FzData, dst: FzData):
-    """Columns of the squaring arrow F(z) -> F(z^2): the image of each
-    coordinate of src, the t coordinate last."""
-    cols = [dst.coord(g, w if dst.has_t else 0)
-            for g, w in zip(src.sharp.elements, src.w)]
-    if src.has_t:
-        cols.append(dst.zero_with_t())
-    return cols
+    """Columns of the squaring arrow F(z) -> F(z^2)."""
+    return [_arrow_column(None, src, dst, None, i) for i in range(src.dim)]
 
 
 def _conj_matrix(G, src: FzData, dst: FzData, x):
     """Columns of the arrow F(z) -> F(z') induced by conjugation by x."""
-    cols = [dst.coord(G.conj(g, x)) for g in src.sharp.elements]
-    if src.has_t:
-        cols.append(dst.zero_with_t())
-    return cols
+    return [_arrow_column(G, src, dst, x, i) for i in range(src.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +150,22 @@ class FiniteLc(_ReducedLc):
             self.offset[z] = pos
             pos += self.fz[z].dim
         self.ambient = pos
-        # packed rows: coordinate i of F(z) is bit offset[z] + i
-        rows = set()
-        for z in self.members:
-            off = self.offset[z]
-            rows.update(r << off for r in self.fz[z].context.space.packed_basis())
+        # packed rows: coordinate i of F(z) is bit offset[z] + i.  The F(z)
+        # blocks share no column, so they are reduced one by one.
+        bases = [self.fz[z].context.space.packed_basis() for z in self.members]
+        base = fp.QuotientContext.direct_sum(
+            self.ambient, [[r << self.offset[z] for r in basis]
+                           for z, basis in zip(self.members, bases)])
+        # Each arrow u_i -> col_i is written on the free (non-pivot)
+        # coordinates i of its source only.  A pivot coordinate is a sum of
+        # free ones modulo the F(z) relations, which every arrow sends to
+        # relations, so its arrow row lies in the span already.
+        rows = []
         gens = gst.generating_set(G) or [G.identity]
-        for z in self.members:
+        for z, basis in zip(self.members, bases):
             src, off = self.fz[z], self.offset[z]
+            pivots = sum(r & -r for r in basis)     # bit j set iff j is a pivot
+            free = [i for i in range(src.dim) if not pivots >> i & 1]
             # conjugation arrows by a generating set, the squaring arrow and,
             # for type 3, the inversion arrow (F(z) and F(z^-1) share
             # coordinates, so it is conjugation by 1)
@@ -150,11 +174,10 @@ class FiniteLc(_ReducedLc):
                 arrows.append((G.inv(z), G.identity))
             for z2, x in arrows:
                 dst, off2 = self.fz[z2], self.offset[z2]
-                cols = (_square_matrix(src, dst) if x is None
-                        else _conj_matrix(G, src, dst, x))
-                for i, col in enumerate(cols):
-                    rows.add((1 << (off + i)) ^ (fp.pack(col) << off2))
-        self.context = fp.QuotientContext(self.ambient, 2, sorted(rows))
+                for i in free:
+                    col = _arrow_column(G, src, dst, x, i)
+                    rows.append((1 << (off + i)) ^ (fp.pack(col) << off2))
+        self.context = base.extended(rows)
 
     def _ins(self, z, vec):
         out = [0] * self.ambient
@@ -260,22 +283,16 @@ class PullbackLc:
         dst = self.chain[t + 1]
         if src.context.quotient_dim != dst.context.quotient_dim:
             return False
-        probe = dst.context.space
-        rank = 0
-        for i in range(src.dim):
-            v = _apply_matrix(self.maps[t], fp.unit(src.dim, i))
-            if not probe.contains(v):
-                probe = probe.extended([v])
-                rank += 1
+        # the columns of the map are the images of the coordinates of src
+        rank = len(dst.context.space.independent(self.maps[t]))
         return rank == src.context.quotient_dim
 
     def _context_at(self, pos):
         if pos not in self._contexts:
-            base = self.chain[pos]
-            rows = [list(r) for r in base.context.space.basis()]
+            context = self.chain[pos].context
             if self.cyclic and pos == self.stable:
-                rows += self.loop_rows
-            self._contexts[pos] = fp.QuotientContext(base.dim, 2, rows)
+                context = context.extended(self.loop_rows)
+            self._contexts[pos] = context
         return self._contexts[pos]
 
     def _extend_chain(self, G):
@@ -528,8 +545,7 @@ class SigmaSummand:
         self.z = z
         self.type = gst.type_of(G, z)
         if self.type == 1:
-            sub = gst.centralizer(G, z)
-            self.sharp = gst.sharp_of_subgroup(sub)
+            self.sharp = _sharp_of(G, gst.centralizer(G, z))
             rows = self.sharp.context.space.packed_basis()
             rows.append(fp.pack(self.sharp.coord(z)))
             self.dim = self.sharp.dim + 1      # the C2 coordinate, top bit
@@ -551,8 +567,7 @@ class SigmaSummand:
             self.context = self.sharp.context.extended(
                 [self.sharp.coord(self._pair_index[(z, 2)])])
         else:
-            sub = gst.centralizer(G, z)
-            self.sharp = gst.sharp_of_subgroup(sub)
+            self.sharp = _sharp_of(G, gst.centralizer(G, z))
             self.dim = self.sharp.dim
             self.context = self.sharp.context
 

@@ -242,6 +242,111 @@ def test_direct_sum_matches_one_build(dim):
         fp.QuotientContext.direct_sum(dim, [[1], [shared]])
 
 
+# -- the batched F_2 kernel against one pivot at a time ------------------------
+
+
+class OnePivotF2:
+    """Reference F_2 eliminator on packed rows: each new pivot is
+    back-substituted into every stored row at once, so the rows are in
+    reduced echelon form after every row (the kernel before pivots were
+    batched)."""
+
+    def __init__(self, rows=(), base=None):
+        self.rows = dict(base.rows) if base is not None else {}
+        for r in rows:
+            self.absorb(r)
+
+    def reduce(self, v):
+        for j, row in self.rows.items():
+            if v >> j & 1:
+                v ^= row
+        return v
+
+    def absorb(self, v):
+        """Add v; True when it raised the rank."""
+        v = self.reduce(v)
+        if not v:
+            return False
+        low = v & -v
+        for k, row in self.rows.items():
+            if row & low:
+                self.rows[k] = row ^ v
+        self.rows[low.bit_length() - 1] = v
+        return True
+
+    def basis(self):
+        return [self.rows[j] for j in sorted(self.rows)]
+
+    def independent(self, rows):
+        probe = OnePivotF2(base=self)
+        return [r for r in rows if probe.absorb(r)]
+
+    def kernel(self, ncols):
+        """One kernel vector per non-pivot column f: bit f, and bit f of the
+        row of each pivot j at bit j."""
+        return [(1 << f) | sum(1 << j for j, row in self.rows.items() if row >> f & 1)
+                for f in range(ncols) if f not in self.rows]
+
+
+def _packed_rows(rng, dim, n, kind):
+    """n packed rows: dense random bits, or sparse with at most three bits;
+    a fifth of them are sums of two earlier rows, so ranks fall short."""
+    rows = []
+    for _ in range(n):
+        if len(rows) > 2 and rng.random() < 0.2:
+            a, b = rng.sample(rows, 2)
+            rows.append(a ^ b)
+        elif kind == "dense":
+            rows.append(rng.getrandbits(dim))
+        else:
+            rows.append((1 << rng.randrange(dim)) ^ (1 << rng.randrange(dim))
+                        ^ (1 << rng.randrange(dim)))
+    return rows
+
+
+def _in_form(rng, dim, r):
+    """The packed row r as fp takes it: an int, a dict or a tuple."""
+    form = rng.randrange(3)
+    if form == 0:
+        return r
+    if form == 1:
+        return {j: 1 for j in range(dim) if r >> j & 1}
+    return fp.unpack(r, dim)
+
+
+@pytest.mark.parametrize("dim,kind", [(40, "dense"), (40, "sparse"), (150, "dense"),
+                                      (300, "sparse"), (700, "dense"), (700, "sparse")])
+def test_batched_kernel_matches_one_pivot_elimination(dim, kind):
+    # large enough for several folds: a base of more than 500 rows at 700
+    # columns, and builds and extensions of more than 32 new pivots
+    rng = random.Random(9000 + dim + len(kind))
+    nbase = {40: 30, 150: 140, 300: 330, 700: 680}[dim]
+    base_rows = _packed_rows(rng, dim, nbase, kind)
+    more = _packed_rows(rng, dim, dim // 3 + 40, kind)
+    ref = OnePivotF2(base_rows)
+    S = fp.Subspace(dim, 2, [_in_form(rng, dim, r) for r in base_rows])
+    if dim == 700:
+        assert S.rank > 500
+    assert S.packed_basis() == ref.basis() and S.rank == len(ref.rows)
+    for v in _packed_rows(rng, dim, 20, kind):
+        assert S.reduce(fp.unpack(v, dim)) == fp.unpack(ref.reduce(v), dim)
+    # extended: the base stays as it was
+    T = S.extended([_in_form(rng, dim, r) for r in more])
+    assert T.packed_basis() == OnePivotF2(more, base=ref).basis()
+    assert S.packed_basis() == ref.basis()
+    Q = fp.QuotientContext(dim, 2, base_rows).extended(more)
+    assert Q.space.packed_basis() == T.packed_basis()
+    assert S.independent(more) == ref.independent(more)
+    assert fp.Subspace(dim, 2).independent(base_rows) == OnePivotF2().independent(base_rows)
+    assert fp.kernel_packed(base_rows + more, dim) == OnePivotF2(base_rows + more).kernel(dim)
+    # direct sum: the rows cut into three blocks of columns
+    owner = [rng.randrange(3) for _ in range(dim)]
+    masks = [sum(1 << j for j in range(dim) if owner[j] == b) for b in range(3)]
+    blocks = [[r & m for r in base_rows + more] for m in masks]
+    D = fp.QuotientContext.direct_sum(dim, blocks)
+    assert D.space.packed_basis() == OnePivotF2([r for b in blocks for r in b]).basis()
+
+
 def test_import_leaves_numpy_out():
     # a fresh interpreter, so that imports made by other tests cannot mask it
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -291,6 +291,24 @@ def test_pullback_same_class_examples(groupB):
                         groupB.parse_element("Y^6"))
 
 
+def test_finite_two_power_roots_match_the_walk_per_root():
+    # one table per group against the walk from every g for each z; the
+    # table hands out tuples, built once
+    for Gx in G.groups_upto(12) + [G.symmetric_group(4), G.dihedral_group(16)]:
+        for z in Gx.elements():
+            want = set()
+            for g in Gx.elements():
+                x, seen = g, set()
+                while x not in seen:
+                    if x == z:
+                        want.add(g)
+                    seen.add(x)
+                    x = Gx.mul(x, x)
+            roots = G.two_power_roots(Gx, z)
+            assert roots == tuple(sorted(want, key=Gx.key)), (Gx.name, z)
+            assert G.two_power_roots(Gx, z) is roots
+
+
 def test_two_power_roots(groupB):
     z = groupB.parse_element("X^2*Y^2")
     roots = G.two_power_roots(groupB, z)

@@ -4,7 +4,9 @@ The K_# relation rows, F(z), L(c) and the kernels of `fp` are built from
 packed ints.  The builders below are the dense tuple versions that came
 before, kept as references: every SharpSpace, F(z) and L(c) must come out
 with the same reduced echelon basis, and the packed kernel must equal the
-tuple one.
+tuple one.  The references eliminate with the one-pivot-at-a-time
+eliminator of test_fp, not with `fp`, and write the L(c) arrows on every
+coordinate, not on the free ones only.
 """
 import random
 
@@ -15,9 +17,15 @@ import arfkit.groups as G
 import arfkit.groups.classes as gcl
 import arfkit.groups.structure as gst
 import arfkit.upsilon as ups
+from test_fp import OnePivotF2
 
 
 # -- the dense references ------------------------------------------------------
+
+
+def _rref(rows, ncols):
+    """The reduced echelon basis of tuple rows, as tuples."""
+    return [fp.unpack(r, ncols) for r in OnePivotF2(map(fp.pack, rows)).basis()]
 
 
 def _dense_relation_rows(n, index, gens, mul, ident):
@@ -37,7 +45,7 @@ def _dense_sharp_basis(Gx, members):
     index = {g: i for i, g in enumerate(members)}
     rows = _dense_relation_rows(len(members), index,
                                 gst.generating_set(Gx, members), Gx.mul, Gx.identity)
-    return fp.QuotientContext(len(members), 2, rows).space.basis()
+    return _rref(rows, len(members))
 
 
 def _dense_fz_basis(Gx, fz):
@@ -45,7 +53,7 @@ def _dense_fz_basis(Gx, fz):
     pad = [0] * (1 if fz.has_t else 0)
     rows = [list(r) + pad for r in _dense_sharp_basis(Gx, fz.sharp.elements)]
     rows += [list(fz.sharp.coord(r)) + pad for r in gcl.two_power_roots(Gx, fz.z)]
-    return fp.QuotientContext(fz.dim, 2, rows).space.basis()
+    return _rref(rows, fz.dim)
 
 
 def _dense_lc_basis(Gx, lc, fz_basis):
@@ -72,12 +80,13 @@ def _dense_lc_basis(Gx, lc, fz_basis):
                     else ups._conj_matrix(Gx, src, dst, x))
             for i, col in enumerate(cols):
                 rows.add(fp.add_vec(ins(z, fp.unit(src.dim, i)), ins(z2, col)))
-    return fp.QuotientContext(lc.ambient, 2, sorted(rows)).space.basis()
+    return _rref(sorted(rows), lc.ambient)
 
 
 def _tuple_kernel_basis(matrix, ncols):
-    """The F_2 kernel from the tuple rows of fp.rref."""
-    rows, pivots = fp.rref(matrix, ncols)
+    """The F_2 kernel from the reduced tuple rows."""
+    rows = _rref(matrix, ncols)
+    pivots = [r.index(1) for r in rows]
     basis = []
     for f in range(ncols):
         if f in pivots:
@@ -134,3 +143,25 @@ def test_packed_kernel_matches_the_tuple_kernel(ncols):
                                 ncols) == packed
     assert fp.kernel_packed([], ncols) == [1 << f for f in range(ncols)]
     assert fp.kernel_packed([fp.unit(ncols, i) for i in range(ncols)], ncols) == []
+
+
+def test_sharp_is_built_once_per_centralizer(monkeypatch):
+    # K_# of a finite centralizer is built once per member set, however many
+    # elements share it: once for the abelian C12
+    calls = []
+    real = gst.sharp_of_members
+
+    def counting(Gx, members):
+        calls.append(tuple(members))
+        return real(Gx, members)
+
+    monkeypatch.setattr(gst, "sharp_of_members", counting)
+    C12 = G.cyclic_group(12)
+    ups.j_group_dimension(C12)
+    assert len(calls) == 1
+    for Gx in (G.symmetric_group(4), G.dihedral_group(6)):
+        calls.clear()
+        ups.j_group_dimension(Gx)
+        subs = {(gst.extended_centralizer(Gx, z) if gst.type_of(Gx, z) == 2
+                 else gst.centralizer(Gx, z)).members for z in Gx.elements()}
+        assert sorted(calls) == sorted(subs), Gx.name

@@ -193,7 +193,7 @@ def test_j_dimension_matches_homology():
                G.direct_product(G.alternating_group_4(), G.cyclic_group(2)),
                G.cyclic_group(32), G.dihedral_group(24),
                G.direct_product(G.cyclic_group(2), G.symmetric_group(4)),
-               G.dihedral_group(32)] + G.groups_upto(16):
+               G.dihedral_group(32), G.abelian_group([2] * 6)] + G.groups_upto(16):
         A = H.group_algebra(Gx, 2)
         assert ups.j_group_dimension(Gx) == H.coker_one_plus_vartheta(A).dim, Gx.name
 
