@@ -413,7 +413,7 @@ def power_conj_search(G, z, targets):
 # 2-power roots (the generating set of sqrt(z))
 
 
-def two_power_roots(G, z, t_window=None):
+def two_power_roots(G, z):
     """Elements g with g^(2^k) = z for some k >= 0, as a tuple.
 
     A finite group builds the roots of all its elements at once, on first

@@ -31,20 +31,39 @@ def _combine(p, terms):
     return _reduced(out.items(), p)
 
 
+def _packed(v):
+    """_reduced pairs over F_2 (every coefficient 1) as an int, bit k = e_k."""
+    return sum([1 << k for k, _ in v])
+
+
+def xor_sum(x, rows):
+    """The F_2 sum of rows[k] over the set bits k of the packed int x."""
+    out = 0
+    while x:
+        low = x & -x
+        out ^= rows[low.bit_length() - 1]
+        x ^= low
+    return out
+
+
 class FiniteAlgebra:
     """Basis-indexed algebra over F_p with optional anti-involution.
 
     The structure constants are sparse: mult[i][j] holds the pairs (k, c),
     c != 0, of e_i e_j = sum c e_k, and involution[i], when present, holds
-    the image of e_i the same way.  Elements are coefficient tuples.
-    Associativity, the unit laws and the anti-involution axioms are verified
-    on construction.
+    the image of e_i the same way.  Over F_2 the constructor also packs
+    them once: bits[i][j] has bit k set when e_k occurs in e_i e_j, and
+    inv_bits[i] is invol(e_i) packed the same way, so the F_2 checks and
+    relation rows are XORs and shifts of table entries (over odd p both are
+    None).  Elements are coefficient tuples.  Associativity, the unit laws
+    and the anti-involution axioms are verified on construction.
 
     `middles` lists basis indices s such that the unit and products of the
-    e_s span the algebra: associativity is checked, and the boundaries
-    b(e_i (x) e_s (x) e_k) of `chains._b2_rows` are written, for those s
-    only.  It is every index unless a constructor knows better
-    (`group_algebra` sets the identity and a generating set of the group).
+    e_s span the algebra: associativity and the anti-homomorphism law are
+    checked (see `_validate`), and the boundaries b(e_i (x) e_s (x) e_k) of
+    `chains._b2_rows` are written, for those s only.  It is every index
+    unless a constructor knows better (`group_algebra` sets the identity
+    and a generating set of the group).
     `parts`, when not None, gives each basis element a part.  Then every
     e_i e_j is one basis element, e_i (x) e_j lies over the part of e_i e_j,
     and no relation row of H_1, HC_1 or HQ_1 lies over two parts, so
@@ -59,6 +78,11 @@ class FiniteAlgebra:
         self.unit = tuple(c % p for c in unit)
         self.involution = (None if involution is None
                            else [_reduced(row, p) for row in involution])
+        self.bits = self.inv_bits = None
+        if p == 2:
+            self.bits = [[_packed(v) for v in row] for row in self.mult]
+            if self.involution is not None:
+                self.inv_bits = [_packed(v) for v in self.involution]
         self.name = name or "algebra"
         self.middles = range(self.dim)
         self.parts = None
@@ -117,36 +141,67 @@ class FiniteAlgebra:
         return self.sub(self.mul(x, y), self.mul(y, x))
 
     def _validate(self):
-        d, p, mult, inv = self.dim, self.p, self.mult, self.involution
-        unit = _reduced(enumerate(self.unit), p)
+        """Check the unit laws, associativity and, with an involution, that
+        it squares to 1 and is an anti-homomorphism.  Over F_2 on the
+        packed tables (elements are ints, sums are XORs), over odd p on the
+        sparse ones.
+
+        Light's test: the y with (x y) z = x (y z) for all x, z form a
+        subspace that holds the unit and is closed under products, since
+        for two of them (x (y1 y2)) z = ((x y1) y2) z = (x y1)(y2 z)
+        = x (y1 (y2 z)) = x ((y1 y2) z).  So associativity is checked on
+        the middles only.
+
+        The same argument bounds the anti-homomorphism check.  The y with
+        invol(x y) = invol(y) invol(x) for all x form a subspace.  It holds
+        the unit once invol(1) = 1, which is checked apart: the middles
+        alone do not force it (in F_2[x]/(x^3) with the middle x, the map
+        1 -> 1 + x^2, x -> x, x^2 -> x^2 squares to 1 and satisfies the law
+        on x, but is no anti-homomorphism).  Given associativity it is
+        closed under products: for two of them invol(x y1 y2)
+        = invol(y2) invol(x y1) = invol(y2) invol(y1) invol(x)
+        = invol(y1 y2) invol(x).  So the law is checked for every e_i and
+        every middle e_s only.
+        """
+        d, p, middles = self.dim, self.p, self.middles
+        if p == 2:
+            T, inv, lin = self.bits, self.inv_bits, xor_sum
+            E = [1 << i for i in range(d)]
+            unit = _packed(_reduced(enumerate(self.unit), 2))
+        else:
+            T, inv = self.mult, self.involution
+            E = [((i, 1),) for i in range(d)]
+            unit = _reduced(enumerate(self.unit), p)
+
+            def lin(x, rows):
+                """sum c rows[k] over the pairs (k, c) of x"""
+                return _combine(p, [(c, rows[k]) for k, c in x])
+
+        cols = list(zip(*T))                    # cols[k][m] = e_m e_k
         for i in range(d):
-            ei = ((i, 1),)
-            if (_combine(p, [(c, mult[s][i]) for s, c in unit]) != ei
-                    or _combine(p, [(c, mult[i][s]) for s, c in unit]) != ei):
+            if lin(unit, cols[i]) != E[i] or lin(unit, T[i]) != E[i]:
                 raise AlgebraError("unit law fails")
-        # Light's test: the x with (e_i x) e_k = e_i (x e_k) for all i, k
-        # form a subspace that holds the unit and is closed under products,
-        # since for two of them (a(xy))c = ((ax)y)c = (ax)(yc) = a(x(yc))
-        # = a((xy)c).  So the middles suffice.
         for i in range(d):
-            for j in self.middles:
+            Ti = T[i]
+            for j in middles:
                 # (e_i e_j) e_k = e_i (e_j e_k) for every k
-                ij = mult[i][j]
-                if ([_combine(p, [(c, mult[m][k]) for m, c in ij]) for k in range(d)]
-                        != [_combine(p, [(c, mult[i][m]) for m, c in jk])
-                            for jk in mult[j]]):
+                ij = Ti[j]
+                if [lin(ij, col) for col in cols] != [lin(jk, Ti) for jk in T[j]]:
                     raise AlgebraError("associativity fails")
-        if inv is not None:
-            for i in range(d):
-                if _combine(p, [(c, inv[m]) for m, c in inv[i]]) != ((i, 1),):
-                    raise AlgebraError("involution does not square to 1")
-            for i in range(d):
-                for j in range(d):
-                    # invol(e_i e_j) = invol(e_j) invol(e_i)
-                    if (_combine(p, [(c, inv[m]) for m, c in mult[i][j]])
-                            != _combine(p, [(a * b, mult[s][t])
-                                            for s, a in inv[j] for t, b in inv[i]])):
-                        raise AlgebraError("involution is not an anti-homomorphism")
+        if inv is None:
+            return
+        for i in range(d):
+            if lin(inv[i], inv) != E[i]:
+                raise AlgebraError("involution does not square to 1")
+        if lin(unit, inv) != unit:
+            raise AlgebraError("involution is not an anti-homomorphism")
+        # invol(e_s) e_k for every middle s and every k
+        left = {s: [lin(inv[s], col) for col in cols] for s in middles}
+        for i in range(d):
+            for s in middles:
+                # invol(e_i e_s) = invol(e_s) invol(e_i)
+                if lin(T[i][s], inv) != lin(inv[i], left[s]):
+                    raise AlgebraError("involution is not an anti-homomorphism")
 
     def format_vec(self, x):
         """sum c*label over the nonzero coefficients of x."""

@@ -1,16 +1,19 @@
 """Chain-level Hochschild/cyclic/quaternionic homology in low degrees.
 
 Chains are sparse dicts {basis index tuple: coefficient}; relations are
-rows built on basis indices from the sparse structure constants (e_i (x) e_j
-is column i*d + j, and the T_1 part of HQ_1 is column d*d + k).  Over F_2 a
-relation row is a packed int, bit j = column j, handed to `fp` as is; over
-an odd p it is a sparse dict {column: coefficient}.  The dimension guard
-refuses algebras past dimension 64 instead of approximating.
+rows built on basis indices from the structure constants (e_i (x) e_j is
+column i*d + j, and the T_1 part of HQ_1 is column d*d + k).  Over F_2 a
+relation row is a packed int, bit j = column j, written as one XOR of
+shifted entries of the packed tables `FiniteAlgebra.bits` and `inv_bits`
+and handed to `fp` as is; zero and repeated rows are dropped before the
+elimination, which leaves the span and so every reduced basis unchanged.
+Over an odd p a row is a sparse dict {column: coefficient}.  The dimension
+guard refuses algebras past dimension 64 instead of approximating.
 """
 from __future__ import annotations
 
 from .. import fp
-from .algebras import FiniteAlgebra, AlgebraError
+from .algebras import FiniteAlgebra, AlgebraError, xor_sum
 
 DIM_GUARD = 64
 
@@ -143,17 +146,17 @@ class HomologySpace:
 
     kind is one of H0 | H1 | HC0 | HC1 | HQ1; vectors live in the flat
     ambient space (T_1, T_2, or T_2 + T_1 for HQ1).  The space keeps the
-    algebra's p, not the algebra.  `cycles` are rows as `fp` builds them
-    (packed ints over F_2); `basis` holds the independent ones as tuples."""
+    algebra's p, not the algebra.  `basis_rows` are the cycles independent
+    modulo the boundaries, as `fp` builds rows (packed ints over F_2), and
+    `basis` the same as tuples."""
 
     def __init__(self, A, kind, ambient_dim, boundary_rows, cycle_basis):
         self.p = A.p
         self.kind = kind
         self.ambient_dim = ambient_dim
-        self.cycles = list(cycle_basis)
         self.context = _quotient(A, kind, ambient_dim, boundary_rows)
-        self.basis = vectors(self.p, ambient_dim,
-                             self.context.space.independent(self.cycles))
+        self.basis_rows = self.context.space.independent(cycle_basis)
+        self.basis = vectors(self.p, ambient_dim, self.basis_rows)
 
     @property
     def dim(self):
@@ -182,18 +185,28 @@ def _kernel(A, equations, ncols):
 
 
 def _quotient(A, kind, dim, rows):
-    """F_p^dim modulo rows.  Over F_2 with A.parts, the T_2 kinds split the
-    rows by the part of their lowest column (e_i (x) e_j lies over e_i e_j,
-    and the T_1 columns of HQ_1 follow) and reduce each part alone."""
-    if A.p != 2 or A.parts is None or kind in ("H0", "HC0"):
+    """F_p^dim modulo rows.  Over F_2 the zero and repeated rows are dropped
+    first, and with A.parts the T_2 kinds split the rows by the part of
+    their lowest column (e_i (x) e_j lies over e_i e_j, and the T_1 columns
+    of HQ_1 follow) and reduce each part alone."""
+    if A.p != 2:
         return fp.QuotientContext(dim, A.p, rows)
+    rows = distinct(rows)
+    if A.parts is None or kind in ("H0", "HC0"):
+        return fp.QuotientContext(dim, 2, rows)
     parts = A.parts
-    column_part = [parts[m] for row in A.mult for ((m, _),) in row] + parts
+    column_part = [parts[v.bit_length() - 1] for row in A.bits for v in row] + parts
     blocks = [[] for _ in parts]
     for r in rows:
-        if r:
-            blocks[column_part[(r & -r).bit_length() - 1]].append(r)
+        blocks[column_part[(r & -r).bit_length() - 1]].append(r)
     return fp.QuotientContext.direct_sum(dim, [b for b in blocks if b])
+
+
+def distinct(rows):
+    """The nonzero packed rows, each once, in the order they first come."""
+    out = dict.fromkeys(rows)
+    out.pop(0, None)
+    return list(out)
 
 
 class HomologyClass:
@@ -220,24 +233,22 @@ class HomologyClass:
 
 def _row(terms):
     """The sparse row {column: coefficient} summing (column, coefficient)
-    terms."""
+    terms (odd p)."""
     row = {}
     for col, c in terms:
         row[col] = row.get(col, 0) + c
     return row
 
 
-def _packed(terms):
-    """The same sum over F_2, as a packed int: bit j = column j."""
-    row = 0
-    for col, c in terms:
-        row ^= (c & 1) << col
-    return row
-
-
-def _packer(A):
-    """The row builder of A's relation families: packed ints over F_2."""
-    return _packed if A.p == 2 else _row
+def tensor_bits(d, x, y):
+    """x (x) y for x, y packed F_2 vectors (bit k = e_k) of an algebra of
+    dimension d, packed over T_2 (bit i*d + j = e_i (x) e_j)."""
+    out = 0
+    while x:
+        low = x & -x
+        out ^= y << (low.bit_length() - 1) * d
+        x ^= low
+    return out
 
 
 def homology(A: FiniteAlgebra, which):
@@ -246,35 +257,53 @@ def homology(A: FiniteAlgebra, which):
     d, p = A.dim, A.p
     if which in ("H0", "HC0"):
         cycles = [1 << i if p == 2 else fp.unit(d, i) for i in range(d)]
-        return HomologySpace(A, which, d, _commutator_rows(A, _packer(A)), cycles)
+        return HomologySpace(A, which, d, _commutator_rows(A), cycles)
     if which in ("H1", "HC1"):
-        cycles = _kernel(A, _b1_equations(A), d * d)
+        cycles = _kernel(A, _equations(A, _commutator_rows(A)), d * d)
         rows = _b2_rows(A)
         if which == "HC1":
-            # (1 - x)(e_i (x) e_j) = e_i (x) e_j + e_j (x) e_i
-            pack = _packer(A)
-            rows += [pack([(i * d + j, 1), (j * d + i, 1)])
-                     for i in range(d) for j in range(d)]
+            rows += _hc1_rows(A)
         return HomologySpace(A, which, d * d, rows, cycles)
     if which == "HQ1":
         return hq1(A)
     raise AlgebraError(f"unknown homology {which!r}")
 
 
-def _commutator_rows(A, pack):
-    """[e_i, e_j] for all i, j (i-major) as rows over T_1, built by pack."""
-    d, mult = A.dim, A.mult
-    return [pack(mult[i][j] + tuple((k, -c) for k, c in mult[j][i]))
+def _commutator_rows(A):
+    """[e_i, e_j] for all i, j (i-major) as rows over T_1."""
+    d = A.dim
+    if A.p == 2:
+        bits = A.bits
+        return [bits[i][j] ^ bits[j][i] for i in range(d) for j in range(d)]
+    mult = A.mult
+    return [_row(mult[i][j] + tuple((k, -c) for k, c in mult[j][i]))
             for i in range(d) for j in range(d)]
 
 
-def _b1_equations(A):
-    """b = [ , ]: T_2 -> T_1 as equations: row k holds the coefficient of
-    e_k in [e_i, e_j] at column i*d + j."""
+def _hc1_rows(A):
+    """(1 - x)(e_i (x) e_j) = e_i (x) e_j + e_j (x) e_i for all i, j, as
+    rows over T_2."""
+    d = A.dim
+    if A.p == 2:
+        return [(1 << i * d + j) ^ (1 << j * d + i) for i in range(d) for j in range(d)]
+    return [_row([(i * d + j, 1), (j * d + i, 1)]) for i in range(d) for j in range(d)]
+
+
+def _equations(A, columns):
+    """The equations of the map into T_1 whose column c is the T_1 row
+    columns[c]: row k holds the coefficient of e_k in each column."""
+    if A.p == 2:
+        eqs = [0] * A.dim
+        for c, v in enumerate(columns):
+            while v:
+                low = v & -v
+                eqs[low.bit_length() - 1] |= 1 << c
+                v ^= low
+        return eqs
     eqs = [{} for _ in range(A.dim)]
-    for col, row in enumerate(_commutator_rows(A, _row)):
-        for k, c in row.items():
-            eqs[k][col] = c
+    for c, row in enumerate(columns):
+        for k, e in row.items():
+            eqs[k][c] = e
     return eqs
 
 
@@ -292,14 +321,15 @@ def _b2_rows(A):
     under products.  It holds the middles, and products of the middles span
     A (see `FiniteAlgebra`).
     """
-    d, mult, middles = A.dim, A.mult, A.middles
+    d, middles = A.dim, A.middles
     if A.p == 2:
-        # e_x e_y (x) e_0 and e_0 (x) e_x e_y packed; a row is three shifted
-        # entries, XORed (over F_2 every structure constant is 1)
-        left = [[sum(1 << m * d for m, _ in v) for v in row] for row in mult]
-        right = [[sum(1 << m for m, _ in v) for v in row] for row in mult]
-        return [(left[i][s] << k) ^ (right[s][k] << i * d) ^ (left[k][i] << s)
+        # a row is three shifted entries, XORed: e_x e_y (x) e_0 (`left`)
+        # and e_0 (x) e_x e_y (the packed product itself)
+        bits = A.bits
+        left = [[tensor_bits(d, v, 1) for v in row] for row in bits]
+        return [(left[i][s] << k) ^ (bits[s][k] << i * d) ^ (left[k][i] << s)
                 for i in range(d) for s in middles for k in range(d)]
+    mult = A.mult
     rows = []
     for i in range(d):
         for s in middles:
@@ -320,43 +350,49 @@ def hq1(A: FiniteAlgebra):
     if A.involution is None:
         raise AlgebraError("HQ1 needs an anti-involution")
     check_guard(A)
-    d, p, mult, inv = A.dim, A.p, A.mult, A.involution
-    D = d * d
+    d = A.dim
     # cycle equations: b(xi) + c - invol(c) = 0; column D + i is e_i - invol(e_i)
-    eqs = _b1_equations(A)
-    for i in range(d):
-        for k, c in _row([(i, 1)] + [(k, -c) for k, c in inv[i]]).items():
-            eqs[k][D + i] = c
-    cycles = _kernel(A, eqs, D + d)
-    pack = _packer(A)
+    if A.p == 2:
+        invol = [(1 << i) ^ v for i, v in enumerate(A.inv_bits)]
+    else:
+        invol = [_row([(i, 1)] + [(k, -c) for k, c in v]) for i, v in enumerate(A.involution)]
+    cycles = _kernel(A, _equations(A, _commutator_rows(A) + invol), d * d + d)
+    return HomologySpace(A, "HQ1", d * d + d, _hq1_rows(A) + _b2_rows(A), cycles)
+
+
+def _hq1_rows(A):
+    """The relation families of HQ_1 besides the T_2 rows of H_1, as rows
+    over T_2 + T_1: for r = e_i, s = e_j (i-major)
+
+        (r (x) s + s (x) r, -(rs + invol(rs)))
+        (r (x) s + invol(r) (x) invol(s), sr - rs)
+
+    and, over odd p, (0, 2 (r + invol(r))), which is zero over F_2."""
+    d = A.dim
+    D = d * d
     rows = []
+    if A.p == 2:
+        bits, inv = A.bits, A.inv_bits
+        for i in range(d):
+            for j in range(d):
+                ij, ji = bits[i][j], bits[j][i]
+                rows.append((1 << i * d + j) ^ (1 << j * d + i) ^ (ij ^ xor_sum(ij, inv)) << D)
+                rows.append((1 << i * d + j) ^ tensor_bits(d, inv[i], inv[j]) ^ (ji ^ ij) << D)
+        return rows
+    mult, inv = A.mult, A.involution
     for i in range(d):
         for j in range(d):
             ij = mult[i][j]
-            # (r (x) s + s (x) r, -(rs + invol(rs))) for r = e_i, s = e_j
-            rows.append(pack([(i * d + j, 1), (j * d + i, 1)]
+            rows.append(_row([(i * d + j, 1), (j * d + i, 1)]
                              + [(D + m, -c) for m, c in ij]
                              + [(D + n, -c * e) for m, c in ij for n, e in inv[m]]))
-            # (r (x) s + invol(r) (x) invol(s), sr - rs)
-            rows.append(pack([(i * d + j, 1)]
+            rows.append(_row([(i * d + j, 1)]
                              + [(a * d + b, ca * cb) for a, ca in inv[i] for b, cb in inv[j]]
                              + [(D + m, c) for m, c in mult[j][i]]
                              + [(D + m, -c) for m, c in ij]))
-    # (0, 2 (r + invol(r))): zero over F_2
-    if p != 2:
-        rows += [_row([(D + i, 2)] + [(D + n, 2 * e) for n, e in inv[i]])
-                 for i in range(d)]
-    # (b(x (x) y (x) z), 0): the T_2 rows of H_1
-    rows += _b2_rows(A)
-    return HomologySpace(A, "HQ1", D + d, rows, cycles)
+    rows += [_row([(D + i, 2)] + [(D + n, 2 * e) for n, e in inv[i]]) for i in range(d)]
+    return rows
 
 
 def hq_vector(A, ch2, c1):
     return flatten(A, 2, ch2) + tuple(x % A.p for x in c1)
-
-
-def hq_row(A, ch2, c1):
-    """(ch2, c1) in T_2 + T_1 as a sparse row {column: coefficient}."""
-    d = A.dim
-    return _row([(i * d + j, c) for (i, j), c in ch2.items()]
-                + [(d * d + k, c) for k, c in enumerate(c1)])

@@ -12,9 +12,9 @@ import itertools
 
 from .. import fp
 from ..memo import derived
-from .algebras import AlgebraError
+from .algebras import AlgebraError, xor_sum
 from .chains import (HomologySpace, HomologyClass, homology, hq1, tensor2,
-                     t_add, t_scale, flatten, unflatten, hq_vector, hq_row,
+                     tensor_bits, t_add, t_scale, flatten, unflatten, hq_vector,
                      vectors)
 
 
@@ -158,6 +158,32 @@ def vartheta_chain(A, chain2, cpart):
     return out, A.mul(cpart, cpart)
 
 
+def _one_plus_vartheta_rows(A, rows):
+    """(1 + vartheta) of packed (ch2, c1) rows over T_2 + T_1: the formula of
+    `vartheta_chain`, summands in increasing column order as `unit_summands`
+    takes them, on the packed tables of A."""
+    d, bits, inv = A.dim, A.bits, A.inv_bits
+    D = d * d
+    cols = list(zip(*bits))                     # cols[k][m] = e_m e_k
+    out = []
+    for vec in rows:
+        ch2, c = vec & ((1 << D) - 1), vec >> D
+        th2 = prefix = 0
+        while ch2:
+            low = ch2 & -ch2
+            i, j = divmod(low.bit_length() - 1, d)
+            ab, ba = bits[i][j], bits[j][i]
+            # ab a (x) b + ab (x) ba, and s_earlier (x) s for s = ab + ba
+            th2 ^= (tensor_bits(d, xor_sum(ab, cols[i]), 1 << j) ^ tensor_bits(d, ab, ba)
+                    ^ tensor_bits(d, prefix, ab ^ ba))
+            prefix ^= ab ^ ba
+            ch2 ^= low
+        th2 ^= tensor_bits(d, c, xor_sum(c, inv))
+        cc = xor_sum(c, [xor_sum(c, row) for row in bits])
+        out.append(vec ^ th2 ^ cc << D)
+    return out
+
+
 class CokerMu:
     """Coker(mu_{R/2R}) with exact class comparison."""
 
@@ -178,16 +204,13 @@ class CokerOnePlusVartheta:
         self.A = A
         self.coker_mu = _coker_mu(A)
         self.hq = self.coker_mu.hq
-        D = A.dim * A.dim
-        rows = []
-        for v in self.hq.basis:
-            # (1 + vartheta)(ch2, c1)
-            ch2, c1 = unflatten(A, 2, v[:D]), v[D:]
-            th2, thc = vartheta_chain(A, ch2, c1)
-            rows.append(hq_row(A, t_add(2, ch2, th2), A.add(c1, thc)))
+        rows = _one_plus_vartheta_rows(A, self.hq.basis_rows)
         self.context = self.coker_mu.context.extended(rows)
+        # independent modulo the larger context: the HQ_1 basis rows give the
+        # same choice as all the cycles (the others lie in the HQ_1 context
+        # plus the span of the rows before them)
         self.basis = vectors(2, self.hq.ambient_dim,
-                             self.context.space.independent(self.hq.cycles))
+                             self.context.space.independent(self.hq.basis_rows))
 
     @property
     def dim(self):

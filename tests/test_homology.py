@@ -485,6 +485,62 @@ def test_planted_axiom_failures_still_raise(monkeypatch):
         H.group_algebra(loop, 2)
 
 
+def _validated_on(data, middles):
+    """The algebra of a JSON description, checked on the given middles only
+    (algebra_from_json checks every middle)."""
+    invol = data.get("involution")
+    A = H.FiniteAlgebra(data["p"], data["labels"],
+                        [[enumerate(v) for v in row] for row in data["mult"]], data["unit"],
+                        None if invol is None else [enumerate(r) for r in invol], check=False)
+    A.middles = middles
+    A._validate()
+    return A
+
+
+def test_planted_axiom_faults_raise_on_every_path():
+    """Each error of _validate, planted in F_2[S3] and F_3[S3] checked on the
+    generator middles (packed and sparse tables) and in F_2[S3] from JSON
+    (every middle); then the faults that only one check can see."""
+    e = [[int(i == j) for j in range(6)] for i in range(6)]
+    for p in (2, 3):
+        A = H.group_algebra(G.symmetric_group(3), p)
+        assert len(A.middles) < A.dim
+        base = A.to_json()
+        swapped = [list(row) for row in base["mult"]]
+        swapped[3][4], swapped[3][5] = swapped[3][5], swapped[3][4]
+        not_square = [list(r) for r in base["involution"]]
+        not_square[3] = e[3]            # e3 -> e3 and e4 -> e3
+        plants = [("unit law fails", dict(base, unit=e[1])),
+                  ("associativity fails", dict(base, mult=swapped)),
+                  ("does not square to 1", dict(base, involution=not_square)),
+                  ("not an anti-homomorphism", dict(base, involution=e))]
+        _validated_on(base, A.middles)
+        for message, data in plants:
+            with pytest.raises(AlgebraError, match=message):
+                _validated_on(data, A.middles)
+            if p == 2:
+                with pytest.raises(AlgebraError, match=message):
+                    H.algebra_from_json(data)
+    # a one-sided unit: in the algebra of a right-zero semigroup (xy = y)
+    # e_0 is a left unit only, in that of a left-zero one (xy = x) a right
+    # unit only
+    for mult in ([[e[j][:3] for j in range(3)] for _ in range(3)],
+                 [[e[i][:3] for _ in range(3)] for i in range(3)]):
+        with pytest.raises(AlgebraError, match="unit law fails"):
+            H.algebra_from_json({"p": 2, "labels": list("abc"), "mult": mult,
+                                 "unit": [1, 0, 0]})
+    # invol(1) = 1 does not follow from the law on the middles: in
+    # F_2[x]/(x^3) with the middle x, 1 -> 1 + x^2, x -> x, x^2 -> x^2
+    # squares to 1 and satisfies invol(y x) = invol(x) invol(y) for every y
+    trunc = {"p": 2, "labels": ["1", "x", "x2"], "unit": [1, 0, 0],
+             "mult": [[[int(i + j == k) for k in range(3)] for j in range(3)]
+                      for i in range(3)]}
+    _validated_on(dict(trunc, involution=[r[:3] for r in e[:3]]), (1,))
+    for check in (lambda data: _validated_on(data, (1,)), H.algebra_from_json):
+        with pytest.raises(AlgebraError, match="not an anti-homomorphism"):
+            check(dict(trunc, involution=[[1, 0, 1], [0, 1, 0], [0, 0, 1]]))
+
+
 # -- boundary rows and the associativity check on generator middles --------
 
 
