@@ -15,13 +15,16 @@ the conversion.  The finite builds stay packed on the way out as well:
 `Subspace.packed_basis` hands out the echelon rows as ints, and
 `kernel_packed` the F_2 kernel; `pack` and `unpack` convert at the API.
 
-Over F_2 a build does not back-substitute each new pivot into every stored
-row.  A new row is reduced by the stored rows and then by a batch of new
-pivots, and elimination runs inside the batch only.  Every few dozen new
-pivots (about sqrt(16 rank)), and at the end, the batch is folded in: each
-stored row is reduced by the batch once.  So a build or `extended` still
-returns its subspace in full reduced echelon form (Albrecht and Pernet,
-arXiv:1006.1744, block dense elimination over GF(2)).
+Over F_2 every build, and `independent`, runs one elimination loop
+(`Subspace._sweep`), and a row costs no call of its own there.  A new row
+is reduced by the stored rows and then by a batch of new pivots, and
+back-substitution runs inside the batch only.  Every few dozen new pivots
+(about sqrt(16 rank)), and at the end, the batch is folded in: each stored
+row is reduced by the batch once.  So a build or `extended` still returns
+its subspace in full reduced echelon form (Albrecht and Pernet,
+arXiv:1006.1744, block dense elimination over GF(2)).  Rows that are in
+that form already are never swept again: `QuotientContext.direct_sum`
+places reduced blocks at column offsets as they are.
 """
 from __future__ import annotations
 
@@ -70,18 +73,7 @@ class Subspace:
         # equal to 1); every other row is 0 at column j
         self._rows = {}
         self._mask = 0      # F_2 only: bit j set iff column j is a pivot
-        self._absorb_all(rows)
-
-    def _coerce_row(self, row):
-        """A row that builds the subspace: an int is a packed F_2 row, bit j
-        = column j (p = 2 only); anything else goes through _coerce."""
-        if type(row) is not int:
-            return self._coerce(row)
-        if self.p != 2:
-            raise ValueError(f"packed row over F_{self.p}; packed rows are F_2 only")
-        if row < 0 or row >> self.dim:
-            raise ValueError(f"packed row with a bit outside [0, {self.dim})")
-        return row
+        self._sweep(rows)
 
     def _coerce(self, vec):
         if isinstance(vec, dict):
@@ -109,28 +101,72 @@ class Subspace:
                 v = [(a - c * b) % p for a, b in zip(v, row)]
         return v
 
-    def _absorb_all(self, rows):
-        """Add `rows` to the span; the reduced echelon form holds again on
-        return.  Over F_2 new pivots gather in a _Batch, folded into the
-        stored rows every `_fold_size` pivots and at the end."""
-        if self.p != 2:
-            for r in rows:
-                self._absorb(self._coerce_row(r))
-            return
-        batch = _Batch()
-        limit = _fold_size(len(self._rows))
-        for r in rows:
-            v = _reduce_f2(self._coerce_row(r), self._rows, self._mask)
-            if v and batch.add(v) and len(batch.rows) >= limit:
-                self._fold(batch)
-                batch = _Batch()
-                limit = _fold_size(len(self._rows))
-        self._fold(batch)
+    def _sweep(self, rows, fold=True):
+        """The rows, in order, that are outside the span of this subspace and
+        of the rows kept before them.  With `fold` they are added to the
+        span, and the reduced echelon form holds again on return; without
+        it this subspace is unchanged.
 
-    def _fold(self, batch):
-        """Clear the batch pivots from every stored row, one reduction per
-        row, and store the batch rows."""
-        rows, mask = batch.rows, batch.mask
+        Over F_2 this is the one elimination loop.  Each row gets the
+        packed-row check, the reduction by the stored pivots and then by a
+        batch of new pivots, and a new pivot is back-substituted into the
+        batch only.  Every `_fold_size` pivots, and at the end, the batch
+        is folded into the stored rows; without `fold` it never is."""
+        if self.p != 2:
+            space, kept = (self if fold else self.extended(())), []
+            for r in rows:
+                if type(r) is int:
+                    raise ValueError(f"packed row over F_{self.p}; packed rows are F_2 only")
+                if space._absorb(space._coerce(r)):
+                    kept.append(r)
+            return kept
+        dim, stored, smask = self.dim, self._rows, self._mask
+        # the batch: rows in reduced echelon form among themselves, zero on
+        # the stored pivots; every bit of every row is in `support`, so a
+        # new pivot outside it needs no back-substitution
+        batch, bmask, support = {}, 0, 0
+        limit = _fold_size(len(stored)) if fold else -1
+        kept = []
+        for r in rows:
+            if type(r) is not int:
+                v = self._coerce(r)
+            elif r < 0 or r >> dim:
+                raise ValueError(f"packed row with a bit outside [0, {dim})")
+            else:
+                v = r
+            m = v & smask
+            while m:
+                low = m & -m
+                v ^= stored[low.bit_length() - 1]
+                m ^= low
+            m = v & bmask
+            while m:
+                low = m & -m
+                v ^= batch[low.bit_length() - 1]
+                m ^= low
+            if not v:
+                continue
+            low = v & -v
+            if support & low:
+                for k, row in batch.items():
+                    if row & low:
+                        batch[k] = row ^ v
+            batch[low.bit_length() - 1] = v
+            bmask |= low
+            support |= v
+            kept.append(r)
+            if len(batch) == limit:
+                self._fold(batch, bmask)
+                smask = self._mask
+                batch, bmask, support = {}, 0, 0
+                limit = _fold_size(len(stored))
+        if fold:
+            self._fold(batch, bmask)
+        return kept
+
+    def _fold(self, rows, mask):
+        """Clear the batch pivots (`mask`) from every stored row, one
+        reduction per row, and store the batch `rows`."""
         if not rows:
             return
         stored = self._rows
@@ -174,22 +210,13 @@ class Subspace:
         s = Subspace(self.dim, self.p)
         s._rows = dict(self._rows)
         s._mask = self._mask
-        s._absorb_all(rows)
+        s._sweep(rows)
         return s
 
     def independent(self, rows):
         """The rows, in order, that are outside the span of this subspace and
         of the rows kept before them: a basis of (span + rows) / span."""
-        if self.p != 2:
-            probe = self.extended(())
-            return [r for r in rows if probe._absorb(probe._coerce_row(r))]
-        # the kept rows, reduced by self, span a probe that self never sees
-        probe, kept = _Batch(), []
-        for r in rows:
-            v = _reduce_f2(self._coerce_row(r), self._rows, self._mask)
-            if v and probe.add(v):
-                kept.append(r)
-        return kept
+        return self._sweep(rows, fold=False)
 
     def basis(self):
         """The rows of the reduced echelon form, in increasing pivot order."""
@@ -221,37 +248,6 @@ def _fold_size(rank):
     return max(32, int((16 * rank) ** 0.5))
 
 
-class _Batch:
-    """F_2 pivots not yet folded into a Subspace: rows in reduced echelon
-    form among themselves, each reduced by the stored rows when it came."""
-
-    __slots__ = ("rows", "mask", "support")
-
-    def __init__(self):
-        self.rows = {}
-        self.mask = 0
-        # every bit of every row is in support, so a new pivot outside it
-        # needs no back-substitution (rows that come reduced skip the scan)
-        self.support = 0
-
-    def add(self, v):
-        """Reduce v, which is zero on the stored pivots, by the batch; keep it
-        if something is left.  True when it gave a new pivot."""
-        v = _reduce_f2(v, self.rows, self.mask)
-        if not v:
-            return False
-        low = v & -v
-        rows = self.rows
-        if self.support & low:
-            for k, row in rows.items():
-                if row & low:
-                    rows[k] = row ^ v
-        rows[low.bit_length() - 1] = v
-        self.mask |= low
-        self.support |= v
-        return True
-
-
 class QuotientContext:
     """F_p^dim modulo a subspace, with canonical representatives."""
 
@@ -260,22 +256,28 @@ class QuotientContext:
 
     @classmethod
     def direct_sum(cls, dim, blocks):
-        """F_2^dim modulo the span of `blocks` of rows whose spans share no
-        column; a shared column raises ValueError.  Each block is reduced
-        alone, and the union of the reduced rows is the reduced echelon
-        form of the whole span.  That saves time because no block's rows
-        are ever reduced by another block's."""
+        """F_2^dim modulo the sum of `blocks`, pairs (space, offset): the rows
+        of an F_2 Subspace moved up by offset columns.  A block must fit in
+        [0, dim), and no two blocks may share a column; otherwise ValueError.
+        Moved rows stay in reduced echelon form, and the union of such
+        blocks over disjoint columns is the reduced echelon form of their
+        whole span, so the rows are placed as they are, never reduced again.
+        """
         space, seen = Subspace(dim, 2), 0
-        for rows in blocks:
-            part = Subspace(dim, 2, rows)
+        for part, offset in blocks:
+            if part.p != 2:
+                raise ValueError(f"a direct sum is over F_2, not F_{part.p}")
+            if offset < 0 or offset + part.dim > dim:
+                raise ValueError(f"a block of {part.dim} columns at {offset} "
+                                 f"outside [0, {dim})")
             support = 0
-            for row in part._rows.values():
+            for j, row in part._rows.items():
+                space._rows[j + offset] = row << offset
                 support |= row
-            if support & seen:
+            if support << offset & seen:
                 raise ValueError("blocks of a direct sum share a column")
-            seen |= support
-            space._rows.update(part._rows)
-            space._mask |= part._mask
+            seen |= support << offset
+            space._mask |= part._mask << offset
         q = object.__new__(cls)
         q.space = space
         return q

@@ -58,12 +58,12 @@ class FiniteAlgebra:
     None).  Elements are coefficient tuples.  Associativity, the unit laws
     and the anti-involution axioms are verified on construction.
 
-    `middles` lists basis indices s such that the unit and products of the
-    e_s span the algebra: associativity and the anti-homomorphism law are
-    checked (see `_validate`), and the boundaries b(e_i (x) e_s (x) e_k) of
+    `middles` lists basis indices s such that the products of the e_s span
+    the algebra: associativity and the anti-homomorphism law are checked
+    (see `_validate`), and the boundaries b(e_i (x) e_s (x) e_k) of
     `chains._b2_rows` are written, for those s only.  It is every index
-    unless a constructor knows better (`group_algebra` sets the identity
-    and a generating set of the group).
+    unless a constructor knows better (`group_algebra` sets a generating
+    set of the group).
     `parts`, when not None, gives each basis element a part.  Then every
     e_i e_j is one basis element, e_i (x) e_j lies over the part of e_i e_j,
     and no relation row of H_1, HC_1 or HQ_1 lies over two parts, so
@@ -154,10 +154,11 @@ class FiniteAlgebra:
 
         The same argument bounds the anti-homomorphism check.  The y with
         invol(x y) = invol(y) invol(x) for all x form a subspace.  It holds
-        the unit once invol(1) = 1, which is checked apart: the middles
-        alone do not force it (in F_2[x]/(x^3) with the middle x, the map
-        1 -> 1 + x^2, x -> x, x^2 -> x^2 squares to 1 and satisfies the law
-        on x, but is no anti-homomorphism).  Given associativity it is
+        the unit once invol(1) = 1, which is checked apart: the law on
+        middles whose products miss the unit does not force it (in
+        F_2[x]/(x^3) with the middle x, the map 1 -> 1 + x^2, x -> x,
+        x^2 -> x^2 squares to 1 and satisfies the law on x, but is no
+        anti-homomorphism).  Given associativity it is
         closed under products: for two of them invol(x y1 y2)
         = invol(y2) invol(x y1) = invol(y2) invol(y1) invol(x)
         = invol(y1 y2) invol(x).  So the law is checked for every e_i and
@@ -255,18 +256,32 @@ def algebra_from_json(data):
 
 
 def group_algebra(G: Group, p=2):
-    """F_p[G] with the inverse anti-involution.  Its middles are the
-    identity and `generating_set(G)`: each element of a finite group is a
-    product of generators, so the e_g they span are the whole basis."""
+    """F_p[G] with the inverse anti-involution.  Its middles are
+    `generating_set(G)`: each element of a finite group is a product of
+    generators (the identity a power of one), so the e_g they span are the
+    whole basis.  Only the trivial group, which has no generators, keeps
+    the identity.
+
+    The tables are written straight from the group's index table: every
+    e_g e_h is one basis element, so each entry is reduced as it stands,
+    and the constructor's sort and packing are skipped.  `_validate` still
+    checks them."""
     els = G.elements()
     idx = {g: i for i, g in enumerate(els)}
-    mult = [[((idx[G.mul(g, h)], 1),) for h in els] for g in els]
-    unit = [0] * len(els)
-    unit[idx[G.identity]] = 1
-    invol = [((idx[G.inv(g)], 1),) for g in els]
-    A = FiniteAlgebra(p, [G.format_element(g) for g in els], mult, unit,
-                      invol, name=f"F{p}[{getattr(G, 'name', '?')}]", check=False)
-    A.middles = (idx[G.identity],) + tuple(idx[g] for g in generating_set(G))
+    table = [[idx[G.mul(g, h)] for h in els] for g in els]
+    inv = [idx[G.inv(g)] for g in els]
+    one = idx[G.identity]
+    A = object.__new__(FiniteAlgebra)
+    A.p, A.labels, A.dim = p, [G.format_element(g) for g in els], len(els)
+    A.mult = [[((k, 1),) for k in row] for row in table]
+    A.unit = tuple([int(i == one) for i in range(A.dim)])
+    A.involution = [((k, 1),) for k in inv]
+    A.bits = A.inv_bits = None
+    if p == 2:
+        A.bits = [[1 << k for k in row] for row in table]
+        A.inv_bits = [1 << k for k in inv]
+    A.name = f"F{p}[{getattr(G, 'name', '?')}]"
+    A.middles = tuple(idx[g] for g in generating_set(G)) or (one,)
     A._validate()
     # parts: the conjugacy classes, each merged with its inverse class.  The
     # columns of a row lie over conjugate products (b(g (x) s (x) k) over

@@ -199,7 +199,8 @@ def _quotient(A, kind, dim, rows):
     blocks = [[] for _ in parts]
     for r in rows:
         blocks[column_part[(r & -r).bit_length() - 1]].append(r)
-    return fp.QuotientContext.direct_sum(dim, [b for b in blocks if b])
+    return fp.QuotientContext.direct_sum(
+        dim, [(fp.Subspace(dim, 2, b), 0) for b in blocks if b])
 
 
 def distinct(rows):

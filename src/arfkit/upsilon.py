@@ -57,10 +57,11 @@ class FzData:
         roots = gcl.two_power_roots(G, z)
         self.has_t = self.type == 1
         self.dim = self.sharp.dim + (1 if self.has_t else 0)
-        # packed rows: the t coordinate is the top bit, 0 on all of them
-        rows = self.sharp.context.space.packed_basis()
-        rows += [fp.pack(self.sharp.coord(r)) for r in roots]
-        self.context = fp.QuotientContext(self.dim, 2, rows)
+        # the K_# echelon rows as they are (the t coordinate is the top bit,
+        # 0 on all of them), extended by the packed roots
+        self.context = fp.QuotientContext.direct_sum(
+            self.dim, [(self.sharp.context.space, 0)]).extended(
+            [fp.pack(self.sharp.coord(r)) for r in roots])
 
     def coord(self, h, tbit=0):
         v = self.sharp.coord(h)
@@ -150,12 +151,11 @@ class FiniteLc(_ReducedLc):
             self.offset[z] = pos
             pos += self.fz[z].dim
         self.ambient = pos
-        # packed rows: coordinate i of F(z) is bit offset[z] + i.  The F(z)
-        # blocks share no column, so they are reduced one by one.
+        # packed rows: coordinate i of F(z) is bit offset[z] + i.  Each F(z)
+        # echelon block is placed at its offset as it is.
         bases = [self.fz[z].context.space.packed_basis() for z in self.members]
         base = fp.QuotientContext.direct_sum(
-            self.ambient, [[r << self.offset[z] for r in basis]
-                           for z, basis in zip(self.members, bases)])
+            self.ambient, [(self.fz[z].context.space, self.offset[z]) for z in self.members])
         # Each arrow u_i -> col_i is written on the free (non-pivot)
         # coordinates i of its source only.  A pivot coordinate is a sum of
         # free ones modulo the F(z) relations, which every arrow sends to
@@ -546,10 +546,10 @@ class SigmaSummand:
         self.type = gst.type_of(G, z)
         if self.type == 1:
             self.sharp = _sharp_of(G, gst.centralizer(G, z))
-            rows = self.sharp.context.space.packed_basis()
-            rows.append(fp.pack(self.sharp.coord(z)))
             self.dim = self.sharp.dim + 1      # the C2 coordinate, top bit
-            self.context = fp.QuotientContext(self.dim, 2, rows)
+            self.context = fp.QuotientContext.direct_sum(
+                self.dim, [(self.sharp.context.space, 0)]).extended(
+                [fp.pack(self.sharp.coord(z))])
         elif self.type == 2:
             sub = gst.extended_centralizer(G, z)
             members = list(sub.members)

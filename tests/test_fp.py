@@ -229,7 +229,7 @@ def test_direct_sum_matches_one_build(dim):
                    for _ in range(rng.randint(0, 3))] for b in range(3)]
         rows = [r for block in blocks for r in block]
         rng.shuffle(rows)
-        Q = fp.QuotientContext.direct_sum(dim, blocks)
+        Q = fp.QuotientContext.direct_sum(dim, [(fp.Subspace(dim, 2, b), 0) for b in blocks])
         S = fp.Subspace(dim, 2, rows)
         assert Q.space.basis() == S.basis() and Q.quotient_dim == dim - S.rank
         for v in _random_rows(rng, 2, dim, 6):
@@ -239,7 +239,8 @@ def test_direct_sum_matches_one_build(dim):
         assert Q.space.independent(more) == S.independent(more)
     shared = (1 << dim) - 1
     with pytest.raises(ValueError):
-        fp.QuotientContext.direct_sum(dim, [[1], [shared]])
+        fp.QuotientContext.direct_sum(dim, [(fp.Subspace(dim, 2, [1]), 0),
+                                            (fp.Subspace(dim, 2, [shared]), 0)])
 
 
 # -- the batched F_2 kernel against one pivot at a time ------------------------
@@ -343,8 +344,55 @@ def test_batched_kernel_matches_one_pivot_elimination(dim, kind):
     owner = [rng.randrange(3) for _ in range(dim)]
     masks = [sum(1 << j for j in range(dim) if owner[j] == b) for b in range(3)]
     blocks = [[r & m for r in base_rows + more] for m in masks]
-    D = fp.QuotientContext.direct_sum(dim, blocks)
+    D = fp.QuotientContext.direct_sum(dim, [(fp.Subspace(dim, 2, b), 0) for b in blocks])
     assert D.space.packed_basis() == OnePivotF2([r for b in blocks for r in b]).basis()
+
+
+@pytest.mark.parametrize("dim", [1, 5, 40, 150])
+def test_placed_blocks_match_one_pivot_elimination(dim):
+    # reduced blocks placed at offsets, or widened by a top column, as the
+    # F(z) and L(c) builds place them: the same basis as the shifted rows
+    # eliminated one pivot at a time
+    rng = random.Random(9500 + dim)
+    for kind in ("dense", "sparse"):
+        widths = [rng.randint(1, dim) for _ in range(3)]
+        offsets = [sum(widths[:b]) for b in range(3)]
+        ambient = sum(widths) + rng.randint(0, 2)
+        spaces = [fp.Subspace(w, 2, _packed_rows(rng, w, rng.randint(0, w + 3), kind))
+                  for w in widths]
+        shifted = [r << off for S, off in zip(spaces, offsets) for r in S.packed_basis()]
+        Q = fp.QuotientContext.direct_sum(ambient, list(zip(spaces, offsets)))
+        assert Q.space.packed_basis() == OnePivotF2(shifted).basis()
+        more = _packed_rows(rng, ambient, 6, kind)
+        assert Q.extended(more).space.packed_basis() == OnePivotF2(shifted + more).basis()
+        # one block, one column wider: the new top column is free
+        wide = fp.QuotientContext.direct_sum(widths[0] + 1, [(spaces[0], 0)])
+        assert wide.space.packed_basis() == OnePivotF2(spaces[0].packed_basis()).basis()
+        assert wide.quotient_dim == spaces[0].dim + 1 - spaces[0].rank
+    # a block must fit and be over F_2
+    S = fp.Subspace(dim, 2, [1])
+    for offset in (-1, 1):
+        with pytest.raises(ValueError, match="outside"):
+            fp.QuotientContext.direct_sum(dim, [(S, offset)])
+    with pytest.raises(ValueError, match="over F_2, not F_3"):
+        fp.QuotientContext.direct_sum(dim, [(fp.Subspace(dim, 3, [(1,) * dim]), 0)])
+
+
+@pytest.mark.parametrize("dim", range(4))
+def test_bad_packed_rows_raise_on_every_entry(dim):
+    # a negative packed row, one with a bit at dim or past it, and any
+    # packed row over F_3 raise ValueError on each way rows reach the sweep
+    S, S3 = fp.Subspace(dim, 2), fp.Subspace(max(dim, 1), 3)
+    wide = "packed row with a bit outside"
+    cases = [(-1, S, wide), (-(1 << dim), S, wide), (1 << dim, S, wide),
+             (3 << dim, S, wide), (0, S3, "packed row over F_3"), (1, S3, "packed row over F_3")]
+    for bad, space, message in cases:
+        for entry in (lambda r: fp.Subspace(space.dim, space.p, r), space.extended,
+                      space.independent,
+                      lambda r: fp.QuotientContext.direct_sum(
+                          space.dim, [(fp.Subspace(space.dim, space.p, r), 0)])):
+            with pytest.raises(ValueError, match=message):
+                entry([0, bad] if space.p == 2 else [bad])
 
 
 def test_import_leaves_numpy_out():

@@ -6,7 +6,9 @@ import pytest
 
 import arfkit.groups as G
 import arfkit.homology as H
+from arfkit.groups.structure import generating_set
 from arfkit.homology import AlgebraError
+from test_upsilon import large_j_groups
 
 
 @pytest.fixture(scope="module")
@@ -467,10 +469,9 @@ def test_planted_axiom_failures_still_raise(monkeypatch):
                         [1, 0, 0], check=False)
     A.middles = (0, 1)
     A._validate()
-    # a group algebra checks the middles 1 and generating_set(G) only; a
+    # a group algebra checks the middles generating_set(G) only; a
     # non-associative table that got past its group's own check still fails
     # there
-    from arfkit.groups.structure import generating_set
     with pytest.raises(G.GroupError, match="not associative"):
         G.FiniteTableGroup(list("eabcd"), LOOP5)
 
@@ -480,7 +481,7 @@ def test_planted_axiom_failures_still_raise(monkeypatch):
 
     monkeypatch.setattr(G.FiniteTableGroup, "_validate", identity_and_inverses_only)
     loop = G.FiniteTableGroup(list("eabcd"), LOOP5)
-    assert len(generating_set(loop)) == 2       # 3 middles of 5
+    assert len(generating_set(loop)) == 2       # 2 middles of 5
     with pytest.raises(AlgebraError, match="associativity fails"):
         H.group_algebra(loop, 2)
 
@@ -541,6 +542,35 @@ def test_planted_axiom_faults_raise_on_every_path():
             check(dict(trunc, involution=[[1, 0, 1], [0, 1, 0], [0, 0, 1]]))
 
 
+def _constructor_group_algebra(Gx, p):
+    """F_p[G] the way group_algebra built it through the constructor: sparse
+    entries sorted and packed by FiniteAlgebra, then checked on the middles
+    1 and generating_set(G).  The reference for the tables group_algebra
+    writes straight from the group table."""
+    els = Gx.elements()
+    idx = {g: i for i, g in enumerate(els)}
+    mult = [[((idx[Gx.mul(g, h)], 1),) for h in els] for g in els]
+    unit = [int(g == Gx.identity) for g in els]
+    invol = [((idx[Gx.inv(g)], 1),) for g in els]
+    A = H.FiniteAlgebra(p, [Gx.format_element(g) for g in els], mult, unit, invol,
+                        name=f"F{p}[{getattr(Gx, 'name', '?')}]", check=False)
+    A.middles = (idx[Gx.identity],) + tuple(idx[g] for g in generating_set(Gx))
+    A._validate()
+    return A
+
+
+def test_group_algebra_tables_match_the_constructor():
+    groups = G.groups_upto(16) + [Gx for Gx, _ in large_j_groups().values()]
+    for Gx in groups:
+        for p in (2, 3):
+            A, ref = H.group_algebra(Gx, p), _constructor_group_algebra(Gx, p)
+            for field in ("p", "labels", "dim", "mult", "unit", "involution", "bits",
+                          "inv_bits", "name"):
+                assert getattr(A, field) == getattr(ref, field), (Gx.name, p, field)
+            # no field of the constructor is left out
+            assert set(vars(A)) - {"_derived"} == set(vars(ref)) - {"_derived"}
+
+
 # -- boundary rows and the associativity check on generator middles --------
 
 
@@ -571,18 +601,27 @@ def test_generator_middles_match_all_middles():
     assert all(len(A.middles) < A.dim for A in algebras if A.dim > 2)
     M = H.matrix_algebra(H.group_algebra(G.cyclic_group(2), 2), 2)
     assert list(M.middles) == list(range(M.dim))
-    for A in algebras + [M, H.group_algebra(G.cyclic_group(3), 3)]:
+    for A in [M, H.group_algebra(G.cyclic_group(3), 3)]:
         assert _relation_bases(A) == _relation_bases(_all_middles(A)), A.name
+    for Gx, A in zip(groups, algebras):
+        bases = _relation_bases(A)
+        assert bases == _relation_bases(_all_middles(A)), A.name
+        # the middles group_algebra set before: the identity as well
+        one = Gx.elements().index(Gx.identity)
+        assert (one in A.middles) == (Gx.order() == 1), Gx.name
+        with_one = _all_middles(A)
+        with_one.middles, with_one.parts = (one,) + A.middles, A.parts
+        assert bases == _relation_bases(with_one), A.name
 
 
 def test_dropping_a_generator_middle_changes_a_dimension():
     """Planted fault: without its last generator middle, the boundary rows of
     each group algebra below no longer span b(T_3), and H1 or HQ1 changes
-    dimension.  Dropping the middle 1 alone is no fault to plant: in a
-    finite group 1 is a product of generators (a power of one), so its rows
-    lie in the span of the others, and on the groups of
-    test_generator_middles_match_all_middles no dimension changed.  (C1 is
-    the exception: its only middle is 1, the empty word.)"""
+    dimension.  The middle 1 is not among them to drop: in a finite group 1
+    is a product of generators (a power of one), so its rows lie in the
+    span of the generators' rows, and test_generator_middles_match_all_middles
+    checks that adding it changes no basis.  (C1 is the exception: it has no
+    generators, and its only middle is 1.)"""
     for Gx in [G.symmetric_group(3), G.metacyclic_group(4, 2, 3, 2, name="Q8"),
                G.dihedral_group(4), G.abelian_group([4, 2]), G.abelian_group([3, 3])]:
         A = H.group_algebra(Gx, 2)

@@ -18,6 +18,7 @@ import arfkit.groups.classes as gcl
 import arfkit.groups.structure as gst
 import arfkit.upsilon as ups
 from test_fp import OnePivotF2
+from test_upsilon import large_j_groups
 
 
 # -- the dense references ------------------------------------------------------
@@ -106,7 +107,10 @@ def test_packed_builds_match_the_dense_builders():
     groups = G.groups_upto(16) + [
         G.builtin_group("ch1-order24"), G.symmetric_group(4), G.dihedral_group(24),
         G.direct_product(G.cyclic_group(2), G.symmetric_group(4))]
-    assert len(groups) == 46
+    # two groups with J >= 3, where the placed echelon blocks are largest
+    large = large_j_groups()
+    groups += [large["S3xS3"][0], large["C3^2:C4"][0]]
+    assert len(groups) == 48
     for Gx in groups:
         assert gst.ab_mod_squares(Gx).context.space.basis() == \
             _dense_sharp_basis(Gx, Gx.elements()), Gx.name

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import arfkit.arf as arf
+import arfkit.fp as fp
 import arfkit.groups as G
 import arfkit.groups.classes as gcl
 import arfkit.groups.structure as gst
@@ -182,9 +183,55 @@ def test_upsilon_values_match_homology_model():
             assert group_zero == all(c == 0 for c in hom_val), (Gx.name, pairs)
 
 
+def large_j_groups():
+    """Groups whose value group J(G) has dimension 3 or 4, where a wrong
+    arrow or relation family has room to show: S3 x S3 and D5 x S3 (J 4),
+    A5 as a permutation group and C3^2 x| C4 in S6 (J 3)."""
+    S3 = G.symmetric_group(3)
+    return {"S3xS3": (G.direct_product(S3, S3), 4),
+            "D5xS3": (G.direct_product(G.dihedral_group(5), S3), 4),
+            "A5": (G.FinitePermGroup([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], 5, name="A5"), 3),
+            # generated by (0 1 2), (3 4 5) and (0 3 1 4)(2 5)
+            "C3^2:C4": (G.FinitePermGroup([(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3),
+                                           (3, 4, 5, 1, 0, 2)], 6, name="C3^2:C4"), 3)}
+
+
+def test_upsilon_value_ranks_match_homology_model():
+    """Upsilon of every involution pair as a vector in J(G) (the L(c)
+    payloads side by side, in part order) and in Coker(1 + vartheta).  The
+    pairs span the whole value group, and the two matrices and their
+    side-by-side stack have one rank: the two models give the pairs the
+    same linear relations."""
+    groups = large_j_groups()
+    for name in ("S3xS3", "A5", "C3^2:C4"):
+        Gx, j = groups[name]
+        A = H.group_algebra(Gx, 2)
+        cok = H.coker_one_plus_vartheta(A)
+        idx = {g: i for i, g in enumerate(Gx.elements())}
+        lcs = [ups.l_of_class(Gx, min(part, key=Gx.key))
+               for part in gcl.cl_partition_finite(Gx)]
+        width = sum(lc.ambient for lc in lcs)
+        j_rows, cok_rows, stack = [], [], []
+        for a, b in itertools.product(Gx.involutions(), repeat=2):
+            parts = ups.upsilon_eval(arf.ArfExpression(arf.GROUP, Gx, [(a, b)])).parts
+            in_j = fp.pack([c for lc in lcs
+                            for c in (parts[lc][1] if lc in parts else (0,) * lc.ambient)])
+            in_cok = fp.pack(cok.upsilon_pair(A.basis_vec(idx[a]), A.basis_vec(idx[b])))
+            j_rows.append(in_j)
+            cok_rows.append(in_cok)
+            stack.append(in_j | in_cok << width)
+        ranks = [fp.Subspace(dim, 2, rows).rank for dim, rows in
+                 ((width, j_rows), (cok.hq.ambient_dim, cok_rows),
+                  (width + cok.hq.ambient_dim, stack))]
+        assert ranks == [j] * 3 and cok.dim == j, (name, ranks)
+
+
 def test_j_dimension_matches_homology():
     # two independently built models of the value group must agree, on the
-    # hand-picked groups and on the whole catalogue up to order 16
+    # hand-picked groups (J up to 4) and on the whole catalogue up to order 16
+    for Gx, j in large_j_groups().values():
+        assert ups.j_group_dimension(Gx) == j, Gx.name
+        assert H.coker_one_plus_vartheta(H.group_algebra(Gx, 2)).dim == j, Gx.name
     for Gx in [G.cyclic_group(1), G.cyclic_group(2), G.cyclic_group(3),
                G.cyclic_group(4), G.abelian_group([2, 2]),
                G.symmetric_group(3), G.dihedral_group(4), G.cyclic_group(6),
