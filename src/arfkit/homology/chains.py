@@ -5,17 +5,23 @@ rows built on basis indices from the structure constants (e_i (x) e_j is
 column i*d + j, and the T_1 part of HQ_1 is column d*d + k).  Over F_2 a
 relation row is a packed int, bit j = column j, written as one XOR of
 shifted entries of the packed tables `FiniteAlgebra.bits` and `inv_bits`
-and handed to `fp` as is; zero and repeated rows are dropped before the
-elimination, which leaves the span and so every reduced basis unchanged.
-Over an odd p a row is a sparse dict {column: coefficient}.  The dimension
-guard refuses algebras past dimension 64 instead of approximating.
+and handed to `fp` as is.  Over an odd p a row is a sparse dict {column:
+coefficient}.  The F_2 row writers are generators, read once by
+`_quotient` in chunks of `BLOCK` rows; dropping the zero and repeated rows
+of a chunk leaves the span and so every reduced basis unchanged.  The
+dimension guard refuses algebras past dimension 128 instead of
+approximating.
 """
 from __future__ import annotations
+
+import itertools
 
 from .. import fp
 from .algebras import FiniteAlgebra, AlgebraError, xor_sum
 
-DIM_GUARD = 64
+DIM_GUARD = 128
+# rows per chunk of `_quotient`: the most relation rows held at a time
+BLOCK = 8192
 
 
 def check_guard(A):
@@ -146,9 +152,11 @@ class HomologySpace:
 
     kind is one of H0 | H1 | HC0 | HC1 | HQ1; vectors live in the flat
     ambient space (T_1, T_2, or T_2 + T_1 for HQ1).  The space keeps the
-    algebra's p, not the algebra.  `basis_rows` are the cycles independent
-    modulo the boundaries, as `fp` builds rows (packed ints over F_2), and
-    `basis` the same as tuples."""
+    algebra's p, not the algebra.  `boundary_rows` may be any iterable; it
+    is consumed once (see `_quotient`).  `basis_rows` are the cycles
+    independent modulo the boundaries, as `fp` builds rows (packed ints
+    over F_2), and `dim` counts them.  `basis` unpacks them to tuples on
+    each read; the builds themselves never do."""
 
     def __init__(self, A, kind, ambient_dim, boundary_rows, cycle_basis):
         self.p = A.p
@@ -156,11 +164,14 @@ class HomologySpace:
         self.ambient_dim = ambient_dim
         self.context = _quotient(A, kind, ambient_dim, boundary_rows)
         self.basis_rows = self.context.space.independent(cycle_basis)
-        self.basis = vectors(self.p, ambient_dim, self.basis_rows)
+
+    @property
+    def basis(self):
+        return vectors(self.p, self.ambient_dim, self.basis_rows)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.basis_rows)
 
     def reduce(self, vec):
         return self.context.reduce(vec)
@@ -185,22 +196,38 @@ def _kernel(A, equations, ncols):
 
 
 def _quotient(A, kind, dim, rows):
-    """F_p^dim modulo rows.  Over F_2 the zero and repeated rows are dropped
-    first, and with A.parts the T_2 kinds split the rows by the part of
-    their lowest column (e_i (x) e_j lies over e_i e_j, and the T_1 columns
-    of HQ_1 follow) and reduce each part alone."""
+    """F_p^dim modulo the span of `rows`, an iterable consumed once.
+
+    Over F_2 the rows are read in chunks of BLOCK, and each chunk, its zero
+    and repeated rows dropped, is swept into the subspaces at once, so at
+    most one chunk of rows is held.  With A.parts the T_2 kinds sort the
+    rows of a chunk by the part of their lowest column (e_i (x) e_j lies
+    over e_i e_j, and the T_1 columns of HQ_1 follow) and sweep each part
+    into its own subspace.  The parts share no column, so their reduced
+    rows together are the reduced echelon form of all rows
+    (`fp.QuotientContext.direct_sum`)."""
     if A.p != 2:
         return fp.QuotientContext(dim, A.p, rows)
-    rows = distinct(rows)
-    if A.parts is None or kind in ("H0", "HC0"):
-        return fp.QuotientContext(dim, 2, rows)
-    parts = A.parts
-    column_part = [parts[v.bit_length() - 1] for row in A.bits for v in row] + parts
-    blocks = [[] for _ in parts]
-    for r in rows:
-        blocks[column_part[(r & -r).bit_length() - 1]].append(r)
-    return fp.QuotientContext.direct_sum(
-        dim, [(fp.Subspace(dim, 2, b), 0) for b in blocks if b])
+    column_part = None
+    if A.parts is not None and kind not in ("H0", "HC0"):
+        parts = A.parts
+        column_part = [parts[v.bit_length() - 1] for row in A.bits for v in row] + parts
+    n = 1 if column_part is None else max(column_part) + 1
+    spaces = [None] * n
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, BLOCK)):
+        chunk = distinct(chunk)
+        blocks = [chunk]
+        if column_part is not None:
+            blocks = [[] for _ in range(n)]
+            for r in chunk:
+                blocks[column_part[(r & -r).bit_length() - 1]].append(r)
+        for k, block in enumerate(blocks):
+            if block:
+                space = spaces[k]
+                spaces[k] = (fp.Subspace(dim, 2, block) if space is None
+                             else space.extended(block))
+    return fp.QuotientContext.direct_sum(dim, [(s, 0) for s in spaces if s is not None])
 
 
 def distinct(rows):
@@ -263,7 +290,7 @@ def homology(A: FiniteAlgebra, which):
         cycles = _kernel(A, _equations(A, _commutator_rows(A)), d * d)
         rows = _b2_rows(A)
         if which == "HC1":
-            rows += _hc1_rows(A)
+            rows = itertools.chain(rows, _hc1_rows(A))
         return HomologySpace(A, which, d * d, rows, cycles)
     if which == "HQ1":
         return hq1(A)
@@ -283,11 +310,11 @@ def _commutator_rows(A):
 
 def _hc1_rows(A):
     """(1 - x)(e_i (x) e_j) = e_i (x) e_j + e_j (x) e_i for all i, j, as
-    rows over T_2."""
+    rows over T_2 (a generator)."""
     d = A.dim
     if A.p == 2:
-        return [(1 << i * d + j) ^ (1 << j * d + i) for i in range(d) for j in range(d)]
-    return [_row([(i * d + j, 1), (j * d + i, 1)]) for i in range(d) for j in range(d)]
+        return ((1 << i * d + j) ^ (1 << j * d + i) for i in range(d) for j in range(d))
+    return (_row([(i * d + j, 1), (j * d + i, 1)]) for i in range(d) for j in range(d))
 
 
 def _equations(A, columns):
@@ -311,7 +338,7 @@ def _equations(A, columns):
 def _b2_rows(A):
     """b(e_i (x) e_s (x) e_k) = e_i e_s (x) e_k - e_i (x) e_s e_k + e_k e_i (x) e_s
     for every i, k and every s in A.middles, as rows over T_2 (i-major, then
-    s, then k).
+    s, then k): a generator over F_2, a list of sparse rows over odd p.
 
     They span b(T_3).  In the sign convention of `boundary`, b∘b = 0 on T_4
     gives
@@ -328,8 +355,8 @@ def _b2_rows(A):
         # and e_0 (x) e_x e_y (the packed product itself)
         bits = A.bits
         left = [[tensor_bits(d, v, 1) for v in row] for row in bits]
-        return [(left[i][s] << k) ^ (bits[s][k] << i * d) ^ (left[k][i] << s)
-                for i in range(d) for s in middles for k in range(d)]
+        return ((left[i][s] << k) ^ (bits[s][k] << i * d) ^ (left[k][i] << s)
+                for i in range(d) for s in middles for k in range(d))
     mult = A.mult
     rows = []
     for i in range(d):
@@ -358,41 +385,76 @@ def hq1(A: FiniteAlgebra):
     else:
         invol = [_row([(i, 1)] + [(k, -c) for k, c in v]) for i, v in enumerate(A.involution)]
     cycles = _kernel(A, _equations(A, _commutator_rows(A) + invol), d * d + d)
-    return HomologySpace(A, "HQ1", d * d + d, _hq1_rows(A) + _b2_rows(A), cycles)
+    return HomologySpace(A, "HQ1", d * d + d, itertools.chain(_hq1_rows(A), _b2_rows(A)),
+                         cycles)
 
 
 def _hq1_rows(A):
     """The relation families of HQ_1 besides the T_2 rows of H_1, as rows
-    over T_2 + T_1: for r = e_i, s = e_j (i-major)
+    over T_2 + T_1 from a generator: for r = e_i and s = e_j
 
-        (r (x) s + s (x) r, -(rs + invol(rs)))
-        (r (x) s + invol(r) (x) invol(s), sr - rs)
+        f1(r, s) = (r (x) s + s (x) r, -(rs + invol(rs)))
+        f2(r, s) = (r (x) s + invol(r) (x) invol(s), sr - rs)
 
-    and, over odd p, (0, 2 (r + invol(r))), which is zero over F_2."""
+    and, over odd p, (0, 2 (r + invol(r))), which is zero over F_2.  Odd p
+    writes f1 and f2 for every pair (i, j), i-major.  F_2 writes them for
+    every i and only the middles j (i-major, f1 before f2): 2 d |middles|
+    rows, not 2 d^2.  They span the same space together with the rows
+    b(T_3) that `hq1` adds (`_b2_rows`).
+
+    Proof (over F_2, signs dropped, bars for invol).  Modulo b(T_3), where
+    b(x (x) y (x) z) = xy (x) z + x (x) yz + zx (x) y, we have
+    x (x) yz = xy (x) z + zx (x) y.  Write = for equality and == for
+    equality modulo b(T_3).
+
+    (a) f2(r, st) == f2(rs, t) + f2(tr, s).  Rewrite r (x) st and
+        bar r (x) bar t bar s by the rule above, with
+        bar(st) = bar t bar s.  The T_2 part of f2(r, st) becomes
+        rs (x) t + tr (x) s + bar r bar t (x) bar s + bar s bar r (x) bar t,
+        the T_2 part of the right side.  The T_1 parts are str + rst on
+        the left and trs + rst + str + trs on the right.
+    (b) f1(a, b) + f1(b, a) = f2(a, b) + f2(bar a, bar b), exactly.  Both
+        sides have T_2 part 0, since bar bar a = a, and T_1 part
+        ab + ba + bar(ab) + bar(ba), since bar(ab) = bar b bar a.  Both
+        laws are checked by `FiniteAlgebra._validate`.
+    (c) f1(r, st) == f1(tr, s) + f2(rs, t) + f2(bar(rs), bar t).  By the
+        rule, r (x) st == rs (x) t + tr (x) s, and, from b(s (x) t (x) r),
+        st (x) r == s (x) tr + rs (x) t.  So f1(r, st) + f1(tr, s) == (0,
+        x + bar x + y + bar y) with x = (rs)t and y = t(rs), and by (b)
+        with a = rs, b = t this is f2(rs, t) + f2(bar(rs), bar t).
+
+    Let R be the span of the rows written here and b(T_3).  Both families
+    are bilinear, so the s with f2(r, s) in R for every r form a subspace.
+    It holds the middles, and by (a) it is closed under products, so it
+    is all of A: products of the middles span A (see `FiniteAlgebra`).
+    Then the s with f1(r, s) in R for every r form a subspace that holds
+    the middles, and by (c), whose f2 terms are now in R, it holds st
+    whenever it holds s, for every t.  So it is A as well: every f1 and
+    f2 row lies in R.  (a) comes first because (c) uses what it gives.
+    """
     d = A.dim
     D = d * d
-    rows = []
     if A.p == 2:
         bits, inv = A.bits, A.inv_bits
         for i in range(d):
-            for j in range(d):
+            for j in A.middles:
                 ij, ji = bits[i][j], bits[j][i]
-                rows.append((1 << i * d + j) ^ (1 << j * d + i) ^ (ij ^ xor_sum(ij, inv)) << D)
-                rows.append((1 << i * d + j) ^ tensor_bits(d, inv[i], inv[j]) ^ (ji ^ ij) << D)
-        return rows
+                yield (1 << i * d + j) ^ (1 << j * d + i) ^ (ij ^ xor_sum(ij, inv)) << D
+                yield (1 << i * d + j) ^ tensor_bits(d, inv[i], inv[j]) ^ (ji ^ ij) << D
+        return
     mult, inv = A.mult, A.involution
     for i in range(d):
         for j in range(d):
             ij = mult[i][j]
-            rows.append(_row([(i * d + j, 1), (j * d + i, 1)]
-                             + [(D + m, -c) for m, c in ij]
-                             + [(D + n, -c * e) for m, c in ij for n, e in inv[m]]))
-            rows.append(_row([(i * d + j, 1)]
-                             + [(a * d + b, ca * cb) for a, ca in inv[i] for b, cb in inv[j]]
-                             + [(D + m, c) for m, c in mult[j][i]]
-                             + [(D + m, -c) for m, c in ij]))
-    rows += [_row([(D + i, 2)] + [(D + n, 2 * e) for n, e in inv[i]]) for i in range(d)]
-    return rows
+            yield _row([(i * d + j, 1), (j * d + i, 1)]
+                       + [(D + m, -c) for m, c in ij]
+                       + [(D + n, -c * e) for m, c in ij for n, e in inv[m]])
+            yield _row([(i * d + j, 1)]
+                       + [(a * d + b, ca * cb) for a, ca in inv[i] for b, cb in inv[j]]
+                       + [(D + m, c) for m, c in mult[j][i]]
+                       + [(D + m, -c) for m, c in ij])
+    for i in range(d):
+        yield _row([(D + i, 2)] + [(D + n, 2 * e) for n, e in inv[i]])
 
 
 def hq_vector(A, ch2, c1):

@@ -209,14 +209,18 @@ class CokerOnePlusVartheta:
         # independent modulo the larger context: the HQ_1 basis rows give the
         # same choice as all the cycles (the others lie in the HQ_1 context
         # plus the span of the rows before them)
-        self.basis = vectors(2, self.hq.ambient_dim,
-                             self.context.space.independent(self.hq.basis_rows))
+        self.basis_rows = self.context.space.independent(self.hq.basis_rows)
+
+    @property
+    def basis(self):
+        """`basis_rows` as tuples, unpacked on each read."""
+        return vectors(2, self.hq.ambient_dim, self.basis_rows)
 
     @property
     def dim(self):
         """Number of independent cycle classes (the ambient quotient also
         contains non-cycle coordinates)."""
-        return len(self.basis)
+        return len(self.basis_rows)
 
     def reduce(self, vec):
         return self.context.reduce(vec)

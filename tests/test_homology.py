@@ -38,7 +38,7 @@ def test_hc1_field_vanishes():
 
 
 def test_dimension_guard():
-    A = H.group_algebra(G.abelian_group([8, 9]), 2)     # dimension 72 > 64
+    A = H.group_algebra(G.abelian_group([8, 17]), 2)    # dimension 136 > 128
     with pytest.raises(AlgebraError):
         H.homology(A, "H1")
 
@@ -419,7 +419,7 @@ def test_boundary_and_b2_rows_match_dense_reference():
     rng = random.Random(47)
     for A in _pinned_algebras().values():
         d = A.dim
-        rows = _b2_rows(A)
+        rows = list(_b2_rows(A))
         triples = [(i, s, k) for i in range(d) for s in A.middles for k in range(d)]
         assert len(rows) == len(triples)
         for row, key in zip(rows, triples):

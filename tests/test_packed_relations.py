@@ -7,8 +7,11 @@ the packed tables `FiniteAlgebra.bits` and `inv_bits`.  The builders below
 are the term-list versions that came before, kept as references: every
 family must span the same space as its reference, and the spaces built
 from the reference rows (with no split into parts and no dropped rows)
-must equal the ones `chains` and `operations` build.
+must equal the ones `chains` and `operations` build.  The HQ_1 families of
+`chains` are written for the middles s only, so they are compared with
+b(T_3) added on both sides (the proof is in the `_hq1_rows` docstring).
 """
+import itertools
 import random
 
 import arfkit.fp as fp
@@ -40,12 +43,15 @@ def _hc1_rows(A):
     return [_row([(i * d + j, 1), (j * d + i, 1)]) for i in range(d) for j in range(d)]
 
 
-def _b2_rows(A):
+def _b2_rows(A, middles=None):
+    """b(e_i (x) e_s (x) e_k) for every s in `middles` (default A.middles):
+    with every basis index, all of b(T_3)."""
     d, mult = A.dim, A.mult
     return [_row([(m * d + k, c) for m, c in mult[i][s]]
                  + [(i * d + m, -c) for m, c in mult[s][k]]
                  + [(m * d + s, c) for m, c in mult[k][i]])
-            for i in range(d) for s in A.middles for k in range(d)]
+            for i in range(d) for s in (A.middles if middles is None else middles)
+            for k in range(d)]
 
 
 def _equations(A, hq):
@@ -159,7 +165,11 @@ def test_packed_families_span_the_term_list_families():
         assert _span(chains._commutator_rows(A), d) == _span(_commutator_rows(A), d)
         assert _span(chains._hc1_rows(A), D) == _span(_hc1_rows(A), D)
         assert _span(chains._b2_rows(A), D) == _span(_b2_rows(A), D), A.name
-        assert _span(chains._hq1_rows(A), D + d) == _span(_hq1_rows(A), D + d), A.name
+        # the whole HQ_1 context: the families on the middles with the rows
+        # b(T_3) on the middles, against every pair (i, j) with all of b(T_3)
+        hq1 = itertools.chain(chains._hq1_rows(A), chains._b2_rows(A))
+        ref = _hq1_rows(A) + _b2_rows(A, range(d))
+        assert _span(hq1, D + d) == _span(ref, D + d), A.name
         b1 = chains._equations(A, chains._commutator_rows(A))
         assert _span(b1, D) == _span(_equations(A, False), D)
         assert _relation_bases(A) == _reference_bases(A), A.name
@@ -179,8 +189,32 @@ def test_distinct_drops_only_zero_and_repeated_rows():
     rng = random.Random(67)
     rows = [rng.choice([0, 1, 2, 3, 5, 8, 1 << 70]) for _ in range(200)]
     A = H.group_algebra(G.symmetric_group(3), 2)
-    for rows in (rows, chains._hq1_rows(A) + chains._b2_rows(A), chains._commutator_rows(A)):
+    hq1 = list(chains._hq1_rows(A)) + list(chains._b2_rows(A))
+    for rows in (rows, hq1, chains._commutator_rows(A)):
         kept = chains.distinct(rows)
         assert len(kept) == len(set(kept))
         assert set(kept) == set(rows) - {0}
         assert kept == sorted(kept, key=rows.index)
+
+
+def test_streamed_chunks_leave_the_bases_unchanged(monkeypatch):
+    """`chains._quotient` reads its rows chunk by chunk, drops repeats within
+    a chunk only and sweeps each chunk into the subspaces built so far.
+    Chunks far smaller than one relation family, on algebras with and
+    without parts, give the bases of one whole chunk."""
+    def picked():
+        return [A for A in _algebras() if A.dim in (6, 8)]
+
+    whole = [_relation_bases(A) for A in picked()]
+    monkeypatch.setattr(chains, "BLOCK", 5)
+    algebras = picked()
+    assert any(A.parts is None for A in algebras) and any(A.parts for A in algebras)
+    for A, bases in zip(algebras, whole):
+        assert _relation_bases(A) == bases, A.name
+    # a chunk with no row left after the zero and repeated rows are dropped
+    # does not end the stream
+    A = algebras[0]
+    D = A.dim * A.dim + A.dim
+    rows = list(chains._hq1_rows(A)) + list(chains._b2_rows(A))
+    padded = [0] * 7 + [rows[0]] * 7 + rows
+    assert chains._quotient(A, "HQ1", D, iter(padded)).space.packed_basis() == _span(rows, D)

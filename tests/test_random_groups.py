@@ -2,8 +2,10 @@
 
 Subgroups of S5 and S6 are drawn from one to three random permutations,
 and some are multiplied by C2 once or twice so that orders 16 and 32 occur.
-Each group is checked against the homology model of its value group and
-against a copy of itself with the elements relabelled at random.
+A small share of the draws, from a seed of its own, is of order 36 to 64,
+where the value group reaches dimension 3.  Each group is checked
+against the homology model of its value group and against a copy of
+itself with the elements relabelled at random.
 """
 import random
 
@@ -15,9 +17,13 @@ import arfkit.homology as H
 import arfkit.upsilon as ups
 
 MAX_ORDER = 32
+LARGE_ORDERS = (36, 64)
 
 
-def _random_groups(rng, count):
+def _random_groups(rng, count, low=1, high=MAX_ORDER):
+    """`count` groups of order in [low, high]: a subgroup of S5 or S6 of
+    order at most `high`, times C2 at random while that fits, and always
+    while the order is below `low`."""
     symmetric = [G.symmetric_group(5), G.symmetric_group(6)]
     c2 = G.cyclic_group(2)
     out = []
@@ -25,13 +31,14 @@ def _random_groups(rng, count):
         S = rng.choice(symmetric)
         gens = rng.sample(S.elements(), rng.randint(1, 3))
         members = sorted(gst.subgroup_closure(S, gens))
-        if len(members) > MAX_ORDER:
+        if len(members) > high:
             continue
         Gx = G.table_from_mul(members, S.mul, labels=[S.format_element(g) for g in members],
                               name=f"<{len(gens)} in S{S.n}>")
-        while 2 * Gx.order() <= MAX_ORDER and rng.random() < 0.3:
+        while 2 * Gx.order() <= high and (Gx.order() < low or rng.random() < 0.3):
             Gx = G.direct_product(Gx, c2, name=f"{Gx.name}xC2")
-        out.append(Gx)
+        if Gx.order() >= low:
+            out.append(Gx)
     return out
 
 
@@ -76,11 +83,17 @@ def _check_group(rng, Gx):
 def test_random_subgroups_agree_with_homology_and_relabelling():
     rng = random.Random(2)
     groups = _random_groups(rng, 120)
+    # the larger share has a seed of its own, so the draws above stay as
+    # they were
+    large = _random_groups(random.Random(28), 4, *LARGE_ORDERS)
     verdicts = set()
-    for Gx in groups:
+    for Gx in groups + large:
         verdicts |= _check_group(rng, Gx)
-    # the draw reaches the orders that the plain subgroup draw misses, and
-    # the verdicts compared are not all one kind
+    # the draw reaches the orders that the plain subgroup draw misses, the
+    # larger share value groups of dimension 3, and the verdicts compared
+    # are not all one kind
     orders = {Gx.order() for Gx in groups}
     assert {16, 32} <= orders
+    assert all(LARGE_ORDERS[0] <= Gx.order() <= LARGE_ORDERS[1] for Gx in large)
+    assert max(ups.j_group_dimension(Gx) for Gx in large) >= 3
     assert {"Distinct", "SameImage"} <= verdicts

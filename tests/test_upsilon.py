@@ -228,8 +228,11 @@ def test_upsilon_value_ranks_match_homology_model():
 
 def test_j_dimension_matches_homology():
     # two independently built models of the value group must agree, on the
-    # hand-picked groups (J up to 4) and on the whole catalogue up to order 16
-    for Gx, j in large_j_groups().values():
+    # hand-picked groups (J up to 4, and S3 x S3 x C2 past order 64) and on
+    # the whole catalogue up to order 16
+    S3 = G.symmetric_group(3)
+    past_64 = G.direct_product(G.direct_product(S3, S3), G.cyclic_group(2))
+    for Gx, j in list(large_j_groups().values()) + [(past_64, 4)]:
         assert ups.j_group_dimension(Gx) == j, Gx.name
         assert H.coker_one_plus_vartheta(H.group_algebra(Gx, 2)).dim == j, Gx.name
     for Gx in [G.cyclic_group(1), G.cyclic_group(2), G.cyclic_group(3),
