@@ -376,37 +376,53 @@ def _check_upsilon(G, check):
 
 def _check_upsilon_table(G, check):
     """Families are given by affine exponent patterns [[ci, cj, c0], ...]
-    evaluated at every (i, j) in the window."""
+    evaluated at every (i, j) in the window.  Each family's patterns are
+    read and checked once, before any instance is evaluated."""
     rng = range(-check.get("range", 3), check.get("range", 3) + 1)
-
-    def element(pattern, i, j):
-        try:
-            (ax, bx, cx), (ay, by, cy), s = pattern
-            return ((ax * i + bx * j + cx, ay * i + by * j + cy), s)
-        except (TypeError, ValueError):
-            raise ArfkitError(f"upsilon-table pattern {pattern!r} is not "
-                              "[[ci, cj, c0], [ci, cj, c0], s]") from None
-
+    families = []
+    for fam in _field(check, "families", list):
+        g, h = (_table_pattern(_field(fam, key, list, "upsilon-table family"))
+                for key in ("g", "h"))
+        image = None if fam.get("t") else _table_pattern(
+            _field(fam, "image", list, "upsilon-table family"))
+        families.append((g, h, image))
     ok = True
     n = 0
-    families = _field(check, "families", list)
     for i in rng:
         for j in rng:
-            for fam in families:
-                g = element(_field(fam, "g", list, "upsilon-table family"), i, j)
-                h = element(_field(fam, "h", list, "upsilon-table family"), i, j)
+            for g_pat, h_pat, image_pat in families:
+                g, h = _table_element(g_pat, i, j), _table_element(h_pat, i, j)
                 val = ups.upsilon_eval(arf.ArfExpression(arf.GROUP, G, [(g, h)]))
                 want = ups.JValue(G)
                 z = G.mul(g, h)
-                if fam.get("t"):
+                if image_pat is None:
                     want.add_insert(z, None, 1)
                 else:
-                    want.add_insert(z, element(_field(fam, "image", list,
-                                                      "upsilon-table family"), i, j))
+                    want.add_insert(z, _table_element(image_pat, i, j))
                 if not (val == want) or val.is_zero():
                     ok = False
                 n += 1
     return ok, f"Upsilon table over {n} instances"
+
+
+def _table_pattern(pattern):
+    """`pattern`, once it is checked to be [[ci, cj, c0], [ci, cj, c0], s]
+    with integer entries."""
+    try:
+        (ax, bx, cx), (ay, by, cy), s = pattern
+    except (TypeError, ValueError):
+        ints = False
+    else:
+        ints = all(type(c) is int for c in (ax, bx, cx, ay, by, cy, s))
+    if not ints:
+        raise ArfkitError(f"upsilon-table pattern {pattern!r} is not "
+                          "[[ci, cj, c0], [ci, cj, c0], s]")
+    return pattern
+
+
+def _table_element(pattern, i, j):
+    (ax, bx, cx), (ay, by, cy), s = pattern
+    return ((ax * i + bx * j + cx, ay * i + by * j + cy), s)
 
 
 def _check_lc_dim(G, check):

@@ -14,6 +14,8 @@ be that packed int already, so that relation families built as ints skip
 the conversion.  The finite builds stay packed on the way out as well:
 `Subspace.packed_basis` hands out the echelon rows as ints, and
 `kernel_packed` the F_2 kernel; `pack` and `unpack` convert at the API.
+`QuotientContext.reduce_packed` reduces a packed vector and returns it
+packed, so a caller that adds vectors as XORs of ints never converts.
 
 Over F_2 every build, and `independent`, runs one elimination loop
 (`Subspace._sweep`), and a row costs no call of its own there.  A new row
@@ -288,6 +290,17 @@ class QuotientContext:
 
     def reduce(self, vec):
         return self.space.reduce(vec)
+
+    def reduce_packed(self, bits):
+        """`reduce` of a packed F_2 vector (bit j = coordinate j), returned
+        packed.  A negative vector, one with a bit at dim or past it, or a
+        quotient over an odd p raises ValueError."""
+        space = self.space
+        if space.p != 2:
+            raise ValueError(f"packed vectors are F_2 only, not F_{space.p}")
+        if bits < 0 or bits >> space.dim:
+            raise ValueError(f"packed vector with a bit outside [0, {space.dim})")
+        return _reduce_f2(bits, space._rows, space._mask)
 
     def extended(self, rows):
         """This quotient divided further by `rows`; self is unchanged."""

@@ -2,15 +2,16 @@
 
 Every family has a total class key (`class_key`): the part of a finite
 group's exact partition, or a closed form (lattice products, and two-ends
-pull-backs through an orbit table on the finite fibre E).  A plain windowed
-closure, for cross-validation, yields classes flagged approximate.
+pull-backs through an orbit table on the finite fibre E), kept per element
+queried.  A plain windowed closure, for cross-validation, yields classes
+flagged approximate.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 
-from ..memo import derived
+from ..memo import derived, derived_entry
 from .core import (Group, GroupError, SemidirectZnC2, PullbackCyclicGroup,
                    PullbackDihedralGroup)
 
@@ -51,14 +52,14 @@ def conjugators(G, g):
     """{h: (x, ...)}: every x of the finite group G with x g x^-1 = h, in
     G.elements() order.  One row per queried g, built on first use; rows
     hold elements only, no reference back to G."""
-    table = derived(G, "conjugators", dict)
-    row = table.get(g)
-    if row is None:
-        row = {}
-        for x in G.elements():
-            row.setdefault(G.conj(g, x), []).append(x)
-        row = table.setdefault(g, {h: tuple(xs) for h, xs in row.items()})
-    return row
+    return derived_entry(G, "conjugators", g, _conjugator_row, G, g)
+
+
+def _conjugator_row(G, g):
+    row = {}
+    for x in G.elements():
+        row.setdefault(G.conj(g, x), []).append(x)
+    return {h: tuple(xs) for h, xs in row.items()}
 
 
 def conjugacy_classes(G):
@@ -177,24 +178,37 @@ def same_class(G, z1, z2):
 
 def class_key(G, z):
     """Canonical key of the class of z: z1 ~ z2 in cl(G) iff their keys are
-    equal.  Keys are hashable; a finite group's key holds the part of z."""
+    equal.  Keys are hashable; a finite group's key holds the part of z.
+    An infinite family reads the key from a table of the elements queried
+    so far, filled by its closed form on first use."""
     if G.is_finite:
         return ("fin", cl_part(G, z))
+    return derived_entry(G, "class_key", z, _infinite_key, G, z)
+
+
+def _infinite_key(G, z):
     if isinstance(G, SemidirectZnC2):
-        v, s = z
-        if s or not any(v):
-            return ("one",)
-        while all(x % 2 == 0 for x in v):
-            v = tuple(x // 2 for x in v)
-        for x in v:
-            if x % 2:
-                if x < 0:
-                    v = tuple(-y for y in v)
-                break
-        return ("lat", v)
+        return _lattice_key(z)
     if isinstance(G, (PullbackCyclicGroup, PullbackDihedralGroup)):
         return _pullback_key(G, z)
     raise GroupError(f"no exact class decider for family {G.family}")
+
+
+def _lattice_key(z):
+    """The class key of z = (v, s) in Z^n x| C2: ("one",) for a flip or the
+    identity, else ("lat", the primitive vector of v with its first odd
+    entry positive)."""
+    v, s = z
+    if s or not any(v):
+        return ("one",)
+    while all(x % 2 == 0 for x in v):
+        v = tuple(x // 2 for x in v)
+    for x in v:
+        if x % 2:
+            if x < 0:
+                v = tuple(-y for y in v)
+            break
+    return ("lat", v)
 
 
 def class_rep_element(G, z):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 
 from .. import fp
+from ..memo import derived_entry
 from .core import (GroupError, SemidirectZnC2, PullbackCyclicGroup,
                    PullbackDihedralGroup, cyclic_group, dihedral_group,
                    metacyclic_group, abelian_group, direct_product,
@@ -157,7 +158,16 @@ def _dihedral_stabilizer(G, z, allow_inverse):
 
 
 def type_of(G, z):
-    """1 if z = z^-1; 2 if z^-1 is conjugate to z but distinct; 3 otherwise."""
+    """1 if z = z^-1; 2 if z^-1 is conjugate to z but distinct; 3 otherwise.
+
+    A finite group decides it from its conjugator rows; an infinite family
+    reads it from a table of the elements queried so far."""
+    if G.is_finite:
+        return _type(G, z)
+    return derived_entry(G, "type_of", z, _type, G, z)
+
+
+def _type(G, z):
     zi = G.inv(z)
     if z == zi:
         return 1

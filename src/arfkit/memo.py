@@ -3,6 +3,8 @@ algebras) whose own fields never change.
 
 Entries are built on first use.  Racing first uses may build an entry
 twice, but `dict.setdefault` hands each of them the value stored first.
+A derived table keyed by element (`derived_entry`) grows one entry per
+element queried.
 """
 from __future__ import annotations
 
@@ -25,4 +27,14 @@ def derived(obj, key, build, *args):
     value = store.get(key)
     if value is None:
         value = store.setdefault(key, build(*args))
+    return value
+
+
+def derived_entry(obj, key, item, build, *args):
+    """Entry `item` of obj's derived table `key`: build(*args) on first
+    use, then the stored value.  `build` must not return None."""
+    table = derived(obj, key, dict)
+    value = table.get(item)
+    if value is None:
+        value = table.setdefault(item, build(*args))
     return value

@@ -10,7 +10,11 @@ Every summand backend speaks one protocol, and JValue calls nothing else:
 `insert_entry(G, z, h, tbit)` is the payload of the generator [h] (with
 t-bit) of F(z), `combine(a, b)` adds two payloads, `resolve(payload)` is the
 canonical value of a payload (None when it is zero) and `show(G, value)`
-prints a resolved value.
+prints a resolved value.  The payload is the backend's own: a reduced tuple
+for a finite L(c), a packed F_2 int (bit i = coordinate i) for a lattice
+one, and a list of (chain position, packed int) entries for a two-ends one.
+A resolved value is a tuple again, so values print and compare as they
+always have.
 
 Finite groups build each L(c) as one exact quotient.  The lattice products
 use closed forms; the two-ends pull-backs walk the squaring chain of a
@@ -19,6 +23,7 @@ transition maps become isomorphisms (infinite-order tail).
 """
 from __future__ import annotations
 
+import operator
 import threading
 
 from . import fp
@@ -26,7 +31,7 @@ from .arf import ArfExpression, ArfError, GROUP
 from .groups import classes as gcl
 from .groups import structure as gst
 from .groups.core import SemidirectZnC2, table_from_mul
-from .memo import derived
+from .memo import derived, derived_entry
 
 
 class UpsilonUnknown(Exception):
@@ -71,10 +76,9 @@ class FzData:
             raise ArfError("no t coordinate on this summand")
         return v
 
-    def zero_with_t(self):
-        if not self.has_t:
-            raise ArfError("no t coordinate on this summand")
-        return fp.unit(self.dim, self.dim - 1)
+    def bits(self, h, tbit=0):
+        """coord(h, tbit) packed: bit i is coordinate i."""
+        return fp.pack(self.coord(h, tbit))
 
 
 def _sharp_of(G, sub):
@@ -82,40 +86,34 @@ def _sharp_of(G, sub):
     the elements of one centralizer share it."""
     if sub.kind != "finite":
         return gst.sharp_of_subgroup(sub)
-    table = derived(G, "sharp", dict)
-    sharp = table.get(sub.members)
-    if sharp is None:
-        sharp = table.setdefault(sub.members, gst.sharp_of_members(G, sub.members))
-    return sharp
+    return derived_entry(G, "sharp", sub.members, gst.sharp_of_members, G, sub.members)
 
 
 def fz_data(G, z) -> FzData:
-    table = derived(G, "fz", dict)
-    fz = table.get(z)
-    if fz is None:
-        fz = table.setdefault(z, FzData(G, z))
-    return fz
+    return derived_entry(G, "fz", z, FzData, G, z)
 
 
 def _arrow_column(G, src: FzData, dst: FzData, x, i):
     """Column i of the arrow F(z) -> F(z') induced by conjugation by x, or
     of the squaring arrow F(z) -> F(z^2) when x is None: the image of
-    coordinate i of src, the t coordinate last."""
+    coordinate i of src, the t coordinate last, packed."""
     if i == src.sharp.dim:
-        return dst.zero_with_t()
+        if not dst.has_t:
+            raise ArfError("no t coordinate on this summand")
+        return 1 << (dst.dim - 1)
     g = src.sharp.elements[i]
     if x is None:
-        return dst.coord(g, src.w[i] if dst.has_t else 0)
-    return dst.coord(G.conj(g, x))
+        return dst.bits(g, src.w[i] if dst.has_t else 0)
+    return dst.bits(G.conj(g, x))
 
 
 def _square_matrix(src: FzData, dst: FzData):
-    """Columns of the squaring arrow F(z) -> F(z^2)."""
+    """Packed columns of the squaring arrow F(z) -> F(z^2)."""
     return [_arrow_column(None, src, dst, None, i) for i in range(src.dim)]
 
 
 def _conj_matrix(G, src: FzData, dst: FzData, x):
-    """Columns of the arrow F(z) -> F(z') induced by conjugation by x."""
+    """Packed columns of the arrow F(z) -> F(z') induced by conjugation by x."""
     return [_arrow_column(G, src, dst, x, i) for i in range(src.dim)]
 
 
@@ -125,7 +123,8 @@ def _conj_matrix(G, src: FzData, dst: FzData, x):
 
 class _ReducedLc:
     """Shared protocol of the finite and lattice backends: a payload is a
-    vector reduced modulo `self.context`, so it is already canonical."""
+    vector reduced modulo `self.context`, so it is already canonical.  It
+    is a tuple here; the lattice backend packs it."""
 
     @property
     def dim(self):
@@ -176,7 +175,7 @@ class FiniteLc(_ReducedLc):
                 dst, off2 = self.fz[z2], self.offset[z2]
                 for i in free:
                     col = _arrow_column(G, src, dst, x, i)
-                    rows.append((1 << (off + i)) ^ (fp.pack(col) << off2))
+                    rows.append((1 << (off + i)) ^ (col << off2))
         self.context = base.extended(rows)
 
     def _ins(self, z, vec):
@@ -194,7 +193,8 @@ class FiniteLc(_ReducedLc):
 
 class SemidirectLc(_ReducedLc):
     """Closed-form L(c) for Z^n x| C2 (cross-validated by windows):
-    L([1]) = C2; L([v]) = F_2{x_1..x_n, S}/<v mod 2> with identity arrows."""
+    L([1]) = C2; L([v]) = F_2{x_1..x_n, S}/<v mod 2> with identity arrows.
+    A payload is a packed int, added by XOR."""
 
     def __init__(self, G, key):
         self.key = key
@@ -207,9 +207,17 @@ class SemidirectLc(_ReducedLc):
     def insert_entry(self, G, z, h, tbit=0):
         if self.key == ("one",):
             # F(z) for type-1 z has trivial sharp part; only t survives
-            return (tbit % 2,)
+            return tbit & 1
         v, s = h
-        return self.context.reduce(tuple(x % 2 for x in v) + (s % 2,))
+        bits = (s & 1) << len(v)
+        for i, x in enumerate(v):
+            bits |= (x & 1) << i
+        return self.context.reduce_packed(bits)
+
+    combine = staticmethod(operator.xor)
+
+    def resolve(self, bits):
+        return fp.unpack(bits, self.context.space.dim) if bits else None
 
     def show(self, G, vec):
         names = ["t"] if self.key == ("one",) else list(G.var_names) + ["S"]
@@ -226,8 +234,11 @@ class PullbackLc:
     (all data is periodic in the exponent), so the colimit is the stable F
     and values are compared by pushing to a common chain position.
 
-    A payload is a list of raw (chain position, vector) entries; `resolve`
-    pushes them to a common position and reduces there."""
+    `maps`, `cycle_close`, the loop rows and the transport columns are
+    packed ints, so an arrow applied to a vector is the XOR of the columns
+    of its set bits.  A payload is a list of raw (chain position, packed
+    vector) entries; `resolve` pushes them to a common position, adds them
+    by XOR and reduces there."""
 
     MAX_CHAIN = 64
 
@@ -256,8 +267,7 @@ class PullbackLc:
                 self.maps.append(_square_matrix(self.chain[-1], nxt))
                 self.cycle_close = _conj_matrix(G, nxt, self.chain[j], x)
                 loop = _compose(self.chain[j].dim, self.maps[j:] + [self.cycle_close])
-                self.loop_rows = [fp.add_vec(fp.unit(len(loop), i), w)
-                                  for i, w in enumerate(loop)]
+                self.loop_rows = [(1 << i) ^ w for i, w in enumerate(loop)]
                 stable = j
                 self.cyclic = True
                 break
@@ -303,15 +313,15 @@ class PullbackLc:
         self.zs.append(z_next)
 
     def insert_entry(self, G, z, h, tbit=0):
-        """The one raw (position, vector) entry of an F(z)-generator."""
-        vec = fz_data(G, z).coord(h, tbit)
+        """The one raw (position, packed vector) entry of an F(z)-generator."""
+        bits = fz_data(G, z).bits(h, tbit)
         hit = self._transport.get(z)
         if hit is None:
             with self._extend_lock:
                 hit = self._transport.get(z) or self._transport.setdefault(
                     z, self._walk(G, z))
         pos, cols = hit
-        return [(pos, _apply_matrix(cols, vec))]
+        return [(pos, _apply_matrix(cols, bits))]
 
     def _walk(self, G, z):
         """(position, columns) of the arrow F(z) -> F(chain[position]), built
@@ -352,35 +362,39 @@ class PullbackLc:
         None when it is zero.  The position is the stable point of a cyclic
         chain, else the deepest entry's."""
         top = max(pos for pos, _ in entries)
-        acc = fp.zeros(self.chain[top].dim)
-        for pos, vec in entries:
+        acc = 0
+        for pos, bits in entries:
             while pos < top:
-                vec = _apply_matrix(self.maps[pos], vec)
+                bits = _apply_matrix(self.maps[pos], bits)
                 pos += 1
-            acc = fp.add_vec(acc, vec)
-        red = self._context_at(top).reduce(acc)
-        if not any(red):
+            acc ^= bits
+        red = self._context_at(top).reduce_packed(acc)
+        if not red:
             return None
-        return ("at", top if not self.cyclic else self.stable, red)
+        return ("at", top if not self.cyclic else self.stable,
+                fp.unpack(red, self.chain[top].dim))
 
     def show(self, G, value):
         return _vec_str(value[2])
 
 
 def _compose(dim, steps):
-    """Columns of the composite of the arrows `steps` (each given by its
-    columns), applied in order to F_2^dim."""
-    cols = [fp.unit(dim, i) for i in range(dim)]
+    """Packed columns of the composite of the arrows `steps` (each given by
+    its packed columns), applied in order to F_2^dim."""
+    cols = [1 << i for i in range(dim)]
     for step in steps:
         cols = [_apply_matrix(step, c) for c in cols]
     return cols
 
 
-def _apply_matrix(matrix, vec):
-    out = fp.zeros(len(matrix[0]) if matrix else 0)
-    for c, col in zip(vec, matrix):
-        if c % 2:
-            out = fp.add_vec(out, col)
+def _apply_matrix(matrix, bits):
+    """The image of the packed vector `bits` under the arrow with packed
+    columns `matrix`: the XOR of the columns of its set bits."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out ^= matrix[low.bit_length() - 1]
+        bits ^= low
     return out
 
 

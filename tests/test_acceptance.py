@@ -102,12 +102,15 @@ def test_ac04_upsilon_table():
                 assert got == want and not got.is_zero()
     for rep, dim in [("Y", 2), ("X", 2), ("X*Y", 2), ("1", 1)]:
         assert ups.l_of_class(P, P.parse_element(rep)).dim == dim
-    # the expected generator quotients: L([Y]) kills exactly <Y>
+    # the expected generator quotients: L([Y]) kills exactly <Y>; a
+    # lattice payload is packed, and resolve gives its coordinates
+    # (x_1, x_2, S)
     lcY = ups.l_of_class(P, P.parse_element("Y"))
     zY = P.parse_element("Y")
-    assert all(c == 0 for c in lcY.insert_entry(P, zY, ((0, 1), 0)))
-    assert any(lcY.insert_entry(P, zY, ((1, 0), 0)))
-    assert any(lcY.insert_entry(P, zY, S))
+    assert lcY.resolve(lcY.insert_entry(P, zY, ((0, 1), 0))) is None
+    assert lcY.resolve(lcY.insert_entry(P, zY, ((1, 0), 0))) == (1, 0, 0)
+    assert lcY.resolve(lcY.insert_entry(P, zY, S)) == (0, 0, 1)
+    assert lcY.resolve(lcY.insert_entry(P, zY, ((1, 1), 1))) == (1, 0, 1)
     _report("AC4 Ch IV example table (|i|,|j| <= 3)", t0)
 
 

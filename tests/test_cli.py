@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import re
 
@@ -135,6 +136,12 @@ def _planted(name, edit):
     (lambda: _planted("ch4-upsilon-table",
                       lambda d: d["checks"][1]["families"][0].update(g=[1, 2])),
      "upsilon-table pattern [1, 2] is not"),
+    (lambda: _planted("ch4-upsilon-table",
+                      lambda d: d["checks"][1]["families"][0].update(g=[[2, 0, "x"], [0, 2, 1], 1])),
+     "upsilon-table pattern [[2, 0, 'x'], [0, 2, 1], 1] is not"),
+    (lambda: _planted("ch4-upsilon-table",
+                      lambda d: d["checks"][1]["families"][5].update(image=[[0, 0, 1], [0, 0, 0]])),
+     "upsilon-table pattern [[0, 0, 1], [0, 0, 0]] is not"),
     (lambda: _planted("ch2-sec5-distinct", lambda d: d["checks"][1].pop("expr2")),
      "distinguish check lacks 'expr2'"),
 ])
@@ -149,6 +156,30 @@ def test_scenario_json_deterministic(runner):
     assert a.output == b.output
     payload = json.loads(a.output)
     assert payload["ok"] is True
+
+
+# sha256 of `scenario <name> --json`, taken before the two-ends and lattice
+# summands moved to packed payloads; every bundled scenario is pinned
+SCENARIO_PINS = {
+    "ch1-d4ext-chain": "08aff7056690e5490a1465064aa47a084a21f8cd1bd1f7386a5456daf2dc3c7b",
+    "ch1-order24-basis": "94a4599cdb9b93df210972ae5696ad4cb7d233fe59e6c90307581abc9c482659",
+    "ch2-sec5-distinct": "94e1df19a15151cb8f16a8c3ebb80f0cf720e64617c4efce9ff75de497aaa51a",
+    "ch2-sec5-equality": "8a30e449e018d6b4e871ca63d6af8fd005fb8b3df5ccb5f4411672bd686bebcc",
+    "ch4-upsilon-table": "c6bb7c4032c96e4b670f49728df780418f1ed399c6cfed445cb10a025b1ddb9f",
+    "ch4-xi-open": "e37590a9c660ba322021726f0965897387849d4607c834b6d91d8e1297d0e490",
+    "hq1-c2-upsilon": "c94b36539020923fed5ce6c3fa9a6021b8b2a830917706a82d21977bac04dca9",
+}
+
+
+def test_every_scenario_is_pinned():
+    assert sorted(SCENARIO_PINS) == sorted(scenario_names())
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_PINS))
+def test_scenario_json_is_pinned(runner, name):
+    r = runner.invoke(main, ["scenario", name, "--json"])
+    assert r.exit_code == 0
+    assert hashlib.sha256(r.output.encode()).hexdigest() == SCENARIO_PINS[name]
 
 
 @pytest.mark.parametrize("args", [

@@ -395,6 +395,31 @@ def test_bad_packed_rows_raise_on_every_entry(dim):
                 entry([0, bad] if space.p == 2 else [bad])
 
 
+@pytest.mark.parametrize("dim", [0, 1, 2, 5, 9, 40, 130])
+def test_reduce_packed_matches_reduce(dim):
+    # the packed residue is the packed tuple residue, on random quotients
+    # and on a direct sum of placed blocks
+    rng = random.Random(9000 + dim)
+    for _ in range(8):
+        rows = [rng.getrandbits(dim) if dim else 0 for _ in range(rng.randint(0, dim + 2))]
+        Q = fp.QuotientContext(dim, 2, rows)
+        P = fp.QuotientContext.direct_sum(dim, [(fp.Subspace(dim, 2, rows[:1]), 0)])
+        for _ in range(10):
+            v = rng.getrandbits(dim) if dim else 0
+            for q in (Q, P):
+                assert q.reduce_packed(v) == fp.pack(q.reduce(fp.unpack(v, dim)))
+        assert Q.reduce_packed(0) == 0
+        for r in rows:
+            assert Q.reduce_packed(r) == 0
+    Q = fp.QuotientContext(dim, 2)
+    for bad in (-1, -(1 << dim), 1 << dim, 3 << dim):
+        with pytest.raises(ValueError, match="packed vector with a bit outside"):
+            Q.reduce_packed(bad)
+    for good_at_2 in (0, 1):
+        with pytest.raises(ValueError, match="F_2 only, not F_3"):
+            fp.QuotientContext(max(dim, 1), 3).reduce_packed(good_at_2)
+
+
 def test_import_leaves_numpy_out():
     # a fresh interpreter, so that imports made by other tests cannot mask it
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -556,6 +556,54 @@ def test_class_key_matches_pullback_same_class():
             assert same == _pullback_same_class(Gx, z1, z2), (Gx.name, z1, z2)
 
 
+def _infinite_groups():
+    """The five infinite built-ins and Z x C7, whose squaring permutes the
+    classes of C7 in a 3-cycle."""
+    names = ("ch1-c-by-d4", "ch1-c2-c-c12", "ch2-plane", "ch4-xyz", "pb-cyclic-c4")
+    return [G.builtin_group(n) for n in names] + [
+        G.PullbackCyclicGroup(G.cyclic_group(7), 1, [0] * 7, name="ZxC7")]
+
+
+def _fresh_type(Gx, z):
+    """The type of z by a conjugacy search for z^-1 (reference)."""
+    zi = Gx.inv(z)
+    if z == zi:
+        return 1
+    return 2 if gcl.conj_witness(Gx, z, zi) is not None else 3
+
+
+def test_class_and_type_tables_match_fresh_deciders(monkeypatch):
+    # the element -> key and element -> type tables of the infinite
+    # families against the closed forms and the conjugacy search, on the
+    # window-3 elements and their inverses: negative T-exponents, flips
+    # and S-type elements included
+    answers, types = {}, set()
+    for Gx in _infinite_groups():
+        zs = Gx.window_elements(3)
+        zs += [Gx.inv(z) for z in zs]
+        lattice = isinstance(Gx, G.SemidirectZnC2)
+        for z in zs:
+            key = gcl.class_key(Gx, z)
+            fresh = gcl._lattice_key(z) if lattice else gcl._pullback_key(Gx, z)
+            assert key == fresh, (Gx.name, z)
+            assert key == gcl.class_key(Gx, Gx.inv(z)), (Gx.name, z)    # z ~ z^-1
+            assert gst.type_of(Gx, z) == _fresh_type(Gx, z), (Gx.name, z)
+        answers[Gx] = [(z, gcl.class_key(Gx, z), gst.type_of(Gx, z)) for z in zs]
+        types |= {tp for _, _, tp in answers[Gx]}
+    assert types == {1, 2, 3}
+
+    def no_search(*args):
+        raise AssertionError("a table entry was computed again")
+
+    # every later query is a lookup in the tables
+    for name in ("_lattice_key", "_pullback_key", "conj_witness"):
+        monkeypatch.setattr(gcl, name, no_search)
+    monkeypatch.setattr(gst, "conj_witness", no_search)
+    for Gx, rows in answers.items():
+        for z, key, tp in rows:
+            assert gcl.class_key(Gx, z) is key and gst.type_of(Gx, z) == tp
+
+
 def test_two_ends_class_decisions_make_no_conjugacy_search(monkeypatch):
     calls = []
     real = gcl.conj_witness

@@ -7,6 +7,7 @@ import weakref
 import arfkit.arf as arf
 import arfkit.groups as G
 import arfkit.groups.classes as gcl
+import arfkit.groups.structure as gst
 import arfkit.homology as H
 import arfkit.homology.chains as hch
 import arfkit.homology.operations as hops
@@ -186,3 +187,37 @@ def test_two_ends_summand_extends_once_under_threads(monkeypatch):
     assert len(lc.zs) == len(set(lc.zs)) == len(lc.chain) == len(lc.maps) + 1
     for k in range(len(lc.zs) - 1):
         assert lc.zs[k + 1] == Gx.mul(lc.zs[k], lc.zs[k])
+
+
+def test_class_and_type_tables_agree_under_threads():
+    # racing first queries of fresh infinite descriptors all get the serial
+    # answers, and every thread gets the one key object stored per element
+    for make in (G.group_c2_c_c12, G.group_c_by_d4, G.group_plane):
+        serial_group = make()
+        zs = serial_group.window_elements(3)
+        serial = [(gcl.class_key(serial_group, z), gst.type_of(serial_group, z))
+                  for z in zs]
+        Gx = make()
+        start = threading.Barrier(8)
+        got = {}
+
+        def query(t):
+            start.wait(timeout=10)
+            order = zs[t::8] + zs[:t] + zs
+            got[t] = {z: (gcl.class_key(Gx, z), gst.type_of(Gx, z)) for z in order}
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=query, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8
+        for answers in got.values():
+            assert [answers[z] for z in zs] == serial
+            assert all(answers[z][0] is got[0][z][0] for z in zs)

@@ -1,12 +1,12 @@
 """The packed F_2 builds against the dense builders they replaced.
 
-The K_# relation rows, F(z), L(c) and the kernels of `fp` are built from
-packed ints.  The builders below are the dense tuple versions that came
-before, kept as references: every SharpSpace, F(z) and L(c) must come out
-with the same reduced echelon basis, and the packed kernel must equal the
-tuple one.  The references eliminate with the one-pivot-at-a-time
-eliminator of test_fp, not with `fp`, and write the L(c) arrows on every
-coordinate, not on the free ones only.
+The K_# relation rows, F(z), L(c), the arrow columns and the kernels of
+`fp` are built from packed ints.  The builders below are the dense tuple
+versions that came before, kept as references: every SharpSpace, F(z) and
+L(c) must come out with the same reduced echelon basis, and the packed
+kernel must equal the tuple one.  The references eliminate with the
+one-pivot-at-a-time eliminator of test_fp, not with `fp`, and write the
+L(c) arrows on every coordinate, not on the free ones only.
 """
 import random
 
@@ -18,7 +18,7 @@ import arfkit.groups.classes as gcl
 import arfkit.groups.structure as gst
 import arfkit.upsilon as ups
 from test_fp import OnePivotF2
-from test_upsilon import large_j_groups
+from test_upsilon import _dense_columns, large_j_groups
 
 
 # -- the dense references ------------------------------------------------------
@@ -59,7 +59,8 @@ def _dense_fz_basis(Gx, fz):
 
 def _dense_lc_basis(Gx, lc, fz_basis):
     """L(c) from length-`ambient` tuples: each F(z) basis row and each arrow
-    row u_i + col, placed by _ins and summed by fp.add_vec."""
+    row u_i + col, with the dense arrow columns, placed by _ins and summed
+    by fp.add_vec."""
     def ins(z, vec):
         out = [0] * lc.ambient
         out[lc.offset[z]:lc.offset[z] + len(vec)] = vec
@@ -77,9 +78,7 @@ def _dense_lc_basis(Gx, lc, fz_basis):
             arrows.append((Gx.inv(z), Gx.identity))
         for z2, x in arrows:
             dst = lc.fz[z2]
-            cols = (ups._square_matrix(src, dst) if x is None
-                    else ups._conj_matrix(Gx, src, dst, x))
-            for i, col in enumerate(cols):
+            for i, col in enumerate(_dense_columns(Gx, src, dst, x)):
                 rows.add(fp.add_vec(ins(z, fp.unit(src.dim, i)), ins(z2, col)))
     return _rref(sorted(rows), lc.ambient)
 

@@ -259,28 +259,65 @@ def test_pullback_insert_positions_consistent(groupB):
     assert lc.resolve(lc.combine(e1, e2)) is None
 
 
+def _dense_columns(Gx, src, dst, x):
+    """Tuple columns of the arrow F(z) -> F(z') induced by conjugation by
+    x, or of the squaring arrow when x is None: the dense arrow columns
+    that came before the packed ones (reference)."""
+    cols = []
+    for i in range(src.dim):
+        if i == src.sharp.dim:
+            cols.append(fp.unit(dst.dim, dst.dim - 1))
+            continue
+        g = src.sharp.elements[i]
+        if x is None:
+            cols.append(dst.coord(g, src.w[i] if dst.has_t else 0))
+        else:
+            cols.append(dst.coord(Gx.conj(g, x)))
+    return cols
+
+
+def _dense_apply(cols, vec, width):
+    """The tuple image of vec under the arrow with tuple columns `cols`."""
+    out = fp.zeros(width)
+    for c, col in zip(vec, cols):
+        if c % 2:
+            out = fp.add_vec(out, col)
+    return out
+
+
 def _walked_entry(Gx, lc, z, h, tbit):
-    """The image of an F(z)-generator walked one arrow at a time: the
+    """The image of an F(z)-generator walked one dense arrow at a time: the
     power/conjugacy search over the chain, the squarings, the conjugation,
-    then the maps up to the stable point or around the cycle."""
+    then the chain maps up to the stable point or around the cycle, each
+    written afresh from the chain's F data (reference)."""
     src = ups.fz_data(Gx, z)
     vec = src.coord(h, tbit)
     a, j, x, _ = gcl.power_conj_search(Gx, z, lc.zs)
+
+    def step(vec, cur, nxt, by):
+        return _dense_apply(_dense_columns(Gx, cur, nxt, by), vec, nxt.dim)
+
     cur = src
     for _ in range(a):
         nxt = ups.fz_data(Gx, Gx.mul(cur.z, cur.z))
-        vec = ups._apply_matrix(ups._square_matrix(cur, nxt), vec)
+        vec = step(vec, cur, nxt, None)
         cur = nxt
-    vec = ups._apply_matrix(ups._conj_matrix(Gx, cur, lc.chain[j], x), vec)
+    vec = step(vec, cur, lc.chain[j], x)
     pos = j
     while pos < lc.stable:
-        vec = ups._apply_matrix(lc.maps[pos], vec)
+        vec = step(vec, lc.chain[pos], lc.chain[pos + 1], None)
         pos += 1
     if lc.cyclic and pos > lc.stable:
-        while pos < len(lc.maps):
-            vec = ups._apply_matrix(lc.maps[pos], vec)
+        while pos < len(lc.chain) - 1:
+            vec = step(vec, lc.chain[pos], lc.chain[pos + 1], None)
             pos += 1
-        vec = ups._apply_matrix(lc.cycle_close, vec)
+        # the square of the chain's last element closes the cycle onto the
+        # stable point by a conjugation
+        last = lc.zs[-1]
+        sq = ups.fz_data(Gx, Gx.mul(last, last))
+        vec = step(vec, lc.chain[-1], sq, None)
+        vec = step(vec, sq, lc.chain[lc.stable],
+                   gcl.conj_witness(Gx, sq.z, lc.zs[lc.stable]))
         pos = lc.stable
     return (pos, vec)
 
@@ -312,7 +349,10 @@ def test_transport_table_matches_the_walk(make, monkeypatch):
     monkeypatch.undo()
     for (z, h, tbit), entry in entries.items():
         lc = ups.l_of_class(Gx, z)
-        assert lc.resolve(lc.combine(entry, [_walked_entry(Gx, lc, z, h, tbit)])) is None
+        pos, vec = _walked_entry(Gx, lc, z, h, tbit)
+        # the packed transport gives the dense walk's vector, bit for bit
+        assert entry == [(pos, fp.pack(vec))], (Gx.name, z, h, tbit)
+        assert lc.resolve(lc.combine(entry, [(pos, fp.pack(vec))])) is None
 
 
 def test_pullback_lc_stable_and_cyclic(groupB):
