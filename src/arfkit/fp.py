@@ -103,17 +103,19 @@ class Subspace:
                 v = [(a - c * b) % p for a, b in zip(v, row)]
         return v
 
-    def _sweep(self, rows, fold=True):
+    def _sweep(self, rows, fold=True, most=None):
         """The rows, in order, that are outside the span of this subspace and
-        of the rows kept before them.  With `fold` they are added to the
-        span, and the reduced echelon form holds again on return; without
-        it this subspace is unchanged.
+        of the rows kept before them, read until `most` are kept.  With
+        `fold` they are added to the span, and the reduced echelon form
+        holds again on return; without it this subspace is unchanged.
 
         Over F_2 this is the one elimination loop.  Each row gets the
         packed-row check, the reduction by the stored pivots and then by a
         batch of new pivots, and a new pivot is back-substituted into the
         batch only.  Every `_fold_size` pivots, and at the end, the batch
         is folded into the stored rows; without `fold` it never is."""
+        if most == 0:
+            return []
         if self.p != 2:
             space, kept = (self if fold else self.extended(())), []
             for r in rows:
@@ -121,6 +123,8 @@ class Subspace:
                     raise ValueError(f"packed row over F_{self.p}; packed rows are F_2 only")
                 if space._absorb(space._coerce(r)):
                     kept.append(r)
+                    if len(kept) == most:
+                        break
             return kept
         dim, stored, smask = self.dim, self._rows, self._mask
         # the batch: rows in reduced echelon form among themselves, zero on
@@ -157,6 +161,8 @@ class Subspace:
             bmask |= low
             support |= v
             kept.append(r)
+            if len(kept) == most:
+                break
             if len(batch) == limit:
                 self._fold(batch, bmask)
                 smask = self._mask
@@ -215,10 +221,11 @@ class Subspace:
         s._sweep(rows)
         return s
 
-    def independent(self, rows):
+    def independent(self, rows, most=None):
         """The rows, in order, that are outside the span of this subspace and
-        of the rows kept before them: a basis of (span + rows) / span."""
-        return self._sweep(rows, fold=False)
+        of the rows kept before them: a basis of (span + rows) / span.  With
+        `most`, the rows are read only until that many are kept."""
+        return self._sweep(rows, fold=False, most=most)
 
     def basis(self):
         """The rows of the reduced echelon form, in increasing pivot order."""
@@ -307,6 +314,14 @@ class QuotientContext:
         q = object.__new__(QuotientContext)
         q.space = self.space.extended(rows)
         return q
+
+    def independent(self, rows, most=None):
+        """`Subspace.independent` of the subspace divided out."""
+        return self.space.independent(rows, most)
+
+    def basis(self):
+        """`Subspace.basis` of the subspace divided out."""
+        return self.space.basis()
 
     def is_zero(self, vec):
         return self.space.contains(vec)

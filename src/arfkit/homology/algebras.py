@@ -6,7 +6,7 @@ import math
 
 from .. import ArfkitError, need
 from ..groups.core import Group
-from ..groups.structure import conjugacy_classes, generating_set
+from ..groups.structure import generating_set
 
 
 class AlgebraError(ArfkitError):
@@ -64,10 +64,11 @@ class FiniteAlgebra:
     `chains._b2_rows` are written, for those s only.  It is every index
     unless a constructor knows better (`group_algebra` sets a generating
     set of the group).
-    `parts`, when not None, gives each basis element a part.  Then every
-    e_i e_j is one basis element, e_i (x) e_j lies over the part of e_i e_j,
-    and no relation row of H_1, HC_1 or HQ_1 lies over two parts, so
-    `chains` reduces each part's rows alone (`group_algebra` sets it).
+    `table`, when not None, is a group algebra's index table: e_i e_j is
+    the one basis element e_table[i][j].  Over F_2 `chains` then reads
+    H_1, HC_1 and HQ_1 from the forms that vanish on their relations
+    (`forms.ColumnForms`) instead of eliminating the relation rows
+    (`group_algebra` sets it).
     """
 
     def __init__(self, p, labels, mult, unit, involution=None, name=None, check=True):
@@ -85,7 +86,7 @@ class FiniteAlgebra:
                 self.inv_bits = [_packed(v) for v in self.involution]
         self.name = name or "algebra"
         self.middles = range(self.dim)
-        self.parts = None
+        self.table = None
         if check:
             self._validate()
 
@@ -262,10 +263,10 @@ def group_algebra(G: Group, p=2):
     whole basis.  Only the trivial group, which has no generators, keeps
     the identity.
 
-    The tables are written straight from the group's index table: every
-    e_g e_h is one basis element, so each entry is reduced as it stands,
-    and the constructor's sort and packing are skipped.  `_validate` still
-    checks them."""
+    The tables are written straight from the group's index table, which
+    the algebra keeps as `table`: every e_g e_h is one basis element, so
+    each entry is reduced as it stands, and the constructor's sort and
+    packing are skipped.  `_validate` still checks them."""
     els = G.elements()
     idx = {g: i for i, g in enumerate(els)}
     table = [[idx[G.mul(g, h)] for h in els] for g in els]
@@ -282,12 +283,8 @@ def group_algebra(G: Group, p=2):
         A.inv_bits = [1 << k for k in inv]
     A.name = f"F{p}[{getattr(G, 'name', '?')}]"
     A.middles = tuple(idx[g] for g in generating_set(G)) or (one,)
+    A.table = table
     A._validate()
-    # parts: the conjugacy classes, each merged with its inverse class.  The
-    # columns of a row lie over conjugate products (b(g (x) s (x) k) over
-    # gs.k, g.sk and kg.s) or over inverse ones (the involution inverts)
-    cls = {g: k for k, c in enumerate(conjugacy_classes(G)) for g in c}
-    A.parts = [min(cls[g], cls[G.inv(g)]) for g in els]
     return A
 
 

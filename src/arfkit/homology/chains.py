@@ -6,11 +6,17 @@ column i*d + j, and the T_1 part of HQ_1 is column d*d + k).  Over F_2 a
 relation row is a packed int, bit j = column j, written as one XOR of
 shifted entries of the packed tables `FiniteAlgebra.bits` and `inv_bits`
 and handed to `fp` as is.  Over an odd p a row is a sparse dict {column:
-coefficient}.  The F_2 row writers are generators, read once by
-`_quotient` in chunks of `BLOCK` rows; dropping the zero and repeated rows
-of a chunk leaves the span and so every reduced basis unchanged.  The
-dimension guard refuses algebras past dimension 128 instead of
-approximating.
+coefficient}.
+
+H_1, HC_1 and HQ_1 of an F_2 group algebra, and the Coker(mu) and
+Coker(1 + vartheta) built on HQ_1, never eliminate their relation rows:
+`forms.ColumnForms` keeps the linear forms that vanish on them (see that
+module; it is imported on the first such build).  Every other algebra
+(JSON, matrix algebras, odd p) eliminates its rows: the F_2 row writers
+are generators, read once by `_quotient` in chunks of `BLOCK` rows;
+dropping the zero and repeated rows of a chunk leaves the span and so
+every reduced basis unchanged.  The dimension guard refuses algebras past
+dimension 256 instead of approximating.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ import itertools
 from .. import fp
 from .algebras import FiniteAlgebra, AlgebraError, xor_sum
 
-DIM_GUARD = 128
+DIM_GUARD = 256
 # rows per chunk of `_quotient`: the most relation rows held at a time
 BLOCK = 8192
 
@@ -152,18 +158,19 @@ class HomologySpace:
 
     kind is one of H0 | H1 | HC0 | HC1 | HQ1; vectors live in the flat
     ambient space (T_1, T_2, or T_2 + T_1 for HQ1).  The space keeps the
-    algebra's p, not the algebra.  `boundary_rows` may be any iterable; it
-    is consumed once (see `_quotient`).  `basis_rows` are the cycles
-    independent modulo the boundaries, as `fp` builds rows (packed ints
-    over F_2), and `dim` counts them.  `basis` unpacks them to tuples on
-    each read; the builds themselves never do."""
+    algebra's p, not the algebra.  `context` is the ambient space modulo
+    the relations (an `fp.QuotientContext`, or `forms.ColumnForms` for an
+    F_2 group algebra).  `basis_rows` are the cycles independent modulo the
+    relations, as `fp` builds rows (packed ints over F_2), and `dim`
+    counts them.  `basis` unpacks them to tuples on each read; the builds
+    themselves never do."""
 
-    def __init__(self, A, kind, ambient_dim, boundary_rows, cycle_basis):
+    def __init__(self, A, kind, ambient_dim, context, basis_rows):
         self.p = A.p
         self.kind = kind
         self.ambient_dim = ambient_dim
-        self.context = _quotient(A, kind, ambient_dim, boundary_rows)
-        self.basis_rows = self.context.space.independent(cycle_basis)
+        self.context = context
+        self.basis_rows = basis_rows
 
     @property
     def basis(self):
@@ -195,39 +202,19 @@ def _kernel(A, equations, ncols):
     return fp.kernel_basis(equations, ncols, A.p)
 
 
-def _quotient(A, kind, dim, rows):
+def _quotient(A, dim, rows):
     """F_p^dim modulo the span of `rows`, an iterable consumed once.
 
     Over F_2 the rows are read in chunks of BLOCK, and each chunk, its zero
-    and repeated rows dropped, is swept into the subspaces at once, so at
-    most one chunk of rows is held.  With A.parts the T_2 kinds sort the
-    rows of a chunk by the part of their lowest column (e_i (x) e_j lies
-    over e_i e_j, and the T_1 columns of HQ_1 follow) and sweep each part
-    into its own subspace.  The parts share no column, so their reduced
-    rows together are the reduced echelon form of all rows
-    (`fp.QuotientContext.direct_sum`)."""
+    and repeated rows dropped, is swept into the subspace at once, so at
+    most one chunk of rows is held."""
     if A.p != 2:
         return fp.QuotientContext(dim, A.p, rows)
-    column_part = None
-    if A.parts is not None and kind not in ("H0", "HC0"):
-        parts = A.parts
-        column_part = [parts[v.bit_length() - 1] for row in A.bits for v in row] + parts
-    n = 1 if column_part is None else max(column_part) + 1
-    spaces = [None] * n
+    context = fp.QuotientContext(dim, 2)
     rows = iter(rows)
     while chunk := list(itertools.islice(rows, BLOCK)):
-        chunk = distinct(chunk)
-        blocks = [chunk]
-        if column_part is not None:
-            blocks = [[] for _ in range(n)]
-            for r in chunk:
-                blocks[column_part[(r & -r).bit_length() - 1]].append(r)
-        for k, block in enumerate(blocks):
-            if block:
-                space = spaces[k]
-                spaces[k] = (fp.Subspace(dim, 2, block) if space is None
-                             else space.extended(block))
-    return fp.QuotientContext.direct_sum(dim, [(s, 0) for s in spaces if s is not None])
+        context = context.extended(distinct(chunk))
+    return context
 
 
 def distinct(rows):
@@ -285,16 +272,28 @@ def homology(A: FiniteAlgebra, which):
     d, p = A.dim, A.p
     if which in ("H0", "HC0"):
         cycles = [1 << i if p == 2 else fp.unit(d, i) for i in range(d)]
-        return HomologySpace(A, which, d, _commutator_rows(A), cycles)
+        context = _quotient(A, d, _commutator_rows(A))
+        return HomologySpace(A, which, d, context, context.independent(cycles))
     if which in ("H1", "HC1"):
-        cycles = _kernel(A, _equations(A, _commutator_rows(A)), d * d)
-        rows = _b2_rows(A)
-        if which == "HC1":
-            rows = itertools.chain(rows, _hc1_rows(A))
-        return HomologySpace(A, which, d * d, rows, cycles)
+        rows = _hc1_rows(A) if which == "HC1" else ()
+        return _cycles_modulo(A, which, d * d, _equations(A, _commutator_rows(A)), rows)
     if which == "HQ1":
         return hq1(A)
     raise AlgebraError(f"unknown homology {which!r}")
+
+
+def _cycles_modulo(A, kind, ncols, equations, rows):
+    """The space `kind`: the kernel of `equations` over ncols columns modulo
+    b(T_3) and `rows`.  An F_2 group algebra reads the quotient from
+    `forms.ColumnForms`; any other algebra eliminates the rows
+    (`_quotient`)."""
+    if A.p == 2 and A.table is not None:
+        from .forms import ColumnForms
+        context = ColumnForms(A, kind == "HQ1", rows)
+        return HomologySpace(A, kind, ncols, context, context.kernel_independent(equations))
+    context = _quotient(A, ncols, itertools.chain(rows, _b2_rows(A)))
+    return HomologySpace(A, kind, ncols, context,
+                         context.independent(_kernel(A, equations, ncols)))
 
 
 def _commutator_rows(A):
@@ -321,13 +320,15 @@ def _equations(A, columns):
     """The equations of the map into T_1 whose column c is the T_1 row
     columns[c]: row k holds the coefficient of e_k in each column."""
     if A.p == 2:
-        eqs = [0] * A.dim
+        # one byte per column, packed once: OR-ing bit c into a packed row
+        # would cost the row's width per bit
+        eqs = [bytearray(len(columns)) for _ in range(A.dim)]
         for c, v in enumerate(columns):
             while v:
                 low = v & -v
-                eqs[low.bit_length() - 1] |= 1 << c
+                eqs[low.bit_length() - 1][c] = 1
                 v ^= low
-        return eqs
+        return [fp.pack(e) for e in eqs]
     eqs = [{} for _ in range(A.dim)]
     for c, row in enumerate(columns):
         for k, e in row.items():
@@ -384,9 +385,8 @@ def hq1(A: FiniteAlgebra):
         invol = [(1 << i) ^ v for i, v in enumerate(A.inv_bits)]
     else:
         invol = [_row([(i, 1)] + [(k, -c) for k, c in v]) for i, v in enumerate(A.involution)]
-    cycles = _kernel(A, _equations(A, _commutator_rows(A) + invol), d * d + d)
-    return HomologySpace(A, "HQ1", d * d + d, itertools.chain(_hq1_rows(A), _b2_rows(A)),
-                         cycles)
+    return _cycles_modulo(A, "HQ1", d * d + d,
+                          _equations(A, _commutator_rows(A) + invol), _hq1_rows(A))
 
 
 def _hq1_rows(A):

@@ -118,10 +118,14 @@ def mu_rows(A):
     """span{[x (x) x, 0]} as rows: e_i (x) e_i and the polarizations
     e_i (x) e_j + e_j (x) e_i, packed over F_2 and sparse dicts otherwise
     (either form has one entry when i = j)."""
-    d = A.dim
     if A.p == 2:
-        return [(1 << i * d + j) | (1 << j * d + i) for i in range(d) for j in range(i, d)]
-    return [{i * d + j: 1, j * d + i: 1} for i in range(d) for j in range(i, d)]
+        return [(1 << a) | (1 << b) for a, b in _mu_pairs(A.dim)]
+    return [{a: 1, b: 1} for a, b in _mu_pairs(A.dim)]
+
+
+def _mu_pairs(d):
+    """The columns (i d + j, j d + i), i <= j, of the rows of `mu_rows`."""
+    return ((i * d + j, j * d + i) for i in range(d) for j in range(i, d))
 
 
 def vartheta(A, c: HomologyClass):
@@ -188,8 +192,13 @@ class CokerMu:
     """Coker(mu_{R/2R}) with exact class comparison."""
 
     def __init__(self, A):
+        from .forms import ColumnForms          # loaded by the HQ_1 build
         self.hq = space(A, "HQ1")
-        self.context = self.hq.context.extended(mu_rows(A))
+        context = self.hq.context
+        if isinstance(context, ColumnForms):     # the rows are never written
+            self.context = context.extended_pairs(_mu_pairs(A.dim))
+        else:
+            self.context = context.extended(mu_rows(A))
 
     def reduce(self, vec):
         return self.context.reduce(vec)
@@ -209,7 +218,7 @@ class CokerOnePlusVartheta:
         # independent modulo the larger context: the HQ_1 basis rows give the
         # same choice as all the cycles (the others lie in the HQ_1 context
         # plus the span of the rows before them)
-        self.basis_rows = self.context.space.independent(self.hq.basis_rows)
+        self.basis_rows = self.context.independent(self.hq.basis_rows)
 
     @property
     def basis(self):

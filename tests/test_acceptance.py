@@ -312,7 +312,7 @@ def test_ac07_morita_identities():
                                         Rb.basis_vec(i)))
              for i in range(Rb.dim)]
     modq = fp.QuotientContext(Rb.dim ** 2, 2,
-                              list(hc1R.context.space.basis()) + qrows)
+                              list(hc1R.context.basis()) + qrows)
     for v in h1A.basis:
         up = H.theta_p_h1(A, h1A.class_of(v))
         lhs = H.flatten(Rb, 2, H.trace_chain(A, 2, H.unflatten(A, 2, up.vec)))

@@ -184,7 +184,7 @@ def test_scenario_json_is_pinned(runner, name):
 
 @pytest.mark.parametrize("args", [
     ["classes", "builtin:nope"],
-    ["homology", "HQ1", "--group-algebra", "{tmp}/c8xc17.json"],  # DIM_GUARD
+    ["homology", "HQ1", "--group-algebra", "{tmp}/c16xc17.json"],  # DIM_GUARD
     ["arf-eval", "<S, S> +", "--invariant", "upsilon", "--group", "builtin:ch2-plane"],
     ["classes", "{tmp}/missing.json"],
     ["classes", "{tmp}/broken.json"],
@@ -225,7 +225,7 @@ def test_errors_are_one_line(runner, tmp_path, args):
         '"table": [[0, 1], [1, "0"]]}')
     (tmp_path / "empty.json").write_text('{}')
     (tmp_path / "p_only.json").write_text('{"p": 2}')
-    (tmp_path / "c8xc17.json").write_text(json.dumps(G.abelian_group([8, 17]).to_json()))
+    (tmp_path / "c16xc17.json").write_text(json.dumps(G.abelian_group([16, 17]).to_json()))
     pb_c4 = G.pullback_cyclic_example().to_json()
     for name, data in [
             ("int_start", {"start": 5, "target": "<1,1>", "steps": []}),

@@ -1,14 +1,18 @@
+import copy
 import hashlib
 import json
 import random
 
 import pytest
 
+import arfkit.fp as fp
 import arfkit.groups as G
+import arfkit.groups.structure as gst
 import arfkit.homology as H
 from arfkit.groups.structure import generating_set
-from arfkit.homology import AlgebraError
-from test_upsilon import large_j_groups
+from arfkit.homology import AlgebraError, forms
+from test_random_groups import battery_draws
+from test_upsilon import large_j_groups, past_order_100
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +42,7 @@ def test_hc1_field_vanishes():
 
 
 def test_dimension_guard():
-    A = H.group_algebra(G.abelian_group([8, 17]), 2)    # dimension 136 > 128
+    A = H.group_algebra(G.abelian_group([16, 17]), 2)    # dimension 272 > 256
     with pytest.raises(AlgebraError):
         H.homology(A, "H1")
 
@@ -216,7 +220,7 @@ def test_vartheta_boundary_kill(algebras):
     A = algebras["F2[C2xC2]"]
     hq = H.hq1(A)
     cok_mu = H.CokerMu(A)
-    rel_rows = hq.context.space.basis()
+    rel_rows = hq.context.basis()
     for v in hq.basis:
         ch2 = H.unflatten(A, 2, v[:A.dim * A.dim])
         c1 = v[A.dim * A.dim:]
@@ -584,11 +588,11 @@ def _all_middles(A):
 def _relation_bases(A):
     """basis() of the H1, HC1 and HQ1 contexts and, over F_2, of the
     Coker(1 + vartheta) context, each with its basis of cycle classes."""
-    out = [(s.context.space.basis(), s.basis)
+    out = [(s.context.basis(), s.basis)
            for s in (H.space(A, k) for k in ("H1", "HC1", "HQ1"))]
     if A.p == 2:
         cok = H.coker_one_plus_vartheta(A)
-        out.append((cok.context.space.basis(), cok.basis))
+        out.append((cok.context.basis(), cok.basis))
     return out
 
 
@@ -610,7 +614,7 @@ def test_generator_middles_match_all_middles():
         one = Gx.elements().index(Gx.identity)
         assert (one in A.middles) == (Gx.order() == 1), Gx.name
         with_one = _all_middles(A)
-        with_one.middles, with_one.parts = (one,) + A.middles, A.parts
+        with_one.middles, with_one.table = (one,) + A.middles, A.table
         assert bases == _relation_bases(with_one), A.name
 
 
@@ -629,3 +633,113 @@ def test_dropping_a_generator_middle_changes_a_dimension():
         cut.middles = A.middles[:-1]
         dims = [(H.space(B, "H1").dim, H.space(B, "HQ1").dim) for B in (A, cut)]
         assert dims[0] != dims[1], Gx.name
+        # the walk misses columns then; with unknowns of their own they give
+        # the quotient of the rows that are written, as the elimination does
+        assert _relation_bases(cut) == _relation_bases(_rref_path(cut)), Gx.name
+
+
+# -- column forms against the relation elimination --------------------------
+
+
+def _rref_path(A):
+    """A copy of the group algebra A without its index table and with
+    nothing memoized: its H_1, HC_1, HQ_1 and cokernels eliminate the
+    relation rows (`chains._quotient`), the reference for `ColumnForms`."""
+    B = copy.copy(A)
+    B.__dict__.pop("_derived", None)
+    B.table = None
+    return B
+
+
+def _contexts(A):
+    """(context, basis rows) of H1, HC1, HQ1, Coker(mu) and Coker(1 +
+    vartheta) of A (Coker(mu) keeps the HQ_1 basis rows)."""
+    out = [(s.context, s.basis_rows) for s in (H.space(A, k) for k in ("H1", "HC1", "HQ1"))]
+    cok = H.coker_one_plus_vartheta(A)
+    return out + [(cok.coker_mu.context, cok.hq.basis_rows), (cok.context, cok.basis_rows)]
+
+
+def test_column_forms_match_the_rref_path():
+    """Every basis row, every reduced echelon row of the relations and the
+    residues of seeded vectors are the ones of the elimination, on the
+    catalogue, the J >= 3 groups and D32."""
+    groups = G.groups_upto(16) + [Gx for Gx, _ in large_j_groups().values()] + [
+        G.dihedral_group(32)]
+    for Gx in groups:
+        A = H.group_algebra(Gx, 2)
+        rng = random.Random(Gx.name)
+        for (ctx, rows), (ref, ref_rows) in zip(_contexts(A), _contexts(_rref_path(A))):
+            assert isinstance(ctx, forms.ColumnForms), Gx.name
+            assert isinstance(ref, fp.QuotientContext), Gx.name
+            assert rows == ref_rows and ctx.quotient_dim == ref.quotient_dim, Gx.name
+            units = [1 << j for j in range(ctx.dim)]
+            echelon = [u ^ r for u in units if (r := ctx.reduce_packed(u)) != u]
+            assert echelon == ref.space.packed_basis(), Gx.name
+            for _ in range(8):
+                v = rng.getrandbits(ctx.dim)
+                assert ctx.reduce_packed(v) == ref.reduce_packed(v), Gx.name
+            v = tuple(rng.randrange(2) for _ in range(ctx.dim))
+            assert ctx.reduce(v) == ref.reduce(v), Gx.name
+
+
+def test_column_forms_reject_what_fp_rejects():
+    A = H.group_algebra(G.symmetric_group(3), 2)
+    ctx = H.space(A, "HQ1").context
+    for bad in (-1, 1 << ctx.dim):
+        with pytest.raises(ValueError):
+            ctx.reduce_packed(bad)
+    with pytest.raises(ValueError):
+        ctx.reduce((0,) * (ctx.dim - 1))
+
+
+# -- Hochschild homology against the centralizer decomposition --------------
+
+
+def _burghelea_algebras():
+    """F_2[G] for the catalogue, the J >= 3 groups, the random battery's
+    draws, C2^7, D64, S5 and S3^3 (the last two shared with the J test)."""
+    groups, _, large = battery_draws()
+    for Gx in (G.groups_upto(16) + [Gx for Gx, _ in large_j_groups().values()] + groups
+               + large + [G.abelian_group([2] * 7), G.dihedral_group(64)]):
+        yield Gx, H.group_algebra(Gx, 2)
+    for Gx, _, A in past_order_100()[1:]:
+        yield Gx, A
+
+
+def _sharp_dim(Gx, members):
+    """dim C_# = dim Hom(C, C2) of the subgroup C of Gx with these members:
+    a brute-force count of homomorphisms to C2 up to 16 elements, the
+    relation rows of `sharp_of_members` above that."""
+    if len(members) <= 16:
+        return G.hom_to_c2_count(G.table_from_mul(list(members), Gx.mul)).bit_length() - 1
+    return gst.sharp_of_members(Gx, members).quotient_dim
+
+
+def test_hochschild_homology_splits_over_centralizers():
+    """Burghelea: HH_*(F_2[G]) is the sum over the classes [g] of
+    H_*(C_G(g); F_2) (D. Burghelea, Comment. Math. Helv. 60 (1985)).  So
+    dim H_0 is the number of classes and dim H_1 the sum of the
+    dim C_G(g)_#, counted here by homomorphisms to C2, with no relation row,
+    walk or elimination.  At chain level e_{g c^-1} (x) e_c is a cycle for
+    each c in C_G(g); in each class part these have rank dim C_G(g)_# in
+    H_1, and together they span H_1."""
+    for Gx, A in _burghelea_algebras():
+        sharp = {}              # centralizer members -> dim C_G(g)_#
+        d, els = A.dim, Gx.elements()
+        idx = {g: i for i, g in enumerate(els)}
+        classes = G.conjugacy_classes(Gx)
+        assert H.space(A, "H0").dim == len(classes), Gx.name
+        h1 = H.space(A, "H1")
+        total, every = 0, []
+        for cls in classes:
+            g = min(cls, key=Gx.key)
+            members = gst.centralizer(Gx, g).members
+            if members not in sharp:
+                sharp[members] = _sharp_dim(Gx, members)
+            cycles = [h1.context.reduce_packed(1 << idx[Gx.mul(g, Gx.inv(c))] * d + idx[c])
+                      for c in members]
+            assert fp.Subspace(d * d, 2, cycles).rank == sharp[members], (Gx.name, g)
+            total += sharp[members]
+            every += cycles
+        assert h1.dim == total, Gx.name
+        assert fp.Subspace(d * d, 2, every).rank == total, Gx.name

@@ -100,7 +100,7 @@ def test_commuting_square_theta_hc1(setups):
             qrows.append(H.flatten(R, 2, H.tensor2(R, R.power(r, R.p - 1), r)))
         import arfkit.fp as fp
         modq = fp.QuotientContext(R.dim ** 2, R.p,
-                                  list(hc1R.context.space.basis()) + qrows)
+                                  list(hc1R.context.basis()) + qrows)
         for v in h1A.basis[:6]:
             up = H.theta_p_h1(A, h1A.class_of(v))
             lhs = H.trace_chain(A, 2, H.unflatten(A, 2, up.vec))

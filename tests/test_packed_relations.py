@@ -199,16 +199,17 @@ def test_distinct_drops_only_zero_and_repeated_rows():
 
 def test_streamed_chunks_leave_the_bases_unchanged(monkeypatch):
     """`chains._quotient` reads its rows chunk by chunk, drops repeats within
-    a chunk only and sweeps each chunk into the subspaces built so far.
-    Chunks far smaller than one relation family, on algebras with and
-    without parts, give the bases of one whole chunk."""
+    a chunk only and sweeps each chunk into the subspace built so far.
+    Chunks far smaller than one relation family give the bases of one whole
+    chunk on the algebras that take that path (no index table), and leave
+    the group algebras' column forms as they were."""
     def picked():
         return [A for A in _algebras() if A.dim in (6, 8)]
 
     whole = [_relation_bases(A) for A in picked()]
     monkeypatch.setattr(chains, "BLOCK", 5)
     algebras = picked()
-    assert any(A.parts is None for A in algebras) and any(A.parts for A in algebras)
+    assert any(A.table is None for A in algebras) and any(A.table for A in algebras)
     for A, bases in zip(algebras, whole):
         assert _relation_bases(A) == bases, A.name
     # a chunk with no row left after the zero and repeated rows are dropped
@@ -217,4 +218,4 @@ def test_streamed_chunks_leave_the_bases_unchanged(monkeypatch):
     D = A.dim * A.dim + A.dim
     rows = list(chains._hq1_rows(A)) + list(chains._b2_rows(A))
     padded = [0] * 7 + [rows[0]] * 7 + rows
-    assert chains._quotient(A, "HQ1", D, iter(padded)).space.packed_basis() == _span(rows, D)
+    assert chains._quotient(A, D, iter(padded)).space.packed_basis() == _span(rows, D)

@@ -7,6 +7,7 @@ where the value group reaches dimension 3.  Each group is checked
 against the homology model of its value group and against a copy of
 itself with the elements relabelled at random.
 """
+import functools
 import random
 
 import arfkit.arf as arf
@@ -40,6 +41,17 @@ def _random_groups(rng, count, low=1, high=MAX_ORDER):
         if Gx.order() >= low:
             out.append(Gx)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def battery_draws():
+    """The battery's groups, drawn once per test run: those of order at most
+    MAX_ORDER (seed 2), the state of that generator after the draw, and the
+    larger share (a seed of its own, so the draws above stay as they
+    were)."""
+    rng = random.Random(2)
+    groups = _random_groups(rng, 120)
+    return groups, rng.getstate(), _random_groups(random.Random(28), 4, *LARGE_ORDERS)
 
 
 def _relabelled(rng, Gx):
@@ -81,11 +93,9 @@ def _check_group(rng, Gx):
 
 
 def test_random_subgroups_agree_with_homology_and_relabelling():
-    rng = random.Random(2)
-    groups = _random_groups(rng, 120)
-    # the larger share has a seed of its own, so the draws above stay as
-    # they were
-    large = _random_groups(random.Random(28), 4, *LARGE_ORDERS)
+    groups, state, large = battery_draws()
+    rng = random.Random()
+    rng.setstate(state)
     verdicts = set()
     for Gx in groups + large:
         verdicts |= _check_group(rng, Gx)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -196,6 +197,17 @@ def large_j_groups():
                                            (3, 4, 5, 1, 0, 2)], 6, name="C3^2:C4"), 3)}
 
 
+@functools.lru_cache(maxsize=None)
+def past_order_100():
+    """(group, J, F_2[G]) for D9 x S3 (J 6), S5 (J 3) and S3^3 (J 8, order
+    216), built once per test run: the J test and the centralizer test of
+    test_homology share the algebras."""
+    S3 = G.symmetric_group(3)
+    groups = [(G.direct_product(G.dihedral_group(9), S3), 6), (G.symmetric_group(5), 3),
+              (G.direct_product(G.direct_product(S3, S3), S3), 8)]
+    return [(Gx, j, H.group_algebra(Gx, 2)) for Gx, j in groups]
+
+
 def test_upsilon_value_ranks_match_homology_model():
     """Upsilon of every involution pair as a vector in J(G) (the L(c)
     payloads side by side, in part order) and in Coker(1 + vartheta).  The
@@ -228,13 +240,17 @@ def test_upsilon_value_ranks_match_homology_model():
 
 def test_j_dimension_matches_homology():
     # two independently built models of the value group must agree, on the
-    # hand-picked groups (J up to 4, and S3 x S3 x C2 past order 64) and on
+    # hand-picked groups (J up to 4, S3 x S3 x C2 past order 64, and past
+    # order 100 D9 x S3 (J 6), S5 (J 3) and S3^3 (J 8, order 216)) and on
     # the whole catalogue up to order 16
     S3 = G.symmetric_group(3)
     past_64 = G.direct_product(G.direct_product(S3, S3), G.cyclic_group(2))
     for Gx, j in list(large_j_groups().values()) + [(past_64, 4)]:
         assert ups.j_group_dimension(Gx) == j, Gx.name
         assert H.coker_one_plus_vartheta(H.group_algebra(Gx, 2)).dim == j, Gx.name
+    for Gx, j, A in past_order_100():
+        assert ups.j_group_dimension(Gx) == j, Gx.name
+        assert H.coker_one_plus_vartheta(A).dim == j, Gx.name
     for Gx in [G.cyclic_group(1), G.cyclic_group(2), G.cyclic_group(3),
                G.cyclic_group(4), G.abelian_group([2, 2]),
                G.symmetric_group(3), G.dihedral_group(4), G.cyclic_group(6),
