@@ -327,6 +327,23 @@ class QuotientContext:
         return self.space.contains(vec)
 
 
+def xor_sum(x, rows):
+    """The F_2 sum of rows[k] over the set bits k of the packed int x."""
+    out = 0
+    while x:
+        low = x & -x
+        out ^= rows[low.bit_length() - 1]
+        x ^= low
+    return out
+
+
+def distinct(rows):
+    """The nonzero packed rows, each once, in the order they first come."""
+    out = dict.fromkeys(rows)
+    out.pop(0, None)
+    return list(out)
+
+
 def zeros(dim):
     return (0,) * dim
 

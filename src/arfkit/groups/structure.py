@@ -1,10 +1,11 @@
 """Centralizers, type classification and mod-squares abelianizations."""
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .. import fp
-from ..memo import derived_entry
+from ..memo import derived, derived_entry
 from .core import (GroupError, SemidirectZnC2, PullbackCyclicGroup,
                    PullbackDihedralGroup, cyclic_group, dihedral_group,
                    metacyclic_group, abelian_group, direct_product,
@@ -183,27 +184,79 @@ class SharpSpace:
 
     `elements[i]` is the group element of coordinate i: `coord` sends it
     to the i-th unit vector.  `coord(g)` maps a group element of K to its
-    vector, a tuple.  Quotients by extra subspaces are built downstream.
+    vector, a tuple.  `context`, the quotient by the relation rows, is
+    eliminated on its first read only.  Quotients by extra subspaces are
+    built downstream.
     """
 
     def __init__(self, rows, coord, elements):
         self.dim = len(elements)
-        self.context = fp.QuotientContext(self.dim, 2, rows)
+        self._relations = rows
         self.coord = coord
         self.elements = elements
 
-    def reduce(self, g):
-        return self.context.reduce(self.coord(g))
+    @functools.cached_property
+    def context(self):
+        return fp.QuotientContext(self.dim, 2, self._relations)
 
     @property
     def quotient_dim(self):
         return self.context.quotient_dim
 
 
+class FiniteSharp(SharpSpace):
+    """K_# of a finite subgroup K on s_k = generating_set(G, K).  One walk
+    from 1 by right multiplication takes every step (a, s_k) once, and
+    writes its row u_a + u_s + u_as (with u_1 they span every r(a, b), see
+    `_relation_rows`) and `forms`: forms[i], the form of elements[i] over
+    one unknown per generator (bit k: the value at s_k of a homomorphism
+    K -> F_2), is forms[a] + e_k where a s_k = elements[i] is new, and
+    each other step is the constraint forms[a] + e_k + forms[a s_k].
+    `index` maps a member to its coordinate, gens[k] is that of s_k, and
+    no reference to G is kept.
+    """
+
+    def __init__(self, G, members):
+        members = sorted(set(members), key=G.key)
+        n = len(members)
+        self.index = index = {g: i for i, g in enumerate(members)}
+        gens = generating_set(G, members)
+        self.gens = [index[s] for s in gens]
+        one = index[G.identity]
+        forms, rows, constraints = [None] * n, [1 << one], []
+        forms[one] = 0
+        walk = [G.identity]
+        for a in walk:                  # grows while it is read
+            i = index[a]
+            for k, s in enumerate(gens):
+                y = G.mul(a, s)
+                j, f = index[y], forms[i] ^ 1 << k
+                rows.append(1 << i ^ 1 << self.gens[k] ^ 1 << j)
+                if forms[j] is None:
+                    forms[j] = f
+                    walk.append(y)
+                elif forms[j] != f:
+                    constraints.append(forms[j] ^ f)
+        self.forms, self.constraints = forms, fp.distinct(constraints)
+
+        def coord(g):
+            if g not in index:
+                raise GroupError("element outside subgroup")
+            return fp.unit(n, index[g])
+
+        super().__init__(rows, coord, members)
+
+
 def generating_set(G, members=None):
-    """Generators of the finite subgroup `members` (default: all of G): each
+    """Generators of the finite subgroup `members` (default: all of G, built
+    once per group and shared, so callers leave the list as it is): each
     member, in order, that the earlier ones do not generate."""
-    members = G.elements() if members is None else members
+    if members is None:
+        return derived(G, "generating_set", _generating_set, G, G.elements())
+    return _generating_set(G, members)
+
+
+def _generating_set(G, members):
     gens, span = [], {G.identity}
     for g in members:
         if g not in span:
@@ -214,35 +267,20 @@ def generating_set(G, members=None):
     return gens
 
 
-def _relation_rows(n, index, gens, mul, ident, carry=None):
-    """The rows u_a + u_s + u_as (+ carry(a, s) t, t last) for the members a
+def _relation_rows(n, index, gens, mul, ident, carry):
+    """The rows u_a + u_s + u_as + carry(a, s) t (t last) for the members a
     of `index` and s in gens, and the row u_1, packed for `fp` (bit j =
     coordinate j, so t is bit n - 1).  They span every r(a, b): mod 2,
     r(a, bc) = r(a, b) + r(ab, c) + r(b, c) and r(a, 1) = u_1 (the carry is
     a 2-cocycle), and each b is a product of generators."""
-    rows = []
-    for a in index:
-        for s in gens:
-            r = (1 << index[a]) ^ (1 << index[s]) ^ (1 << index[mul(a, s)])
-            if carry is not None:
-                r ^= (carry(a, s) & 1) << (n - 1)
-            rows.append(r)
+    rows = [(1 << index[a]) ^ (1 << index[s]) ^ (1 << index[mul(a, s)])
+            ^ (carry(a, s) & 1) << (n - 1) for a in index for s in gens]
     return rows + [1 << index[ident]]
 
 
 def sharp_of_members(G, members):
     """K_# for a finite subgroup given by its members."""
-    members = tuple(sorted(set(members), key=G.key))
-    index = {g: i for i, g in enumerate(members)}
-    n = len(members)
-    rows = _relation_rows(n, index, generating_set(G, members), G.mul, G.identity)
-
-    def coord(g):
-        if g not in index:
-            raise GroupError("element outside subgroup")
-        return fp.unit(n, index[g])
-
-    return SharpSpace(rows, coord, list(members))
+    return FiniteSharp(G, members)
 
 
 def sharp_of_pullback(sub):

@@ -5,6 +5,7 @@ import json
 import math
 
 from .. import ArfkitError, need
+from ..fp import xor_sum
 from ..groups.core import Group
 from ..groups.structure import generating_set
 
@@ -34,16 +35,6 @@ def _combine(p, terms):
 def _packed(v):
     """_reduced pairs over F_2 (every coefficient 1) as an int, bit k = e_k."""
     return sum([1 << k for k, _ in v])
-
-
-def xor_sum(x, rows):
-    """The F_2 sum of rows[k] over the set bits k of the packed int x."""
-    out = 0
-    while x:
-        low = x & -x
-        out ^= rows[low.bit_length() - 1]
-        x ^= low
-    return out
 
 
 class FiniteAlgebra:
@@ -164,7 +155,12 @@ class FiniteAlgebra:
         = invol(y2) invol(x y1) = invol(y2) invol(y1) invol(x)
         = invol(y1 y2) invol(x).  So the law is checked for every e_i and
         every middle e_s only.
+
+        A group algebra (`table` set) checks the same laws on its index
+        table, one lookup per product (`_validate_table`).
         """
+        if self.table is not None:
+            return self._validate_table()
         d, p, middles = self.dim, self.p, self.middles
         if p == 2:
             T, inv, lin = self.bits, self.inv_bits, xor_sum
@@ -204,6 +200,33 @@ class FiniteAlgebra:
                 # invol(e_i e_s) = invol(e_s) invol(e_i)
                 if lin(T[i][s], inv) != lin(inv[i], left[s]):
                     raise AlgebraError("involution is not an anti-homomorphism")
+
+    def _validate_table(self):
+        """`_validate` on the index table: e_i e_j is e_table[i][j], the
+        unit one basis element and the involution a permutation of the
+        basis, as `group_algebra` writes them."""
+        T, d, middles = self.table, self.dim, self.middles
+        one = self.unit.index(1) if sum(self.unit) == 1 else None
+        if one is None or T[one] != list(range(d)) or [row[one] for row in T] != T[one]:
+            raise AlgebraError("unit law fails")
+        for j in middles:
+            Tj = T[j]
+            for Ti in T:
+                # (e_i e_j) e_k = e_i (e_j e_k) for every k
+                if T[Ti[j]] != [Ti[jk] for jk in Tj]:
+                    raise AlgebraError("associativity fails")
+        if self.involution is None:
+            return
+        inv = [v[0][0] if len(v) == 1 else None for v in self.involution]
+        if any(k is None or inv[k] != i for i, k in enumerate(inv)):
+            raise AlgebraError("involution does not square to 1")
+        if inv[one] != one:
+            raise AlgebraError("involution is not an anti-homomorphism")
+        for s in middles:
+            left = T[inv[s]]
+            # invol(e_i e_s) = invol(e_s) invol(e_i)
+            if any(inv[Ti[s]] != left[k] for Ti, k in zip(T, inv)):
+                raise AlgebraError("involution is not an anti-homomorphism")
 
     def format_vec(self, x):
         """sum c*label over the nonzero coefficients of x."""

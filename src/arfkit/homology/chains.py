@@ -23,7 +23,8 @@ from __future__ import annotations
 import itertools
 
 from .. import fp
-from .algebras import FiniteAlgebra, AlgebraError, xor_sum
+from ..fp import distinct, xor_sum
+from .algebras import FiniteAlgebra, AlgebraError
 
 DIM_GUARD = 256
 # rows per chunk of `_quotient`: the most relation rows held at a time
@@ -217,13 +218,6 @@ def _quotient(A, dim, rows):
     return context
 
 
-def distinct(rows):
-    """The nonzero packed rows, each once, in the order they first come."""
-    out = dict.fromkeys(rows)
-    out.pop(0, None)
-    return list(out)
-
-
 class HomologyClass:
     def __init__(self, space, vec):
         self.space = space
@@ -275,8 +269,7 @@ def homology(A: FiniteAlgebra, which):
         context = _quotient(A, d, _commutator_rows(A))
         return HomologySpace(A, which, d, context, context.independent(cycles))
     if which in ("H1", "HC1"):
-        rows = _hc1_rows(A) if which == "HC1" else ()
-        return _cycles_modulo(A, which, d * d, _equations(A, _commutator_rows(A)), rows)
+        return _cycles_modulo(A, which, d * d, _equations(A, _commutator_rows(A)), ())
     if which == "HQ1":
         return hq1(A)
     raise AlgebraError(f"unknown homology {which!r}")
@@ -284,13 +277,21 @@ def homology(A: FiniteAlgebra, which):
 
 def _cycles_modulo(A, kind, ncols, equations, rows):
     """The space `kind`: the kernel of `equations` over ncols columns modulo
-    b(T_3) and `rows`.  An F_2 group algebra reads the quotient from
-    `forms.ColumnForms`; any other algebra eliminates the rows
-    (`_quotient`)."""
+    b(T_3), `rows` and, for HC1, the rows of `_hc1_rows`.  An F_2 group
+    algebra reads the quotient from `forms.ColumnForms`, where an HC_1 row
+    is a pair of columns whose forms are added, never written as a row;
+    any other algebra eliminates the rows (`_quotient`)."""
     if A.p == 2 and A.table is not None:
         from .forms import ColumnForms
         context = ColumnForms(A, kind == "HQ1", rows)
+        if kind == "HC1":
+            d = A.dim
+            # the rows for i > j repeat those for i < j, and i = j gives 0
+            context = context.extended_pairs(
+                (i * d + j, j * d + i) for i in range(d) for j in range(i + 1, d))
         return HomologySpace(A, kind, ncols, context, context.kernel_independent(equations))
+    if kind == "HC1":
+        rows = _hc1_rows(A)
     context = _quotient(A, ncols, itertools.chain(rows, _b2_rows(A)))
     return HomologySpace(A, kind, ncols, context,
                          context.independent(_kernel(A, equations, ncols)))

@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 
 from .. import fp
+from ..fp import xor_sum
 from ..memo import derived
-from .algebras import AlgebraError, xor_sum
+from .algebras import AlgebraError
 from .chains import (HomologySpace, HomologyClass, homology, hq1, tensor2,
                      tensor_bits, t_add, t_scale, flatten, unflatten, hq_vector,
                      vectors)

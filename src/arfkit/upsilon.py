@@ -16,17 +16,20 @@ one, and a list of (chain position, packed int) entries for a two-ends one.
 A resolved value is a tuple again, so values print and compare as they
 always have.
 
-Finite groups build each L(c) as one exact quotient.  The lattice products
-use closed forms; the two-ends pull-backs walk the squaring chain of a
-class until it cycles (finite-order tail, quotient by the loop map) or the
-transition maps become isomorphisms (infinite-order tail).
+Finite groups read each L(c) as one exact quotient from homomorphism
+forms on generators (`FiniteLc`).  The lattice products use closed forms;
+the two-ends pull-backs walk the squaring chain of a class until it cycles
+(finite-order tail, quotient by the loop map) or the transition maps
+become isomorphisms (infinite-order tail).
 """
 from __future__ import annotations
 
+import functools
 import operator
 import threading
 
 from . import fp
+from .fp import xor_sum
 from .arf import ArfExpression, ArfError, GROUP
 from .groups import classes as gcl
 from .groups import structure as gst
@@ -48,7 +51,8 @@ class FzData:
     an extra t coordinate.
 
     w[i] is 1 when sharp.elements[i] conjugates z to z^-1, which only
-    happens on type-2 summands."""
+    happens on type-2 summands.  `context` is built on its first read
+    only: a finite L(c) never reads it."""
 
     def __init__(self, G, z):
         self.z = z
@@ -59,14 +63,17 @@ class FzData:
             sub = gst.centralizer(G, z)
         self.sharp = _sharp_of(G, sub)
         self.w = [int(self.type == 2 and G.conj(z, g) != z) for g in self.sharp.elements]
-        roots = gcl.two_power_roots(G, z)
+        self.roots = gcl.two_power_roots(G, z)
         self.has_t = self.type == 1
         self.dim = self.sharp.dim + (1 if self.has_t else 0)
+
+    @functools.cached_property
+    def context(self):
         # the K_# echelon rows as they are (the t coordinate is the top bit,
         # 0 on all of them), extended by the packed roots
-        self.context = fp.QuotientContext.direct_sum(
+        return fp.QuotientContext.direct_sum(
             self.dim, [(self.sharp.context.space, 0)]).extended(
-            [fp.pack(self.sharp.coord(r)) for r in roots])
+            [fp.pack(self.sharp.coord(r)) for r in self.roots])
 
     def coord(self, h, tbit=0):
         v = self.sharp.coord(h)
@@ -139,53 +146,101 @@ class _ReducedLc:
 
 class FiniteLc(_ReducedLc):
     """L(c) for a finite group: the direct sum of the F(z), z in c, modulo
-    all conjugation, squaring and inversion arrows."""
+    all conjugation, squaring and inversion arrows.
+
+    Coordinate i of F(z) is column offset[z] + i of the `ambient` columns;
+    R, the span of the relations, is that of fp's presentation: for each
+    z with K = K_z (the centralizer, or for type 2 the extended one) and
+    its generators s_k = generating_set(G, K), the K_# rows
+    u_a + u_s + u_as (a in K) and u_1, the rows u_r of the 2-power roots
+    r of z, and for each arrow of z (conjugation by a generator x of G,
+    squaring, and for type 3 the inversion) and each coordinate of F(z)
+    the row u + (its image).  `context` keeps it as a
+    `formspace.FormQuotient`: the form of column (z, g) is the form of g
+    in `FiniteSharp` of K_z, over z's own unknowns, one per s_k, and
+    a t column is an unknown of its own.  The constraints C are the walk's,
+    the forms of the roots and Q of the arrow rows on the generators and
+    on t only.  So no row over the ambient columns is eliminated.
+
+    Proof that FormQuotient applies.
+    (a) Q(R) = C.  Each constraint is Q of a row of R.  Conversely, Q
+        sends a K_# row to 0 or to a walk constraint, u_1 to 0 and u_r to
+        a root constraint.  Let f be a form on the unknowns that vanishes
+        on C.  For each z, phi_z(g) = f(Q(u_g)) has phi(1) = 0 and
+        phi(a s_k) = phi(a) + phi(s_k), so it is a homomorphism K_z -> F_2
+        (each element of a finite group is a word in its generators).  An
+        arrow sends u_g to u_g' + w(g) t, where g' = x g x^-1 and
+        K_z' = x K_z x^-1 for conjugation (x = 1 for the inversion, where
+        K_z^-1 = K_z), and g' = g, in K_z^2 ⊇ K_z, for squaring.  w is 0
+        but on the squaring arrow of a type-2 z into a type-1 z^2, where
+        it is the homomorphism E(z) -> E(z) / C(z) = F_2.  So f(Q(row)),
+        as a function of g, is phi_z(g) + phi_z'(g') + w(g) f(t), a
+        homomorphism K_z -> F_2.  It is 0 on the generators, whose rows
+        are constraints, and homomorphisms that agree on generators agree:
+        it is 0.  The t rows are constraints themselves.  So f vanishes on
+        Q(R), and Q(R) = C.
+    (b) The kernel of Q lies in R.  Q is onto (an unknown is the form of
+        a generator or a t column), so its kernel has dimension
+        ambient - U = sum over z of (|K_z| - #generators).  The walk of
+        `FiniteSharp` reaches each generator s as 1 s, and each other
+        g != 1 by a step (a, s) from a and s reached before it.  The rows
+        u_1 and u_a + u_s + u_g of those steps lie in R and in the kernel,
+        one per column g of K_z that is no generator, with g its last
+        column in walk order.  So they are independent and span the
+        kernel.
+    `FormQuotient` then gives fp's residues bit for bit, and
+    `quotient_dim` reads the constraints only.
+    """
 
     def __init__(self, G, members):
+        from .formspace import FormQuotient     # loaded on the first finite build
         self.members = tuple(sorted(members, key=G.key))
         self.fz = {z: fz_data(G, z) for z in self.members}
         self.offset = {}
-        pos = 0
+        at = {}             # z -> the first unknown of F(z)
+        q, width = [], 0
         for z in self.members:
-            self.offset[z] = pos
-            pos += self.fz[z].dim
-        self.ambient = pos
-        # packed rows: coordinate i of F(z) is bit offset[z] + i.  Each F(z)
-        # echelon block is placed at its offset as it is.
-        bases = [self.fz[z].context.space.packed_basis() for z in self.members]
-        base = fp.QuotientContext.direct_sum(
-            self.ambient, [(self.fz[z].context.space, self.offset[z]) for z in self.members])
-        # Each arrow u_i -> col_i is written on the free (non-pivot)
-        # coordinates i of its source only.  A pivot coordinate is a sum of
-        # free ones modulo the F(z) relations, which every arrow sends to
-        # relations, so its arrow row lies in the span already.
+            fz = self.fz[z]
+            self.offset[z] = len(q)
+            at[z] = width
+            q += [f << width for f in fz.sharp.forms]
+            width += len(fz.sharp.gens)
+            if fz.has_t:                # t is the unknown after the generators
+                q.append(1 << width)
+                width += 1
+        self.ambient = len(q)
         rows = []
         gens = gst.generating_set(G) or [G.identity]
-        for z, basis in zip(self.members, bases):
-            src, off = self.fz[z], self.offset[z]
-            pivots = sum(r & -r for r in basis)     # bit j set iff j is a pivot
-            free = [i for i in range(src.dim) if not pivots >> i & 1]
+        for z in self.members:
+            src, base = self.fz[z], at[z]
+            sharp = src.sharp
+            rows += [c << base for c in sharp.constraints]
+            rows += [sharp.forms[sharp.index[r]] << base for r in src.roots]
             # conjugation arrows by a generating set, the squaring arrow and,
             # for type 3, the inversion arrow (F(z) and F(z^-1) share
-            # coordinates, so it is conjugation by 1)
+            # coordinates, so it is conjugation by 1), on the generators
             arrows = [(G.conj(z, x), x) for x in gens] + [(G.mul(z, z), None)]
             if src.type == 3:
                 arrows.append((G.inv(z), G.identity))
             for z2, x in arrows:
-                dst, off2 = self.fz[z2], self.offset[z2]
-                for i in free:
-                    col = _arrow_column(G, src, dst, x, i)
-                    rows.append((1 << (off + i)) ^ (col << off2))
-        self.context = base.extended(rows)
-
-    def _ins(self, z, vec):
-        out = [0] * self.ambient
-        off = self.offset[z]
-        out[off:off + len(vec)] = vec
-        return tuple(out)
+                dst, base2 = self.fz[z2], at[z2]
+                index2, forms2 = dst.sharp.index, dst.sharp.forms
+                t2 = base2 + len(dst.sharp.gens)
+                for k, i in enumerate(sharp.gens):
+                    g = sharp.elements[i]
+                    if x is not None:
+                        image = forms2[index2[G.conj(g, x)]] << base2
+                    else:
+                        w = dst.has_t and src.w[i]
+                        image = forms2[index2[g]] << base2 ^ w << t2
+                    rows.append(1 << base + k ^ image)
+                if src.has_t:
+                    rows.append(1 << base + len(sharp.gens) ^ 1 << t2)
+        self.context = FormQuotient(q, width, rows)
 
     def insert_entry(self, G, z, h, tbit=0):
-        return self.context.reduce(self._ins(z, self.fz[z].coord(h, tbit)))
+        bits = self.fz[z].bits(h, tbit) << self.offset[z]
+        return fp.unpack(self.context.reduce_packed(bits), self.ambient)
 
     def show(self, G, vec):
         return _vec_str(vec)
@@ -321,7 +376,7 @@ class PullbackLc:
                 hit = self._transport.get(z) or self._transport.setdefault(
                     z, self._walk(G, z))
         pos, cols = hit
-        return [(pos, _apply_matrix(cols, bits))]
+        return [(pos, xor_sum(bits, cols))]
 
     def _walk(self, G, z):
         """(position, columns) of the arrow F(z) -> F(chain[position]), built
@@ -365,7 +420,7 @@ class PullbackLc:
         acc = 0
         for pos, bits in entries:
             while pos < top:
-                bits = _apply_matrix(self.maps[pos], bits)
+                bits = xor_sum(bits, self.maps[pos])
                 pos += 1
             acc ^= bits
         red = self._context_at(top).reduce_packed(acc)
@@ -383,19 +438,8 @@ def _compose(dim, steps):
     its packed columns), applied in order to F_2^dim."""
     cols = [1 << i for i in range(dim)]
     for step in steps:
-        cols = [_apply_matrix(step, c) for c in cols]
+        cols = [xor_sum(c, step) for c in cols]
     return cols
-
-
-def _apply_matrix(matrix, bits):
-    """The image of the packed vector `bits` under the arrow with packed
-    columns `matrix`: the XOR of the columns of its set bits."""
-    out = 0
-    while bits:
-        low = bits & -bits
-        out ^= matrix[low.bit_length() - 1]
-        bits ^= low
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -488,6 +488,26 @@ def test_planted_axiom_failures_still_raise(monkeypatch):
     assert len(generating_set(loop)) == 2       # 2 middles of 5
     with pytest.raises(AlgebraError, match="associativity fails"):
         H.group_algebra(loop, 2)
+    # faults in the index table that a group algebra checks its laws on:
+    # two swapped entries of a row of S3's table, and a wrong inverse (two
+    # inverses swapped: an involution that is no anti-homomorphism, or a
+    # map that does not square to 1)
+    S3 = G.symmetric_group(3)
+    els = S3.elements()
+    labels = [S3.format_element(g) for g in els]
+    table = [[els.index(S3.mul(a, b)) for b in els] for a in els]
+    swapped = [row[:] for row in table]
+    swapped[1][2], swapped[1][3] = table[1][3], table[1][2]
+    with pytest.raises(AlgebraError, match="associativity fails"):
+        H.group_algebra(G.FiniteTableGroup(labels, swapped), 2)
+    for x, y, fault in ((1, 2, "not an anti-homomorphism"), (1, 3, "does not square to 1")):
+        def wrong_inverse(self, x=x, y=y):
+            identity_and_inverses_only(self)
+            self._inv[x], self._inv[y] = self._inv[y], self._inv[x]
+
+        monkeypatch.setattr(G.FiniteTableGroup, "_validate", wrong_inverse)
+        with pytest.raises(AlgebraError, match=fault):
+            H.group_algebra(G.FiniteTableGroup(labels, table), 2)
 
 
 def _validated_on(data, middles):

@@ -7,6 +7,10 @@ L(c) must come out with the same reduced echelon basis, and the packed
 kernel must equal the tuple one.  The references eliminate with the
 one-pivot-at-a-time eliminator of test_fp, not with `fp`, and write the
 L(c) arrows on every coordinate, not on the free ones only.
+
+A finite L(c) is read from homomorphism forms on generators
+(`FiniteLc`); the packed elimination it replaced, the F(z) blocks and the
+arrows on their free coordinates, is kept below as its reference too.
 """
 import random
 
@@ -17,8 +21,9 @@ import arfkit.groups as G
 import arfkit.groups.classes as gcl
 import arfkit.groups.structure as gst
 import arfkit.upsilon as ups
+from arfkit.formspace import FormQuotient
 from test_fp import OnePivotF2
-from test_upsilon import _dense_columns, large_j_groups
+from test_upsilon import _dense_columns, large_j_groups, past_order_100
 
 
 # -- the dense references ------------------------------------------------------
@@ -122,7 +127,67 @@ def test_packed_builds_match_the_dense_builders():
             assert fz.context.space.basis() == fz_basis[z], (Gx.name, z)
         for part in gcl.cl_partition_finite(Gx):
             lc = ups.l_of_class(Gx, min(part, key=Gx.key))
-            assert lc.context.space.basis() == _dense_lc_basis(Gx, lc, fz_basis), Gx.name
+            assert lc.context.basis() == _dense_lc_basis(Gx, lc, fz_basis), Gx.name
+
+
+def _eliminated_lc(Gx, lc):
+    """L(c) as `fp` eliminated it before the forms: the F(z) echelon blocks
+    placed at their offsets, extended by the arrow rows u_i + col_i on the
+    free (non-pivot) coordinates i of each F(z).  A pivot coordinate is a
+    sum of free ones modulo the F(z) relations, which every arrow sends to
+    relations, so its arrow row lies in the span already."""
+    base = fp.QuotientContext.direct_sum(
+        lc.ambient, [(lc.fz[z].context.space, lc.offset[z]) for z in lc.members])
+    rows = []
+    gens = gst.generating_set(Gx) or [Gx.identity]
+    for z in lc.members:
+        src, off = lc.fz[z], lc.offset[z]
+        pivots = sum(r & -r for r in src.context.space.packed_basis())
+        free = [i for i in range(src.dim) if not pivots >> i & 1]
+        arrows = [(Gx.conj(z, x), x) for x in gens] + [(Gx.mul(z, z), None)]
+        if src.type == 3:
+            arrows.append((Gx.inv(z), Gx.identity))
+        for z2, x in arrows:
+            dst, off2 = lc.fz[z2], lc.offset[z2]
+            for i in free:
+                rows.append((1 << off + i) ^ (ups._arrow_column(Gx, src, dst, x, i) << off2))
+    return base.extended(rows)
+
+
+def test_finite_lc_forms_match_the_elimination():
+    """dim, the reduced echelon rows, the residues of seeded vectors and
+    every inserted generator of each finite L(c) are those of the
+    elimination, on the catalogue, S4, ch1-order24, the J >= 3 groups up
+    to order 120 (D9 x S3 and S5 past order 100; S3^3 would take a
+    second) and D32."""
+    groups = G.groups_upto(16) + [
+        G.symmetric_group(4), G.builtin_group("ch1-order24"), G.dihedral_group(32)]
+    groups += [Gx for Gx, _ in large_j_groups().values()]
+    groups += [Gx for Gx, _, _ in past_order_100()[:2]]
+    for Gx in groups:
+        rng = random.Random(Gx.name)
+        for part in gcl.cl_partition_finite(Gx):
+            lc = ups.l_of_class(Gx, min(part, key=Gx.key))
+            ref = _eliminated_lc(Gx, lc)
+            ctx = lc.context
+            assert isinstance(ctx, FormQuotient), Gx.name
+            assert lc.dim == ref.quotient_dim, Gx.name
+            # basis() packed: e_j plus its residue for each pivot column j
+            units = [1 << j for j in range(lc.ambient)]
+            echelon = [u ^ r for u in units if (r := ctx.reduce_packed(u)) != u]
+            assert echelon == ref.space.packed_basis(), Gx.name
+            if Gx.order() <= 16:
+                assert ctx.basis() == ref.basis(), Gx.name
+            for _ in range(8):
+                v = rng.getrandbits(lc.ambient)
+                assert ctx.reduce_packed(v) == ref.reduce_packed(v), Gx.name
+            for z in lc.members:
+                fz = lc.fz[z]
+                for h in fz.sharp.elements:
+                    for tbit in (0, 1) if fz.has_t else (0,):
+                        want = ref.reduce_packed(fz.bits(h, tbit) << lc.offset[z])
+                        assert lc.insert_entry(Gx, z, h, tbit) == \
+                            fp.unpack(want, lc.ambient), (Gx.name, z, h)
 
 
 def _random_matrix(rng, nrows, ncols):

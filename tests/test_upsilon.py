@@ -240,12 +240,15 @@ def test_upsilon_value_ranks_match_homology_model():
 
 def test_j_dimension_matches_homology():
     # two independently built models of the value group must agree, on the
-    # hand-picked groups (J up to 4, S3 x S3 x C2 past order 64, and past
-    # order 100 D9 x S3 (J 6), S5 (J 3) and S3^3 (J 8, order 216)) and on
-    # the whole catalogue up to order 16
+    # hand-picked groups (J up to 4, S3 x S3 x C2 past order 64, D5 x D5
+    # (J 5) and S4 x S3 (J 4, order 144), and past order 100 D9 x S3 (J 6),
+    # S5 (J 3) and S3^3 (J 8, order 216)) and on the whole catalogue up to
+    # order 16
     S3 = G.symmetric_group(3)
     past_64 = G.direct_product(G.direct_product(S3, S3), G.cyclic_group(2))
-    for Gx, j in list(large_j_groups().values()) + [(past_64, 4)]:
+    d5xd5 = G.direct_product(G.dihedral_group(5), G.dihedral_group(5))
+    s4xs3 = G.direct_product(G.symmetric_group(4), S3)
+    for Gx, j in list(large_j_groups().values()) + [(past_64, 4), (d5xd5, 5), (s4xs3, 4)]:
         assert ups.j_group_dimension(Gx) == j, Gx.name
         assert H.coker_one_plus_vartheta(H.group_algebra(Gx, 2)).dim == j, Gx.name
     for Gx, j, A in past_order_100():
