@@ -1,9 +1,10 @@
 """F_2 quotients read from linear forms instead of eliminated relations.
 
 Both models of the value group use it: `homology.forms.ColumnForms` on the
-chains of F_2[G] and `upsilon.FiniteLc` on the F(z) of a class.  They
-import it on their first finite build, not when they are imported
-themselves: where no bytecode is cached, every import compiles its source.
+chains of F_2[G], and every K_#, F(z), Sigma summand and finite L(c) of
+the colimit (`groups.structure.SharpSpace`, `upsilon`).  They import it on
+their first build or read, not when they are imported themselves: where
+no bytecode is cached, every import compiles its source.
 """
 from __future__ import annotations
 

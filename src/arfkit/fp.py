@@ -24,9 +24,7 @@ back-substitution runs inside the batch only.  Every few dozen new pivots
 (about sqrt(16 rank)), and at the end, the batch is folded in: each stored
 row is reduced by the batch once.  So a build or `extended` still returns
 its subspace in full reduced echelon form (Albrecht and Pernet,
-arXiv:1006.1744, block dense elimination over GF(2)).  Rows that are in
-that form already are never swept again: `QuotientContext.direct_sum`
-places reduced blocks at column offsets as they are.
+arXiv:1006.1744, block dense elimination over GF(2)).
 """
 from __future__ import annotations
 
@@ -262,34 +260,6 @@ class QuotientContext:
 
     def __init__(self, dim, p=2, rows=()):
         self.space = Subspace(dim, p, rows)
-
-    @classmethod
-    def direct_sum(cls, dim, blocks):
-        """F_2^dim modulo the sum of `blocks`, pairs (space, offset): the rows
-        of an F_2 Subspace moved up by offset columns.  A block must fit in
-        [0, dim), and no two blocks may share a column; otherwise ValueError.
-        Moved rows stay in reduced echelon form, and the union of such
-        blocks over disjoint columns is the reduced echelon form of their
-        whole span, so the rows are placed as they are, never reduced again.
-        """
-        space, seen = Subspace(dim, 2), 0
-        for part, offset in blocks:
-            if part.p != 2:
-                raise ValueError(f"a direct sum is over F_2, not F_{part.p}")
-            if offset < 0 or offset + part.dim > dim:
-                raise ValueError(f"a block of {part.dim} columns at {offset} "
-                                 f"outside [0, {dim})")
-            support = 0
-            for j, row in part._rows.items():
-                space._rows[j + offset] = row << offset
-                support |= row
-            if support << offset & seen:
-                raise ValueError("blocks of a direct sum share a column")
-            seen |= support << offset
-            space._mask |= part._mask << offset
-        q = object.__new__(cls)
-        q.space = space
-        return q
 
     @property
     def quotient_dim(self):

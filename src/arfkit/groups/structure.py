@@ -1,4 +1,7 @@
-"""Centralizers, type classification and mod-squares abelianizations."""
+"""Centralizers, type classification and mod-squares abelianizations.
+
+Every K_# is kept as the forms of homomorphisms K -> F_2 on generators
+(`SharpSpace`), read by `formspace.FormQuotient`, loaded on first read."""
 from __future__ import annotations
 
 import functools
@@ -180,71 +183,115 @@ def _type(G, z):
 
 
 class SharpSpace:
-    """An F_2 space presenting K_# = K_ab/(K_ab)^2 with a coordinate map.
+    """K_# = K_ab/(K_ab)^2 of a subgroup K, kept as linear forms.
 
     `elements[i]` is the group element of coordinate i: `coord` sends it
-    to the i-th unit vector.  `coord(g)` maps a group element of K to its
-    vector, a tuple.  `context`, the quotient by the relation rows, is
-    eliminated on its first read only.  Quotients by extra subspaces are
-    built downstream.
+    to the i-th unit vector, and `coord(g)` maps a group element of K to
+    its vector, a tuple.  `forms[i]` is the form of coordinate i over
+    `width` unknowns; with Q(v) the sum of the forms of the coordinates of
+    v and C the span of `constraints`, K_# is F_2^dim / Q^-1(C).
+    `context`, the `formspace.FormQuotient` that reads the quotient and
+    fp's residues from them, is built on its first read only.  A lattice
+    or semidirect K_# has unit forms and no constraints.
+
+    A finite K, or the e-part of a two-ends one, is walked on
+    s_k = generating_set(K) (`_walk`): from 1 by right multiplication,
+    each step (a, s_k) once.  The member a s_k that a step reaches first
+    gets the form form(a) + e_k + c(a, s_k) t, and every other step is
+    the constraint form(a) + e_k + c(a, s_k) t + form(a s_k).  Here c is
+    the 2-cocycle `carry` of a two-ends K, and t, the form of its t
+    column, is an unknown of its own; a finite K has c = 0 and no t.  A
+    member no walk reaches (only when the generators do not generate)
+    gets an unknown and a walk of its own.
+
+    Proof that Q^-1(C) is R, the span of the relations r(a, b) =
+    u_a + u_b + u_ab + c(a, b) t.  As r(a, bc) = r(a, b) + r(ab, c) +
+    r(b, c) mod 2 (c is a 2-cocycle) and r(a, 1) = u_1, R is spanned by
+    u_1 and the r(a, s), s a generator.
+    (a) Q is onto: each unknown is the form of a column (s_k, reached by
+        the step (1, s_k), has e_k + c(1, s_k) t).
+    (b) Q(R) = C: Q(u_1) = 0, and Q(r(a, s)) is 0 on a step the walk
+        takes and its constraint on any other.
+    (c) The kernel of Q lies in R: by (a) it has dimension #columns -
+        #unknowns = #members - #generators - #missed members, and u_1 and
+        the r(a, s) of the steps that reach a member other than a
+        generator lie in it, one per column, its last in walk order, so
+        they are independent and span it.
+    So R = Q^-1(Q(R)) = Q^-1(C).
     """
 
-    def __init__(self, rows, coord, elements):
+    def __init__(self, coord, elements, forms, width, constraints):
         self.dim = len(elements)
-        self._relations = rows
         self.coord = coord
         self.elements = elements
+        self.forms, self.width, self.constraints = forms, width, constraints
 
     @functools.cached_property
     def context(self):
-        return fp.QuotientContext(self.dim, 2, self._relations)
+        from ..formspace import FormQuotient     # loaded on the first read
+        return FormQuotient(self.forms, self.width, self.constraints)
 
     @property
     def quotient_dim(self):
         return self.context.quotient_dim
 
+    def form(self, g):
+        """The form of the group element g of K: Q(coord(g))."""
+        return fp.xor_sum(fp.pack(self.coord(g)), self.forms)
 
-class FiniteSharp(SharpSpace):
-    """K_# of a finite subgroup K on s_k = generating_set(G, K).  One walk
-    from 1 by right multiplication takes every step (a, s_k) once, and
-    writes its row u_a + u_s + u_as (with u_1 they span every r(a, b), see
-    `_relation_rows`) and `forms`: forms[i], the form of elements[i] over
-    one unknown per generator (bit k: the value at s_k of a homomorphism
-    K -> F_2), is forms[a] + e_k where a s_k = elements[i] is new, and
-    each other step is the constraint forms[a] + e_k + forms[a s_k].
-    `index` maps a member to its coordinate, gens[k] is that of s_k, and
-    no reference to G is kept.
-    """
 
-    def __init__(self, G, members):
-        members = sorted(set(members), key=G.key)
-        n = len(members)
-        self.index = index = {g: i for i, g in enumerate(members)}
-        gens = generating_set(G, members)
-        self.gens = [index[s] for s in gens]
-        one = index[G.identity]
-        forms, rows, constraints = [None] * n, [1 << one], []
-        forms[one] = 0
-        walk = [G.identity]
+def _walk(G, members, carry=None):
+    """(index, generator coordinates, forms, width, constraints) of the
+    `SharpSpace` walk on the list `members`: the unknowns are the
+    generators, t with a `carry`, then the missed members."""
+    index = {g: i for i, g in enumerate(members)}
+    gens = generating_set(G, members)
+    t = 1 << len(gens)
+    width = len(gens) + (carry is not None)
+    forms, constraints = [None] * len(members), []
+    for head in [G.identity] + members:
+        h = index[head]
+        if forms[h] is not None:
+            continue
+        # 1, then each member the walks so far missed, on an unknown of its own
+        forms[h], width = (0, width) if head == G.identity else (1 << width, width + 1)
+        walk = [head]
         for a in walk:                  # grows while it is read
-            i = index[a]
+            fa = forms[index[a]]
             for k, s in enumerate(gens):
                 y = G.mul(a, s)
-                j, f = index[y], forms[i] ^ 1 << k
-                rows.append(1 << i ^ 1 << self.gens[k] ^ 1 << j)
+                j, f = index[y], fa ^ 1 << k
+                if carry is not None and carry(a, s) & 1:
+                    f ^= t
                 if forms[j] is None:
                     forms[j] = f
                     walk.append(y)
                 elif forms[j] != f:
                     constraints.append(forms[j] ^ f)
-        self.forms, self.constraints = forms, fp.distinct(constraints)
+    return index, [index[s] for s in gens], forms, width, fp.distinct(constraints)
+
+
+class FiniteSharp(SharpSpace):
+    """K_# of a finite subgroup K, by the walk of `SharpSpace`: forms[i] is
+    the form of elements[i] over one unknown per generator (bit k: the
+    value at s_k of a homomorphism K -> F_2).  `index` maps a member to
+    its coordinate, gens[k] is that of s_k, and no reference to G is
+    kept."""
+
+    def __init__(self, G, members):
+        members = sorted(set(members), key=G.key)
+        index, self.gens, forms, width, constraints = _walk(G, members)
+        self.index = index
 
         def coord(g):
             if g not in index:
                 raise GroupError("element outside subgroup")
-            return fp.unit(n, index[g])
+            return fp.unit(len(index), index[g])
 
-        super().__init__(rows, coord, members)
+        super().__init__(coord, members, forms, width, constraints)
+
+    def form(self, g):
+        return self.forms[self.index[g]]
 
 
 def generating_set(G, members=None):
@@ -267,17 +314,6 @@ def _generating_set(G, members):
     return gens
 
 
-def _relation_rows(n, index, gens, mul, ident, carry):
-    """The rows u_a + u_s + u_as + carry(a, s) t (t last) for the members a
-    of `index` and s in gens, and the row u_1, packed for `fp` (bit j =
-    coordinate j, so t is bit n - 1).  They span every r(a, b): mod 2,
-    r(a, bc) = r(a, b) + r(ab, c) + r(b, c) and r(a, 1) = u_1 (the carry is
-    a 2-cocycle), and each b is a product of generators."""
-    rows = [(1 << index[a]) ^ (1 << index[s]) ^ (1 << index[mul(a, s)])
-            ^ (carry(a, s) & 1) << (n - 1) for a in index for s in gens]
-    return rows + [1 << index[ident]]
-
-
 def sharp_of_members(G, members):
     """K_# for a finite subgroup given by its members."""
     return FiniteSharp(G, members)
@@ -285,15 +321,15 @@ def sharp_of_members(G, members):
 
 def sharp_of_pullback(sub):
     """K_# for a sub-pull-back, via the presentation
-    <t, u_e | u_e u_f = u_{ef} t^k(e,f), u_e t u_e^-1 = t^(+-1), u_1 = 1>.
+    <t, u_e | u_e u_f = u_{ef} t^k(e,f), u_e t u_e^-1 = t^(+-1), u_1 = 1>,
+    walked on the e-members with the carry k (see `SharpSpace`).
 
     Coordinate i < n-1 is u_e = (hom(e), e) for the i-th e-member, and
     coordinate n-1 is t = (T^m, 1)."""
     G = sub.G
     E, hom, m = G.E, G.hom, G.m
     cyclic = isinstance(G, PullbackCyclicGroup)
-    members = sub.e_members
-    index = {e: i for i, e in enumerate(members)}
+    members = list(sub.e_members)
     n = len(members) + 1
     tcol = n - 1
     ident = E.identity
@@ -306,8 +342,7 @@ def sharp_of_pullback(sub):
         tot = (-i1 if e2 else i1) + i2
         return (tot - hom[ef][1]) // m
 
-    rows = _relation_rows(n, index, generating_set(E, members), E.mul, ident,
-                          carry)
+    index, gens, forms, width, constraints = _walk(E, members, carry)
 
     def coord(g):
         d, e = g
@@ -323,11 +358,16 @@ def sharp_of_pullback(sub):
         return tuple(v)
 
     t = m if cyclic else (0, m)
-    return SharpSpace(rows, coord, [(hom[e], e) for e in members] + [(t, ident)])
+    return SharpSpace(coord, [(hom[e], e) for e in members] + [(t, ident)],
+                      forms + [1 << len(gens)], width, constraints)
 
 
-def _lattice_units(n):
-    return [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
+def _unit_sharp(coord, n, flip):
+    """F_2^n on the units of Z^n (and F_2^(n+1) with the flip): unit forms,
+    no constraints."""
+    els = [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
+    els += [((0,) * n, 1)] * flip
+    return SharpSpace(coord, els, [1 << i for i in range(len(els))], len(els), [])
 
 
 def sharp_of_semidirect(G):
@@ -338,7 +378,7 @@ def sharp_of_semidirect(G):
         v, s = g
         return tuple(x % 2 for x in v) + (s % 2,)
 
-    return SharpSpace([], coord, _lattice_units(n) + [((0,) * n, 1)])
+    return _unit_sharp(coord, n, True)
 
 
 def sharp_of_lattice(G):
@@ -350,7 +390,7 @@ def sharp_of_lattice(G):
             raise GroupError("element outside the lattice")
         return tuple(x % 2 for x in v)
 
-    return SharpSpace([], coord, _lattice_units(n))
+    return _unit_sharp(coord, n, False)
 
 
 def sharp_of_subgroup(sub):
@@ -367,14 +407,9 @@ def sharp_of_subgroup(sub):
     raise GroupError(f"unknown subgroup kind {sub.kind}")
 
 
-def ab_mod_squares(G, members=None):
-    """Basis data of J_# = J_ab/(J_ab)^2 plus a coordinate map.
-
-    For finite groups `members` may restrict to a subgroup; pull-back
-    families use their finite presentation.
-    """
-    if members is not None:
-        return sharp_of_members(G, members)
+def ab_mod_squares(G):
+    """J_# = J_ab/(J_ab)^2 with a coordinate map; pull-back families use
+    their finite presentation."""
     if G.is_finite:
         return sharp_of_members(G, G.elements())
     if isinstance(G, SemidirectZnC2):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 
 from .. import fp
-from ..fp import distinct, xor_sum
+from ..fp import distinct
 from .algebras import FiniteAlgebra, AlgebraError
 
 DIM_GUARD = 256
@@ -398,10 +398,11 @@ def _hq1_rows(A):
         f2(r, s) = (r (x) s + invol(r) (x) invol(s), sr - rs)
 
     and, over odd p, (0, 2 (r + invol(r))), which is zero over F_2.  Odd p
-    writes f1 and f2 for every pair (i, j), i-major.  F_2 writes them for
-    every i and only the middles j (i-major, f1 before f2): 2 d |middles|
-    rows, not 2 d^2.  They span the same space together with the rows
-    b(T_3) that `hq1` adds (`_b2_rows`).
+    writes f1 and f2 for every pair (i, j), i-major.  F_2 writes f2 for
+    every i and only the middles j (i-major), then f1 only at the unit,
+    f1(e_i, 1) = (e_i (x) 1 + 1 (x) e_i, e_i + invol(e_i)) for every i
+    (1 a sum of basis elements or one): d (|middles| + 1) rows, not 2 d^2.  They span the same space
+    together with the rows b(T_3) that `hq1` adds (`_b2_rows`).
 
     Proof (over F_2, signs dropped, bars for invol).  Modulo b(T_3), where
     b(x (x) y (x) z) = xy (x) z + x (x) yz + zx (x) y, we have
@@ -414,24 +415,17 @@ def _hq1_rows(A):
         rs (x) t + tr (x) s + bar r bar t (x) bar s + bar s bar r (x) bar t,
         the T_2 part of the right side.  The T_1 parts are str + rst on
         the left and trs + rst + str + trs on the right.
-    (b) f1(a, b) + f1(b, a) = f2(a, b) + f2(bar a, bar b), exactly.  Both
-        sides have T_2 part 0, since bar bar a = a, and T_1 part
-        ab + ba + bar(ab) + bar(ba), since bar(ab) = bar b bar a.  Both
-        laws are checked by `FiniteAlgebra._validate`.
-    (c) f1(r, st) == f1(tr, s) + f2(rs, t) + f2(bar(rs), bar t).  By the
-        rule, r (x) st == rs (x) t + tr (x) s, and, from b(s (x) t (x) r),
-        st (x) r == s (x) tr + rs (x) t.  So f1(r, st) + f1(tr, s) == (0,
-        x + bar x + y + bar y) with x = (rs)t and y = t(rs), and by (b)
-        with a = rs, b = t this is f2(rs, t) + f2(bar(rs), bar t).
+    (b) f1(r, s) == f1(rs, 1).  b(r (x) s (x) 1) = rs (x) 1 and
+        b(1 (x) r (x) s) = r (x) s + 1 (x) rs + s (x) r, so the T_2 part
+        r (x) s + s (x) r == 1 (x) rs + rs (x) 1, that of f1(rs, 1); both
+        T_1 parts are rs + bar(rs).
 
     Let R be the span of the rows written here and b(T_3).  Both families
     are bilinear, so the s with f2(r, s) in R for every r form a subspace.
     It holds the middles, and by (a) it is closed under products, so it
     is all of A: products of the middles span A (see `FiniteAlgebra`).
-    Then the s with f1(r, s) in R for every r form a subspace that holds
-    the middles, and by (c), whose f2 terms are now in R, it holds st
-    whenever it holds s, for every t.  So it is A as well: every f1 and
-    f2 row lies in R.  (a) comes first because (c) uses what it gives.
+    f1(x, 1) is linear in x, so by (b) every f1(r, s) lies in the span of
+    the f1(e_i, 1) and b(T_3): every f1 and f2 row lies in R.
     """
     d = A.dim
     D = d * d
@@ -440,8 +434,10 @@ def _hq1_rows(A):
         for i in range(d):
             for j in A.middles:
                 ij, ji = bits[i][j], bits[j][i]
-                yield (1 << i * d + j) ^ (1 << j * d + i) ^ (ij ^ xor_sum(ij, inv)) << D
                 yield (1 << i * d + j) ^ tensor_bits(d, inv[i], inv[j]) ^ (ji ^ ij) << D
+        one = fp.pack(A.unit)
+        for i in range(d):
+            yield tensor_bits(d, 1 << i, one) ^ tensor_bits(d, one, 1 << i) ^ (1 << i ^ inv[i]) << D
         return
     mult, inv = A.mult, A.involution
     for i in range(d):

@@ -16,11 +16,12 @@ one, and a list of (chain position, packed int) entries for a two-ends one.
 A resolved value is a tuple again, so values print and compare as they
 always have.
 
-Finite groups read each L(c) as one exact quotient from homomorphism
-forms on generators (`FiniteLc`).  The lattice products use closed forms;
-the two-ends pull-backs walk the squaring chain of a class until it cycles
-(finite-order tail, quotient by the loop map) or the transition maps
-become isomorphisms (infinite-order tail).
+Every K_#, F(z), Sigma summand and finite L(c) is one exact quotient
+read from homomorphism forms on generators by `formspace.FormQuotient`
+(`structure.SharpSpace`, `FzData`, `FiniteLc`).  The lattice products use
+closed forms; the two-ends pull-backs walk the squaring chain of a class
+until it cycles (finite-order tail, quotient by the loop map) or the
+transition maps become isomorphisms (infinite-order tail).
 """
 from __future__ import annotations
 
@@ -46,13 +47,15 @@ class UpsilonUnknown(Exception):
 
 
 class FzData:
-    """F(z): coordinates live in the sharp presentation space of the
-    relevant subgroup, modulo the 2-power-root span; type-1 classes carry
-    an extra t coordinate.
+    """F(z): the K_# of the relevant subgroup K (the centralizer, or for
+    type 2 the extended one) modulo the 2-power roots of z; type-1 classes
+    carry an extra t coordinate, the last.
 
     w[i] is 1 when sharp.elements[i] conjugates z to z^-1, which only
-    happens on type-2 summands.  `context` is built on its first read
-    only: a finite L(c) never reads it."""
+    happens on type-2 summands.  `forms` are the K_# ones (`SharpSpace`)
+    and the t column's, an unknown of its own; `constraints` the K_# ones
+    and the roots' forms.  `context`, their `formspace.FormQuotient`, is
+    built on its first read only: a finite L(c) never reads it."""
 
     def __init__(self, G, z):
         self.z = z
@@ -61,19 +64,19 @@ class FzData:
             sub = gst.extended_centralizer(G, z)
         else:
             sub = gst.centralizer(G, z)
-        self.sharp = _sharp_of(G, sub)
-        self.w = [int(self.type == 2 and G.conj(z, g) != z) for g in self.sharp.elements]
+        self.sharp = sharp = _sharp_of(G, sub)
+        self.w = [int(self.type == 2 and G.conj(z, g) != z) for g in sharp.elements]
         self.roots = gcl.two_power_roots(G, z)
         self.has_t = self.type == 1
-        self.dim = self.sharp.dim + (1 if self.has_t else 0)
+        self.dim = sharp.dim + self.has_t
+        self.width = sharp.width + self.has_t
+        self.forms = sharp.forms + [1 << sharp.width] if self.has_t else sharp.forms
+        self.constraints = sharp.constraints + [sharp.form(r) for r in self.roots]
 
     @functools.cached_property
     def context(self):
-        # the K_# echelon rows as they are (the t coordinate is the top bit,
-        # 0 on all of them), extended by the packed roots
-        return fp.QuotientContext.direct_sum(
-            self.dim, [(self.sharp.context.space, 0)]).extended(
-            [fp.pack(self.sharp.coord(r)) for r in self.roots])
+        from .formspace import FormQuotient     # loaded on the first build
+        return FormQuotient(self.forms, self.width, self.constraints)
 
     def coord(self, h, tbit=0):
         v = self.sharp.coord(h)
@@ -148,46 +151,46 @@ class FiniteLc(_ReducedLc):
     """L(c) for a finite group: the direct sum of the F(z), z in c, modulo
     all conjugation, squaring and inversion arrows.
 
-    Coordinate i of F(z) is column offset[z] + i of the `ambient` columns;
-    R, the span of the relations, is that of fp's presentation: for each
-    z with K = K_z (the centralizer, or for type 2 the extended one) and
-    its generators s_k = generating_set(G, K), the K_# rows
-    u_a + u_s + u_as (a in K) and u_1, the rows u_r of the 2-power roots
-    r of z, and for each arrow of z (conjugation by a generator x of G,
-    squaring, and for type 3 the inversion) and each coordinate of F(z)
-    the row u + (its image).  `context` keeps it as a
-    `formspace.FormQuotient`: the form of column (z, g) is the form of g
-    in `FiniteSharp` of K_z, over z's own unknowns, one per s_k, and
-    a t column is an unknown of its own.  The constraints C are the walk's,
-    the forms of the roots and Q of the arrow rows on the generators and
-    on t only.  So no row over the ambient columns is eliminated.
+    Coordinate i of F(z) is column offset[z] + i of the `ambient` columns,
+    with F(z)'s form (`FzData.forms`) on z's own unknowns.  R, the span of
+    the relations, is the sum of those of the F(z) and, for each arrow of z
+    (conjugation by a generator x of G, and squaring) and each coordinate
+    u of F(z), the row u + (its image, `_arrow_column`).  `context` is
+    their `formspace.FormQuotient`: the constraints C are the F(z)'s and
+    Q of the arrow rows on the generators of K_z and on t only, so no row
+    over the ambient columns is eliminated.
 
-    Proof that FormQuotient applies.
-    (a) Q(R) = C.  Each constraint is Q of a row of R.  Conversely, Q
-        sends a K_# row to 0 or to a walk constraint, u_1 to 0 and u_r to
-        a root constraint.  Let f be a form on the unknowns that vanishes
-        on C.  For each z, phi_z(g) = f(Q(u_g)) has phi(1) = 0 and
-        phi(a s_k) = phi(a) + phi(s_k), so it is a homomorphism K_z -> F_2
-        (each element of a finite group is a word in its generators).  An
-        arrow sends u_g to u_g' + w(g) t, where g' = x g x^-1 and
-        K_z' = x K_z x^-1 for conjugation (x = 1 for the inversion, where
-        K_z^-1 = K_z), and g' = g, in K_z^2 ⊇ K_z, for squaring.  w is 0
-        but on the squaring arrow of a type-2 z into a type-1 z^2, where
-        it is the homomorphism E(z) -> E(z) / C(z) = F_2.  So f(Q(row)),
-        as a function of g, is phi_z(g) + phi_z'(g') + w(g) f(t), a
-        homomorphism K_z -> F_2.  It is 0 on the generators, whose rows
-        are constraints, and homomorphisms that agree on generators agree:
-        it is 0.  The t rows are constraints themselves.  So f vanishes on
-        Q(R), and Q(R) = C.
-    (b) The kernel of Q lies in R.  Q is onto (an unknown is the form of
-        a generator or a t column), so its kernel has dimension
-        ambient - U = sum over z of (|K_z| - #generators).  The walk of
-        `FiniteSharp` reaches each generator s as 1 s, and each other
-        g != 1 by a step (a, s) from a and s reached before it.  The rows
-        u_1 and u_a + u_s + u_g of those steps lie in R and in the kernel,
-        one per column g of K_z that is no generator, with g its last
-        column in walk order.  So they are independent and span the
-        kernel.
+    Proof that FormQuotient applies.  Q is onto and its kernel lies in R,
+    as each F(z)'s does (`SharpSpace`; a t column is an unknown of its
+    own).  Q(R) = C: each constraint is Q of a row of R, and Q sends the
+    F(z) relations into C.  Let f be a form on the unknowns that vanishes
+    on C.  For each z, phi_z(g) = f(Q(u_g)) is a homomorphism K_z -> F_2
+    (phi(1) = 0 and phi(a s_k) = phi(a) + phi(s_k) on the walk).  An arrow
+    sends u_g to u_g' + w(g) t, where g' = x g x^-1 and K_z' = x K_z x^-1
+    for conjugation, and g' = g, in K_z^2 ⊇ K_z, for squaring.  w is 0 but
+    on the squaring arrow of a type-2 z into a type-1 z^2, where it is the
+    homomorphism E(z) -> E(z) / C(z) = F_2.  So f(Q(row)), as a function
+    of g, is phi_z(g) + phi_z'(g') + w(g) f(t), a homomorphism K_z -> F_2
+    that is 0 on the generators, whose rows are constraints: it is 0.  The
+    t rows are constraints themselves.
+
+    The inversion arrow of a type-3 z (u_g -> u_g in F(z^-1), a quotient
+    of the same C(z)_#) adds no row.  The rows of a composite of arrows lie
+    in R, since u + psi(phi(u)) = (u + phi(u)) + (v + psi(v)) for
+    v = phi(u) (rows are linear in u); and conjugation by xy is conjugation by y, then by x, so
+    every x in G, a word in the generators, has its rows in R.  Let z have
+    order 2^a m with m odd, y = z^(2^a) and g in C(z).  g centralizes
+    every z^(2^j), so it lies in each K_(z^(2^j)) with no w bit, and the
+    composite squaring arrows give u_g(z) = u_g(y) and
+    u_g(z^-1) = u_g(y^-1) modulo R.  y has odd order, so it is 1 or of
+    type 2 or 3:
+    - y = 1 = y^-1, and u_g(z) = u_g(z^-1);
+    - y is of type 2: conjugation by an x in E(y) with x y^-1 x^-1 = y
+      sends u_g(y^-1) to u_{x g x^-1}(y) = u_g(y), as x and g lie in E(y);
+    - y is of type 3: F(y) = 0 = F(y^-1).  An odd-order element is a
+      square, so C(y)_# is spanned by the u_d of its 2-elements d; for d of
+      order 2^b and e 2^b = 1 mod m, r = y^e d has r^(2^b) = y, and
+      u_r = u_d since y^e is a square.  So u_d, the image of a root, is 0.
     `FormQuotient` then gives fp's residues bit for bit, and
     `quotient_dim` reads the constraints only.
     """
@@ -203,39 +206,29 @@ class FiniteLc(_ReducedLc):
             fz = self.fz[z]
             self.offset[z] = len(q)
             at[z] = width
-            q += [f << width for f in fz.sharp.forms]
-            width += len(fz.sharp.gens)
-            if fz.has_t:                # t is the unknown after the generators
-                q.append(1 << width)
-                width += 1
+            q += [f << width for f in fz.forms]
+            width += fz.width
         self.ambient = len(q)
         rows = []
         gens = gst.generating_set(G) or [G.identity]
         for z in self.members:
             src, base = self.fz[z], at[z]
             sharp = src.sharp
-            rows += [c << base for c in sharp.constraints]
-            rows += [sharp.forms[sharp.index[r]] << base for r in src.roots]
-            # conjugation arrows by a generating set, the squaring arrow and,
-            # for type 3, the inversion arrow (F(z) and F(z^-1) share
-            # coordinates, so it is conjugation by 1), on the generators
-            arrows = [(G.conj(z, x), x) for x in gens] + [(G.mul(z, z), None)]
-            if src.type == 3:
-                arrows.append((G.inv(z), G.identity))
-            for z2, x in arrows:
+            rows += [c << base for c in src.constraints]
+            for z2, x in [(G.conj(z, x), x) for x in gens] + [(G.mul(z, z), None)]:
                 dst, base2 = self.fz[z2], at[z2]
-                index2, forms2 = dst.sharp.index, dst.sharp.forms
-                t2 = base2 + len(dst.sharp.gens)
+                index2, forms2 = dst.sharp.index, dst.forms
                 for k, i in enumerate(sharp.gens):
                     g = sharp.elements[i]
                     if x is not None:
-                        image = forms2[index2[G.conj(g, x)]] << base2
+                        image = forms2[index2[G.conj(g, x)]]
                     else:
-                        w = dst.has_t and src.w[i]
-                        image = forms2[index2[g]] << base2 ^ w << t2
-                    rows.append(1 << base + k ^ image)
+                        image = forms2[index2[g]]
+                        if dst.has_t and src.w[i]:
+                            image ^= forms2[-1]
+                    rows.append(1 << base + k ^ image << base2)
                 if src.has_t:
-                    rows.append(1 << base + len(sharp.gens) ^ 1 << t2)
+                    rows.append(src.forms[-1] << base ^ forms2[-1] << base2)
         self.context = FormQuotient(q, width, rows)
 
     def insert_entry(self, G, z, h, tbit=0):
@@ -349,7 +342,7 @@ class PullbackLc:
         if src.context.quotient_dim != dst.context.quotient_dim:
             return False
         # the columns of the map are the images of the coordinates of src
-        rank = len(dst.context.space.independent(self.maps[t]))
+        rank = len(dst.context.independent(self.maps[t]))
         return rank == src.context.quotient_dim
 
     def _context_at(self, pos):
@@ -599,15 +592,17 @@ class SigmaSummand:
     type 3: (G_z)_#."""
 
     def __init__(self, G, z):
+        from .formspace import FormQuotient     # loaded on the first build
         self.G = G
         self.z = z
         self.type = gst.type_of(G, z)
         if self.type == 1:
-            self.sharp = _sharp_of(G, gst.centralizer(G, z))
-            self.dim = self.sharp.dim + 1      # the C2 coordinate, top bit
-            self.context = fp.QuotientContext.direct_sum(
-                self.dim, [(self.sharp.context.space, 0)]).extended(
-                [fp.pack(self.sharp.coord(z))])
+            # F(z)'s forms, the C2 coordinate on its t column, z in place
+            # of the roots
+            fz = fz_data(G, z)
+            self.sharp = fz.sharp
+            self.context = FormQuotient(fz.forms, fz.width,
+                                        fz.sharp.constraints + [fz.sharp.form(z)])
         elif self.type == 2:
             sub = gst.extended_centralizer(G, z)
             members = list(sub.members)
@@ -620,14 +615,13 @@ class SigmaSummand:
                 labels=[f"{G.format_element(g)}|t^{j}" for (g, j) in pairs])
             self.P = P
             self._pair_index = {pr: i for i, pr in enumerate(pairs)}
-            self.sharp = gst.sharp_of_members(P, P.elements())
-            self.dim = self.sharp.dim
-            self.context = self.sharp.context.extended(
-                [self.sharp.coord(self._pair_index[(z, 2)])])
+            self.sharp = sharp = gst.sharp_of_members(P, P.elements())
+            self.context = FormQuotient(sharp.forms, sharp.width, sharp.constraints
+                                        + [sharp.form(self._pair_index[(z, 2)])])
         else:
             self.sharp = _sharp_of(G, gst.centralizer(G, z))
-            self.dim = self.sharp.dim
             self.context = self.sharp.context
+        self.dim = self.context.dim
 
     @property
     def quotient_dim(self):

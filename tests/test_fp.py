@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import arfkit.fp as fp
+from arfkit.formspace import FormQuotient
 
 CASES = [(p, dim) for p in (2, 3) for dim in range(7)]
 
@@ -218,29 +219,68 @@ def test_packed_rows_match_dense_and_sparse_rows(dim):
         fp.Subspace(3, 3, [(1, 0, 1)]).extended([5])
 
 
+def _forms_block(rng, ncols):
+    """A random forms presentation of ncols columns, as `FormQuotient` takes
+    it: (forms, width, constraints), with Q onto (each unknown the form of
+    a column of its own), and the relation rows R = Q^-1(C) it presents,
+    found one pivot at a time as the kernel of c -> q(c) mod C."""
+    width = rng.randint(0, ncols)
+    q = [rng.getrandbits(width) if width else 0 for _ in range(ncols)]
+    for u, c in enumerate(rng.sample(range(ncols), width)):
+        q[c] = 1 << u
+    constraints = [rng.getrandbits(width) if width else 0
+                   for _ in range(rng.randint(0, width))]
+    images = [OnePivotF2(constraints).reduce(f) for f in q]
+    equations = [sum(1 << c for c in range(ncols) if images[c] >> u & 1)
+                 for u in range(width)]
+    return (q, width, constraints), OnePivotF2(equations).kernel(ncols)
+
+
+def _placed(blocks, columns, dim):
+    """The direct sum of forms presentations, as `FiniteLc` places its F(z):
+    block b on unknowns of its own and on the columns columns[b] of F_2^dim
+    (its column c at columns[b][c]); a column of no block is free (a unit
+    form of its own)."""
+    q, width, constraints = [None] * dim, 0, []
+    for (qb, wb, cb), cols in zip(blocks, columns):
+        for c, f in zip(cols, qb):
+            q[c] = f << width
+        constraints += [f << width for f in cb]
+        width += wb
+    for c in range(dim):
+        if q[c] is None:
+            q[c], width = 1 << width, width + 1
+    return FormQuotient(q, width, constraints)
+
+
+def _shifted(rows, cols):
+    return [sum(1 << cols[c] for c in range(len(cols)) if r >> c & 1) for r in rows]
+
+
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_direct_sum_matches_one_build(dim):
-    # rows split into blocks over disjoint column sets: each block reduced
-    # alone gives the reduced echelon form of all rows together
+    # a direct sum of forms quotients over disjoint column sets, the way a
+    # finite L(c) sums its F(z): the same quotient as all the relation rows
+    # eliminated together
     rng = random.Random(7000 + dim)
     for _ in range(12):
         owner = [rng.randrange(3) for _ in range(dim)]     # column -> block
-        blocks = [[sum(1 << j for j in range(dim) if owner[j] == b and rng.random() < 0.6)
-                   for _ in range(rng.randint(0, 3))] for b in range(3)]
-        rows = [r for block in blocks for r in block]
+        columns = [[j for j in range(dim) if owner[j] == b] for b in range(3)]
+        blocks, rows = [], []
+        for cols in columns:
+            block, relations = _forms_block(rng, len(cols))
+            blocks.append(block)
+            rows += _shifted(relations, cols)
         rng.shuffle(rows)
-        Q = fp.QuotientContext.direct_sum(dim, [(fp.Subspace(dim, 2, b), 0) for b in blocks])
+        Q = _placed(blocks, columns, dim)
         S = fp.Subspace(dim, 2, rows)
-        assert Q.space.basis() == S.basis() and Q.quotient_dim == dim - S.rank
+        assert Q.basis() == S.basis() and Q.quotient_dim == dim - S.rank
         for v in _random_rows(rng, 2, dim, 6):
             assert Q.reduce(v) == S.reduce(v)
         more = _random_rows(rng, 2, dim, 2)
-        assert Q.extended(more).space.basis() == S.extended(more).basis()
-        assert Q.space.independent(more) == S.independent(more)
-    shared = (1 << dim) - 1
-    with pytest.raises(ValueError):
-        fp.QuotientContext.direct_sum(dim, [(fp.Subspace(dim, 2, [1]), 0),
-                                            (fp.Subspace(dim, 2, [shared]), 0)])
+        assert Q.extended([fp.pack(r) for r in more]).basis() == S.extended(more).basis()
+        assert Q.independent([fp.pack(r) for r in more]) == \
+            [fp.pack(r) for r in S.independent(more)]
 
 
 # -- the batched F_2 kernel against one pivot at a time ------------------------
@@ -340,42 +380,37 @@ def test_batched_kernel_matches_one_pivot_elimination(dim, kind):
     assert S.independent(more) == ref.independent(more)
     assert fp.Subspace(dim, 2).independent(base_rows) == OnePivotF2().independent(base_rows)
     assert fp.kernel_packed(base_rows + more, dim) == OnePivotF2(base_rows + more).kernel(dim)
-    # direct sum: the rows cut into three blocks of columns
-    owner = [rng.randrange(3) for _ in range(dim)]
-    masks = [sum(1 << j for j in range(dim) if owner[j] == b) for b in range(3)]
-    blocks = [[r & m for r in base_rows + more] for m in masks]
-    D = fp.QuotientContext.direct_sum(dim, [(fp.Subspace(dim, 2, b), 0) for b in blocks])
-    assert D.space.packed_basis() == OnePivotF2([r for b in blocks for r in b]).basis()
 
 
 @pytest.mark.parametrize("dim", [1, 5, 40, 150])
 def test_placed_blocks_match_one_pivot_elimination(dim):
-    # reduced blocks placed at offsets, or widened by a top column, as the
-    # F(z) and L(c) builds place them: the same basis as the shifted rows
+    # forms quotients placed at column offsets, with free columns past them,
+    # or widened by a top column of its own, as the F(z) and L(c) builds
+    # place them: the same basis and residues as the shifted relation rows
     # eliminated one pivot at a time
     rng = random.Random(9500 + dim)
-    for kind in ("dense", "sparse"):
+    for _ in range(2):
         widths = [rng.randint(1, dim) for _ in range(3)]
         offsets = [sum(widths[:b]) for b in range(3)]
         ambient = sum(widths) + rng.randint(0, 2)
-        spaces = [fp.Subspace(w, 2, _packed_rows(rng, w, rng.randint(0, w + 3), kind))
-                  for w in widths]
-        shifted = [r << off for S, off in zip(spaces, offsets) for r in S.packed_basis()]
-        Q = fp.QuotientContext.direct_sum(ambient, list(zip(spaces, offsets)))
-        assert Q.space.packed_basis() == OnePivotF2(shifted).basis()
-        more = _packed_rows(rng, ambient, 6, kind)
-        assert Q.extended(more).space.packed_basis() == OnePivotF2(shifted + more).basis()
+        columns = [list(range(off, off + w)) for off, w in zip(offsets, widths)]
+        pairs = [_forms_block(rng, w) for w in widths]
+        shifted = [r for (_, rows), cols in zip(pairs, columns) for r in _shifted(rows, cols)]
+        Q = _placed([block for block, _ in pairs], columns, ambient)
+        ref = OnePivotF2(shifted)
+        assert [u ^ Q.reduce_packed(u) for u in (1 << j for j in range(ambient))
+                if Q.reduce_packed(u) != u] == ref.basis()
+        for _ in range(6):
+            v = rng.getrandbits(ambient)
+            assert Q.reduce_packed(v) == ref.reduce(v)
+        more = _packed_rows(rng, ambient, 6, "sparse")
+        assert Q.extended(more).quotient_dim == ambient - len(OnePivotF2(shifted + more).rows)
         # one block, one column wider: the new top column is free
-        wide = fp.QuotientContext.direct_sum(widths[0] + 1, [(spaces[0], 0)])
-        assert wide.space.packed_basis() == OnePivotF2(spaces[0].packed_basis()).basis()
-        assert wide.quotient_dim == spaces[0].dim + 1 - spaces[0].rank
-    # a block must fit and be over F_2
-    S = fp.Subspace(dim, 2, [1])
-    for offset in (-1, 1):
-        with pytest.raises(ValueError, match="outside"):
-            fp.QuotientContext.direct_sum(dim, [(S, offset)])
-    with pytest.raises(ValueError, match="over F_2, not F_3"):
-        fp.QuotientContext.direct_sum(dim, [(fp.Subspace(dim, 3, [(1,) * dim]), 0)])
+        (q, width, constraints), rows = pairs[0]
+        wide = FormQuotient(q + [1 << width], width + 1, constraints)
+        assert wide.quotient_dim == widths[0] + 1 - len(OnePivotF2(rows).rows)
+        assert [wide.reduce_packed(1 << j) ^ 1 << j for j in range(widths[0] + 1)
+                if wide.reduce_packed(1 << j) != 1 << j] == OnePivotF2(rows).basis()
 
 
 @pytest.mark.parametrize("dim", range(4))
@@ -388,9 +423,7 @@ def test_bad_packed_rows_raise_on_every_entry(dim):
              (3 << dim, S, wide), (0, S3, "packed row over F_3"), (1, S3, "packed row over F_3")]
     for bad, space, message in cases:
         for entry in (lambda r: fp.Subspace(space.dim, space.p, r), space.extended,
-                      space.independent,
-                      lambda r: fp.QuotientContext.direct_sum(
-                          space.dim, [(fp.Subspace(space.dim, space.p, r), 0)])):
+                      space.independent):
             with pytest.raises(ValueError, match=message):
                 entry([0, bad] if space.p == 2 else [bad])
 
@@ -398,16 +431,13 @@ def test_bad_packed_rows_raise_on_every_entry(dim):
 @pytest.mark.parametrize("dim", [0, 1, 2, 5, 9, 40, 130])
 def test_reduce_packed_matches_reduce(dim):
     # the packed residue is the packed tuple residue, on random quotients
-    # and on a direct sum of placed blocks
     rng = random.Random(9000 + dim)
     for _ in range(8):
         rows = [rng.getrandbits(dim) if dim else 0 for _ in range(rng.randint(0, dim + 2))]
         Q = fp.QuotientContext(dim, 2, rows)
-        P = fp.QuotientContext.direct_sum(dim, [(fp.Subspace(dim, 2, rows[:1]), 0)])
         for _ in range(10):
             v = rng.getrandbits(dim) if dim else 0
-            for q in (Q, P):
-                assert q.reduce_packed(v) == fp.pack(q.reduce(fp.unpack(v, dim)))
+            assert Q.reduce_packed(v) == fp.pack(Q.reduce(fp.unpack(v, dim)))
         assert Q.reduce_packed(0) == 0
         for r in rows:
             assert Q.reduce_packed(r) == 0

@@ -8,9 +8,11 @@ kernel must equal the tuple one.  The references eliminate with the
 one-pivot-at-a-time eliminator of test_fp, not with `fp`, and write the
 L(c) arrows on every coordinate, not on the free ones only.
 
-A finite L(c) is read from homomorphism forms on generators
-(`FiniteLc`); the packed elimination it replaced, the F(z) blocks and the
-arrows on their free coordinates, is kept below as its reference too.
+Every K_#, F(z), Sigma summand and L(c) is read from homomorphism forms
+on generators (`SharpSpace`, `FiniteLc`).  The packed relation rows they
+replaced (`_relation_rows`) and the elimination of a finite L(c) (the
+F(z) blocks and the arrows on their free coordinates, the type-3
+inversion among them) are kept below as their references too.
 """
 import random
 
@@ -23,6 +25,7 @@ import arfkit.groups.structure as gst
 import arfkit.upsilon as ups
 from arfkit.formspace import FormQuotient
 from test_fp import OnePivotF2
+from test_groups import _presented_subgroups
 from test_upsilon import _dense_columns, large_j_groups, past_order_100
 
 
@@ -116,33 +119,147 @@ def test_packed_builds_match_the_dense_builders():
     groups += [large["S3xS3"][0], large["C3^2:C4"][0]]
     assert len(groups) == 48
     for Gx in groups:
-        assert gst.ab_mod_squares(Gx).context.space.basis() == \
+        assert gst.ab_mod_squares(Gx).context.basis() == \
             _dense_sharp_basis(Gx, Gx.elements()), Gx.name
         fz_basis = {}
         for z in Gx.elements():
             fz = ups.fz_data(Gx, z)
-            assert fz.sharp.context.space.basis() == \
+            assert fz.sharp.context.basis() == \
                 _dense_sharp_basis(Gx, fz.sharp.elements), (Gx.name, z)
             fz_basis[z] = _dense_fz_basis(Gx, fz)
-            assert fz.context.space.basis() == fz_basis[z], (Gx.name, z)
+            assert fz.context.basis() == fz_basis[z], (Gx.name, z)
         for part in gcl.cl_partition_finite(Gx):
             lc = ups.l_of_class(Gx, min(part, key=Gx.key))
             assert lc.context.basis() == _dense_lc_basis(Gx, lc, fz_basis), Gx.name
 
 
+def _relation_rows(n, index, gens, mul, ident, carry):
+    """The rows u_a + u_s + u_as + carry(a, s) t (t last) for the members a
+    of `index` and s in gens, and the row u_1, packed for `fp` (bit j =
+    coordinate j, so t is bit n - 1).  They span every r(a, b): mod 2,
+    r(a, bc) = r(a, b) + r(ab, c) + r(b, c) and r(a, 1) = u_1 (the carry is
+    a 2-cocycle), and each b is a product of generators."""
+    rows = [(1 << index[a]) ^ (1 << index[s]) ^ (1 << index[mul(a, s)])
+            ^ (carry(a, s) & 1) << (n - 1) for a in index for s in gens]
+    return rows + [1 << index[ident]]
+
+
+def _sharp_rows(sub):
+    """(dim, the K_# relation rows) of a finite or sub-pull-back subgroup,
+    as SharpSpace presented it before its forms."""
+    Gx = sub.G
+    if sub.kind == "finite":
+        members = tuple(sorted(set(sub.members), key=Gx.key))
+        index = {g: i for i, g in enumerate(members)}
+        gens = gst.generating_set(Gx, members)
+        return len(members), _relation_rows(len(members), index, gens, Gx.mul,
+                                            Gx.identity, lambda a, s: 0)
+    E, hom, m = Gx.E, Gx.hom, Gx.m
+    cyclic = isinstance(Gx, G.PullbackCyclicGroup)
+
+    def carry(e, f):
+        ef = E.mul(e, f)
+        if cyclic:
+            return (hom[e] + hom[f] - hom[ef]) // m
+        (_, i1), (e2, i2) = hom[e], hom[f]
+        return ((-i1 if e2 else i1) + i2 - hom[ef][1]) // m
+
+    n = len(sub.e_members) + 1
+    index = {e: i for i, e in enumerate(sub.e_members)}
+    gens = gst.generating_set(E, list(sub.e_members))
+    return n, _relation_rows(n, index, gens, E.mul, E.identity, carry)
+
+
+def _subgroup_of(Gx, fz):
+    if fz.type == 2:
+        return gst.extended_centralizer(Gx, fz.z)
+    return gst.centralizer(Gx, fz.z)
+
+
+def _reference_fz(Gx, fz):
+    """F(z) eliminated by fp: the K_# rows (the t column, when there is one,
+    on top and 0 on all of them) and the packed coordinates of the roots."""
+    _, rows = _sharp_rows(_subgroup_of(Gx, fz))
+    return fp.QuotientContext(fz.dim, 2, rows + [fp.pack(fz.sharp.coord(r))
+                                                 for r in fz.roots])
+
+
+def _reference_sigma(Gx, summand):
+    """The Sigma summand eliminated by fp, as it was built on the K_# rows:
+    type 1 with its C2 coordinate on top and z, type 2 on the K_# of P and
+    (z, t^2), type 3 the K_# of the centralizer."""
+    z = summand.z
+    if summand.type == 2:
+        P = summand.P
+        n, rows = _sharp_rows(gst.FiniteSubgroup(P, P.elements()))
+        return fp.QuotientContext(n, 2, rows + [1 << summand._pair_index[(z, 2)]])
+    n, rows = _sharp_rows(gst.centralizer(Gx, z))
+    if summand.type == 1:
+        return fp.QuotientContext(n + 1, 2, rows + [fp.pack(summand.sharp.coord(z))])
+    return fp.QuotientContext(n, 2, rows)
+
+
+def _assert_same_quotient(ctx, ref, rng, what):
+    """basis(), quotient_dim and the residues of 8 seeded vectors."""
+    assert ctx.basis() == ref.basis(), what
+    assert ctx.quotient_dim == ref.quotient_dim, what
+    for _ in range(8):
+        v = rng.getrandbits(ref.space.dim)
+        assert ctx.reduce_packed(v) == ref.reduce_packed(v), what
+
+
+def test_sharp_forms_match_the_relation_rows(monkeypatch):
+    """Every K_# presentation of `_presented_subgroups` (the two-ends
+    pull-backs among them), every F(z) of the catalogue and of the two-ends
+    built-ins' window-2 elements, and the Sigma summands of the catalogue
+    (all three types) are fp's quotients of the relation rows; the K_#
+    still are when the generators do not generate."""
+    rng = random.Random(2301)
+    subs = _presented_subgroups()
+    assert len(subs) == 169
+    assert {sub.kind for sub in subs} == {"finite", "pullback"}
+    for sub in subs:
+        n, rows = _sharp_rows(sub)
+        _assert_same_quotient(gst.sharp_of_subgroup(sub).context,
+                              fp.QuotientContext(n, 2, rows), rng, sub.kind)
+    two_ends = [G.builtin_group(b) for b in ("ch1-c2-c-c12", "ch1-c-by-d4",
+                                             "pb-cyclic-c4")]
+    types = set()
+    for Gx in G.groups_upto(16) + two_ends:
+        for z in (Gx.elements() if Gx.is_finite else Gx.window_elements(2)):
+            fz = ups.fz_data(Gx, z)
+            _assert_same_quotient(fz.context, _reference_fz(Gx, fz), rng, (Gx.name, z))
+            if Gx.is_finite:
+                summand = ups.sigma_summand(Gx, z)
+                types.add(summand.type)
+                _assert_same_quotient(summand.context, _reference_sigma(Gx, summand),
+                                      rng, (Gx.name, z))
+    assert types == {1, 2, 3}
+    # planted: without the last generator, the members no walk from 1
+    # reaches get walks of their own, and the quotient is still the rows'
+    real = gst.generating_set
+    monkeypatch.setattr(gst, "generating_set", lambda *a: real(*a)[:-1])
+    for sub in subs:
+        n, rows = _sharp_rows(sub)
+        _assert_same_quotient(gst.sharp_of_subgroup(sub).context,
+                              fp.QuotientContext(n, 2, rows), rng, sub.kind)
+
+
 def _eliminated_lc(Gx, lc):
     """L(c) as `fp` eliminated it before the forms: the F(z) echelon blocks
-    placed at their offsets, extended by the arrow rows u_i + col_i on the
-    free (non-pivot) coordinates i of each F(z).  A pivot coordinate is a
-    sum of free ones modulo the F(z) relations, which every arrow sends to
+    of `_reference_fz` placed at their offsets, extended by the arrow rows
+    u_i + col_i on the free (non-pivot) coordinates i of each F(z),
+    the type-3 inversion arrow among them.  A pivot coordinate is a sum of
+    free ones modulo the F(z) relations, which every arrow sends to
     relations, so its arrow row lies in the span already."""
-    base = fp.QuotientContext.direct_sum(
-        lc.ambient, [(lc.fz[z].context.space, lc.offset[z]) for z in lc.members])
+    blocks = {z: _reference_fz(Gx, lc.fz[z]).space.packed_basis() for z in lc.members}
+    base = fp.QuotientContext(lc.ambient, 2, [r << lc.offset[z] for z in lc.members
+                                              for r in blocks[z]])
     rows = []
     gens = gst.generating_set(Gx) or [Gx.identity]
     for z in lc.members:
         src, off = lc.fz[z], lc.offset[z]
-        pivots = sum(r & -r for r in src.context.space.packed_basis())
+        pivots = sum(r & -r for r in blocks[z])
         free = [i for i in range(src.dim) if not pivots >> i & 1]
         arrows = [(Gx.conj(z, x), x) for x in gens] + [(Gx.mul(z, z), None)]
         if src.type == 3:
