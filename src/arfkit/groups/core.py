@@ -33,9 +33,6 @@ def dinv(a):
     return (e, i if e else -i)
 
 
-D_ID = (0, 0)
-
-
 class Group:
     """Base descriptor.  Subclasses fix the element encoding."""
 
@@ -51,7 +48,8 @@ class Group:
 
     @property
     def identity(self):
-        raise NotImplementedError
+        """The identity element, stored by each family at construction."""
+        return self._identity
 
     def power(self, g, k):
         if k < 0:
@@ -212,9 +210,9 @@ class FiniteTableGroup(Group):
     def inv(self, a):
         return self._inv[a]
 
-    @property
-    def identity(self):
-        return self._identity
+    def conj(self, g, x):
+        t = self.table
+        return t[t[x][g]][self._inv[x]]
 
     def order(self):
         return len(self.labels)
@@ -260,7 +258,7 @@ class FinitePermGroup(Group):
         for g in self.gens:
             if sorted(g) != list(range(n)):
                 raise GroupError("generator is not a permutation")
-        ident = tuple(range(n))
+        ident = self._identity = tuple(range(n))
         seen = {ident}
         frontier = [ident]
         while frontier:
@@ -288,10 +286,6 @@ class FinitePermGroup(Group):
         for i, x in enumerate(a):
             out[x] = i
         return tuple(out)
-
-    @property
-    def identity(self):
-        return tuple(range(self.n))
 
     def order(self):
         return len(self._elements)
@@ -342,6 +336,7 @@ class SemidirectZnC2(Group):
         if len(var_names) != rank:
             raise GroupError("need one name per lattice coordinate")
         self.var_names = list(var_names)
+        self._identity = ((0,) * rank, 0)
 
     def mul(self, a, b):
         (v, s), (w, t) = a, b
@@ -354,10 +349,6 @@ class SemidirectZnC2(Group):
         if s:
             return a
         return (tuple(-x for x in v), 0)
-
-    @property
-    def identity(self):
-        return (tuple(0 for _ in range(self.rank)), 0)
 
     def order_of(self, g):
         v, s = g
@@ -433,6 +424,7 @@ class _PullbackBase(Group):
         self.name = name
         self._gen_words = dict(generator_words or {})
         self._validate_hom()
+        self._identity = self._lift(E.identity, 0)
 
     def _hom_mul(self, x, y):
         raise NotImplementedError
@@ -496,10 +488,6 @@ class PullbackCyclicGroup(_PullbackBase):
     def inv(self, a):
         return (-a[0], self.E.inv(a[1]))
 
-    @property
-    def identity(self):
-        return (0, self.E.identity)
-
     def order_of(self, g):
         if g[0] != 0:
             return None
@@ -561,10 +549,6 @@ class PullbackDihedralGroup(_PullbackBase):
 
     def inv(self, a):
         return (dinv(a[0]), self.E.inv(a[1]))
-
-    @property
-    def identity(self):
-        return (D_ID, self.E.identity)
 
     def order_of(self, g):
         (eps, i), e = g

@@ -3,10 +3,13 @@
 omega sends <A,B> to the class of Tr(alpha(A)B) in K(G) = F_2[cl(G)]
 (group flavor) or R/kappa(R) (commutative flavor).  omega1 sends it to the
 unit class [1 + alpha(a) b T^2/(1+T)] in H^0(K_1(R_n, I_n)), computed as a
-polynomial in u = T^2/(1+T) over the base ring and lifted to R_n once; for
-commutative R the lambda/mu pair identifies that Tate group with
-C(R) = Coker(1 + q), and equality of unit classes is decided through the
-proof's degree-by-degree norm normalization.
+polynomial in u = T^2/(1+T) over the base ring and lifted to R_n once.  For
+a group expression, equality is decided by the cl(G) class vector of the
+z_i = a_i^-1 b_i, read straight from them; the unit is multiplied out and
+lifted only when its representative is read.  For commutative R the
+lambda/mu pair identifies that Tate group with C(R) = Coker(1 + q), and
+equality of unit classes is decided through the proof's degree-by-degree
+norm normalization.
 """
 from __future__ import annotations
 
@@ -275,13 +278,26 @@ def _is_finite_comm(R):
 
 
 class UnitClass:
-    """A unit of 1 + I_n regarded in H^0(K_1(R_n, I_n))."""
+    """A unit of 1 + I_n regarded in H^0(K_1(R_n, I_n)).
 
-    def __init__(self, Rn: TruncatedRing, rep, kind):
+    A group-flavour class (kind "group", made by `omega1`) is held by the
+    z_i = a_i^-1 b_i of its pairs; `rep`, the unit in R_n, is multiplied out
+    and lifted only when read.  Equality and hash read `_group_data`."""
+
+    def __init__(self, Rn: TruncatedRing, rep, kind, zs=()):
         self.Rn = Rn
-        self.rep = rep
+        self._rep = rep     # None: lifted from zs on first read
         self.kind = kind  # "commutative" | "group"
+        self.zs = zs
         self._data = None   # _group_data(), built on first use
+
+    @property
+    def rep(self):
+        if self._rep is None:
+            base = self.Rn.base
+            self._rep = _lift_u_powers(self.Rn, _u_coefficients(
+                base, [base.element(z) for z in self.zs], self.Rn.n))
+        return self._rep
 
     def __eq__(self, other):
         if not (isinstance(other, UnitClass) and other.kind == self.kind):
@@ -296,18 +312,27 @@ class UnitClass:
         return hash(self._group_data()) if self.kind == "group" else 0
 
     def _group_data(self):
-        """For group-algebra bases, the T^2 coefficient modulo Im(delta) is
+        """The cl(G) class vector `KGClass(G, z_i)`.
+
+        For group-algebra bases, the T^2 coefficient modulo Im(delta) is
         a complete invariant of classes represented with trivial T part;
         on involution products it coincides with the cl(G)-class vector.
+        That vector is read from the z_i, without multiplying out `rep`:
+
+        * u = T^2/(1+T), so u^k = T^(2k) + higher terms, and the T^2
+          coefficient of rep = sum_k e_k u^k is e_1 = sum_i z_i, for every
+          n >= 2;
+        * its T coefficient is 0, so rep has trivial T part;
+        * over F_2[G] the support of e_1 is the set of z occurring an odd
+          number of times among the z_i.  `KGClass` toggles the class key
+          of each element it is given, so the keys left after toggling
+          every z_i are those of the classes holding an odd number of
+          them, which are the keys left by the support of e_1.  Equality
+          and hash of a `KGClass` read its keys only.
+
         Built once per instance, so comparing and hashing are lookups."""
         if self._data is None:
-            base = self.Rn.base
-            if not isinstance(base, GroupAlgebra):
-                raise ArfError("group data needs a group-algebra base")
-            c = self.rep[2] if self.Rn.n >= 2 else base.zero()
-            if not base.is_zero(self.rep[1]):
-                raise ArfError("representative carries a T coefficient")
-            self._data = KGClass(base.G, list(c))
+            self._data = KGClass(self.Rn.base.G, self.zs)
         return self._data
 
     def display(self):
@@ -320,23 +345,25 @@ def omega1(expr: ArfExpression, n=2):
         raise ArfError("omega1 needs truncation degree n >= 2")
     if expr.flavor == GROUP:
         G = expr.context
-        base = GroupAlgebra(G)
-        zs = [base.element(G.mul(G.inv(a), b)) for a, b in expr.pairs]
-        kind = "group"
-    elif expr.flavor == RING:
-        base = expr.context
-        zs = [base.mul(base.involute(a), b) for a, b in expr.pairs]
-        kind = "commutative"
-    else:
+        return UnitClass(TruncatedRing(GroupAlgebra(G), n), None, "group",
+                         [G.mul(G.inv(a), b) for a, b in expr.pairs])
+    if expr.flavor != RING:
         raise ArfError("omega1 expects a group or ring expression")
-    # prod_i (1 + z_i u) = sum_k e_k u^k for the central u = T^2/(1+T) in
-    # T^2 R_n; e_k sums the ordered products z_i1 ... z_ik, i1 < ... < ik
+    base = expr.context
+    zs = [base.mul(base.involute(a), b) for a, b in expr.pairs]
+    Rn = TruncatedRing(base, n)
+    return UnitClass(Rn, _lift_u_powers(Rn, _u_coefficients(base, zs, n)), "commutative")
+
+
+def _u_coefficients(base, zs, n):
+    """e_0..e_(n/2) with prod_i (1 + z_i u) = sum_k e_k u^k for the central
+    u = T^2/(1+T) in T^2 R_n; e_k sums the ordered products z_i1 ... z_ik,
+    i1 < ... < ik."""
     e = [base.one()] + [base.zero()] * (n // 2)
     for i, z in enumerate(zs):
         for k in range(min(i + 1, n // 2), 0, -1):
             e[k] = base.add(e[k], base.mul(e[k - 1], z))
-    Rn = TruncatedRing(base, n)
-    return UnitClass(Rn, _lift_u_powers(Rn, e), kind)
+    return e
 
 
 def _lift_u_powers(Rn, e):

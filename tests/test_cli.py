@@ -182,6 +182,85 @@ def test_scenario_json_is_pinned(runner, name):
     assert hashlib.sha256(r.output.encode()).hexdigest() == SCENARIO_PINS[name]
 
 
+# `arf-eval --invariant omega1` on these expressions, plain and --json, in
+# this order: sha256 of all outputs per group or ring, taken while group
+# expressions still multiplied out their unit to compare classes
+OMEGA1_EXPRESSIONS = {
+    "builtin:ch1-order24": [
+        "<S, X^2*S> + <S, X^2*S> + <S, X^6> + <S, X^4*S>",
+        "<X^10*S, X^10*S>",
+        "<1, S>",
+        "<X^10*S, X^4*S> + <X^10*S, X^6> + <X^4*S, S> + <X^6*S, X^4*S>",
+        "<X^6*S, 1>",
+        "<X^6*S, X^6*S> + <X^6, X^4*S>",
+        "<X^2*S, S>",
+        "<X^4*S, X^4*S> + <X^4*S, X^2*S> + <X^6, X^10*S> + <S, S>",
+    ],
+    "builtin:ch1-c2-c-c12": [
+        "<(1,2|y^8*s), (1,-1|y^8*s)> + <(1,-1|s), (1,2|y^8*s)> + <(1,0|y^4*s), (1,0|s)>",
+        "<(1,-2|y^6*s), (1,-1|s)> + <(1,0|y^4*s), (1,1|s)>",
+        "<(1,1|y^10*s), (1,-1|y^10*s)> + <(1,0|y^10*s), (1,1|y^10*s)>",
+        "<(1,2|y^8*s), (1,1|y^6*s)>",
+        "<(1,0|y^4*s), (1,-1|y^6*s)> + <(1,2|y^2*s), (1,1|y^2*s)> + <(1,0|y^2*s), (1,1|y^6*s)>",
+        "<(1,-2|y^2*s), (1,2|y^4*s)>",
+        "<(1,2|y^4*s), (1,2|y^4*s)> + <(1,-2|y^6*s), (1,-2|s)> + <(1,-2|y^6*s), (1,1|s)>",
+        "<(1,1|y^8*s), (1,2|y^10*s)> + <(1,2|s), (1,1|y^10*s)> + <(1,0|s), (1,0|y^8*s)>"
+        " + <(1,0|y^10*s), (1,1|y^6*s)>",
+    ],
+    "builtin:ch2-plane": [
+        "<X^-2*Y*S, X^-1*Y^2*S> + <X^2*S, X^-2*Y^-1*S> + <X^2*Y^2*S, X*S>",
+        "<X^-1*S, X*Y^-1*S>",
+        "<X^2*Y^-1*S, X*Y^2*S>",
+        "<Y^-1*S, X*Y^2*S> + <Y^-1*S, X^-1*Y*S> + <X^-1*S, Y*S> + <Y^-1*S, X^2*Y^-2*S>",
+        "<X^-1*Y^2*S, X^2*S> + <1, Y^-1*S> + <1, Y^2*S>",
+        "<X^2*Y^2*S, X^-2*Y^-1*S> + <X^-2*Y^2*S, X^2*Y^2*S> + <X^-1*Y^-1*S, X^-2*Y*S>"
+        " + <X*Y^-2*S, X*Y^2*S>",
+        "<Y*S, X^-2*Y*S> + <X^-2*Y^2*S, X^-2*Y^-2*S>",
+        "<X^-2*Y^-1*S, X^-2*Y^-2*S>",
+    ],
+    "zxy": [
+        "<X, X + Y>",
+        "<X*Y, X^2 - Y>",
+        "<Y, X*Y> + <Y, X*Y>",
+        "<Y, X + Y> + <2*X, 2*X> + <X + Y, X + Y>",
+        "<-3, -3> + <X*Y, X^2 - Y> + <Y, 1>",
+        "<X*Y, X*Y> + <X*Y, X + Y> + <X^2 - Y, 2*X>",
+        "<X*Y, 1>",
+        "<2*X, 1>",
+    ],
+    "plane": [
+        "<X*Y^-1, Y> + <1, 1>",
+        "<X*Y^-1, X^2 + Y^-1> + <X*Y^-1, Y^-1>",
+        "<Y^-1, Y^-1>",
+        "<1, X>",
+        "<X*Y, X*Y>",
+        "<1, X^2 + Y^-1> + <X*Y, 1>",
+        "<X*Y^-1, X*Y> + <X, 1>",
+        "<X*Y, 1> + <X^2 + Y^-1, 1>",
+    ],
+}
+OMEGA1_PINS = {
+    "builtin:ch1-order24": "20aaf6cb892cf1e69603babfbe51ce1035b098eb3b21934cea7bceb4e709ee60",
+    "builtin:ch1-c2-c-c12": "1e21102b9e282c5ec8f29414dded9929e828e821bfe8729df3a9dad72ffa086e",
+    "builtin:ch2-plane": "178b54b3a681fa91f6ff6096d84b8bdc8c755a0cca83caea9942ad97d2958944",
+    "zxy": "20b933c7da7ef3916831e928a895a63847f6efa84f426d3ece423c2d7d865bab",
+    "plane": "54015bd1f2c712ea9007c51f40baf9bea81cd7bc9f8d6acf114ebc98b1f46d86",
+}
+
+
+@pytest.mark.parametrize("context", sorted(OMEGA1_PINS))
+def test_arf_eval_omega1_is_pinned(runner, context):
+    option = "--group" if context.startswith("builtin:") else "--ring"
+    digest = hashlib.sha256()
+    for expr in OMEGA1_EXPRESSIONS[context]:
+        for extra in ([], ["--json"]):
+            r = runner.invoke(main, ["arf-eval", expr, "--invariant", "omega1",
+                                     option, context, *extra])
+            assert r.exit_code == 0, (context, expr, r.output)
+            digest.update(r.output.encode())
+    assert digest.hexdigest() == OMEGA1_PINS[context]
+
+
 @pytest.mark.parametrize("args", [
     ["classes", "builtin:nope"],
     ["homology", "HQ1", "--group-algebra", "{tmp}/c16xc17.json"],  # DIM_GUARD

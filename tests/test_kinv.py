@@ -199,6 +199,39 @@ def test_unit_class_group_data_is_built_once(monkeypatch):
     assert len(built) == len(fresh)
 
 
+def test_group_omega1_compares_without_the_lift(monkeypatch):
+    # the group rewrites of the rewrite-battery workload (seed 1): eq and
+    # hash of their omega1 values read the class data of the z_i, with no
+    # product in F_2[G] and no lift to R_n; rep, read afterwards, is still
+    # the per-pair series product
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    groups, exprs = {}, []
+    for kind, name, data in workloads.RewriteBattery(1).plan:
+        if kind == "group-rewrite":
+            if name not in groups:
+                groups[name] = G.builtin_group(name)
+            pairs, rel, idx, params = data
+            e = arf.ArfExpression(arf.GROUP, groups[name], pairs)
+            exprs += [e, arf.apply_step(e, arf.DerivationStep(rel, idx, params))]
+    calls = []
+    for owner, attr in ((kinv, "_lift_u_powers"), (R.GroupAlgebra, "mul")):
+        monkeypatch.setattr(owner, attr, lambda *args, f=getattr(owner, attr):
+                            calls.append(f) or f(*args))
+    values = {n: [kinv.omega1(e, n) for e in exprs] for n in range(2, 7)}
+    outcomes = set()
+    for vals in values.values():
+        for i in range(0, len(vals), 2):
+            assert vals[i] == vals[i + 1] and hash(vals[i]) == hash(vals[i + 1])
+            if i and exprs[i - 2].context is exprs[i].context:
+                outcomes.add(vals[i] == vals[i - 2])
+    assert outcomes == {True, False} and calls == []
+    monkeypatch.undo()
+    for n, vals in values.items():
+        for e, u in zip(exprs, vals):
+            assert u.rep == _omega1_reference(e, n), (e.context.name, n, e.pairs)
+
+
 @pytest.fixture(scope="module")
 def contexts():
     FC2 = R.GroupAlgebra(G.cyclic_group(2))
