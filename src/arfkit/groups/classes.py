@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from ..memo import derived, derived_entry
-from .core import (Group, GroupError, FiniteTableGroup, SemidirectZnC2,
-                   PullbackCyclicGroup, PullbackDihedralGroup)
+from .core import (Group, GroupError, SemidirectZnC2, PullbackCyclicGroup,
+                   PullbackDihedralGroup)
 
 
 @dataclass(frozen=True)
@@ -56,15 +56,9 @@ def conjugators(G, g):
 
 
 def _conjugator_row(G, g):
-    els = G.elements()
-    if isinstance(G, FiniteTableGroup):     # x g x^-1 read off the table
-        t = G.table
-        images = [t[tx[g]][xi] for tx, xi in zip(t, G._inv)]
-    else:
-        images = [G.conj(g, x) for x in els]
     row = {}
-    for x, h in zip(els, images):
-        row.setdefault(h, []).append(x)
+    for x in G.elements():
+        row.setdefault(G.conj(g, x), []).append(x)
     return {h: tuple(xs) for h, xs in row.items()}
 
 
@@ -234,26 +228,17 @@ def class_rep_element(G, z):
 
 def squaring_preperiod(E):
     """(pre, per) such that e^(2^(k+per)) = e^(2^k) for all e, k >= pre."""
-    return derived(E, "squaring_table", _squaring_table, E)[1:]
+    return derived(E, "squaring_preperiod", _squaring_preperiod, E)
 
 
-def squares(E, k):
-    """Row k of the squaring table of the finite table group E: the tuple
-    of e^(2^k) over E.elements(), so squares(E, k)[e] = e^(2^k)."""
-    rows, pre, per = derived(E, "squaring_table", _squaring_table, E)
-    return rows[k if k < pre else pre + (k - pre) % per]
-
-
-def _squaring_table(E):
-    """(rows, pre, per): rows[k] lists e^(2^k) over E.elements() for
-    k < pre + per, where the walk of squarings first repeats a row."""
+def _squaring_preperiod(E):
     seq = [tuple(E.elements())]
     cur = seq[0]
     while True:
         cur = tuple(E.mul(e, e) for e in cur)
         for k, old in enumerate(seq):
             if old == cur:
-                return tuple(seq), k, len(seq) - k
+                return k, len(seq) - k
         seq.append(cur)
         if len(seq) > 2 * E.order() + 4:   # pragma: no cover
             raise GroupError("squaring map failed to cycle")
@@ -399,7 +384,7 @@ def _pullback_key(G, z):
     pre, per = squaring_preperiod(E)
     v = _v2(t)
     K = -(-(pre + v) // per) * per
-    f = squares(E, K - v)[e]
+    f = E.power(e, 1 << (K - v))
     return ("t", t >> v, derived(G, "fibre_orbit_ids", _fibre_orbit_ids, G)[f])
 
 
@@ -497,8 +482,8 @@ def _pullback_roots(G, z):
         return tuple(sorted(out, key=G.key))
     kmax = (pre + per if i == 0 else _v2(i) or 0)
     for k in range(1, kmax + 1):
-        for e, ek in zip(E.elements(), squares(E, k)):
-            if ek != z[1]:
+        for e in E.elements():
+            if E.power(e, 1 << k) != z[1]:
                 continue
             if i % (1 << k) == 0:
                 g = _make(G, 0, i // (1 << k), e)

@@ -280,11 +280,17 @@ def _is_finite_comm(R):
 class UnitClass:
     """A unit of 1 + I_n regarded in H^0(K_1(R_n, I_n)).
 
-    A group-flavour class (kind "group", made by `omega1`) is held by the
-    z_i = a_i^-1 b_i of its pairs; `rep`, the unit in R_n, is multiplied out
-    and lifted only when read.  Equality and hash read `_group_data`."""
+    A commutative class is held by `rep`, its unit in R_n.  A group class
+    (kind "group", made by `omega1`) is held by the z_i = a_i^-1 b_i of its
+    pairs alone: pass rep=None and the z_i; `rep` is multiplied out and
+    lifted only when read.  Equality and hash read `_group_data`."""
 
-    def __init__(self, Rn: TruncatedRing, rep, kind, zs=()):
+    def __init__(self, Rn: TruncatedRing, rep, kind, zs=None):
+        if kind == "group" and (rep is not None or zs is None
+                                or not isinstance(Rn.base, GroupAlgebra)):
+            raise ArfError("a group unit class is given by its z_i over F_2[G], not by a rep")
+        if kind != "group" and (rep is None or zs is not None):
+            raise ArfError("a commutative unit class is given by its rep")
         self.Rn = Rn
         self._rep = rep     # None: lifted from zs on first read
         self.kind = kind  # "commutative" | "group"

@@ -317,47 +317,6 @@ def test_two_power_roots(groupB):
     assert set(roots) == {z, xy, xy7}
 
 
-def _scan_pullback_roots(Gx, z):
-    """The 2-power roots of z in a pull-back, with e^(2^k) computed by
-    `power` for every k and every e of E (reference)."""
-    E = Gx.E
-    pre, per = G.squaring_preperiod(E)
-    out = {z}
-    dihedral = isinstance(Gx, G.PullbackDihedralGroup)
-    i = gcl._t_exponent(Gx, z)
-    if i is None:
-        return tuple(sorted(out, key=Gx.key))
-    kmax = (pre + per if i == 0 else _v2(abs(i)))
-    for k in range(1, kmax + 1):
-        for e in E.elements():
-            if E.power(e, 1 << k) != z[1]:
-                continue
-            if i % (1 << k) == 0:
-                g = gcl._make(Gx, 0, i // (1 << k), e)
-                if g is not None:
-                    out.add(g)
-            if dihedral and i == 0:
-                epsh, c = Gx.hom[e]
-                if epsh == 1:
-                    out.add(((1, c), e))
-                    out.add(((1, c + Gx.m), e))
-    return tuple(sorted(out, key=Gx.key))
-
-
-def test_pullback_roots_match_the_power_scan():
-    # the rows of the squaring table against E.power, on the window-3
-    # elements and on T-exponents 2^6 and 3 2^5, where k runs past
-    # pre + per and the rows repeat with period per
-    for Gx in _two_ends_groups() + _more_pullbacks():
-        pre, per = G.squaring_preperiod(Gx.E)
-        deep = [g for e in Gx.E.elements() for t in (64, -64, 96, -96, 96 + Gx.m)
-                for g in [Gx._lift(e, t)] if Gx.check_membership(g)]
-        ts = [gcl._t_exponent(Gx, g) for g in deep]
-        assert max(_v2(abs(t)) for t in ts if t is not None) == 6 > pre + per
-        for z in Gx.window_elements(3) + deep:
-            assert G.two_power_roots(Gx, z) == _scan_pullback_roots(Gx, z), (Gx.name, z)
-
-
 def test_finite_perm_cap():
     with pytest.raises(GroupError):
         G.FinitePermGroup([tuple(range(1, 9)) + (0,)], 9, cap=5)

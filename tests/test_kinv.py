@@ -232,6 +232,24 @@ def test_group_omega1_compares_without_the_lift(monkeypatch):
             assert u.rep == _omega1_reference(e, n), (e.context.name, n, e.pairs)
 
 
+def test_unit_class_forms_are_exclusive():
+    # a group class is held by its z_i alone and a commutative class by its
+    # rep: a group class given a rep, or no z_i, would read as trivial
+    C2 = G.cyclic_group(2)
+    Rn = R.TruncatedRing(R.GroupAlgebra(C2), 2)
+    u = kinv.omega1(arf.ArfExpression(arf.GROUP, C2, [(0, 1)]))
+    assert u != kinv.omega1(arf.ArfExpression(arf.GROUP, C2, []))
+    for rep, zs in ((u.rep, None), (u.rep, [1]), (None, None)):
+        with pytest.raises(ArfError):
+            kinv.UnitClass(Rn, rep, "group", zs)
+    with pytest.raises(ArfError):
+        kinv.UnitClass(R.TruncatedRing(R.GF2, 2), None, "group", [1])
+    for rep, zs in ((u.rep, [1]), (None, None)):
+        with pytest.raises(ArfError):
+            kinv.UnitClass(Rn, rep, "commutative", zs)
+    assert kinv.UnitClass(Rn, None, "group", [1]) == u
+
+
 @pytest.fixture(scope="module")
 def contexts():
     FC2 = R.GroupAlgebra(G.cyclic_group(2))
