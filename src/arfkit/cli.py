@@ -215,8 +215,7 @@ def theta_cmd(which, group_spec, p, element):
     A = halg.group_algebra(G, p)
     if which == "h0":
         g = G.parse_element(element or "1")
-        idx = G.elements().index(g)
-        cls = hops.space(A, "H0").class_of(A.basis_vec(idx))
+        cls = hops.space(A, "H0").class_of(A.basis_vec(g))
         out = hops.theta_p_h0(A, cls)
         click.echo(f"theta_{p}[{G.format_element(g)}] -> {A.format_vec(out.reduced())}")
     else:
@@ -444,8 +443,7 @@ def _check_homology_upsilon(G, check):
     cok = hops.coker_one_plus_vartheta(A)
     element = _field(check, "element", str)
     g = G.parse_element(element)
-    idx = G.elements().index(g)
-    v = cok.upsilon_pair(A.basis_vec(idx), A.basis_vec(idx))
+    v = cok.upsilon_pair(A.basis_vec(g), A.basis_vec(g))
     ok = any(v) == (_field(check, "expect", str) == "nonzero")
     return ok, f"homology Upsilon(<{element},{element}>) " \
                f"{'non' if any(v) else ''}zero"

@@ -1,9 +1,13 @@
 """Group descriptors and canonical element arithmetic.
 
-Five families are supported: finite groups by multiplication table or by
-permutation generators, the lattice-flip products Z^n x| C2, and the two
-pull-back shapes (over the infinite cyclic resp. infinite dihedral group)
-that realize every group with an infinite cyclic subgroup of finite index.
+Three shapes of group are supported: finite groups, the lattice-flip
+products Z^n x| C2, and the two pull-back shapes (over the infinite cyclic
+resp. infinite dihedral group) that realize every group with an infinite
+cyclic subgroup of finite index.
+
+Every finite group is a `FiniteTableGroup`, whose elements are the indices
+0..n-1 of its multiplication table; permutation generators
+(`FinitePermGroup`) are enumerated into such a table.
 
 Elements are plain hashable data; all operations go through the descriptor.
 Encodings are canonical: equal elements are bit-identical.
@@ -169,7 +173,7 @@ class FiniteTableGroup(Group):
         n = len(self.labels)
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise GroupError("table shape does not match labels")
-        if any(type(x) is not int for r in self.table for x in r):
+        if set(map(type, itertools.chain.from_iterable(self.table))) - {int}:
             raise GroupError("table entries must be integers")
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._label_index) != n:
@@ -201,7 +205,7 @@ class FiniteTableGroup(Group):
         from .structure import generating_set
         t = self.table
         for b in generating_set(self):
-            if any(t[t[a][b]] != [t[a][x] for x in t[b]] for a in range(n)):
+            if any(t[ta[b]] != list(map(ta.__getitem__, t[b])) for ta in t):
                 raise GroupError("table is not associative")
 
     def mul(self, a, b):
@@ -239,83 +243,65 @@ class FiniteTableGroup(Group):
                 "name": self.name}
 
 
-class FinitePermGroup(Group):
-    """Finite group generated by permutations of {0..n-1}.
-
-    Elements are image tuples; the group is enumerated on construction,
-    refusing (rather than truncating) past the cap.
-    """
+class FinitePermGroup(FiniteTableGroup):
+    """Finite group generated by permutations of {0..n-1}, enumerated into
+    an index table of |G|^2 entries; past `cap` elements it refuses rather
+    than truncates.  Elements are numbered in sorted image-tuple order and
+    labelled "(a b c)", the images of 0, 1, 2."""
 
     family = "finite_perm"
-    is_finite = True
     DEFAULT_CAP = 10_000
 
     def __init__(self, generators, n, cap=None, generator_names=None, name=None):
         self.n = n
         self.gens = [tuple(g) for g in generators]
-        self.cap = cap or self.DEFAULT_CAP
-        self.name = name
-        for g in self.gens:
-            if sorted(g) != list(range(n)):
-                raise GroupError("generator is not a permutation")
-        ident = self._identity = tuple(range(n))
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.gens:
-                    y = tuple(x[g[i]] for i in range(n))
-                    if y not in seen:
-                        if len(seen) >= self.cap:
-                            raise GroupError("enumeration cap exceeded")
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        self._elements = sorted(seen)
-        self._index = {g: i for i, g in enumerate(self._elements)}
-        self._gen_names = {}
-        if generator_names:
-            self._gen_names = {k: tuple(v) for k, v in generator_names.items()}
-
-    def mul(self, a, b):
-        return tuple(a[b[i]] for i in range(self.n))
-
-    def inv(self, a):
-        out = [0] * self.n
-        for i, x in enumerate(a):
-            out[x] = i
-        return tuple(out)
-
-    def order(self):
-        return len(self._elements)
-
-    def elements(self):
-        return list(self._elements)
-
-    def key(self, g):
-        return (self._index[g],)
-
-    def generators(self):
-        return dict(self._gen_names)
-
-    def format_element(self, g):
-        return "(" + " ".join(str(x) for x in g) + ")"
+        self.cap = self.DEFAULT_CAP if cap is None else cap
+        if any(sorted(g) != list(range(n)) for g in self.gens):
+            raise GroupError("generator is not a permutation")
+        met = [tuple(range(n))]
+        link = {met[0]: None}       # y -> (x, k) with y = x gens[k], x met first
+        for x in met:
+            for k, g in enumerate(self.gens):
+                y = tuple(x[i] for i in g)
+                if y not in link:
+                    if len(link) >= self.cap:
+                        raise GroupError("enumeration cap exceeded")
+                    link[y] = (x, k)
+                    met.append(y)
+        perms = sorted(met)
+        index = {p: i for i, p in enumerate(perms)}
+        # row x g of the table is row x read through left multiplication by g
+        left = [[index[tuple(g[i] for i in p)] for p in perms] for g in self.gens]
+        rows = {met[0]: list(range(len(perms)))}
+        for y in met[1:]:
+            x, k = link[y]
+            rows[y] = list(map(rows[x].__getitem__, left[k]))
+        names = {nm: index.get(tuple(v)) for nm, v in (generator_names or {}).items()}
+        if None in names.values():
+            raise GroupError("a named generator is not a member of the group")
+        super().__init__(map(_perm_label, perms), [rows[p] for p in perms],
+                         generator_names=names, name=name)
 
     def _parse_family(self, text):
-        text = text.strip()
         if text.startswith("(") and text.endswith(")") and "|" not in text:
             try:
-                img = tuple(int(t) for t in text[1:-1].replace(",", " ").split())
+                img = [int(t) for t in text[1:-1].replace(",", " ").split()]
             except ValueError:
                 return None
-            if len(img) == self.n and img in self._index:
-                return img
+            return self._label_index.get(_perm_label(img))
         return None
 
     def to_json(self):
-        return {"family": "finite_perm", "generators": [list(g) for g in self.gens],
-                "n": self.n, "cap": self.cap, "name": self.name}
+        out = {"family": "finite_perm", "generators": [list(g) for g in self.gens],
+               "n": self.n, "cap": self.cap, "name": self.name}
+        if self._gen_names:
+            out["names"] = {nm: [int(t) for t in self.labels[i][1:-1].split()]
+                            for nm, i in self._gen_names.items()}
+        return out
+
+
+def _perm_label(images):
+    return "(" + " ".join(map(str, images)) + ")"
 
 
 class SemidirectZnC2(Group):
@@ -848,10 +834,13 @@ def group_from_json(data):
                      "an object of element labels", optional=True)
         return FiniteTableGroup(labels, table, generator_names=gens, name=name)
     if fam == "finite_perm":
-        gens = field("generators", list, lambda gs: all(map(_ints, gs)),
-                     "a list of integer lists")
-        return FinitePermGroup(gens, field("n", int),
-                               cap=field("cap", int, optional=True), name=name)
+        return FinitePermGroup(
+            field("generators", list, lambda gs: all(map(_ints, gs)), "a list of integer lists"),
+            field("n", int, lambda v: v >= 0, "a non-negative integer"),
+            cap=field("cap", int, lambda v: v >= 1, "a positive integer", optional=True),
+            generator_names=field("names", dict, lambda d: all(map(_ints, d.values())),
+                                  "an object of integer lists", optional=True),
+            name=name)
     if fam == "semidirect_zn_c2":
         return SemidirectZnC2(field("rank", int),
                               var_names=field("vars", list, _strs, "a list of strings",

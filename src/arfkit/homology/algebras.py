@@ -6,7 +6,7 @@ import math
 
 from .. import ArfkitError, need
 from ..fp import xor_sum
-from ..groups.core import Group
+from ..groups.core import FiniteTableGroup
 from ..groups.structure import generating_set
 
 
@@ -279,24 +279,22 @@ def algebra_from_json(data):
                          name)
 
 
-def group_algebra(G: Group, p=2):
+def group_algebra(G: FiniteTableGroup, p=2):
     """F_p[G] with the inverse anti-involution.  Its middles are
     `generating_set(G)`: each element of a finite group is a product of
     generators (the identity a power of one), so the e_g they span are the
     whole basis.  Only the trivial group, which has no generators, keeps
     the identity.
 
-    The tables are written straight from the group's index table, which
-    the algebra keeps as `table`: every e_g e_h is one basis element, so
-    each entry is reduced as it stands, and the constructor's sort and
-    packing are skipped.  `_validate` still checks them."""
-    els = G.elements()
-    idx = {g: i for i, g in enumerate(els)}
-    table = [[idx[G.mul(g, h)] for h in els] for g in els]
-    inv = [idx[G.inv(g)] for g in els]
-    one = idx[G.identity]
+    The basis vector e_i is the group element i, and the tables are
+    written straight from the group's index table, which the algebra shares
+    as `table`: every e_g e_h is one basis element, so each entry is reduced
+    as it stands, and the constructor's sort and packing are skipped.
+    `_validate` still checks them."""
+    table, one = G.table, G.identity
+    inv = [G.inv(g) for g in G.elements()]
     A = object.__new__(FiniteAlgebra)
-    A.p, A.labels, A.dim = p, [G.format_element(g) for g in els], len(els)
+    A.p, A.labels, A.dim = p, list(G.labels), G.order()
     A.mult = [[((k, 1),) for k in row] for row in table]
     A.unit = tuple([int(i == one) for i in range(A.dim)])
     A.involution = [((k, 1),) for k in inv]
@@ -305,7 +303,7 @@ def group_algebra(G: Group, p=2):
         A.bits = [[1 << k for k in row] for row in table]
         A.inv_bits = [1 << k for k in inv]
     A.name = f"F{p}[{getattr(G, 'name', '?')}]"
-    A.middles = tuple(idx[g] for g in generating_set(G)) or (one,)
+    A.middles = tuple(generating_set(G)) or (one,)
     A.table = table
     A._validate()
     return A

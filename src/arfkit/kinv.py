@@ -188,19 +188,18 @@ class CFiniteContext:
 
 def additive_basis(ring):
     if isinstance(ring, GroupAlgebra) and ring.G.is_finite:
-        els = ring.G.elements()
-        idx = {g: i for i, g in enumerate(els)}
+        n = ring.G.order()
 
         def to_coords(x):
-            v = [0] * len(els)
+            v = [0] * n
             for g in x:
-                v[idx[g]] = 1
+                v[g] = 1
             return tuple(v)
 
         def from_coords(v):
-            return frozenset(els[i] for i, c in enumerate(v) if c % 2)
+            return frozenset(g for g, c in enumerate(v) if c % 2)
 
-        return [frozenset([g]) for g in els], to_coords, from_coords
+        return [frozenset([g]) for g in range(n)], to_coords, from_coords
     if isinstance(ring, TruncatedRing) and isinstance(ring.base, PrimeField) \
             and ring.base.p == 2:
         def to_coords(x):

@@ -421,22 +421,20 @@ class GroupAlgebra(Ring):
 
     def _regular_inverse(self, a):
         from .. import fp
-        els = self.G.elements()
-        idx = {g: i for i, g in enumerate(els)}
-        n = len(els)
+        n = self.G.order()
         rows = []
-        for g in els:  # row for basis vector g: a*g in coordinates
+        for g in range(n):  # row for basis vector g: a*g in coordinates
             v = [0] * n
             for h in a:
-                v[idx[self.G.mul(h, g)]] ^= 1
+                v[self.G.mul(h, g)] ^= 1
             rows.append(v)
         # solve a * x = 1: columns of the multiplication operator
         mat = [[rows[j][i] for j in range(n)] for i in range(n)]
-        target = [1 if els[i] == self.G.identity else 0 for i in range(n)]
+        target = [int(i == self.G.identity) for i in range(n)]
         sol = fp.solve(mat, target, n, 2)
         if sol is None:
             return None
-        return frozenset(els[i] for i in range(n) if sol[i])
+        return frozenset(i for i in range(n) if sol[i])
 
     def gamma1_reduce(self, x):
         """Representative modulo {y + alpha(y)} = span{g + g^-1}: fold each

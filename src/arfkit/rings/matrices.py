@@ -180,15 +180,13 @@ def is_invertible(M):
         return fp.Subspace(n, R.p, [list(r) for r in M.rows]).rank == n
     if isinstance(R, GroupAlgebra) and R.G.is_finite:
         from .. import fp
-        els = R.G.elements()
-        idx = {g: i for i, g in enumerate(els)}
-        N = len(els)
+        N = R.G.order()
         big = [[0] * (n * N) for _ in range(n * N)]
         for i in range(n):
             for j in range(n):
                 for g in M.rows[i][j]:
-                    for t, h in enumerate(els):
-                        big[i * N + idx[R.G.mul(g, h)]][j * N + t] ^= 1
+                    for h in range(N):
+                        big[i * N + R.G.mul(g, h)][j * N + h] ^= 1
         return fp.Subspace(n * N, 2, big).rank == n * N
     if isinstance(R, TruncatedRing):
         const = RingMatrix(R.base, [[a[0] for a in row] for row in M.rows])

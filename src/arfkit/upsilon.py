@@ -457,7 +457,8 @@ def l_of_class(G, z):
 
 class JValue:
     """An element of J(G) = sum over classes of L(c): for each summand met,
-    the class witness inserted first and the summand's payload."""
+    the class witness inserted first and the summand's payload.  Summands
+    are read and displayed in the order of their class representatives."""
 
     def __init__(self, G):
         self.G = G
@@ -484,16 +485,18 @@ class JValue:
         return out
 
     def nonzero_parts(self):
-        """(lc, class witness, resolved value) of each nonzero summand."""
+        """(lc, class representative, resolved value) of each nonzero
+        summand, least representative by `G.key` first."""
         out = []
         for lc, (z, p) in self.parts.items():
             value = lc.resolve(p)
             if value is not None:
-                out.append((lc, z, value))
+                out.append((lc, gcl.class_rep_element(self.G, z), value))
+        out.sort(key=lambda part: self.G.key(part[1]))
         return out
 
     def is_zero(self):
-        return not self.nonzero_parts()
+        return all(lc.resolve(p) is None for lc, (_, p) in self.parts.items())
 
     def __eq__(self, other):
         return isinstance(other, JValue) and (self + other).is_zero()
@@ -502,11 +505,8 @@ class JValue:
         parts = self.nonzero_parts()
         if not parts:
             return "0"
-        out = []
-        for lc, z, value in sorted(parts, key=lambda p: self.G.key(p[1])):
-            rep = gcl.class_rep_element(self.G, z)
-            out.append(f"L([{self.G.format_element(rep)}]): {lc.show(self.G, value)}")
-        return "; ".join(out)
+        return "; ".join(f"L([{self.G.format_element(rep)}]): {lc.show(self.G, value)}"
+                         for lc, rep, value in parts)
 
 
 def _vec_str(vec):
@@ -549,6 +549,14 @@ def upsilon_distinguish(e1: ArfExpression, e2: ArfExpression) -> DistinguishResu
     """Exact coordinate comparison in J(G); for two-ends descriptors a
     SameImage verdict upgrades to Equal by injectivity.
 
+    A Distinct witness is (rep, vec) for the differing summand whose class
+    representative `class_rep_element` is least by `G.key`, the first
+    summand `JValue.display` prints; vec is its resolved value.  So the
+    witness does not depend on the order the pairs are met in, apart from
+    a two-ends summand: its representative is the first element of its
+    class that the pairs meet, and its position lies on the chain of the
+    first element of the class ever queried.
+
     The primary invariant is consulted as well, although equal Upsilon
     images already force equal omega images: every single-pair image
     carries the weight bit w = 1, so per-class pair counts are determined
@@ -563,8 +571,7 @@ def upsilon_distinguish(e1: ArfExpression, e2: ArfExpression) -> DistinguishResu
         return DistinguishResult("Unknown", transcript=[str(exc)])
     diff = v1 + v2
     if not diff.is_zero():
-        lc, z, vec = diff.nonzero_parts()[0]
-        rep = gcl.class_rep_element(G, z)
+        _, rep, vec = diff.nonzero_parts()[0]
         return DistinguishResult(
             "Distinct", witness=(rep, vec),
             transcript=[f"images differ in L([{G.format_element(rep)}])"])

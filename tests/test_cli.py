@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import json
 import re
@@ -261,6 +262,13 @@ def test_arf_eval_omega1_is_pinned(runner, context):
     assert digest.hexdigest() == OMEGA1_PINS[context]
 
 
+@functools.lru_cache(maxsize=None)
+def _c16xc17_file():
+    """C16 x C17, past the homology dimension guard, as a group file: a
+    table of 272^2 entries, built once for all the cases below."""
+    return json.dumps(G.abelian_group([16, 17]).to_json())
+
+
 @pytest.mark.parametrize("args", [
     ["classes", "builtin:nope"],
     ["homology", "HQ1", "--group-algebra", "{tmp}/c16xc17.json"],  # DIM_GUARD
@@ -294,6 +302,10 @@ def test_arf_eval_omega1_is_pinned(runner, context):
     ["classes", "{tmp}/text_rank.json"],
     ["classes", "{tmp}/text_m.json"],
     ["classes", "{tmp}/zero_m.json"],
+    ["classes", "{tmp}/zero_cap.json"],
+    ["classes", "{tmp}/negative_cap.json"],
+    ["classes", "{tmp}/negative_n.json"],
+    ["classes", "{tmp}/foreign_name.json"],
 ])
 def test_errors_are_one_line(runner, tmp_path, args):
     (tmp_path / "broken.json").write_text('{"family": "finite_table", ')
@@ -304,7 +316,7 @@ def test_errors_are_one_line(runner, tmp_path, args):
         '"table": [[0, 1], [1, "0"]]}')
     (tmp_path / "empty.json").write_text('{}')
     (tmp_path / "p_only.json").write_text('{"p": 2}')
-    (tmp_path / "c16xc17.json").write_text(json.dumps(G.abelian_group([16, 17]).to_json()))
+    (tmp_path / "c16xc17.json").write_text(_c16xc17_file())
     pb_c4 = G.pullback_cyclic_example().to_json()
     for name, data in [
             ("int_start", {"start": 5, "target": "<1,1>", "steps": []}),
@@ -329,6 +341,12 @@ def test_errors_are_one_line(runner, tmp_path, args):
             ("text_n", {"family": "finite_perm", "generators": [[1, 0, 2]], "n": "3"}),
             ("text_cap", {"family": "finite_perm", "generators": [[1, 0, 2]], "n": 3,
                           "cap": "5"}),
+            ("zero_cap", {"family": "finite_perm", "generators": [[1, 0, 2]], "n": 3, "cap": 0}),
+            ("negative_cap", {"family": "finite_perm", "generators": [[1, 0, 2]], "n": 3,
+                              "cap": -1}),
+            ("negative_n", {"family": "finite_perm", "generators": [], "n": -2}),
+            ("foreign_name", {"family": "finite_perm", "generators": [[1, 0, 2]], "n": 3,
+                              "names": {"c": [1, 2, 0]}}),
             ("text_rank", {"family": "semidirect_zn_c2", "rank": "x"}),
             ("text_m", {**pb_c4, "m": "2"}),
             ("zero_m", {**pb_c4, "m": 0})]:

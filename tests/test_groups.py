@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -7,7 +8,10 @@ import arfkit.fp as fp
 import arfkit.groups as G
 import arfkit.groups.classes as gcl
 import arfkit.groups.structure as gst
+import arfkit.homology as H
+import arfkit.upsilon as ups
 from arfkit.groups import GroupError
+from test_homology import _relation_bases
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +326,104 @@ def test_finite_perm_cap():
         G.FinitePermGroup([tuple(range(1, 9)) + (0,)], 9, cap=5)
 
 
+class _TuplePermGroup(G.Group):
+    """A permutation group as image tuples, multiplied and inverted as
+    permutations: the encoding FinitePermGroup had before it became an
+    index table, kept as the reference of the table."""
+
+    family = "finite_perm"
+    is_finite = True
+
+    def __init__(self, generators, n, generator_names=None):
+        self.n = n
+        self.gens = [tuple(g) for g in generators]
+        ident = self._identity = tuple(range(n))
+        seen = {ident}
+        frontier = [ident]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in self.gens:
+                    y = self.mul(x, g)
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        self._elements = sorted(seen)
+        self._index = {g: i for i, g in enumerate(self._elements)}
+        self._gen_names = {k: tuple(v) for k, v in (generator_names or {}).items()}
+
+    def mul(self, a, b):
+        return tuple(map(a.__getitem__, b))
+
+    def inv(self, a):
+        out = [0] * self.n
+        for i, x in enumerate(a):
+            out[x] = i
+        return tuple(out)
+
+    def order(self):
+        return len(self._elements)
+
+    def elements(self):
+        return list(self._elements)
+
+    def key(self, g):
+        return (self._index[g],)
+
+    def generators(self):
+        return dict(self._gen_names)
+
+    def format_element(self, g):
+        return "(" + " ".join(str(x) for x in g) + ")"
+
+    def _parse_family(self, text):
+        if text.startswith("(") and text.endswith(")") and "|" not in text:
+            try:
+                img = tuple(int(t) for t in text[1:-1].replace(",", " ").split())
+            except ValueError:
+                return None
+            if len(img) == self.n and img in self._index:
+                return img
+        return None
+
+
+def test_perm_tables_match_the_tuple_arithmetic():
+    """On S3, A4, S4, S5, A5, C3^2 x| C4 in S6 and S6 the index table is the
+    tuple group read through the labels: the element order, every product
+    and inverse, the literals in both syntaxes, the generator names, the
+    generating set, the class partition and J (not on S6, where the tuple
+    group takes 2 s), and up to order 24 the relation bases of F_2[G]."""
+    def sym(n):
+        return [tuple([1, 0] + list(range(2, n))), tuple(list(range(1, n)) + [0])]
+    for gens, n in [(sym(3), 3), ([(1, 0, 3, 2), (1, 2, 0, 3)], 4), (sym(4), 4), (sym(5), 5),
+                    ([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], 5),
+                    ([(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3), (3, 4, 5, 1, 0, 2)], 6),
+                    (sym(6), 6)]:
+        names = {"t": gens[0], "c": gens[1]}
+        old = _TuplePermGroup(gens, n, generator_names=names)
+        new = G.FinitePermGroup(gens, n, generator_names=names)
+        els = old.elements()
+        phi = {g: new.parse_element(old.format_element(g)) for g in els}
+        assert [phi[g] for g in els] == new.elements() and phi[old.identity] == new.identity
+        assert [new.format_element(phi[g]) for g in els] == [old.format_element(g) for g in els]
+        for g in els:
+            assert new.parse_element("(" + ",".join(map(str, g)) + ")") == phi[g]
+            assert new.inv(phi[g]) == phi[old.inv(g)]
+            assert [new.mul(phi[g], phi[h]) for h in els] == [phi[old.mul(g, h)] for h in els]
+        for word in ("t", "c", "t*c^2*t"):
+            assert new.parse_element(word) == phi[old.parse_element(word)]
+        assert gst.generating_set(new) == [phi[g] for g in gst.generating_set(old)]
+        assert gcl.cl_partition_finite(new) == [frozenset(map(phi.get, part))
+                                                for part in gcl.cl_partition_finite(old)]
+        if new.order() < 720:
+            assert ups.j_group_dimension(new) == ups.j_group_dimension(old)
+        if new.order() <= 24:
+            ref = G.table_from_mul(els, old.mul, labels=list(map(old.format_element, els)))
+            assert _relation_bases(H.group_algebra(new, 2)) == \
+                _relation_bases(H.group_algebra(ref, 2))
+
+
 def test_catalog_counts():
     assert [len(G.groups_of_order(n)) for n in range(1, 17)] == \
         [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14]
@@ -334,6 +436,28 @@ def test_element_io_roundtrip(groupB, plane):
     j = groupB.to_json()
     B2 = G.group_from_json(j)
     assert B2.order_of(B2.parse_element("(0,0|y)")) == 12
+
+
+def test_every_builtin_and_catalogue_group_roundtrips_through_json():
+    """group_from_json(to_json()) keeps the order, the element labels and
+    what each generator name parses to; a permutation group keeps its
+    names in the optional "names" key."""
+    groups = [G.builtin_group(name) for name in G.BUILTIN_GROUPS]
+    groups += G.groups_upto(16) + [G.symmetric_group(4)]
+    for Gx in groups:
+        Rx = G.group_from_json(json.loads(json.dumps(Gx.to_json())))
+        assert type(Rx) is type(Gx), Gx.name
+        if Gx.is_finite:
+            assert Rx.order() == Gx.order(), Gx.name
+            els = Gx.elements()
+        else:
+            els = Gx.window_elements(2)
+            assert Rx.window_elements(2) == els, Gx.name
+        assert [Rx.format_element(g) for g in els] == [Gx.format_element(g) for g in els]
+        names = list(Gx.generators())
+        assert names == list(Rx.generators()), Gx.name
+        for word in names + ["*".join(names)]:
+            assert Rx.parse_element(word) == Gx.parse_element(word), (Gx.name, word)
 
 
 # -- conjugator rows and the bounded power/conjugacy search -----------------

@@ -21,11 +21,10 @@ MAX_ORDER = 32
 LARGE_ORDERS = (36, 64)
 
 
-def _random_groups(rng, count, low=1, high=MAX_ORDER):
-    """`count` groups of order in [low, high]: a subgroup of S5 or S6 of
-    order at most `high`, times C2 at random while that fits, and always
-    while the order is below `low`."""
-    symmetric = [G.symmetric_group(5), G.symmetric_group(6)]
+def _random_groups(rng, symmetric, count, low=1, high=MAX_ORDER):
+    """`count` groups of order in [low, high]: a subgroup of S5 or S6 (the
+    two groups of `symmetric`) of order at most `high`, times C2 at random
+    while that fits, and always while the order is below `low`."""
     c2 = G.cyclic_group(2)
     out = []
     while len(out) < count:
@@ -50,8 +49,10 @@ def battery_draws():
     larger share (a seed of its own, so the draws above stay as they
     were)."""
     rng = random.Random(2)
-    groups = _random_groups(rng, 120)
-    return groups, rng.getstate(), _random_groups(random.Random(28), 4, *LARGE_ORDERS)
+    symmetric = [G.symmetric_group(5), G.symmetric_group(6)]
+    groups = _random_groups(rng, symmetric, 120)
+    return groups, rng.getstate(), _random_groups(random.Random(28), symmetric, 4,
+                                                  *LARGE_ORDERS)
 
 
 def _relabelled(rng, Gx):

@@ -13,6 +13,7 @@ import arfkit.groups.structure as gst
 import arfkit.homology as H
 import arfkit.upsilon as ups
 from arfkit.arf import ArfError
+from test_random_groups import _random_expressions, _relabelled, battery_draws
 
 
 @pytest.fixture(scope="module")
@@ -431,15 +432,18 @@ def test_unknown_for_window_only():
     assert r.verdict == "Unknown"
 
 
+@functools.lru_cache(maxsize=None)
 def _value_battery():
     """Upsilon displays, verdicts, witnesses and transcripts at a fixed query
     order, on fresh descriptors: the catalogue up to order 16, the order-24
-    group, S4 and the five infinite built-ins."""
+    group, S4 and the five infinite built-ins.  Built once per test run:
+    the records, and the group and the two pair lists of each Distinct
+    verdict."""
     rng = random.Random(2026)
     groups = G.groups_upto(16) + [G.group_order24(), G.symmetric_group(4)]
     groups += [G.builtin_group(n) for n in ("ch1-c-by-d4", "ch1-c2-c-c12",
                                             "ch2-plane", "ch4-xyz", "pb-cyclic-c4")]
-    out = []
+    out, distinct = [], []
     for Gx in groups:
         fmt = Gx.format_element
         if Gx.is_finite:
@@ -466,22 +470,61 @@ def _value_battery():
             pairs = [(rng.choice(invs), rng.choice(invs)) for _ in range(rng.randint(1, 3))]
             e = arf.ArfExpression(arf.GROUP, Gx, pairs)
             v = ups.upsilon_eval(e)
-            exprs.append(e)
+            exprs.append((e, pairs))
             out.append(f"{Gx.name} {e.display()} -> {v.display()} {v.is_zero()}")
-        for e1, e2 in itertools.combinations(exprs, 2):
+        for (e1, p1), (e2, p2) in itertools.combinations(exprs, 2):
             r = ups.upsilon_distinguish(e1, e2)
+            if r.verdict == "Distinct":
+                distinct.append((Gx, p1, p2))
             w = r.witness
             if w is not None and w[0] != "omega":
                 w = (fmt(w[0]), w[1])
             out.append(f"{Gx.name} {e1.display()} ~ {e2.display()}: {r.verdict} "
                        f"{w!r} {r.transcript!r} {r.same_image}")
-    return out
+    return out, distinct
 
 
 def test_value_battery_is_pinned():
-    # the digest was taken while JValue still branched on each summand
-    # backend; every display, verdict, witness and transcript must keep it
-    records = _value_battery()
+    # every display, verdict, witness and transcript must keep the digest;
+    # witnesses and display orders follow the least class representative
+    records, _ = _value_battery()
     assert len(records) == 4103
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == "43f145a088efdb6a346ffe0cf842dbc004d7579d3b6a8436fa4278589d92d06f"
+    assert digest == "b4b863c9274efd5dc716c77f890358667c94f26c18b0c61387f21bc72c0499b4"
+
+
+def _check_witness(Gx, p1, p2):
+    """The Distinct witness of two pair lists names the first summand that
+    the difference of their images displays, and neither changes when each
+    list is passed in reverse order."""
+    def run(a, b):
+        e1, e2 = (arf.ArfExpression(arf.GROUP, Gx, p) for p in (a, b))
+        diff = ups.upsilon_eval(e1) + ups.upsilon_eval(e2)
+        return ups.upsilon_distinguish(e1, e2), diff.display()
+
+    r, shown = run(p1, p2)
+    assert r.verdict == "Distinct", Gx.name
+    assert shown.startswith(f"L([{Gx.format_element(r.witness[0])}]): "), (Gx.name, shown)
+    back, back_shown = run(p1[::-1], p2[::-1])
+    assert (back.witness, back_shown) == (r.witness, shown), Gx.name
+
+
+def test_distinguish_witness_is_the_first_summand_shown():
+    """On the value battery's Distinct verdicts and on a relabelled copy of
+    each random-battery group, the witness is the summand of least class
+    representative, whatever order the pairs come in."""
+    _, distinct = _value_battery()
+    for Gx, p1, p2 in distinct:
+        _check_witness(Gx, p1, p2)
+    rng = random.Random(25)
+    groups, _, large = battery_draws()
+    seen = 0
+    for Gx in groups + large:
+        Rx, _ = _relabelled(rng, Gx)
+        exprs = _random_expressions(rng, Rx, 4)
+        for p1, p2 in zip(exprs, exprs[1:]):
+            e1, e2 = (arf.ArfExpression(arf.GROUP, Rx, p) for p in (p1, p2))
+            if ups.upsilon_distinguish(e1, e2).verdict == "Distinct":
+                _check_witness(Rx, p1, p2)
+                seen += 1
+    assert seen >= 100
