@@ -293,9 +293,6 @@ class QuotientContext:
         """`Subspace.basis` of the subspace divided out."""
         return self.space.basis()
 
-    def is_zero(self, vec):
-        return self.space.contains(vec)
-
 
 def xor_sum(x, rows):
     """The F_2 sum of rows[k] over the set bits k of the packed int x."""

@@ -24,9 +24,6 @@ class EquivClass:
     certificate: tuple = ("full",)
     approximate: bool = False
 
-    def __contains__(self, g):
-        return g in self.members
-
     def label(self):
         return f"[{self.group.format_element(self.rep)}]"
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from operator import itemgetter
 
 from .. import ArfkitError, need
 
@@ -161,17 +162,21 @@ class Group:
 
 
 class FiniteTableGroup(Group):
-    """Finite group given by labels and a row-major index table."""
+    """Finite group given by labels and a row-major index table.
+
+    The group owns the row lists it is handed: it keeps them as they are,
+    never writes to them, and `to_json` hands out copies."""
 
     family = "finite_table"
     is_finite = True
 
     def __init__(self, labels, table, generator_names=None, name=None):
         self.labels = list(labels)
-        self.table = [list(r) for r in table]
+        self.table = list(table)
         self.name = name
         n = len(self.labels)
-        if len(self.table) != n or any(len(r) != n for r in self.table):
+        if len(self.table) != n or any(not isinstance(r, list) or len(r) != n
+                                       for r in self.table):
             raise GroupError("table shape does not match labels")
         if set(map(type, itertools.chain.from_iterable(self.table))) - {int}:
             raise GroupError("table entries must be integers")
@@ -182,19 +187,24 @@ class FiniteTableGroup(Group):
         self._gen_names = dict(generator_names or {})
 
     def _validate(self):
+        """Check that the table is a group: its rows are permutations, it
+        has a two-sided identity e, every a has a two-sided inverse, and
+        its product is associative.  The last three are the axioms of a
+        group, and in a group a -> ab is a bijection, with inverse
+        a -> ab^-1.  So the columns are permutations too, and the table is
+        a Latin square without a column being read."""
         n = len(self.labels)
-        cols = list(zip(*self.table))
+        t = self.table
         ordered = list(range(n))
-        for i in range(n):
-            if sorted(self.table[i]) != ordered or sorted(cols[i]) != ordered:
-                raise GroupError("table is not a Latin square")
+        if any(sorted(row) != ordered for row in t):
+            raise GroupError("table row is not a permutation")
         ident = next((e for e in ordered
-                      if self.table[e] == ordered and list(cols[e]) == ordered), None)
+                      if t[e] == ordered and list(map(itemgetter(e), t)) == ordered), None)
         if ident is None:
             raise GroupError("table has no identity")
         self._identity = ident
-        self._inv = [row.index(ident) for row in self.table]
-        if any(self.table[b][a] != ident for a, b in enumerate(self._inv)):
+        self._inv = [row.index(ident) for row in t]
+        if any(t[b][a] != ident for a, b in enumerate(self._inv)):
             raise GroupError("table has no two-sided inverses")
         # Light's test: the b with (ab)c = a(bc) for all a, c include the
         # identity and are closed under products, since for two of them
@@ -203,7 +213,6 @@ class FiniteTableGroup(Group):
         # identity, reach every element: the greedy S of generating_set,
         # which has |S| <= log2 n on a group (each member doubles the span).
         from .structure import generating_set
-        t = self.table
         for b in generating_set(self):
             if any(t[ta[b]] != list(map(ta.__getitem__, t[b])) for ta in t):
                 raise GroupError("table is not associative")
@@ -238,9 +247,9 @@ class FiniteTableGroup(Group):
         return self._label_index.get(text)
 
     def to_json(self):
-        return {"family": "finite_table", "labels": self.labels,
-                "table": self.table, "generators": self._gen_names,
-                "name": self.name}
+        return {"family": "finite_table", "labels": list(self.labels),
+                "table": [row[:] for row in self.table],
+                "generators": dict(self._gen_names), "name": self.name}
 
 
 class FinitePermGroup(FiniteTableGroup):

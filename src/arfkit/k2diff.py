@@ -55,12 +55,6 @@ class DifferentialForm:
     def is_zero(self):
         return all(self.ring.is_zero(c) for c in self.parts.values())
 
-    def display(self):
-        R = self.ring
-        terms = [f"({R.format(c)}) d{v}" for v, c in self.parts.items()
-                 if not R.is_zero(c)]
-        return " + ".join(terms) if terms else "0"
-
 
 def delta(ring: PolyRing, f) -> DifferentialForm:
     """The universal derivation, in Leibniz normal form."""
@@ -122,9 +116,6 @@ class DSSymbol:
         self.x = x
         self.y = y
 
-    def display(self):
-        return f"<{self.Rn.format(self.x)}, {self.Rn.format(self.y)}>"
-
 
 class NuValue:
     """nu_n coordinates: (form, extra) with
@@ -137,19 +128,11 @@ class NuValue:
         self.form = form
         self.extra = extra
 
-    @classmethod
-    def zero(cls, ring, n):
-        z = DifferentialForm(ring)
-        if n == 1:
-            return cls(ring, 1, z, _r_mod2(ring, ring.zero()))
-        return cls(ring, 2, z, _pair_reduce(ring, ring.zero(), DifferentialForm(ring)))
-
     def __add__(self, other):
         ring, n = self.ring, self.n
         form = self.form + other.form
         if n == 1:
-            extra = _r_mod2(ring, ring.add(_lift(ring, self.extra),
-                                           _lift(ring, other.extra)))
+            extra = _r_mod2(ring, ring.add(self.extra, other.extra))
         else:
             r = ring.add(self.extra[0], other.extra[0])
             w = self.extra[1] + other.extra[1]
@@ -174,15 +157,9 @@ class NuValue:
         if not self.form.is_zero():
             return False
         if self.n == 1:
-            return self.ring.is_zero(_lift(self.ring, self.extra))
+            return self.ring.is_zero(self.extra)
         r, w = self.extra
         return self.ring.is_zero(r) and w.is_zero()
-
-    def display(self):
-        if self.n == 1:
-            return f"({self.form.display()}, [{self.ring.format(_lift(self.ring, self.extra))}])"
-        r, w = self.extra
-        return f"({self.form.display()}, [{self.ring.format(r)}, {w.display()}])"
 
 
 def _r_mod2(ring, r):
@@ -191,10 +168,6 @@ def _r_mod2(ring, r):
     if isinstance(ring, PolyRing):
         return ring.coefficients_mod2(r)
     raise RingError("unsupported base for R/2R")
-
-
-def _lift(ring, cls):
-    return cls
 
 
 def _pair_reduce(ring, r, w: DifferentialForm):

@@ -462,13 +462,6 @@ class GroupAlgebra(Ring):
         return " + ".join(self.G.format_element(g)
                           for g in sorted(a, key=self.G.key))
 
-    def parse(self, text):
-        acc = self.zero()
-        for term in text.replace(" ", "").split("+"):
-            if term:
-                acc = self.add(acc, frozenset([self.G.parse_element(term)]))
-        return acc
-
 
 class TruncatedRing(Ring):
     """R_n = R[T]/(T^(n+1)) over a base ring with anti-structure.
@@ -603,43 +596,3 @@ class TruncatedRing(Ring):
                 t = "T" if k == 1 else f"T^{k}"
                 parts.append(t if cs == "1" else f"({cs})*{t}")
         return " + ".join(parts) if parts else "0"
-
-    def parse(self, text):
-        """Parse "1 + a*T + b*T^2" with base-ring coefficient expressions."""
-        text = text.replace(" ", "")
-        coeffs = [self.base.zero()] * (self.n + 1)
-        for term in _split_top_level(text):
-            neg = term.startswith("-")
-            if neg:
-                term = term[1:]
-            k = 0
-            m = re.search(r"\*?T(\^(\d+))?$", term)
-            if m:
-                k = int(m.group(2) or 1)
-                term = term[: m.start()]
-            if term.startswith("(") and term.endswith(")"):
-                term = term[1:-1]
-            c = self.base.one() if term in ("", "1") else self.base.parse(term)
-            if neg:
-                c = self.base.neg(c)
-            if k <= self.n:
-                coeffs[k] = self.base.add(coeffs[k], c)
-        return tuple(coeffs)
-
-
-def _split_top_level(text):
-    out, depth, cur = [], 0, ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            if cur:
-                out.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if cur:
-        out.append(cur)
-    return out

@@ -24,9 +24,6 @@ class RingMatrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
     def __add__(self, other):
         R = self.ring
         return RingMatrix(R, [[R.add(a, b) for a, b in zip(r1, r2)]
@@ -81,12 +78,6 @@ class RingMatrix:
             self.ring, [[self.rows[r0 + i][c0 + j] for j in range(n)]
                         for i in range(n)])
         return sub(0, 0), sub(0, n), sub(n, 0), sub(n, n)
-
-
-def matrix_from_json(ring, rows):
-    """Matrices arrive as JSON row arrays of ring-element text."""
-    return RingMatrix(ring, [[ring.parse(x) if isinstance(x, str) else
-                              ring.parse(str(x)) for x in row] for row in rows])
 
 
 def identity_matrix(ring, n):

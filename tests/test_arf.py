@@ -171,3 +171,14 @@ def test_parse_expression_reduced_brackets():
     assert e.display() == "<<X, Y>>"
     with pytest.raises(ArfError):
         arf.parse_expression(arf.REDUCED, P, "<X, Y>")
+
+
+def test_expressions_hash_and_show_as_their_pairs(order24):
+    e1 = arf.parse_expression(arf.GROUP, order24, "<S, X^2*S> + <1, 1>")
+    e2 = arf.parse_expression(arf.GROUP, order24, "<1, 1> + <S, X^2*S>")
+    assert e1 == e2 and hash(e1) == hash(e2) and len({e1, e2}) == 1
+    assert repr(e1) == f"ArfExpression({e1.display()})"
+    Z = R.IntegerRing(-1)
+    e = arf.parse_expression(arf.RING, Z, "<2, -3> + <1, 4>")
+    assert e.pairs == {(2, -3), (1, 4)}
+    assert repr(e) == "ArfExpression(<1, 4> + <-3, 2>)"

@@ -262,6 +262,41 @@ def test_arf_eval_omega1_is_pinned(runner, context):
     assert digest.hexdigest() == OMEGA1_PINS[context]
 
 
+# `theta h0` on the class of each element, by its label, then `theta h1`:
+# sha256 of all outputs per group and prime
+THETA_PINS = {
+    ("builtin:s3", 2): "29e2721fccbfca6fd284e2501ef89a281720b7a1092545aac978f3d118e8fc02",
+    ("builtin:s3", 3): "779fb87e96199c9cf9091d6754c73f64c03e38f54e26f255321cdbee590b9a03",
+    ("builtin:c2", 2): "b16b3b2bb7e4a4d54e9c20e56568b9c054cef34dc75b31bc3da7913beef24a00",
+    ("builtin:c2", 3): "56ca132139be0c1f0b27f95ac0072a80d86961aa68584c6cd143efa32ea0c07a",
+}
+
+
+@pytest.mark.parametrize("group, p", sorted(THETA_PINS))
+def test_theta_is_pinned(runner, group, p):
+    digest = hashlib.sha256()
+    for label in G.builtin_group(group.split(":", 1)[1]).labels:
+        r = runner.invoke(main, ["theta", "h0", "--group-algebra", group, "--p", str(p),
+                                 "--element", label])
+        assert r.exit_code == 0, (group, p, label, r.output)
+        assert r.output.startswith(f"theta_{p}[{label}] -> ")
+        digest.update(r.output.encode())
+    r = runner.invoke(main, ["theta", "h1", "--group-algebra", group, "--p", str(p)])
+    assert r.exit_code == 0, (group, p, r.output)
+    digest.update(r.output.encode())
+    assert digest.hexdigest() == THETA_PINS[group, p]
+
+
+def test_arf_eval_over_the_inverse_involution_ring(runner):
+    """The f2xy-inv ring: alpha(a) b of a symmetric pair dies in
+    R/kappa(R), and <1, 1> leaves [1]."""
+    for expr, out in [("<1, 1> + <X + X^-1, X + X^-1>", "[1]"),
+                      ("<X*Y + X^-1*Y^-1, Y + Y^-1>", "0")]:
+        r = runner.invoke(main, ["arf-eval", expr, "--invariant", "omega",
+                                 "--ring", "f2xy-inv"])
+        assert r.exit_code == 0 and r.output == out + "\n", (expr, r.output)
+
+
 @functools.lru_cache(maxsize=None)
 def _c16xc17_file():
     """C16 x C17, past the homology dimension guard, as a group file: a

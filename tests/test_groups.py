@@ -1,6 +1,9 @@
+import copy
 import itertools
 import json
 import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -11,7 +14,8 @@ import arfkit.groups.structure as gst
 import arfkit.homology as H
 import arfkit.upsilon as ups
 from arfkit.groups import GroupError
-from test_homology import _relation_bases
+from test_homology import LOOP5, _relation_bases
+from test_random_groups import _relabelled
 
 
 @pytest.fixture(scope="module")
@@ -805,3 +809,81 @@ def test_table_associativity_is_checked_on_generators():
             for b, h in enumerate(els):
                 table[perm[a]][perm[b]] = perm[idx[Gx.mul(g, h)]]
         assert G.FiniteTableGroup([str(i) for i in range(len(els))], table).order() == len(els)
+
+
+def test_to_json_hands_out_copies():
+    C4 = G.cyclic_group(4)
+    els = C4.elements()
+    want = [[C4.mul(a, b) for b in els] for a in els]
+    data = C4.to_json()
+    data["table"][1][1] = 0
+    data["labels"][1] = "h"
+    data["generators"]["h"] = 1
+    assert [[C4.mul(a, b) for b in els] for a in els] == want
+    assert C4.labels[1] != "h" and "h" not in C4.generators()
+    again = G.group_from_json(C4.to_json())
+    assert not any(a is b for a, b in zip(again.table, C4.table))
+
+
+def test_operations_leave_the_handed_rows_alone():
+    """A table group keeps the row lists it is handed and writes to none of
+    them: the class, J(G) and homology builds leave them as they were, and
+    so does writing to what `to_json` returns."""
+    rng = random.Random(26)
+    for Gx in [G.symmetric_group(3), G.dihedral_group(4), G.group_order24(),
+               G.abelian_group([2, 2, 2])]:
+        data = _relabelled(rng, Gx)[0].to_json()
+        rows = data["table"]
+        before = copy.deepcopy(rows)
+        Hx = G.group_from_json(data)
+        assert all(a is b for a, b in zip(Hx.table, rows))
+        gcl.cl_partition_finite(Hx)
+        ups.j_group_dimension(Hx)
+        A = H.group_algebra(Hx, 2)
+        assert H.space(A, "H0").dim == len(gcl.conjugacy_classes(Hx))
+        H.coker_one_plus_vartheta(A)
+        for row in Hx.to_json()["table"]:
+            row.reverse()
+        assert rows == before, Gx.name
+
+
+@pytest.mark.parametrize("labels, table, message", [
+    (["1", "g"], [[0, 1]], "table shape does not match labels"),
+    (["1", "g"], [[0, 1], [1]], "table shape does not match labels"),
+    (["1", "g"], [[0, 1], (1, 0)], "table shape does not match labels"),
+    (["1", "g"], [[0, 1], [1, "0"]], "table entries must be integers"),
+    (["1", "g"], [[0, 1], [1, False]], "table entries must be integers"),
+    (["1", "1"], [[0, 1], [1, 0]], "duplicate labels"),
+    (["1", "g"], [[0, 1], [1, 1]], "table row is not a permutation"),
+    (["1", "g"], [[0, 1], [2, 0]], "table row is not a permutation"),
+    (["a", "b"], [[1, 0], [1, 0]], "table has no identity"),
+    (["a", "b"], [[0, 1], [0, 1]], "table has no identity"),      # rows, not columns
+    (["1", "a", "b"], [[0, 1, 2], [1, 2, 0], [2, 1, 0]], "table has no two-sided inverses"),
+    (list("01234"), LOOP5, "table is not associative"),
+])
+def test_table_refusals_by_message(labels, table, message):
+    with pytest.raises(GroupError, match=f"^{re.escape(message)}$"):
+        G.FiniteTableGroup(labels, table)
+
+
+def test_rows_that_are_permutations_do_not_pass_for_a_group():
+    """Tables whose rows are permutations and whose columns are not: every
+    one is refused, half of them with a two-sided identity 0 so that the
+    inverse and associativity checks are reached."""
+    rng = random.Random(20261020)
+    refused = Counter()
+    for _ in range(3000):
+        n = rng.randint(2, 6)
+        rows = [rng.sample(range(n), n) for _ in range(n)]
+        if rng.random() < 0.5:
+            rows = [[a] + rng.sample([x for x in range(n) if x != a], n - 1)
+                    for a in range(n)]
+            rows[0] = list(range(n))
+        if all(sorted(col) == list(range(n)) for col in zip(*rows)):
+            continue
+        with pytest.raises(GroupError) as exc:
+            G.FiniteTableGroup([str(i) for i in range(n)], rows)
+        refused[str(exc.value)] += 1
+    assert set(refused) == {"table has no identity", "table has no two-sided inverses",
+                            "table is not associative"}, refused
+    assert sum(refused.values()) > 1000

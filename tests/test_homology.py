@@ -763,3 +763,21 @@ def test_hochschild_homology_splits_over_centralizers():
             every += cycles
         assert h1.dim == total, Gx.name
         assert fp.Subspace(d * d, 2, every).rank == total, Gx.name
+
+
+def test_format_vec_writes_coefficients_and_labels():
+    A = H.group_algebra(G.cyclic_group(3), 3)
+    assert A.format_vec([0, 0, 0]) == "0"
+    assert A.format_vec([2, 1, 0]) == "2*1 + g"
+    assert A.format_vec([0, 0, 1]) == "g^2"
+
+
+def test_homology_classes_hash_by_their_reduced_vector():
+    """Conjugate elements of S3 have one H_0 class: as many distinct
+    classes as conjugacy classes, each hashed as its equals."""
+    S3 = G.symmetric_group(3)
+    A = H.group_algebra(S3, 2)
+    h0 = H.space(A, "H0")
+    classes = [h0.class_of(A.basis_vec(g)) for g in S3.elements()]
+    assert len(set(classes)) == 3
+    assert all(hash(a) == hash(b) for a in classes for b in classes if a == b)

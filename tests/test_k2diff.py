@@ -250,3 +250,36 @@ def test_exact_form_reduce_idempotent():
         assert k2.exact_form_reduce(red) == red
         # difference is exact: reduce maps both to the same form
         assert k2.exact_form_reduce(form) == red
+
+
+def test_nu_values_compare_by_value():
+    """Equal nu coordinates compare equal, whatever symbols they came from;
+    the degree, the form and the extra part each tell values apart."""
+    R1 = R.TruncatedRing(ZXY, 1, exotic=False)
+    R2 = R.TruncatedRing(ZXY, 2, exotic=False)
+    x, y = ZXY.variable("X"), ZXY.variable("Y")
+    t = R1.t()
+    xt = R1.mul(R1.scalar(x), t)
+    a = k2.nu1(k2.DSSymbol(R1, xt, R1.scalar(y)))
+    b = k2.nu1(k2.DSSymbol(R1, R1.scalar(y), xt))
+    zero = k2.nu1(k2.DSSymbol(R1, R1.zero(), R1.scalar(y)))
+    assert a == -b and a == a + zero and a - a == zero
+    assert a != b                                    # the form changes sign
+    yt = k2.nu1(k2.DSSymbol(R1, R1.mul(R1.scalar(y), t), t))
+    xt_t = k2.nu1(k2.DSSymbol(R1, xt, t))
+    assert yt.form == xt_t.form and yt != xt_t       # the extra part differs
+    two = k2.nu2(k2.DSSymbol(R2, R2.zero(), R2.scalar(y)))
+    assert zero.form == two.form and zero != two
+    assert k2.NuValue(ZXY, 1, a.form, a.extra) != k2.NuValue(ZXY, 2, a.form, a.extra)
+    assert a != (a.form, a.extra)
+
+
+def test_forms_and_omega_quotient_classes_hash_as_their_equals():
+    ring = k2.plane_ring()
+    x, y = ring.variable("X"), ring.variable("Y")
+    w = k2.delta(ring, y).scale(x)
+    assert k2.delta(ring, ring.mul(x, y)) == k2.delta(ring, x).scale(y) + w
+    assert len({k2.delta(ring, ring.mul(x, y)), k2.delta(ring, x).scale(y) + w}) == 1
+    q1 = k2.OmegaQuotientClass.of_form(w)
+    q2 = k2.OmegaQuotientClass.of_form(w + k2.delta(ring, ring.mul(x, ring.mul(x, y))))
+    assert not q1.is_zero() and q1 == q2 and hash(q1) == hash(q2) and len({q1, q2}) == 1

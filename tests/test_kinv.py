@@ -349,3 +349,32 @@ def test_cr_class_orbits():
     assert kinv.cr_reduce(PZ, PZ.parse("X^2")) == kinv.cr_reduce(PZ, PZ.parse("X"))
     # no inverse identification without the involution
     assert not kinv.cr_reduce(PZ, PZ.parse("X")).is_zero()
+
+
+def test_cr_class_display_on_every_backend():
+    """CRClass.display shows the canonical data of each C(R) backend: the
+    monomial orbits of a polynomial ring, and the reduced coordinates of a
+    group algebra, of F_2[T]/(T^3) and of F_2, read back as elements."""
+    P = R.PolyRing(["X", "Y"], coeff="F2", laurent=True, involution="inverse")
+    PZ = R.PolyRing(["X", "Y"], coeff="Z")
+    S3 = G.symmetric_group(3)
+    A = R.GroupAlgebra(S3)
+    T = R.TruncatedRing(R.GF2, 2)
+    for ring, x, shown in [
+            (P, P.parse("X^2*Y^2 + X^-1 + 1 + Y^3"), "[X^-1*Y^-1] + [X^-1] + [Y^-3] + [1]"),
+            (PZ, PZ.parse("X^4*Y^2 + 3*Y + 2*X"), "[Y] + [X^2*Y]"),
+            (PZ, PZ.parse("2*X"), "0"),
+            (A, A.element(0, 1, 3), "[(2 0 1)]"),
+            (A, A.element(1, 2), "0"),
+            (T, T.from_coeffs([1, 1, 1]), "[1 + T]"),
+            (T, T.t(2), "0"),
+            (R.GF2, 1, "[1]")]:
+        assert kinv.cr_reduce(ring, x).display() == shown, (ring.name, x)
+    e = arf.parse_expression(arf.RING, R.GF2, "<1, 1>")
+    assert e.pairs == {(1, 1)} and kinv.omega(e).display() == "[1]"
+
+
+def test_cr_classes_hash_as_their_equals():
+    P = R.PolyRing(["X", "Y"], coeff="F2", laurent=True, involution="inverse")
+    a, b = kinv.cr_reduce(P, P.parse("X^2*Y^2")), kinv.cr_reduce(P, P.parse("X^-1*Y^-1"))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1

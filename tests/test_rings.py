@@ -5,6 +5,7 @@ import pytest
 import arfkit.groups as G
 import arfkit.rings as R
 from arfkit.rings import RingError
+from test_k2diff import _rand_poly
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +182,50 @@ def test_regular_representation_inverse(fa24):
     assert fa24.try_inverse(u) is None
     g = fa24.element(A.parse_element("X^5"))
     assert fa24.mul(fa24.try_inverse(g), g) == fa24.one()
+
+
+def test_gamma_witness_over_integers():
+    """Gamma_1 of Z is 0 for u = 1 and 2Z for u = -1."""
+    rng = random.Random(8)
+    for u in (1, -1):
+        Z = R.IntegerRing(u)
+        for _ in range(30):
+            M = R.RingMatrix(Z, [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)])
+            red = R.gamma_reduce(M)
+            W = R.gamma_witness(M, red)
+            assert (M - red) == (W - W.conj_transpose().scale(Z.unit_u()))
+    assert R.IntegerRing(1).gamma1_reduce(7) == 7 and R.IntegerRing(-1).gamma1_reduce(7) == 1
+    assert R.IntegerRing(-1).gamma1_witness(6) == 3
+    with pytest.raises(RingError, match="outside Gamma_1"):
+        R.IntegerRing(1).gamma1_witness(2)
+
+
+def test_gamma_witness_over_polynomial_rings():
+    """PolyRing.gamma1_witness under both involutions: Gamma_1 is 2R for
+    the trivial involution over Z (u = -1), 0 over F_2 (u = 1), and
+    span{m + m^-1} for the inverse involution of F_2[X^+-, Y^+-]."""
+    rng = random.Random(9)
+    trivial = R.PolyRing(["X", "Y"], coeff="Z")
+    inverse = R.PolyRing(["X", "Y"], coeff="F2", laurent=True, involution="inverse")
+    for P in (trivial, inverse):
+        for _ in range(30):
+            M = R.RingMatrix(P, [[_rand_poly(P, rng, coeff=3) for _ in range(2)]
+                                  for _ in range(2)])
+            red = R.gamma_reduce(M)
+            W = R.gamma_witness(M, red)
+            assert (M - red) == (W - W.conj_transpose().scale(P.unit_u()))
+    assert inverse.gamma1_witness(inverse.parse("X + X^-1 + Y^2 + Y^-2")) \
+        == inverse.parse("X + Y^2")
+    assert trivial.gamma1_witness(trivial.parse("4*X - 2*Y")) == trivial.parse("2*X - Y")
+    F2 = R.PolyRing(["X"], coeff="F2")
+    assert F2.gamma1_witness(F2.zero()) == F2.zero()
+    with pytest.raises(RingError, match="outside Gamma_1"):
+        F2.gamma1_witness(F2.parse("X"))
+    with pytest.raises(RingError, match="outside Gamma_1"):
+        inverse.gamma1_witness(inverse.parse("1 + X + X^-1"))
+
+
+def test_ring_matrices_hash_as_their_equals():
+    a = R.RingMatrix(R.GF2, [[1, 0], [1, 1]])
+    b = R.identity_matrix(R.GF2, 2) + R.RingMatrix(R.GF2, [[0, 0], [1, 0]])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1

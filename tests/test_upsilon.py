@@ -91,7 +91,8 @@ def test_distinguish_worked_equality(groupB):
 def test_distinguish_false_conjecture(groupB):
     e1 = arf.parse_expression(arf.GROUP, groupB, "<S, S*Y^2>")
     e2 = arf.parse_expression(arf.GROUP, groupB, "<S*X, S*X*Y^2>")
-    assert ups.upsilon_distinguish(e1, e2).verdict == "Distinct"
+    r = ups.upsilon_distinguish(e1, e2)
+    assert r.verdict == "Distinct" and repr(r) == "DistinguishResult(Distinct)"
 
 
 def test_distinguish_plane(plane):
