@@ -10,11 +10,11 @@ Every summand backend speaks one protocol, and JValue calls nothing else:
 `insert_entry(G, z, h, tbit)` is the payload of the generator [h] (with
 t-bit) of F(z), `combine(a, b)` adds two payloads, `resolve(payload)` is the
 canonical value of a payload (None when it is zero) and `show(G, value)`
-prints a resolved value.  The payload is the backend's own: a reduced tuple
-for a finite L(c), a packed F_2 int (bit i = coordinate i) for a lattice
-one, and a list of (chain position, packed int) entries for a two-ends one.
-A resolved value is a tuple again, so values print and compare as they
-always have.
+prints a resolved value.  A payload is a residue modulo the summand's
+relations, so it is canonical as it stands: a tuple for a finite L(c), and
+a packed F_2 int (bit i = coordinate i), added by XOR, for a lattice or a
+two-ends one.  A resolved value is a tuple, so values print and compare as
+they always have.
 
 Every K_#, F(z), Sigma summand and finite L(c) is one exact quotient
 read from homomorphism forms on generators by `formspace.FormQuotient`
@@ -132,9 +132,9 @@ def _conj_matrix(G, src: FzData, dst: FzData, x):
 
 
 class _ReducedLc:
-    """Shared protocol of the finite and lattice backends: a payload is a
-    vector reduced modulo `self.context`, so it is already canonical.  It
-    is a tuple here; the lattice backend packs it."""
+    """Shared protocol of every backend: a payload is a vector reduced
+    modulo `self.context`, so it is already canonical.  It is a tuple here;
+    the lattice and two-ends backends pack it (`_PackedLc`)."""
 
     @property
     def dim(self):
@@ -145,6 +145,18 @@ class _ReducedLc:
     @staticmethod
     def resolve(vec):
         return vec if any(vec) else None
+
+    def show(self, G, vec):
+        return _vec_str(vec)
+
+
+class _PackedLc(_ReducedLc):
+    """A payload is a packed residue (bit i = coordinate i < `width`)."""
+
+    combine = staticmethod(operator.xor)
+
+    def resolve(self, bits):
+        return fp.unpack(bits, self.width) if bits else None
 
 
 class FiniteLc(_ReducedLc):
@@ -235,14 +247,10 @@ class FiniteLc(_ReducedLc):
         bits = self.fz[z].bits(h, tbit) << self.offset[z]
         return fp.unpack(self.context.reduce_packed(bits), self.ambient)
 
-    def show(self, G, vec):
-        return _vec_str(vec)
 
-
-class SemidirectLc(_ReducedLc):
+class SemidirectLc(_PackedLc):
     """Closed-form L(c) for Z^n x| C2 (cross-validated by windows):
-    L([1]) = C2; L([v]) = F_2{x_1..x_n, S}/<v mod 2> with identity arrows.
-    A payload is a packed int, added by XOR."""
+    L([1]) = C2; L([v]) = F_2{x_1..x_n, S}/<v mod 2> with identity arrows."""
 
     def __init__(self, G, key):
         self.key = key
@@ -251,6 +259,7 @@ class SemidirectLc(_ReducedLc):
         else:
             row = tuple(x % 2 for x in key[1]) + (0,)
             self.context = fp.QuotientContext(G.rank + 1, 2, [row])
+        self.width = self.context.space.dim
 
     def insert_entry(self, G, z, h, tbit=0):
         if self.key == ("one",):
@@ -262,31 +271,44 @@ class SemidirectLc(_ReducedLc):
             bits |= (x & 1) << i
         return self.context.reduce_packed(bits)
 
-    combine = staticmethod(operator.xor)
-
-    def resolve(self, bits):
-        return fp.unpack(bits, self.context.space.dim) if bits else None
-
     def show(self, G, vec):
         names = ["t"] if self.key == ("one",) else list(G.var_names) + ["S"]
         return "+".join(n for n, c in zip(names, vec) if c)
 
 
-class PullbackLc:
-    """L(c) for a two-ends group, computed along the squaring chain of a
-    base point.
+class PullbackLc(_PackedLc):
+    """L(c) for a two-ends group, along the squaring chain chain[k] =
+    F(z0^(2^k)) of a base point z0.
 
-    Finite-order tail: the chain of conjugacy classes cycles; the colimit
-    is F at the re-entry point modulo the loop map.  Infinite-order tail:
-    after the E-squaring preperiod the transition maps become isomorphisms
-    (all data is periodic in the exponent), so the colimit is the stable F
-    and values are compared by pushing to a common chain position.
+    Finite-order tail (`cyclic`): the classes of the chain cycle, and the
+    colimit is F at the re-entry point `stable` modulo the loop map.
+    Infinite-order tail: the chain grows until its last `per` maps are
+    isomorphisms (`_is_iso`; per is the squaring period of the fibre E),
+    and the colimit is F(chain[stable]), a period before the end; `dim`
+    rests on every later map being an isomorphism too.  Each z walks one
+    arrow into F(chain[stable]), once: its squarings and the conjugation
+    onto the chain position j that `power_conj_search` hits, then the
+    chain maps from j to stable, or on around the cycle.  Arrows are
+    packed columns (an image is the XOR of the columns of the set bits);
+    the walked ones are kept reduced modulo `context`, so a payload is one
+    packed residue.
 
-    `maps`, `cycle_close`, the loop rows and the transport columns are
-    packed ints, so an arrow applied to a vector is the XOR of the columns
-    of its set bits.  A payload is a list of raw (chain position, packed
-    vector) entries; `resolve` pushes them to a common position, adds them
-    by XOR and reduces there."""
+    Why a hit at j > stable on a non-cyclic chain needs no step.  Such a
+    z0, with E-part e, has T-exponent t != 0 (else it has finite order),
+    so no z_k = z0^(2^k) is of type 1: no F has a t column, and no
+    squaring arrow a w bit.  K of z_k is a sub-pull-back whose e-members,
+    like the type of z_k, are read from C_E(e_k) and the set I_E(e_k) of
+    x with x e_k x^-1 = e_k^-1, e_k = e^(2^k) (in the dihedral family
+    also from whether hom(x) has a reflection).  A conjugator of e_k commutes with,
+    or inverts, e_k^2 too, so C_E(e_k) ⊆ C_E(e_(k+1)) and
+    I_E(e_k) ⊆ I_E(e_(k+1)); for k >= pre the e_k cycle with period per,
+    so these are equalities.  Hence every k >= pre (stable >= pre + 2)
+    has the same e-members and `sharp_of_pullback` layout, and the
+    squaring arrow u_g -> u_g has unit columns.  Being well defined, it
+    maps the relations of F(z_k) into those of F(z_(k+1)); being an
+    isomorphism, onto them.  So F(z_j) is F(chain[stable]), coordinates
+    and residues alike, and a push to a common position adds nothing.
+    """
 
     MAX_CHAIN = 64
 
@@ -295,11 +317,11 @@ class PullbackLc:
         self.zs = [z0]
         self.maps = []      # maps[k]: F(chain[k]) -> F(chain[k+1]) columns
         self.cyclic = False
-        self.loop_rows = []
         self.cycle_close = None
         # queries extend the chain (maps, chain, zs) in place, one at a time
         self._extend_lock = threading.Lock()
         stable = None
+        loop_rows = []
         pre, per = gcl.squaring_preperiod(G.E)
         for _ in range(self.MAX_CHAIN):
             z_next = G.mul(self.zs[-1], self.zs[-1])
@@ -315,7 +337,7 @@ class PullbackLc:
                 self.maps.append(_square_matrix(self.chain[-1], nxt))
                 self.cycle_close = _conj_matrix(G, nxt, self.chain[j], x)
                 loop = _compose(self.chain[j].dim, self.maps[j:] + [self.cycle_close])
-                self.loop_rows = [(1 << i) ^ w for i, w in enumerate(loop)]
+                loop_rows = [(1 << i) ^ w for i, w in enumerate(loop)]
                 stable = j
                 self.cyclic = True
                 break
@@ -330,9 +352,11 @@ class PullbackLc:
         if stable is None:
             raise UpsilonUnknown("squaring chain failed to stabilize")
         self.stable = stable
-        self._contexts = {}
-        self._transport = {}    # z -> (position, columns of its arrow)
-        self.dim = self._context_at(stable).quotient_dim
+        self.width = self.chain[stable].dim
+        self.context = self.chain[stable].context
+        if self.cyclic:
+            self.context = self.context.extended(loop_rows)
+        self._transport = {}    # z -> reduced columns of its arrow
 
     # -- linear transport ----------------------------------------------------
 
@@ -345,14 +369,6 @@ class PullbackLc:
         rank = len(dst.context.independent(self.maps[t]))
         return rank == src.context.quotient_dim
 
-    def _context_at(self, pos):
-        if pos not in self._contexts:
-            context = self.chain[pos].context
-            if self.cyclic and pos == self.stable:
-                context = context.extended(self.loop_rows)
-            self._contexts[pos] = context
-        return self._contexts[pos]
-
     def _extend_chain(self, G):
         z_next = G.mul(self.zs[-1], self.zs[-1])
         nxt = fz_data(G, z_next)
@@ -361,18 +377,17 @@ class PullbackLc:
         self.zs.append(z_next)
 
     def insert_entry(self, G, z, h, tbit=0):
-        """The one raw (position, packed vector) entry of an F(z)-generator."""
-        bits = fz_data(G, z).bits(h, tbit)
-        hit = self._transport.get(z)
-        if hit is None:
+        """The packed residue of an F(z)-generator in F(chain[stable])."""
+        cols = self._transport.get(z)
+        if cols is None:
             with self._extend_lock:
-                hit = self._transport.get(z) or self._transport.setdefault(
-                    z, self._walk(G, z))
-        pos, cols = hit
-        return [(pos, xor_sum(bits, cols))]
+                cols = self._transport.get(z)
+                if cols is None:
+                    cols = self._transport[z] = self._walk(G, z)
+        return xor_sum(fz_data(G, z).bits(h, tbit), cols)
 
     def _walk(self, G, z):
-        """(position, columns) of the arrow F(z) -> F(chain[position]), built
+        """The reduced columns of the arrow F(z) -> F(chain[stable]), built
         once per z.  Targets run ahead as z0^(2^k); the chain grows to the hit."""
         src = fz_data(G, z)
         targets = list(self.zs)
@@ -393,37 +408,13 @@ class PullbackLc:
             steps.append(_square_matrix(cur, nxt))
             cur = nxt
         steps.append(_conj_matrix(G, cur, self.chain[j], x))
-        pos = max(j, self.stable)
-        steps += self.maps[j:pos]
-        if self.cyclic and pos > self.stable:
+        if j < self.stable:
+            steps += self.maps[j:self.stable]
+        elif j > self.stable and self.cyclic:
             # ride the cycle back to the base point
-            steps += self.maps[pos:] + [self.cycle_close]
-            pos = self.stable
-        return (pos, _compose(src.dim, steps))
-
-    @staticmethod
-    def combine(entries, more):
-        return entries + more
-
-    def resolve(self, entries):
-        """("at", position, reduced vector) of the sum of the entries, or
-        None when it is zero.  The position is the stable point of a cyclic
-        chain, else the deepest entry's."""
-        top = max(pos for pos, _ in entries)
-        acc = 0
-        for pos, bits in entries:
-            while pos < top:
-                bits = xor_sum(bits, self.maps[pos])
-                pos += 1
-            acc ^= bits
-        red = self._context_at(top).reduce_packed(acc)
-        if not red:
-            return None
-        return ("at", top if not self.cyclic else self.stable,
-                fp.unpack(red, self.chain[top].dim))
-
-    def show(self, G, value):
-        return _vec_str(value[2])
+            steps += self.maps[j:] + [self.cycle_close]
+        # past stable a non-cyclic chain is F(chain[stable]) (see above)
+        return [self.context.reduce_packed(c) for c in _compose(src.dim, steps)]
 
 
 def _compose(dim, steps):
@@ -553,9 +544,8 @@ def upsilon_distinguish(e1: ArfExpression, e2: ArfExpression) -> DistinguishResu
     representative `class_rep_element` is least by `G.key`, the first
     summand `JValue.display` prints; vec is its resolved value.  So the
     witness does not depend on the order the pairs are met in, apart from
-    a two-ends summand: its representative is the first element of its
-    class that the pairs meet, and its position lies on the chain of the
-    first element of the class ever queried.
+    the representative of a two-ends summand: the first element of its
+    class that the pairs meet.
 
     The primary invariant is consulted as well, although equal Upsilon
     images already force equal omega images: every single-pair image

@@ -270,13 +270,15 @@ def test_j_dimension_matches_homology():
 
 
 def test_pullback_insert_positions_consistent(groupB):
-    # the same colimit element reached through different chain positions
+    # the same colimit element reached through different chain positions:
+    # one packed residue, so the two payloads are equal and add to zero
     z = groupB.parse_element("X^2*Y^2")
     lc = ups.l_of_class(groupB, z)
     h = groupB.parse_element("S*X^2*Y^2")
     z2 = groupB.mul(z, z)
     e1 = lc.insert_entry(groupB, z, h)
     e2 = lc.insert_entry(groupB, z2, h)   # arrow image of the same generator
+    assert type(e1) is type(e2) is int and e1 == e2
     assert lc.resolve(lc.combine(e1, e2)) is None
 
 
@@ -306,41 +308,78 @@ def _dense_apply(cols, vec, width):
     return out
 
 
+def _dense_step(Gx, vec, cur, nxt, by):
+    return _dense_apply(_dense_columns(Gx, cur, nxt, by), vec, nxt.dim)
+
+
+def _dense_push(Gx, lc, vec, pos, top):
+    """vec at chain position pos pushed along the chain maps to top."""
+    while pos < top:
+        vec = _dense_step(Gx, vec, lc.chain[pos], lc.chain[pos + 1], None)
+        pos += 1
+    return vec
+
+
+def _ride_back(Gx, lc, vec, pos):
+    """vec at chain position pos of a cyclic chain carried on around the
+    cycle to the stable point."""
+    vec = _dense_push(Gx, lc, vec, pos, len(lc.chain) - 1)
+    # the square of the chain's last element closes the cycle onto the
+    # stable point by a conjugation
+    last = lc.zs[-1]
+    sq = ups.fz_data(Gx, Gx.mul(last, last))
+    vec = _dense_step(Gx, vec, lc.chain[-1], sq, None)
+    return _dense_step(Gx, vec, sq, lc.chain[lc.stable],
+                       gcl.conj_witness(Gx, sq.z, lc.zs[lc.stable]))
+
+
 def _walked_entry(Gx, lc, z, h, tbit):
-    """The image of an F(z)-generator walked one dense arrow at a time: the
-    power/conjugacy search over the chain, the squarings, the conjugation,
-    then the chain maps up to the stable point or around the cycle, each
-    written afresh from the chain's F data (reference)."""
+    """(position, vector) of an F(z)-generator walked one dense arrow at a
+    time: the power/conjugacy search over the chain, the squarings, the
+    conjugation, then the chain maps up to the stable point or around the
+    cycle, each written afresh from the chain's F data.  A hit past the
+    stable point of a non-cyclic chain stays where it is, as it did when
+    payloads were lists of such entries (reference)."""
     src = ups.fz_data(Gx, z)
     vec = src.coord(h, tbit)
     a, j, x, _ = gcl.power_conj_search(Gx, z, lc.zs)
-
-    def step(vec, cur, nxt, by):
-        return _dense_apply(_dense_columns(Gx, cur, nxt, by), vec, nxt.dim)
-
     cur = src
     for _ in range(a):
         nxt = ups.fz_data(Gx, Gx.mul(cur.z, cur.z))
-        vec = step(vec, cur, nxt, None)
+        vec = _dense_step(Gx, vec, cur, nxt, None)
         cur = nxt
-    vec = step(vec, cur, lc.chain[j], x)
-    pos = j
-    while pos < lc.stable:
-        vec = step(vec, lc.chain[pos], lc.chain[pos + 1], None)
-        pos += 1
-    if lc.cyclic and pos > lc.stable:
-        while pos < len(lc.chain) - 1:
-            vec = step(vec, lc.chain[pos], lc.chain[pos + 1], None)
-            pos += 1
-        # the square of the chain's last element closes the cycle onto the
-        # stable point by a conjugation
-        last = lc.zs[-1]
-        sq = ups.fz_data(Gx, Gx.mul(last, last))
-        vec = step(vec, lc.chain[-1], sq, None)
-        vec = step(vec, sq, lc.chain[lc.stable],
-                   gcl.conj_witness(Gx, sq.z, lc.zs[lc.stable]))
-        pos = lc.stable
-    return (pos, vec)
+    vec = _dense_step(Gx, vec, cur, lc.chain[j], x)
+    if j <= lc.stable:
+        return (lc.stable, _dense_push(Gx, lc, vec, j, lc.stable))
+    if lc.cyclic:
+        return (lc.stable, _ride_back(Gx, lc, vec, j))
+    return (j, vec)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_context(Gx, lc, pos):
+    """F at chain position pos as a quotient, with the rows u + loop(u) of
+    the loop map when the chain is cyclic (reference)."""
+    context = lc.chain[pos].context
+    if not lc.cyclic:
+        return context
+    dim = lc.chain[pos].dim
+    return context.extended(
+        [fp.pack(fp.add_vec(fp.unit(dim, i), _ride_back(Gx, lc, fp.unit(dim, i), pos)))
+         for i in range(dim)])
+
+
+def _pushed_value(Gx, lc, walked):
+    """The value of a sum of walked entries as `PullbackLc.resolve` found it
+    when it pushed: every entry pushed along the chain maps to the deepest
+    position, added there, and reduced modulo F there; None when zero
+    (reference)."""
+    top = max(pos for pos, _ in walked)
+    acc = fp.zeros(lc.chain[top].dim)
+    for pos, vec in walked:
+        acc = fp.add_vec(acc, _dense_push(Gx, lc, vec, pos, top))
+    red = _reference_context(Gx, lc, top).reduce_packed(fp.pack(acc))
+    return fp.unpack(red, lc.chain[top].dim) if red else None
 
 
 def _z_times_c7():
@@ -349,8 +388,17 @@ def _z_times_c7():
     return G.PullbackCyclicGroup(G.cyclic_group(7), 1, [0] * 7, name="ZxC7")
 
 
-@pytest.mark.parametrize("make", [G.group_c2_c_c12, G.group_c_by_d4,
-                                  G.pullback_cyclic_example, _z_times_c7])
+TWO_ENDS = [G.group_c2_c_c12, G.group_c_by_d4, G.pullback_cyclic_example, _z_times_c7]
+
+
+def _generators(Gx, z):
+    """(h, tbit) of every generator of F(z)."""
+    fz = ups.fz_data(Gx, z)
+    return [(h, tbit) for h in fz.sharp.elements
+            for tbit in ((0, 1) if fz.has_t else (0,))]
+
+
+@pytest.mark.parametrize("make", TWO_ENDS)
 def test_transport_table_matches_the_walk(make, monkeypatch):
     Gx = make()
     searched = []
@@ -361,19 +409,118 @@ def test_transport_table_matches_the_walk(make, monkeypatch):
     entries = {}
     for z in zs:
         lc = ups.l_of_class(Gx, z)
-        fz = ups.fz_data(Gx, z)
-        for h in fz.sharp.elements:
-            for tbit in ((0, 1) if fz.has_t else (0,)):
-                entries[z, h, tbit] = lc.insert_entry(Gx, z, h, tbit)
+        for h, tbit in _generators(Gx, z):
+            entries[z, h, tbit] = lc.insert_entry(Gx, z, h, tbit)
     # one search per distinct z, however many generators it inserts
     assert sorted(searched) == sorted(set(zs))
     monkeypatch.undo()
     for (z, h, tbit), entry in entries.items():
         lc = ups.l_of_class(Gx, z)
         pos, vec = _walked_entry(Gx, lc, z, h, tbit)
-        # the packed transport gives the dense walk's vector, bit for bit
-        assert entry == [(pos, fp.pack(vec))], (Gx.name, z, h, tbit)
-        assert lc.resolve(lc.combine(entry, [(pos, fp.pack(vec))])) is None
+        # the packed transport gives the residue of the dense walk's
+        # vector, bit for bit, and that vector lies in F(chain[stable])
+        assert len(vec) == lc.width, (Gx.name, z, h, tbit)
+        assert entry == lc.context.reduce_packed(fp.pack(vec)), (Gx.name, z, h, tbit)
+        assert lc.resolve(entry) == _pushed_value(Gx, lc, [(pos, vec)])
+        assert lc.resolve(lc.combine(entry, entry)) is None
+
+
+def _two_ends_queries(Gx):
+    """{summand: [(payload, walked entry)]} over the generators of F(z) for
+    z in the window of exponent 3 and for the deep squares z0^(2^k),
+    k <= 8, of each summand's base point z0.  The window is walked in
+    reverse, so the summands are anchored at other members than in
+    `test_transport_table_matches_the_walk`, some of them on cyclic chains
+    that re-enter past position 0."""
+    out = {}
+
+    def insert(z):
+        lc = ups.l_of_class(Gx, z)
+        for h, tbit in _generators(Gx, z):
+            out.setdefault(lc, []).append(
+                (lc.insert_entry(Gx, z, h, tbit), _walked_entry(Gx, lc, z, h, tbit)))
+        return lc
+
+    bases = {insert(z).zs[0] for z in Gx.window_elements(3)[::-1]}
+    for z0 in bases:
+        for k in range(9):
+            insert(Gx.power(z0, 1 << k))
+    return out
+
+
+@pytest.mark.parametrize("make", TWO_ENDS)
+def test_resolve_agrees_with_the_push(make):
+    """Sums of payloads resolve to the value that pushing their walked
+    entries to the deepest one and reducing there gives."""
+    Gx = make()
+    rng = random.Random(27)
+    deep = 0
+    for lc, items in _two_ends_queries(Gx).items():
+        deep += any(pos > lc.stable for _, (pos, _) in items)
+        for _ in range(20):
+            picked = rng.sample(items, min(len(items), rng.randint(1, 4)))
+            total = functools.reduce(lc.combine, (p for p, _ in picked))
+            assert lc.resolve(total) == _pushed_value(Gx, lc, [w for _, w in picked]), Gx.name
+    # some summands have entries past the stable point, where the push
+    # did its work
+    assert deep, Gx.name
+
+
+@pytest.mark.parametrize("make", TWO_ENDS)
+def test_chain_maps_past_the_stable_point_are_the_identity(make):
+    """On a non-cyclic chain, F(z0^(2^t)) for stable <= t <= stable + 10 has
+    the coordinates and the residues of F(chain[stable]), and the squaring
+    map between two of them has unit columns (proof in `PullbackLc`)."""
+    Gx = make()
+    lcs = {ups.l_of_class(Gx, z) for z in Gx.window_elements(3)}
+    seen = 0
+    for lc in lcs:
+        if lc.cyclic:
+            continue
+        seen += 1
+        base = lc.chain[lc.stable]
+        while len(lc.chain) < lc.stable + 12:
+            lc._extend_chain(Gx)
+        units = [1 << i for i in range(lc.width)]
+        residues = [lc.context.reduce_packed(u) for u in units]
+        for t in range(lc.stable, lc.stable + 11):
+            fz = lc.chain[t]
+            assert fz.sharp.elements == base.sharp.elements, (Gx.name, t)
+            assert lc.maps[t] == units, (Gx.name, t)
+            assert [fz.context.reduce_packed(u) for u in units] == residues, (Gx.name, t)
+    assert seen, Gx.name
+
+
+def _warmed_distinctions(name, reverse):
+    """The witness and the difference display of every Distinct pair of 12
+    seeded expressions on a fresh built-in whose window of exponent 3 was
+    first walked forward, or in reverse: each two-ends summand is anchored
+    at the first element of its class that the walk meets."""
+    Gx = G.builtin_group(name)
+    zs = Gx.window_elements(3)
+    for z in zs[::-1] if reverse else zs:
+        ups.l_of_class(Gx, z).insert_entry(Gx, z, Gx.identity)
+    rng = random.Random(27)
+    invs = Gx.involutions(window=2)
+    exprs = [arf.ArfExpression(arf.GROUP, Gx, [(rng.choice(invs), rng.choice(invs))
+                                              for _ in range(rng.randint(1, 3))])
+             for _ in range(12)]
+    out = []
+    for e1, e2 in itertools.combinations(exprs, 2):
+        r = ups.upsilon_distinguish(e1, e2)
+        if r.verdict == "Distinct":
+            shown = (ups.upsilon_eval(e1) + ups.upsilon_eval(e2)).display()
+            out.append(f"{Gx.format_element(r.witness[0])} {r.witness[1]!r} {shown}")
+    return out
+
+
+@pytest.mark.parametrize("name", ["ch1-c2-c-c12", "ch1-c-by-d4", "pb-cyclic-c4"])
+def test_two_ends_witness_does_not_depend_on_query_history(name):
+    """Summands anchored at other members of their classes give the same
+    witnesses and displays, byte for byte."""
+    forward = _warmed_distinctions(name, False)
+    assert len(forward) >= 20, name
+    assert _warmed_distinctions(name, True) == forward
 
 
 def test_pullback_lc_stable_and_cyclic(groupB):
@@ -487,11 +634,12 @@ def _value_battery():
 
 def test_value_battery_is_pinned():
     # every display, verdict, witness and transcript must keep the digest;
-    # witnesses and display orders follow the least class representative
+    # witnesses and display orders follow the least class representative,
+    # and a two-ends witness value is a plain tuple
     records, _ = _value_battery()
     assert len(records) == 4103
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == "b4b863c9274efd5dc716c77f890358667c94f26c18b0c61387f21bc72c0499b4"
+    assert digest == "26aeac9dfd8cf24fbbaca98b4bf24a02f8587b5a5838e17a3c3eddf33cca77cc"
 
 
 def _check_witness(Gx, p1, p2):
