@@ -82,10 +82,16 @@ class FormQuotient:
         return self._with(self.forms.extended(fp.distinct(
             q[a] ^ q[b] if a != b else q[a] for a, b in pairs)))
 
-    def _with(self, forms):
-        out = object.__new__(type(self))
-        out.q, out.dim, out.forms, out._table = self.q, self.dim, forms, None
+    @classmethod
+    def over(cls, q, forms):
+        """The quotient of the columns with forms q by constraints already
+        eliminated: `forms`, an `fp.QuotientContext` over the unknowns."""
+        out = object.__new__(cls)
+        out.q, out.dim, out.forms, out._table = q, len(q), forms, None
         return out
+
+    def _with(self, forms):
+        return self.over(self.q, forms)
 
     def independent(self, rows):
         """The rows (packed ints), in order, outside the span of the

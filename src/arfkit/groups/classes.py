@@ -478,9 +478,12 @@ def _pullback_roots(G, z):
         # S-type z: any 2^k-th power with k >= 1 has S-free first part
         return tuple(sorted(out, key=G.key))
     kmax = (pre + per if i == 0 else _v2(i) or 0)
+    els = E.elements()
+    level = els                 # level[n] = els[n]^(2^k), squared once per k
     for k in range(1, kmax + 1):
-        for e in E.elements():
-            if E.power(e, 1 << k) != z[1]:
+        level = [E.mul(x, x) for x in level]
+        for e, ek in zip(els, level):
+            if ek != z[1]:
                 continue
             if i % (1 << k) == 0:
                 g = _make(G, 0, i // (1 << k), e)

@@ -59,18 +59,17 @@ class FullGroup:
 
 
 class PullbackSubgroup:
-    """Sub-pull-back {(d, e) in G : e in e_members} (all valid d allowed)."""
+    """Sub-pull-back {(d, e) in G : e in e_members} (all valid d allowed).
+
+    The e-members come from conjugator rows and stabilizers, so they are a
+    subgroup of E by construction; the test suite checks closure on every
+    one the two-ends groups build, and the constructor checks nothing."""
 
     kind = "pullback"
 
     def __init__(self, G, e_members):
         self.G = G
         self.e_members = tuple(sorted(set(e_members)))
-        eset = set(self.e_members)
-        for a in self.e_members:
-            for b in self.e_members:
-                if G.E.mul(a, b) not in eset:
-                    raise GroupError("e-part is not a subgroup")
 
     def __contains__(self, g):
         return self.G.check_membership(g) and g[1] in self.e_members

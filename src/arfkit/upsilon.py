@@ -18,23 +18,27 @@ they always have.
 
 Every K_#, F(z), Sigma summand and finite L(c) is one exact quotient
 read from homomorphism forms on generators by `formspace.FormQuotient`
-(`structure.SharpSpace`, `FzData`, `FiniteLc`).  The lattice products use
-closed forms; the two-ends pull-backs walk the squaring chain of a class
-until it cycles (finite-order tail, quotient by the loop map) or the
-transition maps become isomorphisms (infinite-order tail).
+(`structure.SharpSpace`, `FzData`, `FiniteLc`).  A finite L(c) builds
+F(z) at the least element of each conjugacy class only, so J(G) reads one
+F(z) per class; the other members are transported by conjugation when the
+summand is first inserted into.  The lattice products use closed forms;
+the two-ends pull-backs walk the squaring chain of a class until it
+cycles (finite-order tail, quotient by the loop map) or the transition
+maps become isomorphisms (infinite-order tail).
 """
 from __future__ import annotations
 
 import functools
 import operator
 import threading
+import weakref
 
 from . import fp
 from .fp import xor_sum
 from .arf import ArfExpression, ArfError, GROUP
 from .groups import classes as gcl
 from .groups import structure as gst
-from .groups.core import SemidirectZnC2, table_from_mul
+from .groups.core import GroupError, SemidirectZnC2, table_from_mul
 from .memo import derived, derived_entry
 
 
@@ -161,41 +165,79 @@ class _PackedLc(_ReducedLc):
 
 class FiniteLc(_ReducedLc):
     """L(c) for a finite group: the direct sum of the F(z), z in c, modulo
-    all conjugation, squaring and inversion arrows.
+    all conjugation, squaring and inversion arrows, built on one F(r) per
+    conjugacy class.
 
     Coordinate i of F(z) is column offset[z] + i of the `ambient` columns,
-    with F(z)'s form (`FzData.forms`) on z's own unknowns.  R, the span of
-    the relations, is the sum of those of the F(z) and, for each arrow of z
-    (conjugation by a generator x of G, and squaring) and each coordinate
-    u of F(z), the row u + (its image, `_arrow_column`).  `context` is
-    their `formspace.FormQuotient`: the constraints C are the F(z)'s and
-    Q of the arrow rows on the generators of K_z and on t only, so no row
-    over the ambient columns is eliminated.
+    the `members` z in `G.key` order.  R, the span of the relations, is the
+    sum of those of the F(z) and, for each arrow of z (conjugation by a
+    generator x of G, and squaring) and each coordinate u of F(z), the row
+    u + (its image, `_arrow_column`).  `context` is their
+    `formspace.FormQuotient`, so no row over the ambient columns is
+    eliminated.  Conjugation is an isomorphism F(z) -> F(x z x^-1), and
+    C(z), inside K_z, acts trivially on F(z): the full subcategory on one
+    representative per conjugacy class is final in the diagram (S. Mac
+    Lane, Categories for the Working Mathematician, IX.3), and the
+    unknowns are those of the representatives alone.
 
-    Proof that FormQuotient applies.  Q is onto and its kernel lies in R,
-    as each F(z)'s does (`SharpSpace`; a t column is an unknown of its
-    own).  Q(R) = C: each constraint is Q of a row of R, and Q sends the
-    F(z) relations into C.  Let f be a form on the unknowns that vanishes
-    on C.  For each z, phi_z(g) = f(Q(u_g)) is a homomorphism K_z -> F_2
-    (phi(1) = 0 and phi(a s_k) = phi(a) + phi(s_k) on the walk).  An arrow
-    sends u_g to u_g' + w(g) t, where g' = x g x^-1 and K_z' = x K_z x^-1
-    for conjugation, and g' = g, in K_z^2 ⊇ K_z, for squaring.  w is 0 but
-    on the squaring arrow of a type-2 z into a type-1 z^2, where it is the
-    homomorphism E(z) -> E(z) / C(z) = F_2.  So f(Q(row)), as a function
-    of g, is phi_z(g) + phi_z'(g') + w(g) f(t), a homomorphism K_z -> F_2
-    that is 0 on the generators, whose rows are constraints: it is 0.  The
-    t rows are constraints themselves.
+    The conjugacy classes of c are read from the conjugator rows of their
+    least members r (`gcl.conjugators`); each r has a block of unknowns
+    carrying F(r)'s forms.  A member z = y r y^-1 (y = 1 for z = r, else
+    the first x of the row of r at z) has K_z = y K_r y^-1, and Q sends u_g
+    at z to the form of y^-1 g y in F(r), and t at z to t at r.  The
+    constraints C are F(r)'s and, for each r and generator g of K_r, the
+    squaring row u_g(r) + u_{y'^-1 g y'}(r') + w(g) t(r'), where
+    r^2 = y' r' y'^-1 with y' read from the row of r' (and t(r) + t(r')
+    when r has a t column).  So `dim` reads F of the representatives only.
+    The member layout (`offset`, `ambient`, each sorted K_z with its
+    columns, and `context`) is built on the first `insert_entry` or
+    `context` read, over the constraints already eliminated.
+
+    Proof that FormQuotient applies.
+    - Q is onto: the columns of r carry F(r)'s forms, which span its
+      unknowns (`SharpSpace`; a t column is an unknown of its own).
+    - ker Q lies in R.  The rows of a composite of arrows lie in R, since
+      u + psi(phi(u)) = (u + phi(u)) + (v + psi(v)) for v = phi(u) (rows
+      are linear in u); and conjugation by xy is conjugation by y, then
+      by x, so every x in G, a word in the generators, has its rows in R.
+      Conjugation by y^-1 sends u_g at z to u_{y^-1 g y} at r, and t to t,
+      which Q sends to the same forms.  So v in ker Q is, modulo R, a v' on
+      the columns of the representatives with Q(v') = 0.  There Q is
+      F(r)'s, on unknowns of r's own, so v' lies in the F(r) relations.
+    - Q(R) = C.  Each constraint is Q of a row of R: of an F(r) relation,
+      or of the squaring row of r at g, whose target u_g at r^2 has the
+      form of y'^-1 g y' in F(r') (the layout's conjugator of r^2 differs
+      from y' by an element of C(r'), which acts trivially, see below).
+      Conversely let f be a form on the unknowns that vanishes on C.  For
+      each r, phi_r(k) = f(Q(u_k at r)) is a homomorphism K_r -> F_2 that
+      kills the roots of r, and f(Q(u_g at z)) = phi_r(y^-1 g y).
+      - The relations of F(z): g -> phi_r(y^-1 g y) is a homomorphism on
+        K_z that kills the roots of z, the y-conjugates of those of r.
+      - Conjugation by x, z2 = x z x^-1 = y2 r y2^-1: c = y2^-1 x y fixes
+        r, so c lies in C(r), inside K_r, and phi_r(y2^-1 (x g x^-1) y2) =
+        phi_r(c (y^-1 g y) c^-1) = phi_r(y^-1 g y): C(r) acts trivially on
+        K_r,#.  A t row is f(t(r)) + f(t(r)) = 0.
+      - Squaring, z^2 = (y y') r' (y y')^-1, as squaring commutes with
+        conjugation.  With h = y^-1 g y in K_r, f(Q(row)) =
+        phi_r(h) + phi_r'(y'^-1 h y') + w(h) f(t(r')), as w_z(g) = w_r(h)
+        (g moves z iff h moves r).  This is a homomorphism of h on K_r (w
+        is E(r) -> E(r) / C(r) = F_2 on a type-2 r, and 0 otherwise), 0 on
+        the generators of K_r by the squaring rows: it is 0.  A t row is
+        f(t(r)) + f(t(r')), a constraint.
+      Two cases in words.  Type 2: K = E(z), and z^-1 = x z x^-1 lies in
+      the class of z; the arrow F(z) -> F(z^-1) by such an x is one more
+      conjugation, with c in C(r) as above, so u_g at z^-1 and u_g at z
+      both go to the form of h in F(r), through y and through y x^-1.
+      Type 1: z = z^-1, so z^2 = 1 = r' with y' = 1, and the t column of z
+      is carried to that of its representative r by every conjugation
+      row, and on to t(1) by the squaring row of r.
 
     The inversion arrow of a type-3 z (u_g -> u_g in F(z^-1), a quotient
-    of the same C(z)_#) adds no row.  The rows of a composite of arrows lie
-    in R, since u + psi(phi(u)) = (u + phi(u)) + (v + psi(v)) for
-    v = phi(u) (rows are linear in u); and conjugation by xy is conjugation by y, then by x, so
-    every x in G, a word in the generators, has its rows in R.  Let z have
-    order 2^a m with m odd, y = z^(2^a) and g in C(z).  g centralizes
-    every z^(2^j), so it lies in each K_(z^(2^j)) with no w bit, and the
-    composite squaring arrows give u_g(z) = u_g(y) and
-    u_g(z^-1) = u_g(y^-1) modulo R.  y has odd order, so it is 1 or of
-    type 2 or 3:
+    of the same C(z)_#) adds no row.  Let z have order 2^a m with m odd,
+    y = z^(2^a) and g in C(z).  g centralizes every z^(2^j), so it lies in
+    each K_(z^(2^j)) with no w bit, and the composite squaring arrows give
+    u_g(z) = u_g(y) and u_g(z^-1) = u_g(y^-1) modulo R.  y has odd order,
+    so it is 1 or of type 2 or 3:
     - y = 1 = y^-1, and u_g(z) = u_g(z^-1);
     - y is of type 2: conjugation by an x in E(y) with x y^-1 x^-1 = y
       sends u_g(y^-1) to u_{x g x^-1}(y) = u_g(y), as x and g lie in E(y);
@@ -203,49 +245,109 @@ class FiniteLc(_ReducedLc):
       square, so C(y)_# is spanned by the u_d of its 2-elements d; for d of
       order 2^b and e 2^b = 1 mod m, r = y^e d has r^(2^b) = y, and
       u_r = u_d since y^e is a square.  So u_d, the image of a root, is 0.
-    `FormQuotient` then gives fp's residues bit for bit, and
-    `quotient_dim` reads the constraints only.
+    `FormQuotient` then gives fp's residues bit for bit, R and the column
+    order being the same whichever unknowns present them.
     """
 
     def __init__(self, G, members):
-        from .formspace import FormQuotient     # loaded on the first finite build
         self.members = tuple(sorted(members, key=G.key))
-        self.fz = {z: fz_data(G, z) for z in self.members}
-        self.offset = {}
-        at = {}             # z -> the first unknown of F(z)
-        q, width = [], 0
+        # the member layout reads G through this: the summand lives in G's
+        # store, so a strong reference would keep G alive in a cycle
+        self._group = weakref.ref(G)
+        self._classes = {}      # r -> (the conjugator row of r, F(r), its first unknown)
+        rep = {}                # member -> the representative of its class
+        width = 0
         for z in self.members:
-            fz = self.fz[z]
-            self.offset[z] = len(q)
-            at[z] = width
-            q += [f << width for f in fz.forms]
-            width += fz.width
-        self.ambient = len(q)
+            if z not in rep:
+                row = gcl.conjugators(G, z)
+                fz = fz_data(G, z)
+                self._classes[z] = (row, fz, width)
+                rep.update(dict.fromkeys(row, z))
+                width += fz.width
         rows = []
-        gens = gst.generating_set(G) or [G.identity]
-        for z in self.members:
-            src, base = self.fz[z], at[z]
-            sharp = src.sharp
+        for r, (_, src, base) in self._classes.items():
             rows += [c << base for c in src.constraints]
-            for z2, x in [(G.conj(z, x), x) for x in gens] + [(G.mul(z, z), None)]:
-                dst, base2 = self.fz[z2], at[z2]
-                index2, forms2 = dst.sharp.index, dst.forms
-                for k, i in enumerate(sharp.gens):
-                    g = sharp.elements[i]
-                    if x is not None:
-                        image = forms2[index2[G.conj(g, x)]]
-                    else:
-                        image = forms2[index2[g]]
-                        if dst.has_t and src.w[i]:
-                            image ^= forms2[-1]
-                    rows.append(1 << base + k ^ image << base2)
-                if src.has_t:
-                    rows.append(src.forms[-1] << base ^ forms2[-1] << base2)
-        self.context = FormQuotient(q, width, rows)
+            r2 = G.mul(r, r)
+            row2, dst, base2 = self._classes[rep[r2]]
+            yinv = G.inv(_conjugator(G, row2, rep[r2], r2))
+            index2, forms2 = dst.sharp.index, dst.forms
+            for k, i in enumerate(src.sharp.gens):
+                image = forms2[index2[G.conj(src.sharp.elements[i], yinv)]]
+                if dst.has_t and src.w[i]:
+                    image ^= forms2[-1]
+                rows.append(1 << base + k ^ image << base2)
+            if src.has_t:
+                rows.append(src.forms[-1] << base ^ forms2[-1] << base2)
+        self._constraints = fp.QuotientContext(width, 2, fp.distinct(rows))
+
+    @property
+    def dim(self):
+        return self._constraints.quotient_dim
+
+    def _layout(self):
+        """(offset, ambient, columns, context), built on the first read:
+        columns[z] is ({g: its column}, the t column or None) for a member
+        z.  Racing first reads may build it twice, but each gets the one
+        stored first."""
+        layout = self.__dict__.get("_laid_out")
+        if layout is None:
+            layout = self.__dict__.setdefault("_laid_out", self._lay_out())
+        return layout
+
+    def _lay_out(self):
+        from .formspace import FormQuotient     # loaded on the first layout
+        G = self._group()
+        if G is None:
+            raise ArfError("the group of this summand is gone")
+        cls = {z: (r, row, fz, base)
+               for r, (row, fz, base) in self._classes.items() for z in row}
+        q, offset, columns = [], {}, {}
+        for z in self.members:
+            r, row, fz, base = cls[z]
+            y = _conjugator(G, row, r, z)
+            # K_z = y K_r y^-1 in key order, each g with the form of
+            # y^-1 g y in F(r)
+            pairs = sorted(((G.conj(k, y), f << base)
+                            for k, f in zip(fz.sharp.elements, fz.forms)),
+                           key=lambda p: G.key(p[0]))
+            offset[z] = at = len(q)
+            q += [f for _, f in pairs]
+            tcol = None
+            if fz.has_t:
+                tcol = len(q)
+                q.append(fz.forms[-1] << base)
+            columns[z] = ({g: at + i for i, (g, _) in enumerate(pairs)}, tcol)
+        return offset, len(q), columns, FormQuotient.over(q, self._constraints)
+
+    @property
+    def offset(self):
+        return self._layout()[0]
+
+    @property
+    def ambient(self):
+        return self._layout()[1]
+
+    @property
+    def context(self):
+        return self._layout()[3]
 
     def insert_entry(self, G, z, h, tbit=0):
-        bits = self.fz[z].bits(h, tbit) << self.offset[z]
-        return fp.unpack(self.context.reduce_packed(bits), self.ambient)
+        _, ambient, columns, context = self._layout()
+        index, tcol = columns[z]
+        if h not in index:
+            raise GroupError("element outside subgroup")
+        bits = 1 << index[h]
+        if tcol is not None:
+            bits |= (tbit % 2) << tcol
+        elif tbit:
+            raise ArfError("no t coordinate on this summand")
+        return fp.unpack(context.reduce_packed(bits), ambient)
+
+
+def _conjugator(G, row, r, z):
+    """A y with z = y r y^-1: 1 for z = r, else the first x of the
+    conjugator row of r at z."""
+    return G.identity if z == r else row[z][0]
 
 
 class SemidirectLc(_PackedLc):
@@ -288,10 +390,10 @@ class PullbackLc(_PackedLc):
     rests on every later map being an isomorphism too.  Each z walks one
     arrow into F(chain[stable]), once: its squarings and the conjugation
     onto the chain position j that `power_conj_search` hits, then the
-    chain maps from j to stable, or on around the cycle.  Arrows are
-    packed columns (an image is the XOR of the columns of the set bits);
-    the walked ones are kept reduced modulo `context`, so a payload is one
-    packed residue.
+    chain maps from j to stable; a hit past stable needs no step, on
+    either tail (below).  Arrows are packed columns (an image is the XOR
+    of the columns of the set bits); the walked ones are kept reduced
+    modulo `context`, so a payload is one packed residue.
 
     Why a hit at j > stable on a non-cyclic chain needs no step.  Such a
     z0, with E-part e, has T-exponent t != 0 (else it has finite order),
@@ -308,6 +410,26 @@ class PullbackLc(_PackedLc):
     maps the relations of F(z_k) into those of F(z_(k+1)); being an
     isomorphism, onto them.  So F(z_j) is F(chain[stable]), coordinates
     and residues alike, and a push to a common position adds nothing.
+
+    Why a hit at j > stable on a cyclic chain needs no step either.  Let
+    z_n = z_(n-1)^2 be the square that closes the cycle, x z_n x^-1 =
+    z_stable, and K_k the subgroup of F(z_k) (C, or E for type 2).
+    Conjugating z_k to z_k or to z_k^-1 does the same to z_k^2, so
+    C(z_k) ⊆ C(z_(k+1)) and E(z_k) ⊆ E(z_(k+1)); z_k^-1 ~ z_k gives
+    z_(k+1)^-1 ~ z_(k+1), and z_n has the type of z_stable, so the types
+    agree around the cycle (type 1 only on the cycle of 1, of length 1).
+    So K_stable ⊆ ... ⊆ K_n = x^-1 K_stable x, where K is a sub-pull-back
+    fixed by its e-members or a finite subgroup: both ends have as many
+    e-members (or members), so every inclusion is an equality, and every
+    position of the cycle has the same `SharpSpace` layout.  The squaring
+    map u_g -> u_g then has unit columns (no w bit: a t column only on
+    the cycle of 1, where w = 0).  A 2-power root of z_k is one of z_(k+1),
+    so the relations grow along the cycle, and the conjugation by x maps
+    those of F(z_n) onto those of F(z_stable), of the same dimension: they
+    are equal too.  So F(z_j) is F(chain[stable]) for stable <= j < n, the
+    loop map is the conjugation that closes the cycle, and riding on around
+    the cycle from j sends u to loop(u) = u modulo the loop rows
+    u + loop(u) of `context`.
     """
 
     MAX_CHAIN = 64
@@ -317,7 +439,6 @@ class PullbackLc(_PackedLc):
         self.zs = [z0]
         self.maps = []      # maps[k]: F(chain[k]) -> F(chain[k+1]) columns
         self.cyclic = False
-        self.cycle_close = None
         # queries extend the chain (maps, chain, zs) in place, one at a time
         self._extend_lock = threading.Lock()
         stable = None
@@ -335,8 +456,8 @@ class PullbackLc(_PackedLc):
                 j, x = hit
                 nxt = fz_data(G, z_next)
                 self.maps.append(_square_matrix(self.chain[-1], nxt))
-                self.cycle_close = _conj_matrix(G, nxt, self.chain[j], x)
-                loop = _compose(self.chain[j].dim, self.maps[j:] + [self.cycle_close])
+                cycle_close = _conj_matrix(G, nxt, self.chain[j], x)
+                loop = _compose(self.chain[j].dim, self.maps[j:] + [cycle_close])
                 loop_rows = [(1 << i) ^ w for i, w in enumerate(loop)]
                 stable = j
                 self.cyclic = True
@@ -410,10 +531,7 @@ class PullbackLc(_PackedLc):
         steps.append(_conj_matrix(G, cur, self.chain[j], x))
         if j < self.stable:
             steps += self.maps[j:self.stable]
-        elif j > self.stable and self.cyclic:
-            # ride the cycle back to the base point
-            steps += self.maps[j:] + [self.cycle_close]
-        # past stable a non-cyclic chain is F(chain[stable]) (see above)
+        # past stable, F(chain[j]) is F(chain[stable]) on either tail (see above)
         return [self.context.reduce_packed(c) for c in _compose(src.dim, steps)]
 
 

@@ -560,6 +560,48 @@ def test_pullback_stabilizers_match_window_brute_force():
                     assert set(sub.members) == set(fixing), (Gx.name, z)
 
 
+def _closure_faults(sub):
+    """The e-member pairs of a sub-pull-back whose product leaves it, and
+    whether it misses the identity of E (an empty list: a subgroup)."""
+    E, eset = sub.G.E, set(sub.e_members)
+    faults = [(a, b) for a in sub.e_members for b in sub.e_members
+              if E.mul(a, b) not in eset]
+    return faults + [("no identity",)] * (E.identity not in eset)
+
+
+def test_pullback_subgroups_are_closed(monkeypatch):
+    """`PullbackSubgroup` checks nothing: every sub-pull-back that the
+    two-ends built-ins and the pull-backs above build (centralizers and
+    extended centralizers of the window of exponent 3, the F(z) and
+    squaring chains of their summands, and G_#) is closed under products
+    in E, and a planted e-member set that is not fails the check."""
+    built = []
+    real = gst.PullbackSubgroup.__init__
+
+    def recording(self, Gx, e_members):
+        real(self, Gx, e_members)
+        built.append(self)
+
+    monkeypatch.setattr(gst.PullbackSubgroup, "__init__", recording)
+    groups = _two_ends_groups() + _more_pullbacks()
+    for Gx in groups:
+        gst.ab_mod_squares(Gx)
+        for z in Gx.window_elements(3):
+            gst.centralizer(Gx, z)
+            gst.extended_centralizer(Gx, z)
+            ups.l_of_class(Gx, z).insert_entry(Gx, z, Gx.identity)
+    monkeypatch.undo()
+    assert {sub.G.name for sub in built} == {Gx.name for Gx in groups}
+    for sub in built:
+        assert _closure_faults(sub) == [], (sub.G.name, sub.e_members)
+    # planted: an element of order 4 and the identity, without its square
+    Gx = groups[0]
+    E = Gx.E
+    g = next(e for e in E.elements() if E.order_of(e) == 4)
+    assert _closure_faults(gst.PullbackSubgroup(Gx, [E.identity, g]))
+    assert _closure_faults(gst.PullbackSubgroup(Gx, [g]))
+
+
 def test_sharp_elements_are_the_coordinate_units():
     # elements[i] is the group element of coordinate i, in every presentation
     S3, plane = G.symmetric_group(3), G.group_plane()

@@ -84,11 +84,22 @@ def _algebra_queries(A):
     H.coker_one_plus_vartheta(A)
 
 
+def _finite_upsilon(Gx):
+    """Upsilon of every pair of involutions: the first insert into each
+    finite L(c) lays out its members."""
+    invs = Gx.involutions()
+    return [ups.upsilon_eval(arf.ArfExpression(arf.GROUP, Gx, [(a, b)]))
+            for a in invs for b in invs]
+
+
 def test_descriptors_die_with_their_last_name():
     # derived data holds elements, indices and F_p data only, so no
-    # reference cycle keeps a queried group or algebra alive
+    # reference cycle keeps a queried group or algebra alive; a finite
+    # L(c) lays out its members through a weak reference to its group
     cases = [
         (lambda: G.dihedral_group(6), ups.j_group_dimension),
+        (lambda: G.symmetric_group(4), _finite_upsilon),
+        (G.group_order24, _finite_upsilon),
         (G.group_c_by_d4, lambda Gx: _two_ends_distinguish(Gx, "Y^2")),
         (G.group_c2_c_c12, lambda Gx: _two_ends_distinguish(Gx, "X")),
         (G.group_plane, lambda Gx: [
@@ -138,6 +149,50 @@ def test_racing_first_uses_agree():
     assert not any(t.is_alive() for t in threads)
     assert len(got) == 8
     assert all(v is got[0] for v in got)
+
+
+def test_finite_summand_lays_out_once_under_threads():
+    """8 threads racing first inserts into one finite L(c), each in its own
+    order, get the serial payloads, and all read one member layout."""
+    def queries(Gx):
+        part = sorted(max(gcl.cl_partition_finite(Gx), key=len), key=Gx.key)
+        return part[0], [(w, h, tbit) for w in part
+                         for h in (gst.extended_centralizer(Gx, w) if gst.type_of(Gx, w) == 2
+                                   else gst.centralizer(Gx, w)).members
+                         for tbit in ((0, 1) if gst.type_of(Gx, w) == 1 else (0,))]
+
+    serial_group = G.group_order24()
+    z, serial_queries = queries(serial_group)
+    lc = ups.l_of_class(serial_group, z)
+    serial = [lc.insert_entry(serial_group, *q) for q in serial_queries]
+    assert len({q[0] for q in serial_queries}) > 1 and any(map(any, serial))
+
+    Gx = G.group_order24()
+    z, qs = queries(Gx)
+    lc = ups.l_of_class(Gx, z)
+    start = threading.Barrier(8)
+    got = {}
+
+    def query(t):
+        start.wait(timeout=10)
+        order = qs[t::8] + qs[:t] + qs
+        got[t] = ({q: lc.insert_entry(Gx, *q) for q in order}, lc._layout())
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=query, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8
+    for answers, layout in got.values():
+        assert [answers[q] for q in qs] == serial
+        assert layout is lc._layout()
 
 
 def _deep_queries(Gx):

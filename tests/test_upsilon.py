@@ -13,6 +13,7 @@ import arfkit.groups.structure as gst
 import arfkit.homology as H
 import arfkit.upsilon as ups
 from arfkit.arf import ArfError
+from arfkit.memo import derived
 from test_random_groups import _random_expressions, _relabelled, battery_draws
 
 
@@ -208,6 +209,24 @@ def past_order_100():
     groups = [(G.direct_product(G.dihedral_group(9), S3), 6), (G.symmetric_group(5), 3),
               (G.direct_product(G.direct_product(S3, S3), S3), 8)]
     return [(Gx, j, H.group_algebra(Gx, 2)) for Gx, j in groups]
+
+
+def test_j_builds_f_of_the_class_representatives_only():
+    """After J(G) the group's F(z) table holds the least element of each
+    conjugacy class only (S5: 7 of 120, S3^3: 27 of 216), and inserting at
+    every member, which lays out each L(c), builds no more."""
+    S3 = G.symmetric_group(3)
+    for Gx, classes in [(G.symmetric_group(5), 7),
+                        (G.direct_product(G.direct_product(S3, S3), S3), 27)]:
+        ups.j_group_dimension(Gx)
+        table = derived(Gx, "fz", dict)
+        reps = {min(cl, key=Gx.key) for cl in gst.conjugacy_classes(Gx)}
+        assert set(table) == reps and len(reps) == classes, Gx.name
+        for part in gcl.cl_partition_finite(Gx):
+            lc = ups.l_of_class(Gx, min(part, key=Gx.key))
+            for z in part:
+                lc.insert_entry(Gx, z, Gx.identity)
+        assert set(table) == reps, Gx.name
 
 
 def test_upsilon_value_ranks_match_homology_model():
@@ -489,6 +508,35 @@ def test_chain_maps_past_the_stable_point_are_the_identity(make):
             assert lc.maps[t] == units, (Gx.name, t)
             assert [fz.context.reduce_packed(u) for u in units] == residues, (Gx.name, t)
     assert seen, Gx.name
+
+
+def test_chain_maps_around_a_cycle_are_the_identity():
+    """On a cyclic chain, every position from `stable` on has the
+    coordinates and the residues of F(chain[stable]), every squaring map
+    from there (into the square that closes the cycle too) has unit
+    columns, and riding a unit vector on around the cycle (`_ride_back`)
+    changes it by a loop row only (proof in `PullbackLc`)."""
+    past = 0
+    for make in TWO_ENDS:
+        Gx = make()
+        for lc in {ups.l_of_class(Gx, z) for z in Gx.window_elements(3)}:
+            if not lc.cyclic:
+                continue
+            base = lc.chain[lc.stable]
+            units = [1 << i for i in range(lc.width)]
+            residues = [base.context.reduce_packed(u) for u in units]
+            for t in range(lc.stable, len(lc.chain)):
+                fz = lc.chain[t]
+                assert fz.sharp.elements == base.sharp.elements, (Gx.name, t)
+                assert lc.maps[t] == units, (Gx.name, t)
+                assert [fz.context.reduce_packed(u) for u in units] == residues, (Gx.name, t)
+                for i, u in enumerate(units):
+                    ridden = fp.pack(_ride_back(Gx, lc, fp.unit(lc.width, i), t))
+                    assert lc.context.reduce_packed(ridden) == \
+                        lc.context.reduce_packed(u), (Gx.name, t, i)
+                past += t > lc.stable
+    # Z x C7 re-enters its 3-cycle at position 0
+    assert past == 2
 
 
 def _warmed_distinctions(name, reverse):
