@@ -52,13 +52,15 @@ class FiniteAlgebra:
     `middles` lists basis indices s such that the products of the e_s span
     the algebra: associativity and the anti-homomorphism law are checked
     (see `_validate`), and the boundaries b(e_i (x) e_s (x) e_k) of
-    `chains._b2_rows` are written, for those s only.  It is every index
+    `chains._b2_rows` and the commutators [e_i, e_s] of H_0 are written,
+    for those s only.  It is every index
     unless a constructor knows better (`group_algebra` sets a generating
     set of the group).
     `table`, when not None, is a group algebra's index table: e_i e_j is
     the one basis element e_table[i][j].  Over F_2 `chains` then reads
     H_1, HC_1 and HQ_1 from the forms that vanish on their relations
-    (`forms.ColumnForms`) instead of eliminating the relation rows
+    (`forms.ColumnForms`), and their cycles from a spanning forest,
+    instead of eliminating the relation rows and the cycle equations
     (`group_algebra` sets it).
     """
 

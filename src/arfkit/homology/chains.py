@@ -9,14 +9,16 @@ and handed to `fp` as is.  Over an odd p a row is a sparse dict {column:
 coefficient}.
 
 H_1, HC_1 and HQ_1 of an F_2 group algebra, and the Coker(mu) and
-Coker(1 + vartheta) built on HQ_1, never eliminate their relation rows:
-`forms.ColumnForms` keeps the linear forms that vanish on them (see that
-module; it is imported on the first such build).  Every other algebra
-(JSON, matrix algebras, odd p) eliminates its rows: the F_2 row writers
-are generators, read once by `_quotient` in chunks of `BLOCK` rows;
-dropping the zero and repeated rows of a chunk leaves the span and so
-every reduced basis unchanged.  The dimension guard refuses algebras past
-dimension 256 instead of approximating.
+Coker(1 + vartheta) built on HQ_1, never eliminate their relation rows
+nor their cycle equations: `forms.ColumnForms` keeps the linear forms
+that vanish on the rows, and reads the cycles off a spanning forest (see
+that module; it is imported on the first such build).  Every other
+algebra (JSON, matrix algebras, odd p) eliminates its rows and its cycle
+equations (`_equations`).  Its F_2 row writers are generators, read once
+by `_quotient` in chunks of `BLOCK` rows; dropping the zero and repeated
+rows of a chunk leaves the span and so every reduced basis unchanged.
+The dimension guard refuses algebras past dimension 256 instead of
+approximating.
 """
 from __future__ import annotations
 
@@ -261,51 +263,75 @@ def tensor_bits(d, x, y):
 
 
 def homology(A: FiniteAlgebra, which):
-    """Basis-with-context for H0, H1, HC0, HC1 or HQ1 of A."""
+    """Basis-with-context for H0, H1, HC0, HC1 or HQ1 of A.
+
+    H_0 and HC_0 divide T_1 by the commutators [e_i, e_s] for the middles s
+    only, not by every [e_i, e_j].  They span the same space: in any
+    associative algebra, at any p,
+
+        [a, bc] = abc - bca = (abc - cab) + (cab - bca) = [ab, c] + [ca, b],
+
+    so the y with every [x, y] in the span form a subspace closed under
+    products.  It holds the middles, and products of the middles span A
+    (see `FiniteAlgebra`), so it is A; and [e_j, e_i] = -[e_i, e_j].  A
+    reduced echelon form is fixed by its span, so every residue and basis
+    is the one of all d^2 rows."""
     check_guard(A)
     d, p = A.dim, A.p
     if which in ("H0", "HC0"):
         cycles = [1 << i if p == 2 else fp.unit(d, i) for i in range(d)]
-        context = _quotient(A, d, _commutator_rows(A))
+        context = _quotient(A, d, _commutator_rows(A, A.middles))
         return HomologySpace(A, which, d, context, context.independent(cycles))
     if which in ("H1", "HC1"):
-        return _cycles_modulo(A, which, d * d, _equations(A, _commutator_rows(A)), ())
+        return _cycles_modulo(A, which)
     if which == "HQ1":
         return hq1(A)
     raise AlgebraError(f"unknown homology {which!r}")
 
 
-def _cycles_modulo(A, kind, ncols, equations, rows):
-    """The space `kind`: the kernel of `equations` over ncols columns modulo
-    b(T_3), `rows` and, for HC1, the rows of `_hc1_rows`.  An F_2 group
-    algebra reads the quotient from `forms.ColumnForms`, where an HC_1 row
-    is a pair of columns whose forms are added, never written as a row;
-    any other algebra eliminates the rows (`_quotient`)."""
+def _cycles_modulo(A, kind):
+    """The space `kind` (H1, HC1 or HQ1): the cycles modulo b(T_3) and, for
+    HC1, the rows of `_hc1_rows`, for HQ1 those of `_hq1_rows`.  An F_2
+    group algebra reads the quotient from `forms.ColumnForms`, where an
+    HC_1 row is a pair of columns whose forms are added, never written as
+    a row, and the cycles from its spanning forest (`ColumnForms.cycles`);
+    any other algebra eliminates the rows (`_quotient`) and the cycle
+    equations."""
+    d = A.dim
+    t1 = kind == "HQ1"
+    ncols = d * d + d if t1 else d * d
     if A.p == 2 and A.table is not None:
         from .forms import ColumnForms
-        context = ColumnForms(A, kind == "HQ1", rows)
+        context = ColumnForms(A, t1)
         if kind == "HC1":
-            d = A.dim
             # the rows for i > j repeat those for i < j, and i = j gives 0
             context = context.extended_pairs(
                 (i * d + j, j * d + i) for i in range(d) for j in range(i + 1, d))
-        return HomologySpace(A, kind, ncols, context, context.kernel_independent(equations))
-    if kind == "HC1":
-        rows = _hc1_rows(A)
+        return HomologySpace(A, kind, ncols, context, context.cycles(A))
+    # cycle equations: b(xi) + c - invol(c) = 0; column D + i is e_i - invol(e_i)
+    columns = _commutator_rows(A)
+    if t1 and A.p == 2:
+        columns += [(1 << i) ^ v for i, v in enumerate(A.inv_bits)]
+    elif t1:
+        columns += [_row([(i, 1)] + [(k, -c) for k, c in v])
+                    for i, v in enumerate(A.involution)]
+    rows = _hc1_rows(A) if kind == "HC1" else _hq1_rows(A) if t1 else ()
     context = _quotient(A, ncols, itertools.chain(rows, _b2_rows(A)))
     return HomologySpace(A, kind, ncols, context,
-                         context.independent(_kernel(A, equations, ncols)))
+                         context.independent(_kernel(A, _equations(A, columns), ncols)))
 
 
-def _commutator_rows(A):
-    """[e_i, e_j] for all i, j (i-major) as rows over T_1."""
+def _commutator_rows(A, right=None):
+    """[e_i, e_s] for all i and every s in `right` (default every index),
+    i-major, as rows over T_1."""
     d = A.dim
+    right = range(d) if right is None else right
     if A.p == 2:
         bits = A.bits
-        return [bits[i][j] ^ bits[j][i] for i in range(d) for j in range(d)]
+        return [bits[i][s] ^ bits[s][i] for i in range(d) for s in right]
     mult = A.mult
-    return [_row(mult[i][j] + tuple((k, -c) for k, c in mult[j][i]))
-            for i in range(d) for j in range(d)]
+    return [_row(mult[i][s] + tuple((k, -c) for k, c in mult[s][i]))
+            for i in range(d) for s in right]
 
 
 def _hc1_rows(A):
@@ -380,14 +406,7 @@ def hq1(A: FiniteAlgebra):
     if A.involution is None:
         raise AlgebraError("HQ1 needs an anti-involution")
     check_guard(A)
-    d = A.dim
-    # cycle equations: b(xi) + c - invol(c) = 0; column D + i is e_i - invol(e_i)
-    if A.p == 2:
-        invol = [(1 << i) ^ v for i, v in enumerate(A.inv_bits)]
-    else:
-        invol = [_row([(i, 1)] + [(k, -c) for k, c in v]) for i, v in enumerate(A.involution)]
-    return _cycles_modulo(A, "HQ1", d * d + d,
-                          _equations(A, _commutator_rows(A) + invol), _hq1_rows(A))
+    return _cycles_modulo(A, "HQ1")
 
 
 def _hq1_rows(A):

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -929,3 +930,17 @@ def test_rows_that_are_permutations_do_not_pass_for_a_group():
     assert set(refused) == {"table has no identity", "table has no two-sided inverses",
                             "table is not associative"}, refused
     assert sum(refused.values()) > 1000
+
+
+def test_table_rows_have_no_spare_slots():
+    """The rows that `FinitePermGroup` and `table_from_mul` write are lists
+    of exactly the group's order, with no slot spare from growing while
+    they were filled: odd orders, the trivial permutation group, S4 and
+    the cyclic, dihedral and product groups built by `table_from_mul`."""
+    groups = [G.symmetric_group(4), G.FinitePermGroup([(1, 2, 0, 4, 3)], 5),
+              G.FinitePermGroup([(0, 1, 2)], 3), G.cyclic_group(7), G.dihedral_group(5),
+              G.direct_product(G.cyclic_group(3), G.symmetric_group(3))]
+    assert sorted(Gx.order() for Gx in groups) == [1, 6, 7, 10, 18, 24]
+    for Gx in groups:
+        n = Gx.order()
+        assert all(sys.getsizeof(row) == sys.getsizeof([0] * n) for row in Gx.table), Gx.name

@@ -1,7 +1,9 @@
 import copy
 import hashlib
+import itertools
 import json
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -10,8 +12,9 @@ import arfkit.groups as G
 import arfkit.groups.structure as gst
 import arfkit.homology as H
 from arfkit.groups.structure import generating_set
-from arfkit.homology import AlgebraError, forms
-from test_random_groups import battery_draws
+from arfkit.formspace import ones
+from arfkit.homology import AlgebraError, chains, forms
+from test_random_groups import _relabelled, battery_draws
 from test_upsilon import large_j_groups, past_order_100
 
 
@@ -710,6 +713,127 @@ def test_column_forms_reject_what_fp_rejects():
             ctx.reduce_packed(bad)
     with pytest.raises(ValueError):
         ctx.reduce((0,) * (ctx.dim - 1))
+
+
+# -- the forest cycles and the column-read rows against their references ----
+
+# columns per block of kernel forms that `_kernel_independent` writes
+SPAN = 1024
+
+
+def _kernel_independent(ctx, equations):
+    """The cycles of `ColumnForms` before the spanning forest, kept as the
+    reference for `ColumnForms.cycles`: `independent` of the basis of
+    `fp.kernel_packed(equations, dim)`, without writing its vectors.  The
+    one for a non-pivot column f of the reduced equations is e_f plus the
+    pivots j whose row has bit f, so its form is q(f) plus those q(j),
+    reduced modulo C; the forms are written a block of columns at a time,
+    and only the kept vectors are written out."""
+    q, dim, modulo = ctx.q, ctx.dim, ctx.forms.reduce_packed
+    reduced = fp.Subspace(dim, 2, equations).packed_basis()
+    pivots = [(r & -r).bit_length() - 1 for r in reduced]
+    rest = [(modulo(q[j]), r ^ 1 << j) for j, r in zip(pivots, reduced)]
+    skip = set(pivots)
+    free = [f for f in range(dim) if f not in skip]
+
+    def images():
+        for a in range(0, dim, SPAN):
+            block = [modulo(v) for v in q[a:a + SPAN]]
+            for qj, r in rest:
+                for f in ones(r >> a & (1 << SPAN) - 1):
+                    block[f] ^= qj
+            for f in free[bisect_left(free, a):bisect_left(free, a + SPAN)]:
+                yield block[f - a]
+
+    most = ctx.quotient_dim - len(reduced)
+    out = {free[k]: 1 << free[k] for k in ctx._choose(images(), most)}
+    kept = sum(out.values())
+    for j, r in zip(pivots, reduced):
+        for f in ones(r & kept):
+            out[f] |= 1 << j
+    return list(out.values())
+
+
+def _forest_groups():
+    """The catalogue, each under three seeded relabellings, S5 and C2^7."""
+    rng = random.Random(73)
+    return [_relabelled(rng, Gx)[0] for Gx in G.groups_upto(16) for _ in range(3)] + [
+        G.symmetric_group(5), G.abelian_group([2] * 7)]
+
+
+def test_forest_cycles_are_the_eliminated_kernels(monkeypatch):
+    """`ColumnForms.cycles` reads fp's cycles off a spanning forest: the
+    basis rows of H1, HC1 and HQ1 are those of the eliminated cycle
+    equations (`_kernel_independent`) bit for bit, and the sweep is told to
+    stop at exactly the number of cycles it keeps."""
+    calls = []
+    choose = forms.ColumnForms._choose
+
+    def counted(self, images, most=None):
+        kept = choose(self, images, most)
+        calls.append((most, len(kept)))
+        return kept
+
+    monkeypatch.setattr(forms.ColumnForms, "_choose", counted)
+    groups = _forest_groups()
+    assert len(groups) == 128
+    for Gx in groups:
+        A = H.group_algebra(Gx, 2)
+        comm = chains._commutator_rows(A)
+        invol = [(1 << i) ^ v for i, v in enumerate(A.inv_bits)]
+        for kind, columns in (("H1", comm), ("HC1", comm), ("HQ1", comm + invol)):
+            calls.clear()
+            hs = H.space(A, kind)
+            assert calls == [(hs.dim, hs.dim)], (Gx.name, kind)
+            ref = _kernel_independent(hs.context, chains._equations(A, columns))
+            assert hs.basis_rows == ref, (Gx.name, kind)
+
+
+def test_column_read_hq1_forms_are_the_row_forms():
+    """`forms._hq1_forms` reads each f1 and f2 row by its columns; the forms
+    are those of the packed rows of `chains._hq1_rows`, as sets."""
+    rng = random.Random(79)
+    for Gx in G.groups_upto(16) + [_relabelled(rng, G.symmetric_group(4))[0]]:
+        A = H.group_algebra(Gx, 2)
+        ctx = H.space(A, "HQ1").context
+        got = set(forms._hq1_forms(A, ctx.q))
+        assert got == set(map(ctx._form, chains._hq1_rows(A))), Gx.name
+
+
+def test_column_forms_skip_only_the_walks_zero_triples():
+    """The walk takes d - |middles| steps (s, k), and the triples of each
+    give d zero forms; `_triple_forms` skips exactly those, so the set of
+    distinct constraints is unchanged on the catalogue."""
+    for Gx in G.groups_upto(16):
+        A = H.group_algebra(Gx, 2)
+        d, middles = A.dim, list(A.middles)
+        cols, _, steps = forms._walk(A)
+        assert len(steps) == d - len(middles), Gx.name
+        every = list(forms._triple_forms(A, cols, set()))
+        taken = {middles.index(s) * d + k for s, k in (divmod(st, d) for st in steps)}
+        assert all(every[i] == [0] * d for i in taken), Gx.name
+        kept = list(forms._triple_forms(A, cols, steps))
+        assert kept == [f for i, f in enumerate(every) if i not in taken], Gx.name
+        chain = itertools.chain.from_iterable
+        assert set(fp.distinct(chain(kept))) == set(fp.distinct(chain(every))), Gx.name
+
+
+def test_h0_commutators_at_the_middles_span_all_pairs():
+    """H_0 and HC_0 divide by [e_i, e_s] for the middles s only: the
+    contexts and bases are those of all d^2 commutators, on the dense-pin
+    algebras (M2(F_2[C2]) and F_3[C3] among them) and the catalogue."""
+    algebras = list(_pinned_algebras().values()) + [
+        H.group_algebra(Gx, 2) for Gx in G.groups_upto(16)]
+    assert any(len(A.middles) < A.dim for A in algebras if A.p == 3)
+    for A in algebras:
+        d = A.dim
+        cycles = [1 << i if A.p == 2 else fp.unit(d, i) for i in range(d)]
+        ref = chains._quotient(A, d, chains._commutator_rows(A))
+        basis = chains.vectors(A.p, d, ref.independent(cycles))
+        for kind in ("H0", "HC0"):
+            hs = H.homology(A, kind)
+            assert hs.context.basis() == ref.basis(), (A.name, kind)
+            assert hs.basis == basis, (A.name, kind)
 
 
 # -- Hochschild homology against the centralizer decomposition --------------
