@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from operator import itemgetter
+from operator import add, itemgetter, neg, sub
 
 from .. import ArfkitError, need
 
@@ -338,15 +338,13 @@ class SemidirectZnC2(Group):
 
     def mul(self, a, b):
         (v, s), (w, t) = a, b
-        if s:
-            w = tuple(-x for x in w)
-        return (tuple(x + y for x, y in zip(v, w)), s ^ t)
+        return (tuple(map(sub if s else add, v, w)), s ^ t)
 
     def inv(self, a):
         v, s = a
         if s:
             return a
-        return (tuple(-x for x in v), 0)
+        return (tuple(map(neg, v)), 0)
 
     def order_of(self, g):
         v, s = g

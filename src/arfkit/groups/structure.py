@@ -184,11 +184,13 @@ def _type(G, z):
 class SharpSpace:
     """K_# = K_ab/(K_ab)^2 of a subgroup K, kept as linear forms.
 
-    `elements[i]` is the group element of coordinate i: `coord` sends it
-    to the i-th unit vector, and `coord(g)` maps a group element of K to
-    its vector, a tuple.  `forms[i]` is the form of coordinate i over
-    `width` unknowns; with Q(v) the sum of the forms of the coordinates of
-    v and C the span of `constraints`, K_# is F_2^dim / Q^-1(C).
+    `elements[i]` is the group element of coordinate i: `bits` sends it
+    to the i-th unit vector.  `bits(g)`, the one map each family supplies,
+    sends a group element of K to its vector packed at the source (bit i =
+    coordinate i), and `coord(g)` unpacks it to a tuple.  `forms[i]` is
+    the form of coordinate i over `width` unknowns; with Q(v) the sum of
+    the forms of the coordinates of v and C the span of `constraints`,
+    K_# is F_2^dim / Q^-1(C).
     `context`, the `formspace.FormQuotient` that reads the quotient and
     fp's residues from them, is built on its first read only.  A lattice
     or semidirect K_# has unit forms and no constraints.
@@ -219,9 +221,9 @@ class SharpSpace:
     So R = Q^-1(Q(R)) = Q^-1(C).
     """
 
-    def __init__(self, coord, elements, forms, width, constraints):
+    def __init__(self, bits, elements, forms, width, constraints):
         self.dim = len(elements)
-        self.coord = coord
+        self.bits = bits
         self.elements = elements
         self.forms, self.width, self.constraints = forms, width, constraints
 
@@ -234,9 +236,13 @@ class SharpSpace:
     def quotient_dim(self):
         return self.context.quotient_dim
 
+    def coord(self, g):
+        """The vector of the group element g of K, a tuple."""
+        return fp.unpack(self.bits(g), self.dim)
+
     def form(self, g):
-        """The form of the group element g of K: Q(coord(g))."""
-        return fp.xor_sum(fp.pack(self.coord(g)), self.forms)
+        """The form of the group element g of K: Q(bits(g))."""
+        return fp.xor_sum(self.bits(g), self.forms)
 
 
 def _walk(G, members, carry=None):
@@ -282,15 +288,13 @@ class FiniteSharp(SharpSpace):
         index, self.gens, forms, width, constraints = _walk(G, members)
         self.index = index
 
-        def coord(g):
-            if g not in index:
+        def bits(g):
+            i = index.get(g)
+            if i is None:
                 raise GroupError("element outside subgroup")
-            return fp.unit(len(index), index[g])
+            return 1 << i
 
-        super().__init__(coord, members, forms, width, constraints)
-
-    def form(self, g):
-        return self.forms[self.index[g]]
+        super().__init__(bits, members, forms, width, constraints)
 
 
 def generating_set(G, members=None):
@@ -323,14 +327,13 @@ def sharp_of_pullback(sub):
     <t, u_e | u_e u_f = u_{ef} t^k(e,f), u_e t u_e^-1 = t^(+-1), u_1 = 1>,
     walked on the e-members with the carry k (see `SharpSpace`).
 
-    Coordinate i < n-1 is u_e = (hom(e), e) for the i-th e-member, and
-    coordinate n-1 is t = (T^m, 1)."""
+    Coordinate i < tcol is u_e = (hom(e), e) for the i-th e-member, and
+    coordinate tcol, the last, is t = (T^m, 1)."""
     G = sub.G
     E, hom, m = G.E, G.hom, G.m
     cyclic = isinstance(G, PullbackCyclicGroup)
     members = list(sub.e_members)
-    n = len(members) + 1
-    tcol = n - 1
+    tcol = len(members)
     ident = E.identity
 
     def carry(e, f):
@@ -343,53 +346,57 @@ def sharp_of_pullback(sub):
 
     index, gens, forms, width, constraints = _walk(E, members, carry)
 
-    def coord(g):
+    def bits(g):
         d, e = g
         i = d if cyclic else d[1]
         if e not in index or (i % m if cyclic else (d[0] & 1, i % m)) != hom[e]:
             raise GroupError("element outside subgroup")
-        j = (i - (hom[e] if cyclic else hom[e][1])) // m
-        v = [0] * n
-        v[tcol] = j % 2
+        j = (i - (hom[e] if cyclic else hom[e][1])) // m & 1
         # g = u_e t^j; with u_1 = 1, t itself gets the unit vector of t
-        if e != ident or not v[tcol]:
-            v[index[e]] = 1
-        return tuple(v)
+        if j and e == ident:
+            return 1 << tcol
+        return j << tcol | 1 << index[e]
 
     t = m if cyclic else (0, m)
-    return SharpSpace(coord, [(hom[e], e) for e in members] + [(t, ident)],
+    return SharpSpace(bits, [(hom[e], e) for e in members] + [(t, ident)],
                       forms + [1 << len(gens)], width, constraints)
 
 
-def _unit_sharp(coord, n, flip):
+def parity_bits(v):
+    """v mod 2 for an integer vector v, packed: bit i is v[i] mod 2."""
+    out = 0
+    for i, x in enumerate(v):
+        out |= (x & 1) << i
+    return out
+
+
+def _unit_sharp(bits, n, flip):
     """F_2^n on the units of Z^n (and F_2^(n+1) with the flip): unit forms,
     no constraints."""
     els = [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
     els += [((0,) * n, 1)] * flip
-    return SharpSpace(coord, els, [1 << i for i in range(len(els))], len(els), [])
+    return SharpSpace(bits, els, [1 << i for i in range(len(els))], len(els), [])
 
 
 def sharp_of_semidirect(G):
     """G_# for Z^n x| C2: F_2^(n+1) with coordinates (v mod 2, s)."""
     n = G.rank
 
-    def coord(g):
+    def bits(g):
         v, s = g
-        return tuple(x % 2 for x in v) + (s % 2,)
+        return parity_bits(v) | (s & 1) << n
 
-    return _unit_sharp(coord, n, True)
+    return _unit_sharp(bits, n, True)
 
 
 def sharp_of_lattice(G):
-    n = G.rank
-
-    def coord(g):
+    def bits(g):
         v, s = g
         if s:
             raise GroupError("element outside the lattice")
-        return tuple(x % 2 for x in v)
+        return parity_bits(v)
 
-    return _unit_sharp(coord, n, False)
+    return _unit_sharp(bits, G.rank, False)
 
 
 def sharp_of_subgroup(sub):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import threading
 
 _store_lock = threading.Lock()
+_NO_STORE = {}      # read in place of an object's missing store, never written
 
 
 def derived(obj, key, build, *args):
@@ -33,7 +34,11 @@ def derived(obj, key, build, *args):
 def derived_entry(obj, key, item, build, *args):
     """Entry `item` of obj's derived table `key`: build(*args) on first
     use, then the stored value.  `build` must not return None."""
-    table = derived(obj, key, dict)
+    # a hit reads the store with no lock and no nested call: an Upsilon
+    # pair reads one entry
+    table = getattr(obj, "_derived", _NO_STORE).get(key)
+    if table is None:
+        table = derived(obj, key, dict)
     value = table.get(item)
     if value is None:
         value = table.setdefault(item, build(*args))

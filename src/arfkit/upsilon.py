@@ -14,7 +14,10 @@ prints a resolved value.  A payload is a residue modulo the summand's
 relations, so it is canonical as it stands: a tuple for a finite L(c), and
 a packed F_2 int (bit i = coordinate i), added by XOR, for a lattice or a
 two-ends one.  A resolved value is a tuple, so values print and compare as
-they always have.
+they always have.  An Upsilon pair reads one record per element z,
+(L([z]), type of z) (`_summand`), and inserts the packed F(z) generator
+(`FzData.bits`, from the K_# bits of `structure.SharpSpace`); two values
+compare summand by summand, with no sum built.
 
 Every K_#, F(z), Sigma summand and finite L(c) is one exact quotient
 read from homomorphism forms on generators by `formspace.FormQuotient`
@@ -82,17 +85,15 @@ class FzData:
         from .formspace import FormQuotient     # loaded on the first build
         return FormQuotient(self.forms, self.width, self.constraints)
 
-    def coord(self, h, tbit=0):
-        v = self.sharp.coord(h)
+    def bits(self, h, tbit=0):
+        """The generator [h] with t-bit, packed: bit i is coordinate i, the
+        t coordinate last."""
+        bits = self.sharp.bits(h)
         if self.has_t:
-            return v + (tbit % 2,)
+            return bits | (tbit & 1) << self.sharp.dim
         if tbit:
             raise ArfError("no t coordinate on this summand")
-        return v
-
-    def bits(self, h, tbit=0):
-        """coord(h, tbit) packed: bit i is coordinate i."""
-        return fp.pack(self.coord(h, tbit))
+        return bits
 
 
 def _sharp_of(G, sub):
@@ -368,10 +369,7 @@ class SemidirectLc(_PackedLc):
             # F(z) for type-1 z has trivial sharp part; only t survives
             return tbit & 1
         v, s = h
-        bits = (s & 1) << len(v)
-        for i, x in enumerate(v):
-            bits |= (x & 1) << i
-        return self.context.reduce_packed(bits)
+        return self.context.reduce_packed(gst.parity_bits(v) | (s & 1) << len(v))
 
     def show(self, G, vec):
         names = ["t"] if self.key == ("one",) else list(G.var_names) + ["S"]
@@ -548,6 +546,16 @@ def _compose(dim, steps):
 # J(G) and Upsilon
 
 
+def _summand(G, z):
+    """(L([z]), the type of z): one record per element queried, so an
+    Upsilon pair reads its summand and type in one lookup."""
+    return derived_entry(G, "summand", z, _summand_record, G, z)
+
+
+def _summand_record(G, z):
+    return l_of_class(G, z), gst.type_of(G, z)
+
+
 def l_of_class(G, z):
     """The colimit summand L([z])."""
     table = derived(G, "lc", dict)
@@ -575,7 +583,7 @@ class JValue:
 
     def add_insert(self, z, h=None, tbit=0):
         """Add the generator [h] (h = 1 when None) with t-bit of F(z)."""
-        lc = l_of_class(self.G, z)
+        lc = _summand(self.G, z)[0]
         h = self.G.identity if h is None else h
         self._accumulate(lc, z, lc.insert_entry(self.G, z, h, tbit))
 
@@ -608,7 +616,16 @@ class JValue:
         return all(lc.resolve(p) is None for lc, (_, p) in self.parts.items())
 
     def __eq__(self, other):
-        return isinstance(other, JValue) and (self + other).is_zero()
+        """Summand by summand, with no sum built; values over different
+        descriptors are never equal."""
+        if not isinstance(other, JValue) or other.G is not self.G:
+            return False
+        mine, theirs = self.parts, other.parts
+        for lc, (_, p) in mine.items():
+            part = theirs.get(lc)
+            if lc.resolve(p if part is None else lc.combine(p, part[1])) is not None:
+                return False
+        return all(lc.resolve(q) is None for lc, (_, q) in theirs.items() if lc not in mine)
 
     def display(self):
         parts = self.nonzero_parts()
@@ -633,13 +650,13 @@ def upsilon_eval(expr: ArfExpression) -> JValue:
     val = JValue(G)
     for g, h in expr.pairs:
         z = G.mul(g, h)
-        tp = gst.type_of(G, z)
+        lc, tp = _summand(G, z)
         if tp == 3:
             raise ArfError("product of involutions cannot be of type 3")
         if tp == 1:
-            val.add_insert(z, None, 1)
+            val._accumulate(lc, z, lc.insert_entry(G, z, G.identity, 1))
         else:
-            val.add_insert(z, h)
+            val._accumulate(lc, z, lc.insert_entry(G, z, h))
     return val
 
 

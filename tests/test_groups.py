@@ -51,6 +51,23 @@ def test_semidirect_defining_action(plane):
     assert plane.mul(v, w) == ((1, -6), 1)
 
 
+def test_lattice_arithmetic_matches_the_defining_formula():
+    # (v, s)(w, t) = (v + (-1)^s w, s + t) and (v, s)^-1 = (-(-1)^s v, s)
+    # on ranks 1-4, with negative entries and both flips on either side
+    rng = random.Random(30)
+    for rank in range(1, 5):
+        Gx = G.SemidirectZnC2(rank)
+        for _ in range(40):
+            v, w = (tuple(rng.randint(-6, 6) for _ in range(rank)) for _ in range(2))
+            for s, t in itertools.product((0, 1), repeat=2):
+                sign = (-1) ** s
+                want = (tuple(a + sign * b for a, b in zip(v, w)), (s + t) % 2)
+                assert Gx.mul((v, s), (w, t)) == want, (v, s, w, t)
+                inv = Gx.inv((v, s))
+                assert inv == (tuple(-sign * a for a in v), s), (v, s)
+                assert Gx.mul((v, s), inv) == Gx.identity == Gx.mul(inv, (v, s))
+
+
 def test_order_examples(plane):
     assert plane.order_of(plane.identity) == 1
     assert plane.order_of(((1, 0), 1)) == 2
@@ -603,8 +620,9 @@ def test_pullback_subgroups_are_closed(monkeypatch):
     assert _closure_faults(gst.PullbackSubgroup(Gx, [g]))
 
 
-def test_sharp_elements_are_the_coordinate_units():
-    # elements[i] is the group element of coordinate i, in every presentation
+def _sharp_subgroups():
+    """Centralizers of every K_# family: finite, lattice, full and the
+    sub-pull-backs of both two-ends families."""
     S3, plane = G.symmetric_group(3), G.group_plane()
     subs = [G.centralizer(S3, S3.parse_element("c")),
             G.extended_centralizer(S3, S3.parse_element("c")),
@@ -617,12 +635,60 @@ def test_sharp_elements_are_the_coordinate_units():
     assert {("finite", "FinitePermGroup"), ("pullback", "PullbackCyclicGroup"),
             ("pullback", "PullbackDihedralGroup"), ("lattice", "SemidirectZnC2"),
             ("full", "SemidirectZnC2")} <= families
-    for sub in subs:
+    return subs
+
+
+def test_sharp_elements_are_the_coordinate_units():
+    # elements[i] is the group element of coordinate i, in every presentation
+    for sub in _sharp_subgroups():
         sharp = G.sharp_of_subgroup(sub)
         assert len(sharp.elements) == sharp.dim
         for i, g in enumerate(sharp.elements):
             assert g in sub
             assert sharp.coord(g) == fp.unit(sharp.dim, i), (sub.kind, g)
+
+
+def _sharp_reference(sub, sharp):
+    """(g, its K_# vector) for members g of K, the vector written from how g
+    is built (reference): a unit vector for a finite K; v mod 2, and s for
+    the full group, for a lattice one; and for a sub-pull-back, g = u_e t^j
+    with j in [-3, 3], the unit of u_e plus j mod 2 on the t coordinate,
+    the last, but t alone for u_1 t^j with j odd (u_1 = 1)."""
+    Gx, dim = sub.G, sharp.dim
+    if sub.kind == "finite":
+        return [(g, fp.unit(dim, i)) for i, g in enumerate(sharp.elements)]
+    if sub.kind in ("lattice", "full"):
+        full = sub.kind == "full"
+        return [(g, tuple(x % 2 for x in g[0]) + (g[1],) * full)
+                for g in Gx.window_elements(2) if full or not g[1]]
+    out = []
+    t, tcol = sharp.elements[-1], dim - 1
+    for k, u in enumerate(sharp.elements[:-1]):
+        for j in range(-3, 4):
+            want = [0] * dim
+            want[tcol] = j % 2
+            if u[1] != Gx.E.identity or not j % 2:
+                want[k] = 1
+            out.append((Gx.mul(u, Gx.power(t, j)), tuple(want)))
+    return out
+
+
+def test_sharp_coordinates_unpack_the_packed_bits():
+    # every family packs its K_# coordinates at the source: `bits` has the
+    # vector of the reference, and `coord` is its unpacking, on finite,
+    # lattice and full K and on the elements u_e t^j of two-ends ones,
+    # t itself included
+    seen = set()
+    for sub in _sharp_subgroups():
+        sharp = G.sharp_of_subgroup(sub)
+        for g, want in _sharp_reference(sub, sharp):
+            assert g in sub
+            bits = sharp.bits(g)
+            assert type(bits) is int and fp.unpack(bits, sharp.dim) == want, (sub.kind, g)
+            assert sharp.coord(g) == want, (sub.kind, g)
+            seen.add((sub.kind, want[-1] if sub.kind == "pullback" else None))
+    assert {("finite", None), ("lattice", None), ("full", None),
+            ("pullback", 0), ("pullback", 1)} <= seen
 
 
 def _scan_conj_witness(Gx, z1, z2):

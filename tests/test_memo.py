@@ -246,7 +246,9 @@ def test_two_ends_summand_extends_once_under_threads(monkeypatch):
 
 def test_class_and_type_tables_agree_under_threads():
     # racing first queries of fresh infinite descriptors all get the serial
-    # answers, and every thread gets the one key object stored per element
+    # answers, and every thread gets the one key object stored per element;
+    # the element records of Upsilon hold the one L(c) of the element's
+    # class and its type
     for make in (G.group_c2_c_c12, G.group_c_by_d4, G.group_plane):
         serial_group = make()
         zs = serial_group.window_elements(3)
@@ -259,7 +261,8 @@ def test_class_and_type_tables_agree_under_threads():
         def query(t):
             start.wait(timeout=10)
             order = zs[t::8] + zs[:t] + zs
-            got[t] = {z: (gcl.class_key(Gx, z), gst.type_of(Gx, z)) for z in order}
+            got[t] = {z: (gcl.class_key(Gx, z), gst.type_of(Gx, z), ups._summand(Gx, z))
+                      for z in order}
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -274,5 +277,8 @@ def test_class_and_type_tables_agree_under_threads():
         assert not any(t.is_alive() for t in threads)
         assert len(got) == 8
         for answers in got.values():
-            assert [answers[z] for z in zs] == serial
+            assert [answers[z][:2] for z in zs] == serial
             assert all(answers[z][0] is got[0][z][0] for z in zs)
+            for z in zs:
+                lc, tp = answers[z][2]
+                assert lc is got[0][z][2][0] is ups.l_of_class(Gx, z) and tp == answers[z][1]
