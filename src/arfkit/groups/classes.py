@@ -225,17 +225,29 @@ def class_rep_element(G, z):
 
 def squaring_preperiod(E):
     """(pre, per) such that e^(2^(k+per)) = e^(2^k) for all e, k >= pre."""
-    return derived(E, "squaring_preperiod", _squaring_preperiod, E)
+    return derived(E, "squaring_levels", _squaring_levels, E)[:2]
 
 
-def _squaring_preperiod(E):
+def squaring_level(E, k):
+    """(x^(2^k) for x in E.elements()), read from the levels k < pre + per,
+    built once per E; a level k >= pre + per is the level
+    pre + (k - pre) mod per."""
+    pre, per, levels = derived(E, "squaring_levels", _squaring_levels, E)
+    if k >= pre + per:
+        k = pre + (k - pre) % per
+    return levels[k]
+
+
+def _squaring_levels(E):
+    """(pre, per, the levels 0 .. pre + per - 1), squared until a level
+    repeats."""
     seq = [tuple(E.elements())]
     cur = seq[0]
     while True:
         cur = tuple(E.mul(e, e) for e in cur)
         for k, old in enumerate(seq):
             if old == cur:
-                return k, len(seq) - k
+                return k, len(seq) - k, seq
         seq.append(cur)
         if len(seq) > 2 * E.order() + 4:   # pragma: no cover
             raise GroupError("squaring map failed to cycle")
@@ -478,11 +490,8 @@ def _pullback_roots(G, z):
         # S-type z: any 2^k-th power with k >= 1 has S-free first part
         return tuple(sorted(out, key=G.key))
     kmax = (pre + per if i == 0 else _v2(i) or 0)
-    els = E.elements()
-    level = els                 # level[n] = els[n]^(2^k), squared once per k
     for k in range(1, kmax + 1):
-        level = [E.mul(x, x) for x in level]
-        for e, ek in zip(els, level):
+        for e, ek in enumerate(squaring_level(E, k)):
             if ek != z[1]:
                 continue
             if i % (1 << k) == 0:

@@ -140,8 +140,11 @@ class Group:
             if not tok:
                 continue
             if "^" in tok:
-                name, exp = tok.split("^")
-                exp = int(exp)
+                name, _, exp = tok.partition("^")
+                try:
+                    exp = int(exp)
+                except ValueError:
+                    raise GroupError(f"exponent of {tok!r} is not an integer") from None
             else:
                 name, exp = tok, 1
             if name == "1":
@@ -391,10 +394,14 @@ class SemidirectZnC2(Group):
         if text.startswith("(") and text.endswith(")") and "|" in text:
             body = text[1:-1]
             vec, s = body.rsplit("|", 1)
-            v = tuple(int(t) for t in vec.split(","))
+            try:
+                v, s = tuple(int(t) for t in vec.split(",")), int(s)
+            except ValueError:
+                raise GroupError(f"element literal {text!r} is not (v_1,...,v_n|s), "
+                                 "integer entries") from None
             if len(v) != self.rank:
                 raise GroupError("wrong rank in element literal")
-            return (v, int(s) & 1)
+            return (v, s & 1)
         return None
 
     def to_json(self):
@@ -426,14 +433,36 @@ class _PullbackBase(Group):
         raise NotImplementedError
 
     def _validate_hom(self):
-        n = self.E.order()
-        if len(self.hom) != n:
+        """Check that hom is a homomorphism from E to the target (C_m or
+        D_m): one value per element of E, each a reduced element of the
+        target (`_in_target`), hom(1) = 1, and hom(ab) = hom(a) hom(b) for
+        every a and every b in S = generating_set(E).  That is n |S|
+        products, not n^2.
+
+        Light's induction, as in `FiniteTableGroup._validate`: the b for
+        which the law holds at every a are closed under products.  If it
+        holds for b1 and b2, then
+        hom(a b1 b2) = hom(a b1) hom(b2) = hom(a) hom(b1) hom(b2)
+                     = hom(a) hom(b1 b2),
+        the last step by the law for b2 at a = b1 and the associativity of
+        the target, whose reduced elements form a group.  Every element of
+        the finite group E is a product of members of S (the identity a
+        power of one, or, on the trivial group, the b = 1 that hom(1) = 1
+        settles), so the law holds for every b."""
+        from .structure import generating_set
+        E, hom = self.E, self.hom
+        if len(hom) != E.order():
             raise GroupError("hom must list one value per element of E")
-        for a in range(n):
-            for b in range(n):
-                if self._hom_mul(self.hom[a], self.hom[b]) != self.hom[self.E.mul(a, b)]:
-                    raise GroupError("hom is not multiplicative")
-        if self.hom[self.E.identity] != self._hom_identity():
+        if not all(map(self._in_target, hom)):
+            raise GroupError(f"hom must take values in {self._target_name()}")
+        hom_mul = self._hom_mul
+        for b in generating_set(E):
+            hb = hom[b]
+            # E.table[a][b] is ab
+            if any(hom_mul(ha, hb) != hom[ab]
+                   for ha, ab in zip(hom, map(itemgetter(b), E.table))):
+                raise GroupError("hom is not multiplicative")
+        if hom[E.identity] != self._hom_identity():
             raise GroupError("hom does not fix the identity")
 
     def _lift(self, e, i):
@@ -474,6 +503,12 @@ class PullbackCyclicGroup(_PullbackBase):
     def _hom_identity(self):
         return 0
 
+    def _in_target(self, x):
+        return type(x) is int and 0 <= x < self.m
+
+    def _target_name(self):
+        return f"C_{self.m}, integers in [0, {self.m})"
+
     def check_membership(self, g):
         i, e = g
         return isinstance(i, int) and 0 <= e < self.E.order() and i % self.m == self.hom[e]
@@ -483,6 +518,10 @@ class PullbackCyclicGroup(_PullbackBase):
 
     def inv(self, a):
         return (-a[0], self.E.inv(a[1]))
+
+    def conj(self, g, x):
+        """x g x^-1: the C part is central, and E conjugates by its table."""
+        return (g[0], self.E.conj(g[1], x[1]))
 
     def order_of(self, g):
         if g[0] != 0:
@@ -505,7 +544,11 @@ class PullbackCyclicGroup(_PullbackBase):
             e = self.E._label_index.get(lab)
             if e is None:
                 raise GroupError(f"unknown E-label {lab!r}")
-            g = (int(i), e)
+            try:
+                g = (int(i), e)
+            except ValueError:
+                raise GroupError(f"element literal {text!r} is not (i|label), "
+                                 "i an integer") from None
             if not self.check_membership(g):
                 raise GroupError("element violates the pull-back condition")
             return g
@@ -529,6 +572,12 @@ class PullbackDihedralGroup(_PullbackBase):
     def _hom_identity(self):
         return (0, 0)
 
+    def _in_target(self, x):
+        return len(x) == 2 and x[0] in (0, 1) and type(x[1]) is int and 0 <= x[1] < self.m
+
+    def _target_name(self):
+        return f"D_{self.m}, pairs (eps, i) with eps in {{0, 1}} and i in [0, {self.m})"
+
     def __init__(self, E, m, hom, generator_words=None, name=None):
         hom = [tuple(h) for h in hom]
         super().__init__(E, m, hom, generator_words, name)
@@ -545,6 +594,15 @@ class PullbackDihedralGroup(_PullbackBase):
 
     def inv(self, a):
         return (dinv(a[0]), self.E.inv(a[1]))
+
+    def conj(self, g, x):
+        """x g x^-1: E by its table; the D part is dmul(dmul(d, g_D),
+        dinv(d)) for d = x_D, in closed form: T^a S^eps T^i T^-a is
+        S^eps T^(i - 2a eps), and S negates the T-exponent."""
+        (ex, a), (eps, i) = x[0], g[0]
+        if eps:
+            i -= 2 * a
+        return ((eps, -i if ex else i), self.E.conj(g[1], x[1]))
 
     def order_of(self, g):
         (eps, i), e = g
@@ -580,7 +638,11 @@ class PullbackDihedralGroup(_PullbackBase):
             e = self.E._label_index.get(lab)
             if e is None:
                 raise GroupError(f"unknown E-label {lab!r}")
-            g = ((int(parts[0]) & 1, int(parts[1])), e)
+            try:
+                g = ((int(parts[0]) & 1, int(parts[1])), e)
+            except ValueError:
+                raise GroupError(f"element literal {text!r} is not (eps,i|label), "
+                                 "eps and i integers") from None
             if not self.check_membership(g):
                 raise GroupError("element violates the pull-back condition")
             return g
@@ -626,23 +688,21 @@ def cyclic_group(n, gen_name="g"):
 def metacyclic_group(n, m, t, s=0, names=("a", "b"), name=None):
     """<a, b | a^n = 1, b^m = a^s, b a b^-1 = a^t>, elements a^i b^j.
 
-    Consistency (t^m = 1 mod n, s(t-1) = 0 mod n) is asserted.
+    Consistency (t^m = 1 mod n, s(t-1) = 0 mod n) is asserted.  a^i b^j is
+    index j n + i, and the table is written by index arithmetic:
+    a^i b^j a^k b^l = a^(i + k t^j + s c) b^(j + l - c m), c = (j + l) // m.
     """
     if pow(t, m, n) != 1 % n or (s * (t - 1)) % n != 0:
         raise GroupError("inconsistent metacyclic data")
-    els = [(i, j) for j in range(m) for i in range(n)]
-
-    def mul(x, y):
-        (i, j), (k, l) = x, y
-        i2 = (i + k * pow(t, j, n)) % n
-        j2 = j + l
-        return ((i2 + s * (j2 // m)) % n, j2 % m)
-
+    tpow = [pow(t, j, n) for j in range(m)]
+    table = [_exact_row([(i + k * tpow[j] + s * ((j + l) // m)) % n + (j + l) % m * n
+                         for l in range(m) for k in range(n)], n * m)
+             for j in range(m) for i in range(n)]
     an, bn = names
-    labels = [_word_label(an, i, bn, j) for (i, j) in els]
-    return table_from_mul(els, mul, labels=labels,
-                          generator_names={an: (1 % n, 0), bn: (0, 1 % m)},
-                          name=name or f"metacyclic({n},{m},{t},{s})")
+    labels = [_word_label(an, i, bn, j) for j in range(m) for i in range(n)]
+    return FiniteTableGroup(labels, table,
+                            generator_names={an: 1 % n, bn: (1 % m) * n},
+                            name=name or f"metacyclic({n},{m},{t},{s})")
 
 
 def dihedral_group(n, names=("r", "s")):

@@ -163,10 +163,14 @@ def _dihedral_stabilizer(G, z, allow_inverse):
 def type_of(G, z):
     """1 if z = z^-1; 2 if z^-1 is conjugate to z but distinct; 3 otherwise.
 
-    A finite group decides it from its conjugator rows; an infinite family
-    reads it from a table of the elements queried so far."""
+    A finite group decides it from its conjugator rows.  On Z^n x| C2 a
+    flip inverts every translation, so z != z^-1 (a nonzero translation)
+    is of type 2, with no search.  A two-ends family reads it from a table
+    of the elements queried so far."""
     if G.is_finite:
         return _type(G, z)
+    if isinstance(G, SemidirectZnC2):
+        return 1 if z[1] or not any(z[0]) else 2
     return derived_entry(G, "type_of", z, _type, G, z)
 
 

@@ -292,9 +292,11 @@ def group_algebra(G: FiniteTableGroup, p=2):
     written straight from the group's index table, which the algebra shares
     as `table`: every e_g e_h is one basis element, so each entry is reduced
     as it stands, and the constructor's sort and packing are skipped.
-    `_validate` still checks them."""
+    `_validate` still checks them.  An infinite group is refused by
+    `G.elements()`, and an unnamed group gives the algebra F_p[G]."""
+    els = G.elements()
     table, one = G.table, G.identity
-    inv = [G.inv(g) for g in G.elements()]
+    inv = [G.inv(g) for g in els]
     A = object.__new__(FiniteAlgebra)
     A.p, A.labels, A.dim = p, list(G.labels), G.order()
     A.mult = [[((k, 1),) for k in row] for row in table]
@@ -304,7 +306,7 @@ def group_algebra(G: FiniteTableGroup, p=2):
     if p == 2:
         A.bits = [[1 << k for k in row] for row in table]
         A.inv_bits = [1 << k for k in inv]
-    A.name = f"F{p}[{getattr(G, 'name', '?')}]"
+    A.name = f"F{p}[{getattr(G, 'name', None) or 'G'}]"
     A.middles = tuple(generating_set(G)) or (one,)
     A.table = table
     A._validate()

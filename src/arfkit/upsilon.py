@@ -97,11 +97,15 @@ class FzData:
 
 
 def _sharp_of(G, sub):
-    """K_# of a centralizer; a finite one is built once per member set, so
-    the elements of one centralizer share it."""
-    if sub.kind != "finite":
-        return gst.sharp_of_subgroup(sub)
-    return derived_entry(G, "sharp", sub.members, gst.sharp_of_members, G, sub.members)
+    """K_# of a centralizer, built once per member set: a finite K is keyed
+    by its members, a sub-pull-back by its e-members, on which alone
+    `sharp_of_pullback` depends.  So the elements of one centralizer, and
+    the positions of a squaring chain (`PullbackLc`), share it."""
+    if sub.kind == "finite":
+        return derived_entry(G, "sharp", sub.members, gst.sharp_of_members, G, sub.members)
+    if sub.kind == "pullback":
+        return derived_entry(G, "pullback_sharp", sub.e_members, gst.sharp_of_pullback, sub)
+    return gst.sharp_of_subgroup(sub)
 
 
 def fz_data(G, z) -> FzData:
@@ -353,23 +357,34 @@ def _conjugator(G, row, r, z):
 
 class SemidirectLc(_PackedLc):
     """Closed-form L(c) for Z^n x| C2 (cross-validated by windows):
-    L([1]) = C2; L([v]) = F_2{x_1..x_n, S}/<v mod 2> with identity arrows."""
+    L([1]) = C2 on t; L([v]) = F_2{x_1..x_n, S} modulo the one row
+    r = (v mod 2, 0), with identity arrows.
+
+    The residue rule.  The reduced echelon form of the span of r is r
+    itself, with its pivot at r's lowest set bit; so the residue of a
+    packed (h mod 2, s) is that vector, plus r when it has that bit set.
+    The key's v is primitive (`_lattice_key`), so r != 0 and `dim` is
+    `width - 1`; L([1]) has width 1 and dim 1.  No elimination is run."""
 
     def __init__(self, G, key):
         self.key = key
         if key == ("one",):
-            self.context = fp.QuotientContext(1, 2, [])
+            self.width, self._row = 1, 0
         else:
-            row = tuple(x % 2 for x in key[1]) + (0,)
-            self.context = fp.QuotientContext(G.rank + 1, 2, [row])
-        self.width = self.context.space.dim
+            self.width, self._row = G.rank + 1, gst.parity_bits(key[1])
+        self._pivot = self._row & -self._row
+
+    @property
+    def dim(self):
+        return self.width - (self._row != 0)
 
     def insert_entry(self, G, z, h, tbit=0):
         if self.key == ("one",):
             # F(z) for type-1 z has trivial sharp part; only t survives
             return tbit & 1
         v, s = h
-        return self.context.reduce_packed(gst.parity_bits(v) | (s & 1) << len(v))
+        bits = gst.parity_bits(v) | (s & 1) << len(v)
+        return bits ^ self._row if bits & self._pivot else bits
 
     def show(self, G, vec):
         names = ["t"] if self.key == ("one",) else list(G.var_names) + ["S"]
@@ -392,6 +407,12 @@ class PullbackLc(_PackedLc):
     either tail (below).  Arrows are packed columns (an image is the XOR
     of the columns of the set bits); the walked ones are kept reduced
     modulo `context`, so a payload is one packed residue.
+
+    The positions share one K_# per e-member set (`_sharp_of`), since
+    `sharp_of_pullback` depends on G and the e-members only.  By the
+    argument below every position k >= pre has the same e-members, so an
+    infinite-order tail builds its K_# once from pre on (on
+    `ch1-c2-c-c12` all 7 positions of a chain share one).
 
     Why a hit at j > stable on a non-cyclic chain needs no step.  Such a
     z0, with E-part e, has T-exponent t != 0 (else it has finite order),

@@ -395,6 +395,65 @@ def test_errors_are_one_line(runner, tmp_path, args):
     assert line.startswith("Error: ")
 
 
+def _one_error_line(r):
+    """The one stderr line of a refused call, which exits 1 with no
+    traceback and no stdout."""
+    assert r.exit_code == 1, r.output
+    assert isinstance(r.exception, SystemExit)   # not an uncaught error
+    assert r.stdout == ""
+    (line,) = r.stderr.splitlines()
+    assert line.startswith("Error: ")
+    return line
+
+
+@pytest.mark.parametrize("group", ["ch2-plane", "ch1-c-by-d4", "pb-cyclic-c4"])
+@pytest.mark.parametrize("command", [["homology", "H1", "--group-algebra"],
+                                     ["theta", "h0", "--group-algebra"],
+                                     ["morita-check", "--group"]])
+def test_an_infinite_group_has_no_group_algebra(runner, tmp_path, command, group):
+    spec = f"builtin:{group}"
+    for _ in range(2):
+        line = _one_error_line(runner.invoke(main, command + [spec]))
+        family = G.builtin_group(group).family
+        assert line == f"Error: {family} group is not enumerable", line
+        # the same group, unnamed, from a file
+        data = {**G.builtin_group(group).to_json(), "name": None}
+        spec = str(tmp_path / "group.json")
+        (tmp_path / "group.json").write_text(json.dumps(data))
+
+
+def test_an_unnamed_group_names_its_algebra_f2_of_g(runner, tmp_path):
+    data = {**G.symmetric_group(3).to_json(), "name": None}
+    (tmp_path / "s3.json").write_text(json.dumps(data))
+    r = runner.invoke(main, ["homology", "H1", "--group-algebra", str(tmp_path / "s3.json")])
+    assert r.exit_code == 0 and r.output == "H1(F2[G]): dimension 2\n", r.output
+    r = runner.invoke(main, ["homology", "H1", "--group-algebra", "builtin:s3"])
+    assert r.exit_code == 0 and r.output == "H1(F2[S3]): dimension 2\n", r.output
+
+
+@pytest.mark.parametrize("group, literal, shape", [
+    ("pb-cyclic-c4", "(1,0|1)", "(i|label)"),
+    ("pb-cyclic-c4", "(x|c)", "(i|label)"),
+    ("ch1-c-by-d4", "(1,x|1)", "(eps,i|label)"),
+    ("ch1-c2-c-c12", "(1.5,0|1)", "(eps,i|label)"),
+    ("ch2-plane", "(a,0|1)", "(v_1,...,v_n|s)"),
+    ("ch4-xyz", "(1,0,0|x)", "(v_1,...,v_n|s)"),
+])
+def test_foreign_literals_are_refused(runner, group, literal, shape):
+    for invariant in ("omega", "upsilon"):
+        r = runner.invoke(main, ["arf-eval", f"<{literal}, {literal}>", "--invariant",
+                                 invariant, "--group", f"builtin:{group}"])
+        line = _one_error_line(r)
+        assert line.startswith(f"Error: element literal {literal!r} is not {shape}"), line
+
+
+@pytest.mark.parametrize("word", ["X^a", "X^2^3", "X^"])
+def test_words_with_foreign_exponents_are_refused(runner, word):
+    r = runner.invoke(main, ["arf-eval", f"<{word}, S>", "--invariant", "omega",
+                             "--group", "builtin:ch2-plane"])
+    assert _one_error_line(r) == f"Error: exponent of {word!r} is not an integer"
+
+
 def test_unknown_ring_lists_known_names(runner):
     r = runner.invoke(main, ["arf-eval", "<S, S>", "--invariant", "omega",
                              "--ring", "nope"])

@@ -899,6 +899,136 @@ def test_power_conj_search_finds_chain_positions():
     assert gcl.power_conj_search(Gx, Gx.identity, chain) is None
 
 
+def test_pullback_conj_matches_the_generic_product():
+    # the table conjugation of the pull-backs against x g x^-1 by two
+    # products and an inverse (Group.conj), on all window-3 pairs
+    for Gx in _two_ends_groups() + _more_pullbacks():
+        assert type(Gx).conj is not G.Group.conj, Gx.name
+        pool = Gx.window_elements(3)
+        for g in pool:
+            for x in pool:
+                assert Gx.conj(g, x) == G.Group.conj(Gx, g, x), (Gx.name, g, x)
+
+
+def _target_values(Gx):
+    """Every reduced element of the target of the hom, C_m or D_m."""
+    if Gx.family == "pullback_cyclic":
+        return list(range(Gx.m))
+    return [(eps, i) for eps in (0, 1) for i in range(Gx.m)]
+
+
+def test_hom_check_refuses_every_single_corrupted_entry():
+    # two homomorphisms that agree off one element e agree on a generating
+    # set when |E| > 2, so each corruption breaks the law somewhere, and
+    # the check on generators must find it
+    for name in ("ch1-c-by-d4", "ch1-c2-c-c12"):
+        Gx = G.builtin_group(name)
+        cls = type(Gx)
+        assert cls(Gx.E, Gx.m, Gx.hom).hom == Gx.hom
+        corrupted = 0
+        for e in Gx.E.elements():
+            for value in _target_values(Gx):
+                if value == Gx.hom[e]:
+                    continue
+                hom = list(Gx.hom)
+                hom[e] = value
+                with pytest.raises(GroupError, match="hom (is not multiplicative|does not fix)"):
+                    cls(Gx.E, Gx.m, hom)
+                corrupted += 1
+        assert corrupted == Gx.E.order() * (len(_target_values(Gx)) - 1)
+
+
+def _is_hom_by_all_pairs(E, hom, hom_mul, one):
+    """The deleted check of every product: hom(ab) = hom(a) hom(b) for all
+    n^2 pairs, and hom(1) = 1 (reference)."""
+    return hom[E.identity] == one and all(
+        hom_mul(hom[a], hom[b]) == hom[E.mul(a, b)] for a in E.elements() for b in E.elements())
+
+
+def _c2_mul(x, y):
+    return (x + y) % 2
+
+
+def _d2_mul(x, y):
+    (e1, i1), (e2, i2) = x, y
+    return (e1 ^ e2, ((-i1 if e2 else i1) + i2) % 2)
+
+
+def test_hom_check_accepts_exactly_the_homomorphisms():
+    # every map E -> C_2 and E -> D_2 that fixes the identity is accepted
+    # iff the check of all pairs accepts it; so a map that obeys the law at
+    # every generator but one is refused (C4 has one generator)
+    S3, D4, Q8 = G.symmetric_group(3), G.dihedral_group(4), G.metacyclic_group(4, 2, 3, 2)
+    small = [G.cyclic_group(4), G.abelian_group([2, 2]), S3]
+    cases = [(G.PullbackCyclicGroup, E, [0, 1], _c2_mul, 0) for E in small + [D4, Q8]]
+    cases += [(G.PullbackDihedralGroup, E, [(0, 0), (0, 1), (1, 0), (1, 1)], _d2_mul, (0, 0))
+              for E in small]
+    for cls, E, values, hom_mul, one in cases:
+        verdicts = Counter()
+        for rest in itertools.product(values, repeat=E.order() - 1):
+            hom = list(rest)
+            hom.insert(E.identity, one)
+            try:
+                cls(E, 2, hom)
+                accepted = True
+            except GroupError:
+                accepted = False
+            assert accepted == _is_hom_by_all_pairs(E, hom, hom_mul, one), (E.name, hom)
+            verdicts[accepted] += 1
+        assert verdicts[True] >= 2 and verdicts[False] >= 2, (E.name, verdicts)
+
+
+def test_hom_values_outside_the_target_are_refused():
+    Gx = G.group_c2_c_c12()
+    # eps = 2 on every s-degree-one element is consistent under XOR, but
+    # it is no element of D_1
+    hom = [(2 * eps, i) for eps, i in Gx.hom]
+    with pytest.raises(GroupError, match="hom must take values in D_1"):
+        G.PullbackDihedralGroup(Gx.E, Gx.m, hom)
+    with pytest.raises(GroupError, match="hom must take values in C_2"):
+        G.PullbackCyclicGroup(G.cyclic_group(4), 2, [0, 1, 2, 3])
+    with pytest.raises(GroupError, match="one value per element"):
+        G.PullbackCyclicGroup(G.cyclic_group(4), 2, [0, 1, 0])
+    with pytest.raises(GroupError, match="does not fix the identity"):
+        G.PullbackCyclicGroup(G.cyclic_group(1), 2, [1])
+
+
+def test_squaring_levels_match_repeated_squaring():
+    for Gx in _two_ends_groups() + _more_pullbacks() + [G.group_order24()]:
+        E = getattr(Gx, "E", Gx)
+        pre, per = gcl.squaring_preperiod(E)
+        level = E.elements()
+        for k in range(pre + 2 * per + 1):
+            assert list(gcl.squaring_level(E, k)) == level, (Gx.name, k)
+            level = [E.mul(x, x) for x in level]
+
+
+def _metacyclic_by_tuples(n, m, t, s=0, names=("a", "b"), name=None):
+    """The metacyclic group by `table_from_mul` over the tuples (i, j) =
+    a^i b^j: the reference for the index arithmetic of metacyclic_group."""
+    els = [(i, j) for j in range(m) for i in range(n)]
+
+    def mul(x, y):
+        (i, j), (k, l) = x, y
+        i2 = (i + k * pow(t, j, n)) % n
+        j2 = j + l
+        return ((i2 + s * (j2 // m)) % n, j2 % m)
+
+    an, bn = names
+    return G.table_from_mul(els, mul, labels=[G.core._word_label(an, i, bn, j) for i, j in els],
+                            generator_names={an: (1 % n, 0), bn: (0, 1 % m)},
+                            name=name or f"metacyclic({n},{m},{t},{s})")
+
+
+def test_metacyclic_tables_match_the_tuple_arithmetic():
+    params = [(12, 2, 5, 0), (4, 2, 3, 2), (8, 2, 7, 4), (8, 2, 3, 0), (8, 2, 5, 0),
+              (4, 4, 3, 0), (6, 2, 5, 3), (5, 2, 4, 0), (1, 1, 0, 0), (9, 3, 4, 3)]
+    for args in params:
+        Gx, ref = G.metacyclic_group(*args), _metacyclic_by_tuples(*args)
+        assert (Gx.table, Gx.labels, Gx.generators(), Gx.name) == \
+            (ref.table, ref.labels, ref.generators(), ref.name), args
+
+
 def test_table_associativity_is_checked_on_generators():
     loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
     with pytest.raises(GroupError, match="table is not associative"):

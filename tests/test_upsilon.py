@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -48,6 +49,37 @@ def test_l_of_class_examples(plane):
     assert ups.l_of_class(plane, plane.identity).dim == 1
     C3 = G.cyclic_group(3)
     assert ups.l_of_class(C3, 1).dim == 0
+
+
+def _semidirect_reference(Gx, key):
+    """The deleted elimination path of `SemidirectLc`: F_2^(n+1), or F_2
+    for L([1]), modulo the one row (v mod 2, 0), as an fp.QuotientContext."""
+    if key == ("one",):
+        return fp.QuotientContext(1, 2, [])
+    row = tuple(x % 2 for x in key[1]) + (0,)
+    return fp.QuotientContext(Gx.rank + 1, 2, [row])
+
+
+def test_semidirect_lc_matches_the_elimination():
+    # payloads and dims of the closed-form lattice summands against the
+    # quotient contexts they replaced, on the window-3 involution pairs
+    for Gx in (G.group_plane(), G.group_xyz(), G.SemidirectZnC2(1, name="rank1")):
+        invs = Gx.involutions(window=3)
+        refs = {}
+        for g in invs:
+            for h in invs:
+                z = Gx.mul(g, h)
+                lc, tp = ups._summand(Gx, z)
+                key = gcl.class_key(Gx, z)
+                ref = refs.get(key) or refs.setdefault(key, _semidirect_reference(Gx, key))
+                assert (lc.dim, lc.width) == (ref.quotient_dim, ref.space.dim), (Gx.name, z)
+                if tp == 1:
+                    assert lc.insert_entry(Gx, z, h, 1) == ref.reduce_packed(1)
+                else:
+                    v, s = h
+                    want = ref.reduce_packed(gst.parity_bits(v) | (s & 1) << len(v))
+                    assert lc.insert_entry(Gx, z, h) == want, (Gx.name, z, h)
+        assert len(refs) > 2 ** Gx.rank, Gx.name
 
 
 def test_upsilon_table(plane):
@@ -612,6 +644,34 @@ def test_two_ends_witness_does_not_depend_on_query_history(name):
     forward = _warmed_distinctions(name, False)
     assert len(forward) >= 20, name
     assert _warmed_distinctions(name, True) == forward
+
+
+def test_chain_positions_share_one_sharp_per_e_member_set(monkeypatch):
+    calls = Counter()
+    real = gst.sharp_of_pullback
+
+    def counting(sub):
+        calls[sub.e_members] += 1
+        return real(sub)
+
+    monkeypatch.setattr(gst, "sharp_of_pullback", counting)
+    Gx = G.group_c2_c_c12()     # fresh, so every K_# is built here
+    lcs = [ups.l_of_class(Gx, Gx.parse_element(w)) for w in ("X", "X*Y", "Y", "X^2*Y^3")]
+    assert len(calls) == 2 and set(calls.values()) == {1}, calls
+    # every position of the infinite-order chain of X reads one K_#
+    chain = lcs[0].chain
+    assert len(chain) == 7 and len({id(fz.sharp) for fz in chain}) == 1
+    pool = Gx.window_elements(2)
+    for fz in (fz for lc in lcs for fz in lc.chain):
+        sub = (gst.extended_centralizer if fz.type == 2 else gst.centralizer)(Gx, fz.z)
+        if sub.kind != "pullback":
+            continue
+        fresh = real(sub)
+        assert (fz.sharp.elements, fz.sharp.forms, fz.sharp.width, fz.sharp.constraints) == \
+            (fresh.elements, fresh.forms, fresh.width, fresh.constraints), fz.z
+        members = [g for g in pool if g in sub]
+        assert len(members) > len(sub.e_members)
+        assert [fz.sharp.bits(g) for g in members] == [fresh.bits(g) for g in members]
 
 
 def test_pullback_lc_stable_and_cyclic(groupB):
