@@ -189,7 +189,7 @@ def distinguish_cmd(group, expr1, expr2, as_json):
 @click.option("--algebra", "algebra_path", type=click.Path(exists=True), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def homology_cmd(which, group_spec, p, algebra_path, as_json):
-    """Dimension and basis of a low-degree homology group."""
+    """Print the dimension of a low-degree homology group."""
     if algebra_path:
         A = halg.algebra_from_json(_read_json(algebra_path, "algebra file",
                                              halg.AlgebraError))

@@ -118,6 +118,7 @@ def _arrow_column(G, src: FzData, dst: FzData, x, i):
     coordinate i of src, the t coordinate last, packed."""
     if i == src.sharp.dim:
         if not dst.has_t:
+            # invariant: src has t, so is of type 1, as are its square 1 and its conjugates
             raise ArfError("no t coordinate on this summand")
         return 1 << (dst.dim - 1)
     g = src.sharp.elements[i]
@@ -395,18 +396,37 @@ class PullbackLc(_PackedLc):
     """L(c) for a two-ends group, along the squaring chain chain[k] =
     F(z0^(2^k)) of a base point z0.
 
+    The chain (`zs`, `chain`, `maps`, `stable`, `context`) is built in
+    `__init__` and never changes after it; only the transport table grows,
+    one z at a time under its lock.
     Finite-order tail (`cyclic`): the classes of the chain cycle, and the
     colimit is F at the re-entry point `stable` modulo the loop map.
-    Infinite-order tail: the chain grows until its last `per` maps are
-    isomorphisms (`_is_iso`; per is the squaring period of the fibre E),
-    and the colimit is F(chain[stable]), a period before the end; `dim`
-    rests on every later map being an isomorphism too.  Each z walks one
-    arrow into F(chain[stable]), once: its squarings and the conjugation
-    onto the chain position j that `power_conj_search` hits, then the
-    chain maps from j to stable; a hit past stable needs no step, on
-    either tail (below).  Arrows are packed columns (an image is the XOR
-    of the columns of the set bits); the walked ones are kept reduced
-    modulo `context`, so a payload is one packed residue.
+    Infinite-order tail: the chain grows until its last per + 1 positions
+    have one quotient dimension (per is the squaring period of the fibre
+    E), and the colimit is F(chain[stable]), a period before the end;
+    `dim` rests on every later map being an isomorphism too.  Each z walks
+    one arrow into F(chain[stable]), once: its squarings and the
+    conjugation onto the position j that `power_conj_search` hits among
+    the squares z0^(2^k), then the chain maps from j to stable.  A hit at
+    j >= stable is conjugated onto F(chain[stable]) itself, on either tail
+    (below), so a query never reads a position past the chain.  Arrows are
+    packed columns (an image is the XOR of the columns of the set bits);
+    the walked ones are kept reduced modulo `context`, so a payload is one
+    packed residue.
+
+    Why equal dimensions make the maps isomorphisms.  On a chain of finite
+    order z0^2 has T-exponent 0 (a finite-order element of the infinite
+    cyclic or dihedral quotient squares to 1), so squaring on E gives
+    z_(pre+per+1) = z_(pre+1): the chain closes as a cycle before the
+    dimension test first runs, at len(chain) > pre + per + 2.  So the test runs on the
+    infinite-order tail only, and every map it looks at, maps[t] for
+    t >= len(chain) - per - 1, has t >= pre + 2.  There F(z_t) and
+    F(z_(t+1)) are quotients K_#/R_t and K_#/R_(t+1) of one K_# (below),
+    and the squaring map has unit columns.  A 2-power root of z_t is one
+    of z_(t+1), so R_t lies in R_(t+1), and the map is the quotient map
+    K_#/R_t -> K_#/R_(t+1).  It is onto, so equal quotient dimensions
+    make it an isomorphism: a rank test of its columns in F(z_(t+1))
+    decides nothing more.
 
     The positions share one K_# per e-member set (`_sharp_of`), since
     `sharp_of_pullback` depends on G and the e-members only.  By the
@@ -458,13 +478,13 @@ class PullbackLc(_PackedLc):
         self.zs = [z0]
         self.maps = []      # maps[k]: F(chain[k]) -> F(chain[k+1]) columns
         self.cyclic = False
-        # queries extend the chain (maps, chain, zs) in place, one at a time
-        self._extend_lock = threading.Lock()
         stable = None
         loop_rows = []
         pre, per = gcl.squaring_preperiod(G.E)
         for _ in range(self.MAX_CHAIN):
             z_next = G.mul(self.zs[-1], self.zs[-1])
+            nxt = fz_data(G, z_next)
+            self.maps.append(_square_matrix(self.chain[-1], nxt))
             hit = None
             for j in range(len(self.zs)):
                 x = gcl.conj_witness(G, z_next, self.zs[j])
@@ -473,22 +493,20 @@ class PullbackLc(_PackedLc):
                     break
             if hit is not None:
                 j, x = hit
-                nxt = fz_data(G, z_next)
-                self.maps.append(_square_matrix(self.chain[-1], nxt))
                 cycle_close = _conj_matrix(G, nxt, self.chain[j], x)
                 loop = _compose(self.chain[j].dim, self.maps[j:] + [cycle_close])
                 loop_rows = [(1 << i) ^ w for i, w in enumerate(loop)]
                 stable = j
                 self.cyclic = True
                 break
-            self._extend_chain(G)
-            if len(self.chain) > pre + per + 2:
-                dims = {self.chain[t].context.quotient_dim
-                        for t in range(len(self.chain) - per - 1, len(self.chain))}
-                if len(dims) == 1 and all(self._is_iso(t) for t in
-                                          range(len(self.maps) - per, len(self.maps))):
-                    stable = len(self.chain) - per - 1
-                    break
+            self.chain.append(nxt)
+            self.zs.append(z_next)
+            # the maps from pre on are onto, so equal dims make them
+            # isomorphisms (see above)
+            if len(self.chain) > pre + per + 2 and len(
+                    {fz.context.quotient_dim for fz in self.chain[-per - 1:]}) == 1:
+                stable = len(self.chain) - per - 1
+                break
         if stable is None:
             raise UpsilonUnknown("squaring chain failed to stabilize")
         self.stable = stable
@@ -497,30 +515,16 @@ class PullbackLc(_PackedLc):
         if self.cyclic:
             self.context = self.context.extended(loop_rows)
         self._transport = {}    # z -> reduced columns of its arrow
+        # first queries of one z build its transport once, under this lock
+        self._transport_lock = threading.Lock()
 
     # -- linear transport ----------------------------------------------------
-
-    def _is_iso(self, t):
-        src = self.chain[t]
-        dst = self.chain[t + 1]
-        if src.context.quotient_dim != dst.context.quotient_dim:
-            return False
-        # the columns of the map are the images of the coordinates of src
-        rank = len(dst.context.independent(self.maps[t]))
-        return rank == src.context.quotient_dim
-
-    def _extend_chain(self, G):
-        z_next = G.mul(self.zs[-1], self.zs[-1])
-        nxt = fz_data(G, z_next)
-        self.maps.append(_square_matrix(self.chain[-1], nxt))
-        self.chain.append(nxt)
-        self.zs.append(z_next)
 
     def insert_entry(self, G, z, h, tbit=0):
         """The packed residue of an F(z)-generator in F(chain[stable])."""
         cols = self._transport.get(z)
         if cols is None:
-            with self._extend_lock:
+            with self._transport_lock:
                 cols = self._transport.get(z)
                 if cols is None:
                     cols = self._transport[z] = self._walk(G, z)
@@ -528,7 +532,8 @@ class PullbackLc(_PackedLc):
 
     def _walk(self, G, z):
         """The reduced columns of the arrow F(z) -> F(chain[stable]), built
-        once per z.  Targets run ahead as z0^(2^k); the chain grows to the hit."""
+        once per z.  Targets run ahead of the chain as z0^(2^k), elements
+        only: a hit at j >= stable is conjugated onto F(chain[stable])."""
         src = fz_data(G, z)
         targets = list(self.zs)
         reach = 0 if self.cyclic else gcl.chain_reach(G, z, self.zs[0])
@@ -538,19 +543,17 @@ class PullbackLc(_PackedLc):
         if hit is None:
             raise ArfError("element class does not match this summand")
         a, j, x, eps = hit
-        while len(self.zs) <= j:
-            self._extend_chain(G)
-        # x (z^(2^a))^eps x^-1 = chain[j].z; F(w) and F(w^-1) share coords
+        # x (z^(2^a))^eps x^-1 = targets[j]; F(w) and F(w^-1) share coords
         steps = []
         cur = src
         for _ in range(a):
             nxt = fz_data(G, G.mul(cur.z, cur.z))
             steps.append(_square_matrix(cur, nxt))
             cur = nxt
-        steps.append(_conj_matrix(G, cur, self.chain[j], x))
-        if j < self.stable:
-            steps += self.maps[j:self.stable]
-        # past stable, F(chain[j]) is F(chain[stable]) on either tail (see above)
+        # from stable on, F(targets[j]) is F(chain[stable]) on either tail
+        # (see above)
+        steps.append(_conj_matrix(G, cur, self.chain[min(j, self.stable)], x))
+        steps += self.maps[j:self.stable]
         return [self.context.reduce_packed(c) for c in _compose(src.dim, steps)]
 
 
@@ -673,6 +676,7 @@ def upsilon_eval(expr: ArfExpression) -> JValue:
         z = G.mul(g, h)
         lc, tp = _summand(G, z)
         if tp == 3:
+            # invariant: ArfExpression admits only involution pairs, and (gh)^-1 = h (gh) h^-1
             raise ArfError("product of involutions cannot be of type 3")
         if tp == 1:
             val._accumulate(lc, z, lc.insert_entry(G, z, G.identity, 1))
@@ -790,6 +794,7 @@ class SigmaSummand:
             acc = G.identity
             for a, g in tensor_part:
                 if a != z:
+                    # invariant: _check_cycle refused every a outside {z, z^-1} = {z}
                     raise ArfError("type-1 chains live on k[z]")
                 acc = G.mul(acc, g)
             # z = z^-1: both y-slots name the same basis element of k[z]
@@ -817,9 +822,12 @@ class SigmaSummand:
         zinv = G.inv(z)
         # d_10^v (a (x) g) = g^-1 a g - a;  d_01^h (y1, y2) = y2 - y2^-1
         bal = {z: 0, zinv: 0}
-        for a, g in tensor_part:
-            bal[G.conj(a, G.inv(g))] += 1
-            bal[a] -= 1
+        try:
+            for a, g in tensor_part:
+                bal[G.conj(a, G.inv(g))] += 1
+                bal[a] -= 1
+        except KeyError:
+            raise ArfError("chain leaves k[z] + k[z^-1]") from None
         bal[z] += y2[0] - y2[1]
         bal[zinv] += y2[1] - y2[0]
         if self.type == 1:

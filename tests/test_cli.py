@@ -36,6 +36,16 @@ def test_classes_window_only_exit_code(runner):
     assert r.exit_code == 2   # honest Unknown: approximation flagged
 
 
+def test_homology_help_says_what_the_command_prints(runner):
+    # the command prints the dimension only, plain or as JSON
+    r = runner.invoke(main, ["homology", "--help"])
+    assert r.exit_code == 0
+    assert "Print the dimension of a low-degree homology group." in r.output
+    assert "basis" not in r.output
+    r = runner.invoke(main, ["homology", "HQ1", "--group-algebra", "builtin:c2"])
+    assert r.exit_code == 0 and r.output.startswith("HQ1(") and "dimension" in r.output
+
+
 def test_involutions(runner):
     r = runner.invoke(main, ["involutions", "builtin:c4"])
     assert r.exit_code == 0 and r.output.strip() == "1, g^2"

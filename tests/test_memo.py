@@ -63,8 +63,8 @@ def test_hq1_is_built_once_per_algebra(monkeypatch):
 
 
 def _two_ends_distinguish(Gx, gen):
-    """upsilon_distinguish on <g^(2^k) S, S>; the deep squares extend the
-    chain of the summand that the shallow one built."""
+    """upsilon_distinguish on <g^(2^k) S, S>; the deep squares leave the
+    chain of the summand that the shallow one built as it was built."""
     S, g = Gx.parse_element("S"), Gx.parse_element(gen)
     invs = [Gx.mul(Gx.power(g, 1 << k), S) for k in range(10)]
     lc = ups.l_of_class(Gx, Gx.mul(invs[1], S))
@@ -73,7 +73,7 @@ def _two_ends_distinguish(Gx, gen):
     exprs.append(arf.ArfExpression(arf.GROUP, Gx, [(invs[1], S), (S, S)]))
     for e1, e2 in zip(exprs, exprs[1:]):
         ups.upsilon_distinguish(e1, e2)
-    assert len(lc.zs) > base
+    assert len(lc.zs) == base
 
 
 def _algebra_queries(A):
