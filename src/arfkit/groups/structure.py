@@ -200,14 +200,15 @@ class SharpSpace:
     or semidirect K_# has unit forms and no constraints.
 
     A finite K, or the e-part of a two-ends one, is walked on
-    s_k = generating_set(K) (`_walk`): from 1 by right multiplication,
+    s_k = generating_set(K) (`walk`): from 1 by right multiplication,
     each step (a, s_k) once.  The member a s_k that a step reaches first
     gets the form form(a) + e_k + c(a, s_k) t, and every other step is
     the constraint form(a) + e_k + c(a, s_k) t + form(a s_k).  Here c is
-    the 2-cocycle `carry` of a two-ends K, and t, the form of its t
-    column, is an unknown of its own; a finite K has c = 0 and no t.  A
-    member no walk reaches (only when the generators do not generate)
-    gets an unknown and a walk of its own.
+    a 2-cocycle `carry`: that of a two-ends K, or w(a) w(b) on Gbar_z for
+    the pair group of a type-2 Sigma summand (`upsilon.SigmaSummand`).  t,
+    the form of its t column, is an unknown of its own; a finite K has
+    c = 0 and no t.  A member no walk reaches (only when the generators do
+    not generate) gets an unknown and a walk of its own.
 
     Proof that Q^-1(C) is R, the span of the relations r(a, b) =
     u_a + u_b + u_ab + c(a, b) t.  As r(a, bc) = r(a, b) + r(ab, c) +
@@ -249,7 +250,7 @@ class SharpSpace:
         return fp.xor_sum(self.bits(g), self.forms)
 
 
-def _walk(G, members, carry=None):
+def walk(G, members, carry=None):
     """(index, generator coordinates, forms, width, constraints) of the
     `SharpSpace` walk on the list `members`: the unknowns are the
     generators, t with a `carry`, then the missed members."""
@@ -289,7 +290,7 @@ class FiniteSharp(SharpSpace):
 
     def __init__(self, G, members):
         members = sorted(set(members), key=G.key)
-        index, self.gens, forms, width, constraints = _walk(G, members)
+        index, self.gens, forms, width, constraints = walk(G, members)
         self.index = index
 
         def bits(g):
@@ -348,7 +349,7 @@ def sharp_of_pullback(sub):
         tot = (-i1 if e2 else i1) + i2
         return (tot - hom[ef][1]) // m
 
-    index, gens, forms, width, constraints = _walk(E, members, carry)
+    index, gens, forms, width, constraints = walk(E, members, carry)
 
     def bits(g):
         d, e = g

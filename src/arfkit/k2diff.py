@@ -10,6 +10,8 @@ the two coordinates only through the both-odd orbits.
 """
 from __future__ import annotations
 
+import functools
+
 from .arf import ArfExpression, ArfError, GROUP, RING, REDUCED
 from .groups.core import SemidirectZnC2
 from .kinv import cr_reduce, omega
@@ -360,6 +362,8 @@ class OmegaQuotientClass:
         return not self.data
 
     def __add__(self, other):
+        if other.ring is not self.ring:
+            raise ArfError("values over different rings")
         return OmegaQuotientClass(self.ring, self.data ^ other.data)
 
     def __eq__(self, other):
@@ -422,11 +426,15 @@ def omega2(expr: ArfExpression) -> OmegaQuotientClass:
     Omega/(2 Omega + dR + Im(1 + phi^2))."""
     if expr.flavor != REDUCED:
         raise ArfError("omega2 expects reduced pairs")
-    ring = expr.context
-    acc = OmegaQuotientClass(ring, frozenset())
-    for a, b in expr.pairs:
-        acc = acc + OmegaQuotientClass.of_form(delta(ring, b).scale(a))
-    return acc
+    return _a_db_class(expr.context, expr.pairs)
+
+
+def _a_db_class(ring, pairs):
+    """The class of the sum of a db over the pairs (a, b) of `ring`."""
+    data = frozenset()
+    for a, b in pairs:
+        data ^= OmegaQuotientClass.of_form(delta(ring, b).scale(a)).data
+    return OmegaQuotientClass(ring, data)
 
 
 def total_invariant(expr: ArfExpression):
@@ -436,11 +444,10 @@ def total_invariant(expr: ArfExpression):
     ring = expr.context
     if not isinstance(ring, PolyRing):
         raise ArfError("total invariant supports polynomial rings")
+    acc = _a_db_class(ring, expr.pairs)
     prod = ring.zero()
-    acc = OmegaQuotientClass(ring, frozenset())
-    for a, b in expr.pairs:
-        acc = acc + OmegaQuotientClass.of_form(delta(ring, b).scale(a))
-        if expr.flavor == RING:
+    if expr.flavor == RING:
+        for a, b in expr.pairs:
             prod = ring.add(prod, ring.mul(a, b))
     return cr_reduce(ring, prod), acc
 
@@ -471,7 +478,11 @@ def psi_representation_map(expr: ArfExpression, target: PolyRing) -> ArfExpressi
     return ArfExpression(RING, target, pairs)
 
 
+@functools.cache
 def plane_ring():
+    """F_2[X^+-, Y^+-] with the trivial involution, one shared descriptor:
+    the invariants of separate `plane_group_invariant` calls are over the
+    same ring, so they add and compare."""
     return PolyRing(["X", "Y"], coeff="F2", laurent=True, involution="trivial", u=1)
 
 
@@ -479,9 +490,5 @@ def plane_group_invariant(expr: ArfExpression):
     """The injective invariant of the plane example: the group-flavor Arf
     invariant paired with the differential part of the psi image."""
     ring = plane_ring()
-    img = psi_representation_map(expr, ring)
-    prod = ring.zero()
-    acc = OmegaQuotientClass(ring, frozenset())
-    for a, b in img.pairs:
-        acc = acc + OmegaQuotientClass.of_form(delta(ring, b).scale(a))
+    acc = _a_db_class(ring, psi_representation_map(expr, ring).pairs)
     return omega(expr), acc

@@ -46,6 +46,8 @@ class KGClass:
         return tuple(sorted(self._by_key.values(), key=self.G.key))
 
     def __add__(self, other):
+        if other.G is not self.G:
+            raise ArfError("values over different descriptors")
         return KGClass(self.G, [*self._by_key.values(), *other._by_key.values()])
 
     def is_zero(self):

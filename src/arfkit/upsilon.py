@@ -41,7 +41,7 @@ from .fp import xor_sum
 from .arf import ArfExpression, ArfError, GROUP
 from .groups import classes as gcl
 from .groups import structure as gst
-from .groups.core import GroupError, SemidirectZnC2, table_from_mul
+from .groups.core import GroupError, SemidirectZnC2
 from .memo import derived, derived_entry
 
 
@@ -54,9 +54,10 @@ class UpsilonUnknown(Exception):
 
 
 class FzData:
-    """F(z): the K_# of the relevant subgroup K (the centralizer, or for
-    type 2 the extended one) modulo the 2-power roots of z; type-1 classes
-    carry an extra t coordinate, the last.
+    """F(z): the K_# of the extended centralizer K = Gbar_z modulo the
+    2-power roots of z; type-1 classes carry an extra t coordinate, the
+    last.  Gbar_z = {g : g z g^-1 in {z, z^-1}} is the centralizer unless z
+    is of type 2: when z = z^-1, or when no g inverts z.
 
     w[i] is 1 when sharp.elements[i] conjugates z to z^-1, which only
     happens on type-2 summands.  `forms` are the K_# ones (`SharpSpace`)
@@ -67,11 +68,7 @@ class FzData:
     def __init__(self, G, z):
         self.z = z
         self.type = gst.type_of(G, z)
-        if self.type == 2:
-            sub = gst.extended_centralizer(G, z)
-        else:
-            sub = gst.centralizer(G, z)
-        self.sharp = sharp = _sharp_of(G, sub)
+        self.sharp = sharp = _sharp_of(G, gst.extended_centralizer(G, z))
         self.w = [int(self.type == 2 and G.conj(z, g) != z) for g in sharp.elements]
         self.roots = gcl.two_power_roots(G, z)
         self.has_t = self.type == 1
@@ -97,10 +94,10 @@ class FzData:
 
 
 def _sharp_of(G, sub):
-    """K_# of a centralizer, built once per member set: a finite K is keyed
-    by its members, a sub-pull-back by its e-members, on which alone
-    `sharp_of_pullback` depends.  So the elements of one centralizer, and
-    the positions of a squaring chain (`PullbackLc`), share it."""
+    """K_# of an extended centralizer, built once per member set: a finite
+    K is keyed by its members, a sub-pull-back by its e-members, on which
+    alone `sharp_of_pullback` depends.  So the elements of one centralizer,
+    and the positions of a squaring chain (`PullbackLc`), share it."""
     if sub.kind == "finite":
         return derived_entry(G, "sharp", sub.members, gst.sharp_of_members, G, sub.members)
     if sub.kind == "pullback":
@@ -619,6 +616,8 @@ class JValue:
             part[1] = lc.combine(part[1], payload)
 
     def __add__(self, other):
+        if other.G is not self.G:
+            raise ArfError("values over different descriptors")
         out = JValue(self.G)
         out.parts = {lc: list(part) for lc, part in self.parts.items()}
         for lc, (z, p) in other.parts.items():
@@ -746,7 +745,15 @@ class SigmaSummand:
     """The eta-isomorphism target for one z:
     type 1: (G_z)_#/<z> x C2;
     type 2: (Gbar_z x_{C2} C4)_#/<[z,t^2]>;
-    type 3: (G_z)_#."""
+    type 3: (G_z)_#.
+
+    Type 2 is read from Gbar_z, with no group built for the pair group
+    P = {(g, j) : g in Gbar_z, j = w(g) mod 2}, where w(g) = 1 iff g
+    inverts z.  With the section s(g) = (g, w(g)) and the central
+    t = (1, 2) of order 2, s(a) s(b) = s(ab) t^(w(a) w(b)), as w is a
+    homomorphism.  So P_# is the `SharpSpace` walk on the members of
+    Gbar_z with the 2-cocycle carry(a, b) = w(a) w(b) and t as its last
+    unknown and coordinate, and (z, t^2) = s(z) t, as w(z) = 0."""
 
     def __init__(self, G, z):
         from .formspace import FormQuotient     # loaded on the first build
@@ -761,22 +768,16 @@ class SigmaSummand:
             self.context = FormQuotient(fz.forms, fz.width,
                                         fz.sharp.constraints + [fz.sharp.form(z)])
         elif self.type == 2:
-            sub = gst.extended_centralizer(G, z)
-            members = list(sub.members)
-            self._w = {g: (0 if G.conj(z, g) == z else 1) for g in members}
-            pairs = [(g, j) for g in members for j in range(4)
-                     if self._w[g] == j % 2]
-            P = table_from_mul(
-                pairs,
-                lambda a, b: (G.mul(a[0], b[0]), (a[1] + b[1]) % 4),
-                labels=[f"{G.format_element(g)}|t^{j}" for (g, j) in pairs])
-            self.P = P
-            self._pair_index = {pr: i for i, pr in enumerate(pairs)}
-            self.sharp = sharp = gst.sharp_of_members(P, P.elements())
-            self.context = FormQuotient(sharp.forms, sharp.width, sharp.constraints
-                                        + [sharp.form(self._pair_index[(z, 2)])])
+            members = list(gst.extended_centralizer(G, z).members)
+            self._w = w = {g: int(G.conj(z, g) != z) for g in members}
+            self._index, gens, forms, width, constraints = gst.walk(
+                G, members, lambda a, b: w[a] & w[b])
+            t = 1 << len(gens)
+            self._tbit = 1 << len(members)
+            self.context = FormQuotient(forms + [t], width,
+                                        constraints + [forms[self._index[z]] ^ t])
         else:
-            self.sharp = _sharp_of(G, gst.centralizer(G, z))
+            self.sharp = _sharp_of(G, gst.extended_centralizer(G, z))
             self.context = self.sharp.context
         self.dim = self.context.dim
 
@@ -809,8 +810,12 @@ class SigmaSummand:
                 if a == zinv:
                     n += 2 * self._w[g]
             n += 2 * (y1[0] + y1[1] + y2[1])
-            pair = (acc, n % 4)
-            return self.context.reduce(self.sharp.coord(self._pair_index[pair]))
+            # (acc, n mod 4) = s(acc) t^((n - w(acc)) / 2), and n = w(acc)
+            # mod 2, as w is a homomorphism: the t bit is bit 1 of n
+            bits = 1 << self._index[acc]
+            if n & 2:
+                bits |= self._tbit
+            return fp.unpack(self.context.reduce_packed(bits), self.dim)
         acc = G.identity
         for a, g in tensor_part:
             acc = G.mul(acc, g)

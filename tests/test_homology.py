@@ -445,7 +445,7 @@ LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
          [4, 3, 1, 2, 0]]
 
 
-def test_planted_axiom_failures_still_raise(monkeypatch):
+def test_planted_axiom_failures_still_raise():
     base = H.group_algebra(G.cyclic_group(3), 2).to_json()
     # e1 e1 = e2, e1 e2 = 0, e2 e1 = e1, e2 e2 = 0: (e1 e1) e1 = e1 but e1 (e1 e1) = 0
     e = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -476,41 +476,110 @@ def test_planted_axiom_failures_still_raise(monkeypatch):
                         [1, 0, 0], check=False)
     A.middles = (0, 1)
     A._validate()
-    # a group algebra checks the middles generating_set(G) only; a
-    # non-associative table that got past its group's own check still fails
-    # there
-    with pytest.raises(G.GroupError, match="not associative"):
+
+
+def _validate_table(A):
+    """The check group_algebra ran on its index table before it trusted its
+    group's check, kept as the reference: `_validate` on the table, e_i e_j
+    being e_table[i][j], the unit one basis element and the involution a
+    permutation of the basis."""
+    T, d, middles = A.table, A.dim, A.middles
+    one = A.unit.index(1) if sum(A.unit) == 1 else None
+    if one is None or T[one] != list(range(d)) or [row[one] for row in T] != T[one]:
+        raise AlgebraError("unit law fails")
+    for j in middles:
+        Tj = T[j]
+        for Ti in T:
+            # (e_i e_j) e_k = e_i (e_j e_k) for every k
+            if T[Ti[j]] != [Ti[jk] for jk in Tj]:
+                raise AlgebraError("associativity fails")
+    if A.involution is None:
+        return
+    inv = [v[0][0] if len(v) == 1 else None for v in A.involution]
+    if any(k is None or inv[k] != i for i, k in enumerate(inv)):
+        raise AlgebraError("involution does not square to 1")
+    if inv[one] != one:
+        raise AlgebraError("involution is not an anti-homomorphism")
+    for s in middles:
+        left = T[inv[s]]
+        # invol(e_i e_s) = invol(e_s) invol(e_i)
+        if any(inv[Ti[s]] != left[k] for Ti, k in zip(T, inv)):
+            raise AlgebraError("involution is not an anti-homomorphism")
+
+
+def _identity_and_inverses_only(self):
+    """A planted FiniteTableGroup._validate: no law checked, the identity
+    taken to be 0 and the inverses read off the rows."""
+    self._identity = 0
+    self._inv = [row.index(0) for row in self.table]
+
+
+def test_group_algebra_runs_no_check(monkeypatch):
+    """group_algebra checks no law, and the table check it used to run
+    still passes on every group algebra it builds here."""
+    calls = []
+    real = H.FiniteAlgebra._validate
+
+    def counting(self):
+        calls.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(H.FiniteAlgebra, "_validate", counting)
+    for Gx in G.groups_upto(16) + [G.symmetric_group(4)]:
+        for p in (2, 3):
+            A = H.group_algebra(Gx, p)
+            assert A.table is Gx.table
+            _validate_table(A)
+    assert calls == []
+    # the constructor still checks what no group has checked
+    H.algebra_from_json(H.group_algebra(G.cyclic_group(3), 2).to_json())
+    assert calls == ["F2[C3]"]
+
+
+def test_the_group_refuses_every_table_fault_the_table_check_caught(monkeypatch):
+    """group_algebra trusts FiniteTableGroup._validate.  Each fault planted
+    in an index table below fails the table check group_algebra used to run
+    (`_validate_table`) once a planted group check lets it through, and the
+    group's own check, when it runs, does not let it stand."""
+    assert _validate_table(H.group_algebra(G.symmetric_group(3), 2)) is None
+    # LOOP5: a Latin square with two-sided inverses that is not associative,
+    # which the table check saw on 2 middles of 5
+    with pytest.raises(G.GroupError, match="^table is not associative$"):
         G.FiniteTableGroup(list("eabcd"), LOOP5)
-
-    def identity_and_inverses_only(self):
-        self._identity = 0
-        self._inv = [row.index(0) for row in self.table]
-
-    monkeypatch.setattr(G.FiniteTableGroup, "_validate", identity_and_inverses_only)
-    loop = G.FiniteTableGroup(list("eabcd"), LOOP5)
-    assert len(generating_set(loop)) == 2       # 2 middles of 5
-    with pytest.raises(AlgebraError, match="associativity fails"):
-        H.group_algebra(loop, 2)
-    # faults in the index table that a group algebra checks its laws on:
-    # two swapped entries of a row of S3's table, and a wrong inverse (two
-    # inverses swapped: an involution that is no anti-homomorphism, or a
-    # map that does not square to 1)
+    # S3's table with two entries of a row swapped
     S3 = G.symmetric_group(3)
     els = S3.elements()
     labels = [S3.format_element(g) for g in els]
     table = [[els.index(S3.mul(a, b)) for b in els] for a in els]
     swapped = [row[:] for row in table]
     swapped[1][2], swapped[1][3] = table[1][3], table[1][2]
-    with pytest.raises(AlgebraError, match="associativity fails"):
-        H.group_algebra(G.FiniteTableGroup(labels, swapped), 2)
-    for x, y, fault in ((1, 2, "not an anti-homomorphism"), (1, 3, "does not square to 1")):
+    with pytest.raises(G.GroupError, match="^table is not associative$"):
+        G.FiniteTableGroup(labels, swapped)
+    real = G.FiniteTableGroup._validate
+    monkeypatch.setattr(G.FiniteTableGroup, "_validate", _identity_and_inverses_only)
+    loop = G.FiniteTableGroup(list("eabcd"), LOOP5)
+    assert len(generating_set(loop)) == 2
+    for Gx in (loop, G.FiniteTableGroup(labels, swapped)):
+        with pytest.raises(AlgebraError, match="^associativity fails$"):
+            _validate_table(H.group_algebra(Gx, 2))
+    # S3's inverses with two of them swapped: an involution that is no
+    # anti-homomorphism, or a map that does not square to 1.  No table
+    # carries them: the group's own check reads the inverses off the rows,
+    # and they are S3's
+    for x, y, fault in ((1, 2, "is not an anti-homomorphism"),
+                        (1, 3, "does not square to 1")):
         def wrong_inverse(self, x=x, y=y):
-            identity_and_inverses_only(self)
+            _identity_and_inverses_only(self)
             self._inv[x], self._inv[y] = self._inv[y], self._inv[x]
 
         monkeypatch.setattr(G.FiniteTableGroup, "_validate", wrong_inverse)
-        with pytest.raises(AlgebraError, match=fault):
-            H.group_algebra(G.FiniteTableGroup(labels, table), 2)
+        planted = G.FiniteTableGroup(labels, table)
+        with pytest.raises(AlgebraError, match=f"^involution {fault}$"):
+            _validate_table(H.group_algebra(planted, 2))
+        wrong = list(planted._inv)
+        real(planted)
+        assert planted._inv == [S3.inv(g) for g in els] != wrong
+        _validate_table(H.group_algebra(planted, 2))
 
 
 def _validated_on(data, middles):

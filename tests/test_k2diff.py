@@ -283,3 +283,22 @@ def test_forms_and_omega_quotient_classes_hash_as_their_equals():
     q1 = k2.OmegaQuotientClass.of_form(w)
     q2 = k2.OmegaQuotientClass.of_form(w + k2.delta(ring, ring.mul(x, ring.mul(x, y))))
     assert not q1.is_zero() and q1 == q2 and hash(q1) == hash(q2) and len({q1, q2}) == 1
+
+
+def test_omega_classes_over_different_rings_do_not_add():
+    """The classes of a db over two descriptors of Z[X, Y] do not add: the
+    sum would pair orbit keys of different rings.  The plane invariants of
+    separate calls are over the one shared plane ring, so they add."""
+    r1, r2 = (R.PolyRing(["X", "Y"], coeff="Z") for _ in range(2))
+    q1, q2 = (k2.total_invariant(arf.parse_expression(arf.RING, r, "<X, Y>"))[1]
+              for r in (r1, r2))
+    assert not q1.is_zero() and q1 != q2
+    with pytest.raises(ArfError, match=r"^values over different rings$"):
+        q1 + q2
+    assert (q1 + q1).is_zero()
+    P = G.group_plane()
+    e1, e2 = (arf.parse_expression(arf.GROUP, P, w) for w in ("<S, S*Y^2>", "<S*X, S*X*Y^2>"))
+    (_, p1), (_, p2) = k2.plane_group_invariant(e1), k2.plane_group_invariant(e2)
+    assert k2.plane_ring() is k2.plane_ring() is p1.ring is p2.ring
+    assert not (p1 + p2).is_zero() and (p1 + p1).is_zero()
+    assert p1 == k2.plane_group_invariant(e1)[1]

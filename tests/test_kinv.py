@@ -378,3 +378,18 @@ def test_cr_classes_hash_as_their_equals():
     P = R.PolyRing(["X", "Y"], coeff="F2", laurent=True, involution="inverse")
     a, b = kinv.cr_reduce(P, P.parse("X^2*Y^2")), kinv.cr_reduce(P, P.parse("X^-1*Y^-1"))
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_class_vectors_over_different_descriptors_do_not_add():
+    """A class vector keys the other summand's representatives in its own
+    group, so a sum across descriptors would read elements of one group as
+    elements of another: omega(<1, g^2>) over C4 plus omega of an S3 pair
+    gave 0, and so did a + c over two C4 descriptors, which are unequal."""
+    C4, C4b, S3 = G.cyclic_group(4), G.cyclic_group(4), G.symmetric_group(3)
+    a, c = (kinv.omega(arf.parse_expression(arf.GROUP, Gx, "<1, g^2>")) for Gx in (C4, C4b))
+    s = kinv.omega(arf.parse_expression(arf.GROUP, S3, "<(1 0 2), (2 1 0)>"))
+    assert not a.is_zero() and not s.is_zero() and a != c
+    for x, y in ((a, s), (s, a), (a, c)):
+        with pytest.raises(ArfError, match=r"^values over different descriptors$"):
+            x + y
+    assert (a + a).is_zero() and not (a + kinv.KGClass(C4)).is_zero()

@@ -24,6 +24,7 @@ import arfkit.groups.classes as gcl
 import arfkit.groups.structure as gst
 import arfkit.upsilon as ups
 from arfkit.formspace import FormQuotient
+from arfkit.groups.core import table_from_mul
 from test_fp import OnePivotF2
 from test_groups import _presented_subgroups
 from test_upsilon import _dense_columns, large_j_groups, past_order_100
@@ -184,19 +185,59 @@ def _reference_fz(Gx, fz):
                                                  for r in fz.roots])
 
 
+def _pair_group(Gx, z):
+    """The pair group P = Gbar_z x_{C2} C4 = {(g, j) : j = w(g) mod 2} that
+    the type-2 Sigma summand was built on before the carry walk, as a table
+    group: (pairs, P, w), element i of P being pairs[i], and w(g) = 1 iff g
+    inverts z."""
+    members = gst.extended_centralizer(Gx, z).members
+    w = {g: int(Gx.conj(z, g) != z) for g in members}
+    pairs = [(g, j) for g in members for j in range(4) if w[g] == j % 2]
+    P = table_from_mul(pairs, lambda a, b: (Gx.mul(a[0], b[0]), (a[1] + b[1]) % 4),
+                       labels=[f"{Gx.format_element(g)}|t^{j}" for g, j in pairs])
+    return pairs, P, w
+
+
 def _reference_sigma(Gx, summand):
     """The Sigma summand eliminated by fp, as it was built on the K_# rows:
-    type 1 with its C2 coordinate on top and z, type 2 on the K_# of P and
-    (z, t^2), type 3 the K_# of the centralizer."""
+    type 1 with its C2 coordinate on top and z, type 2 on the K_# of the
+    pair group P (`_pair_group`) and (z, t^2), type 3 the K_# of the
+    centralizer."""
     z = summand.z
     if summand.type == 2:
-        P = summand.P
+        pairs, P, _ = _pair_group(Gx, z)
         n, rows = _sharp_rows(gst.FiniteSubgroup(P, P.elements()))
-        return fp.QuotientContext(n, 2, rows + [1 << summand._pair_index[(z, 2)]])
+        return fp.QuotientContext(n, 2, rows + [1 << pairs.index((z, 2))])
     n, rows = _sharp_rows(gst.centralizer(Gx, z))
     if summand.type == 1:
         return fp.QuotientContext(n + 1, 2, rows + [fp.pack(summand.sharp.coord(z))])
     return fp.QuotientContext(n, 2, rows)
+
+
+def _pair_images(Gx, z):
+    """The packed vector of each element of P in the type-2 summand:
+    (g, j) = s(g) t^((j - w(g)) / 2), with s(g) = (g, w(g)) the coordinate
+    of g among the members of Gbar_z and t = (1, 2) the last coordinate."""
+    pairs, _, w = _pair_group(Gx, z)
+    members = gst.extended_centralizer(Gx, z).members
+    col = {g: i for i, g in enumerate(members)}
+    return [1 << col[g] | ((j - w[g]) // 2 & 1) << len(members) for g, j in pairs]
+
+
+def _assert_same_pair_quotient(Gx, summand, ref, rng, what):
+    """The type-2 summand is the reference quotient of P_# through
+    (g, j) -> s(g) t^c (`_pair_images`): each reference relation maps to 0,
+    the quotient dimensions are equal, and 24 seeded sums of P's elements
+    are zero in both or in neither."""
+    images, ctx = _pair_images(Gx, summand.z), summand.context
+    assert ctx.dim == len(images) // 2 + 1, what
+    assert ctx.quotient_dim == ref.quotient_dim, what
+    for row in ref.space.packed_basis():
+        assert ctx.reduce_packed(fp.xor_sum(row, images)) == 0, what
+    for _ in range(24):
+        v = rng.getrandbits(len(images))
+        assert (ref.reduce_packed(v) == 0) == \
+            (ctx.reduce_packed(fp.xor_sum(v, images)) == 0), what
 
 
 def _assert_same_quotient(ctx, ref, rng, what):
@@ -212,8 +253,9 @@ def test_sharp_forms_match_the_relation_rows(monkeypatch):
     """Every K_# presentation of `_presented_subgroups` (the two-ends
     pull-backs among them), every F(z) of the catalogue and of the two-ends
     built-ins' window-2 elements, and the Sigma summands of the catalogue
-    (all three types) are fp's quotients of the relation rows; the K_#
-    still are when the generators do not generate."""
+    (all three types) are fp's quotients of the relation rows, a type-2
+    summand through the elements of its pair group; the K_# still are when
+    the generators do not generate."""
     rng = random.Random(2301)
     subs = _presented_subgroups()
     assert len(subs) == 169
@@ -232,8 +274,11 @@ def test_sharp_forms_match_the_relation_rows(monkeypatch):
             if Gx.is_finite:
                 summand = ups.sigma_summand(Gx, z)
                 types.add(summand.type)
-                _assert_same_quotient(summand.context, _reference_sigma(Gx, summand),
-                                      rng, (Gx.name, z))
+                ref = _reference_sigma(Gx, summand)
+                if summand.type == 2:
+                    _assert_same_pair_quotient(Gx, summand, ref, rng, (Gx.name, z))
+                else:
+                    _assert_same_quotient(summand.context, ref, rng, (Gx.name, z))
     assert types == {1, 2, 3}
     # planted: without the last generator, the members no walk from 1
     # reaches get walks of their own, and the quotient is still the rows'
@@ -243,6 +288,71 @@ def test_sharp_forms_match_the_relation_rows(monkeypatch):
         n, rows = _sharp_rows(sub)
         _assert_same_quotient(gst.sharp_of_subgroup(sub).context,
                               fp.QuotientContext(n, 2, rows), rng, sub.kind)
+
+
+def _reference_eta_pair(Gx, z, w, tensor_part, y1, y2):
+    """The element (acc, n mod 4) of the pair group P that the type-2 eta of
+    a cycle read before the carry walk."""
+    zinv = Gx.inv(z)
+    acc, n = Gx.identity, 0
+    for a, g in tensor_part:
+        acc = Gx.mul(acc, g)
+        n += w[g]
+        if a == zinv:
+            n += 2 * w[g]
+    n += 2 * (y1[0] + y1[1] + y2[1])
+    return acc, n % 4
+
+
+def _seeded_cycle(rng, Gx, z, members):
+    """A chain [sum a_i (x) g_i, y1, y2] with a_i in {z, z^-1}, g_i in
+    Gbar_z and y1 drawn at random, and y2 chosen to make it a cycle: an
+    inverting g_i moves one unit from a_i to a_i^-1, and y2 = (1, 0) or
+    (0, 1) moves one between z and z^-1."""
+    zinv = Gx.inv(z)
+    terms = [(rng.choice((z, zinv)), rng.choice(members)) for _ in range(rng.randrange(6))]
+    odd = sum(Gx.conj(a, Gx.inv(g)) != a for a, g in terms) % 2
+    y1 = (rng.randrange(2), rng.randrange(2))
+    y2 = rng.choice(((1, 0), (0, 1)) if odd else ((0, 0), (1, 1)))
+    return terms, y1, y2
+
+
+def test_type_2_eta_vanishes_where_the_pair_group_reference_does():
+    """eta of a type-2 summand, read on the carry walk, is zero exactly where
+    the pair group's eta is, on 40 seeded cycles and every eta relation
+    instance at a seeded (g1, g2), for each type-2 z of the catalogue, S4,
+    the order-24 group, S3 x S3 and D5 x S3.  Its value is the residue of
+    the pair's image under (g, j) -> s(g) t^c (`_pair_images`): zero-ness
+    alone cannot tell eta from eta followed by the automorphism
+    (g, j) -> (g, j + 2 w(g)) of P, which fixes (z, t^2)."""
+    large = large_j_groups()
+    groups = G.groups_upto(16) + [G.symmetric_group(4), G.builtin_group("ch1-order24"),
+                                  large["S3xS3"][0], large["D5xS3"][0]]
+    rng = random.Random(3307)
+    seen = {True: 0, False: 0}
+    for Gx in groups:
+        for z in Gx.elements():
+            if gst.type_of(Gx, z) != 2:
+                continue
+            summand = ups.sigma_summand(Gx, z)
+            ref = _reference_sigma(Gx, summand)
+            pairs, _, w = _pair_group(Gx, z)
+            index = {pr: i for i, pr in enumerate(pairs)}
+            images = _pair_images(Gx, z)
+            members = gst.extended_centralizer(Gx, z).members
+            cycles = [_seeded_cycle(rng, Gx, z, members) for _ in range(40)]
+            cycles += ups.eta_relation_elements(Gx, z, rng.choice(members),
+                                                rng.choice(members))
+            for tp, y1, y2 in cycles:
+                i = index[_reference_eta_pair(Gx, z, w, tp, y1, y2)]
+                value = summand.eta(tp, y1, y2)
+                zero = not any(value)
+                assert zero == (ref.reduce_packed(1 << i) == 0), (Gx.name, z, tp, y1, y2)
+                assert value == fp.unpack(summand.context.reduce_packed(images[i]),
+                                          summand.dim), (Gx.name, z, tp, y1, y2)
+                seen[zero] += 1
+    # both answers occur often
+    assert min(seen.values()) > 1000, seen
 
 
 def _eliminated_lc(Gx, lc):

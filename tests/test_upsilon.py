@@ -998,6 +998,44 @@ def test_upsilon_refuses_ring_pairs_and_mixed_descriptors():
         ups.upsilon_distinguish(e1, e2)
 
 
+def test_f_of_z_reads_the_centralizer_unless_z_is_of_type_2():
+    """FzData and the type-3 Sigma summand read the extended centralizer
+    only.  It is the centralizer when z = z^-1 or no g inverts z, so on
+    types 1 and 3 they read the centralizer's K_#, on the catalogue and on
+    the window-2 elements of the two-ends and plane built-ins."""
+    groups = G.groups_upto(16) + [G.builtin_group(b) for b in (
+        "ch1-c2-c-c12", "ch1-c-by-d4", "pb-cyclic-c4", "ch2-plane")]
+    kinds = set()
+    for Gx in groups:
+        for z in (Gx.elements() if Gx.is_finite else Gx.window_elements(2)):
+            if gst.type_of(Gx, z) == 2:
+                continue
+            c, e = gst.centralizer(Gx, z), gst.extended_centralizer(Gx, z)
+            kinds.add(c.kind)
+            assert c.kind == e.kind, (Gx.name, z)
+            if c.kind in ("finite", "pullback"):
+                assert vars(c) == vars(e), (Gx.name, z)
+                assert ups.fz_data(Gx, z).sharp is ups._sharp_of(Gx, c), (Gx.name, z)
+                if Gx.is_finite and gst.type_of(Gx, z) == 3:
+                    assert ups.sigma_summand(Gx, z).sharp is ups._sharp_of(Gx, c)
+    assert kinds == {"finite", "pullback", "full"}, kinds
+
+
+def test_values_over_different_descriptors_do_not_add():
+    """A sum keys the other value's summands in its own group: over two C4
+    descriptors it showed a + c == 0 with a != c, and a C4 value plus an S3
+    one showed an S3 summand labelled by an element of C4."""
+    C4, C4b, S3 = G.cyclic_group(4), G.cyclic_group(4), G.symmetric_group(3)
+    a, c = (ups.upsilon_eval(arf.parse_expression(arf.GROUP, Gx, "<1, g^2>"))
+            for Gx in (C4, C4b))
+    s = ups.upsilon_eval(arf.parse_expression(arf.GROUP, S3, "<(1 0 2), (2 1 0)>"))
+    assert not a.is_zero() and not s.is_zero() and a != c
+    for x, y in ((a, s), (s, a), (a, c)):
+        with pytest.raises(ArfError, match=r"^values over different descriptors$"):
+            x + y
+    assert (a + a).is_zero() and (a + ups.JValue(C4)) == a
+
+
 def test_eta_refuses_chains_that_are_not_cycles_of_the_summand():
     S3 = G.symmetric_group(3)
     c = S3.parse_element("c")
