@@ -11,17 +11,6 @@ from __future__ import annotations
 from . import fp
 
 
-def ones(x):
-    """The indices of the set bits of the int x >= 0, increasing, in time
-    linear in its length (stepping by `x & -x` is quadratic on wide x)."""
-    s = bin(x)[:1:-1]
-    out, i = [], s.find("1")
-    while i >= 0:
-        out.append(i)
-        i = s.find("1", i + 1)
-    return out
-
-
 class FormQuotient:
     """F_2^dim modulo a subspace R, kept as F_2^U modulo the constraints C.
 
@@ -62,7 +51,7 @@ class FormQuotient:
         if bits.bit_count() <= 32:
             return fp.xor_sum(bits, self.q)
         q, out = self.q, 0
-        for c in ones(bits):
+        for c in fp.ones(bits):
             out ^= q[c]
         return out
 

@@ -294,6 +294,17 @@ class QuotientContext:
         return self.space.basis()
 
 
+def ones(x):
+    """The indices of the set bits of the int x >= 0, increasing, in time
+    linear in its length (stepping by `x & -x` is quadratic on wide x)."""
+    s = bin(x)[:1:-1]
+    out, i = [], s.find("1")
+    while i >= 0:
+        out.append(i)
+        i = s.find("1", i + 1)
+    return out
+
+
 def xor_sum(x, rows):
     """The F_2 sum of rows[k] over the set bits k of the packed int x."""
     out = 0

@@ -1,4 +1,4 @@
-from .algebras import (FiniteAlgebra, AlgebraError, group_algebra,
+from .algebras import (FiniteAlgebra, AlgebraError, GroupAlgebra, group_algebra,
                        matrix_algebra, field_algebra, algebra_from_json)
 from .chains import (homology, hq1, HomologySpace, HomologyClass, boundary,
                      cyclic_x, quaternion_y, tensor2, tensor_list, flatten,

@@ -5,9 +5,10 @@ import json
 import math
 
 from .. import ArfkitError, need
-from ..fp import xor_sum
+from ..fp import ones, xor_sum
 from ..groups.core import FiniteTableGroup
 from ..groups.structure import generating_set
+from ..memo import derived
 
 
 class AlgebraError(ArfkitError):
@@ -46,23 +47,23 @@ class FiniteAlgebra:
     them once: bits[i][j] has bit k set when e_k occurs in e_i e_j, and
     inv_bits[i] is invol(e_i) packed the same way, so the F_2 checks and
     relation rows are XORs and shifts of table entries (over odd p both are
-    None).  Elements are coefficient tuples.  Associativity, the unit laws
-    and the anti-involution axioms are verified on construction, except
-    on a group algebra, whose group has checked them (`group_algebra`).
+    None).  Elements are coefficient tuples, or packed ints over F_2.
+    Associativity, the unit laws and the anti-involution axioms are
+    verified on construction.
+
+    The F_2 readers that a group algebra reaches as well (H_0 and the
+    (1 + vartheta) rows) read products through `basis_product`, the one
+    primitive a subclass implements, and `times` on top of it, and the
+    involution through `invol_packed`.  `GroupAlgebra` implements them on
+    its group's index table and keeps no table of its own.
 
     `middles` lists basis indices s such that the products of the e_s span
     the algebra: associativity and the anti-homomorphism law are checked
     (see `_validate`), and the boundaries b(e_i (x) e_s (x) e_k) of
     `chains._b2_rows` and the commutators [e_i, e_s] of H_0 are written,
     for those s only.  It is every index
-    unless a constructor knows better (`group_algebra` sets a generating
+    unless a constructor knows better (`GroupAlgebra` sets a generating
     set of the group).
-    `table`, when not None, is a group algebra's index table: e_i e_j is
-    the one basis element e_table[i][j].  Over F_2 `chains` then reads
-    H_1, HC_1 and HQ_1 from the forms that vanish on their relations
-    (`forms.ColumnForms`), and their cycles from a spanning forest,
-    instead of eliminating the relation rows and the cycle equations
-    (`group_algebra` sets it).
     """
 
     def __init__(self, p, labels, mult, unit, involution=None, name=None, check=True):
@@ -80,7 +81,6 @@ class FiniteAlgebra:
                 self.inv_bits = [_packed(v) for v in self.involution]
         self.name = name or "algebra"
         self.middles = range(self.dim)
-        self.table = None
         if check:
             self._validate()
 
@@ -102,6 +102,22 @@ class FiniteAlgebra:
 
     def scale(self, x, c):
         return tuple((a * c) % self.p for a in x)
+
+    def basis_product(self, i, j):
+        """e_i e_j, packed (F_2)."""
+        return self.bits[i][j]
+
+    def times(self, x, y):
+        """x y for x, y packed (F_2), on `basis_product`."""
+        out, js = 0, ones(y)
+        for i in ones(x):
+            for j in js:
+                out ^= self.basis_product(i, j)
+        return out
+
+    def invol_packed(self, x):
+        """invol(x) for x packed (F_2)."""
+        return xor_sum(x, self.inv_bits)
 
     def mul(self, x, y):
         mult, p = self.mult, self.p
@@ -160,7 +176,7 @@ class FiniteAlgebra:
         every middle e_s only.
 
         A group algebra runs no check: its laws follow from its group's
-        (`group_algebra`).
+        (`GroupAlgebra`).
         """
         d, p, middles = self.dim, self.p, self.middles
         if p == 2:
@@ -253,17 +269,26 @@ def algebra_from_json(data):
                          name)
 
 
-def group_algebra(G: FiniteTableGroup, p=2):
-    """F_p[G] with the inverse anti-involution.  Its middles are
-    `generating_set(G)`: each element of a finite group is a product of
-    generators (the identity a power of one), so the e_g they span are the
-    whole basis.  Only the trivial group, which has no generators, keeps
-    the identity.
+class GroupAlgebra(FiniteAlgebra):
+    """F_p[G] with the inverse anti-involution, on G's index table.
 
-    The basis vector e_i is the group element i, and the tables are
-    written straight from the group's index table, which the algebra shares
-    as `table`: every e_g e_h is one basis element, so each entry is reduced
-    as it stands, and the constructor's sort and packing are skipped.
+    The basis vector e_i is the group element i.  The algebra keeps G's
+    `table` (shared, not copied), the inverse permutation `inverse`, the
+    index `one` of the identity, `unit`, `labels`, `name` and `middles`,
+    and no table of its own: e_g e_h = e_gh is the one basis element
+    e_table[g][h] (`basis_product`), and invol(e_g) = e_inverse[g].  The
+    sparse `mult` and `involution` are built on first read, for the
+    generic readers that still take them (the odd p elimination,
+    `matrix_algebra`, and `mul`, `invol`, `boundary`); the packed `bits`
+    and `inv_bits` are never built.  Over F_2 `chains` reads H_1, HC_1 and
+    HQ_1 from the forms that vanish on their relations
+    (`forms.ColumnForms`), and their cycles from a spanning forest,
+    instead of eliminating the relation rows and the cycle equations.
+
+    Its middles are `generating_set(G)`: each element of a finite group is
+    a product of generators (the identity a power of one), so the e_g they
+    span are the whole basis.  Only the trivial group, which has no
+    generators, keeps the identity.
 
     No law is checked again.  `FiniteTableGroup._validate` proved this
     table a group when G was built, and descriptors never change their
@@ -272,22 +297,32 @@ def group_algebra(G: FiniteTableGroup, p=2):
     reverses products, as (gh)^-1 = h^-1 g^-1: an anti-involution.  An
     infinite group is refused by `G.elements()`, and an unnamed group gives
     the algebra F_p[G]."""
-    els = G.elements()
-    table, one = G.table, G.identity
-    inv = [G.inv(g) for g in els]
-    A = object.__new__(FiniteAlgebra)
-    A.p, A.labels, A.dim = p, list(G.labels), G.order()
-    A.mult = [[((k, 1),) for k in row] for row in table]
-    A.unit = tuple([int(i == one) for i in range(A.dim)])
-    A.involution = [((k, 1),) for k in inv]
-    A.bits = A.inv_bits = None
-    if p == 2:
-        A.bits = [[1 << k for k in row] for row in table]
-        A.inv_bits = [1 << k for k in inv]
-    A.name = f"F{p}[{getattr(G, 'name', None) or 'G'}]"
-    A.middles = tuple(generating_set(G)) or (one,)
-    A.table = table
-    return A
+
+    def __init__(self, G: FiniteTableGroup, p=2):
+        self.inverse, self.table, self.one = [G.inv(g) for g in G.elements()], G.table, G.identity
+        self.p, self.labels, self.dim = p, list(G.labels), len(self.inverse)
+        self.unit = tuple([int(i == self.one) for i in range(self.dim)])
+        self.name = f"F{p}[{getattr(G, 'name', None) or 'G'}]"
+        self.middles = tuple(generating_set(G)) or (self.one,)
+
+    def basis_product(self, i, j):
+        return 1 << self.table[i][j]
+
+    def invol_packed(self, x):
+        return sum([1 << self.inverse[k] for k in ones(x)])
+
+    @property
+    def mult(self):
+        """mult[i][j] = ((table[i][j], 1),), built on first read."""
+        return derived(self, "mult", lambda: [[((k, 1),) for k in row] for row in self.table])
+
+    @property
+    def involution(self):
+        """involution[i] = ((inverse[i], 1),), built on first read."""
+        return derived(self, "involution", lambda: [((k, 1),) for k in self.inverse])
+
+
+group_algebra = GroupAlgebra
 
 
 def matrix_algebra(A: FiniteAlgebra, m):

@@ -4,9 +4,11 @@ Chains are sparse dicts {basis index tuple: coefficient}; relations are
 rows built on basis indices from the structure constants (e_i (x) e_j is
 column i*d + j, and the T_1 part of HQ_1 is column d*d + k).  Over F_2 a
 relation row is a packed int, bit j = column j, written as one XOR of
-shifted entries of the packed tables `FiniteAlgebra.bits` and `inv_bits`
-and handed to `fp` as is.  Over an odd p a row is a sparse dict {column:
-coefficient}.
+shifted packed products and handed to `fp` as is: the H_0 commutators
+read them through `FiniteAlgebra.basis_product`, which a group algebra
+reads off its index table, and the rows that only other algebras write
+read the packed tables `FiniteAlgebra.bits` and `inv_bits`.  Over an odd
+p a row is a sparse dict {column: coefficient}.
 
 H_1, HC_1 and HQ_1 of an F_2 group algebra, and the Coker(mu) and
 Coker(1 + vartheta) built on HQ_1, never eliminate their relation rows
@@ -26,7 +28,7 @@ import itertools
 
 from .. import fp
 from ..fp import distinct
-from .algebras import FiniteAlgebra, AlgebraError
+from .algebras import FiniteAlgebra, AlgebraError, GroupAlgebra
 
 DIM_GUARD = 256
 # rows per chunk of `_quotient`: the most relation rows held at a time
@@ -292,7 +294,7 @@ def homology(A: FiniteAlgebra, which):
 def _cycles_modulo(A, kind):
     """The space `kind` (H1, HC1 or HQ1): the cycles modulo b(T_3) and, for
     HC1, the rows of `_hc1_rows`, for HQ1 those of `_hq1_rows`.  An F_2
-    group algebra reads the quotient from `forms.ColumnForms`, where an
+    `GroupAlgebra` reads the quotient from `forms.ColumnForms`, where an
     HC_1 row is a pair of columns whose forms are added, never written as
     a row, and the cycles from its spanning forest (`ColumnForms.cycles`);
     any other algebra eliminates the rows (`_quotient`) and the cycle
@@ -300,7 +302,7 @@ def _cycles_modulo(A, kind):
     d = A.dim
     t1 = kind == "HQ1"
     ncols = d * d + d if t1 else d * d
-    if A.p == 2 and A.table is not None:
+    if A.p == 2 and isinstance(A, GroupAlgebra):
         from .forms import ColumnForms
         context = ColumnForms(A, t1)
         if kind == "HC1":
@@ -327,8 +329,7 @@ def _commutator_rows(A, right=None):
     d = A.dim
     right = range(d) if right is None else right
     if A.p == 2:
-        bits = A.bits
-        return [bits[i][s] ^ bits[s][i] for i in range(d) for s in right]
+        return [A.basis_product(i, s) ^ A.basis_product(s, i) for i in range(d) for s in right]
     mult = A.mult
     return [_row(mult[i][s] + tuple((k, -c) for k, c in mult[s][i]))
             for i in range(d) for s in right]

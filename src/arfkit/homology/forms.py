@@ -33,7 +33,7 @@ class ColumnForms(FormQuotient):
     `extended_pairs`).
 
     Every e_x e_y of F_2[G] is one basis element; write xy for its index
-    (`FiniteAlgebra.table`).  A form f on T_2 vanishes on
+    (`GroupAlgebra.table`).  A form f on T_2 vanishes on
     b(e_x (x) e_s (x) e_k) = e_xs (x) e_k + e_x (x) e_sk + e_kx (x) e_s iff
 
         f(x (x) sk) = f(xs (x) k) + f(kx (x) s).
@@ -127,7 +127,7 @@ class ColumnForms(FormQuotient):
         tails = [yx for row in zip(*table) for yx in row]
         if self.dim > d * d:
             heads += range(d)
-            tails += [v.bit_length() - 1 for v in A.inv_bits]
+            tails += A.inverse
         root = list(range(d))
         trees = [[v] for v in range(d)]
         P, V = [0] * d, [0] * d
@@ -204,12 +204,10 @@ def _hq1_forms(A, q):
     its at most four columns (D = d^2 is the first T_1 column, i' = i^-1):
     f2(e_i, e_j) for each middle j is i (x) j + i' (x) j' + ji + ij, and
     f1(e_i, 1) is i (x) 1 + 1 (x) i + i + i'."""
-    d, table = A.dim, A.table
+    d, table, inv, one = A.dim, A.table, A.inverse, A.one
     D = d * d
-    inv = [v.bit_length() - 1 for v in A.inv_bits]
     for i, ti in enumerate(table):
         for j in A.middles:
             yield q[i * d + j] ^ q[inv[i] * d + inv[j]] ^ q[D + table[j][i]] ^ q[D + ti[j]]
-    one = A.unit.index(1)
     for i in range(d):
         yield q[i * d + one] ^ q[one * d + i] ^ q[D + i] ^ q[D + inv[i]]

@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 
 from .. import fp
-from ..fp import xor_sum
 from ..memo import derived
-from .algebras import AlgebraError
+from .algebras import AlgebraError, GroupAlgebra
 from .chains import (HomologySpace, HomologyClass, homology, hq1, tensor2,
                      tensor_bits, t_add, t_scale, flatten, unflatten, hq_vector,
                      vectors)
@@ -166,10 +165,10 @@ def vartheta_chain(A, chain2, cpart):
 def _one_plus_vartheta_rows(A, rows):
     """(1 + vartheta) of packed (ch2, c1) rows over T_2 + T_1: the formula of
     `vartheta_chain`, summands in increasing column order as `unit_summands`
-    takes them, on the packed tables of A."""
-    d, bits, inv = A.dim, A.bits, A.inv_bits
+    takes them, with products read by `basis_product` and `times` and the
+    involution by `invol_packed` (a group algebra writes no table)."""
+    d, product, times = A.dim, A.basis_product, A.times
     D = d * d
-    cols = list(zip(*bits))                     # cols[k][m] = e_m e_k
     out = []
     for vec in rows:
         ch2, c = vec & ((1 << D) - 1), vec >> D
@@ -177,15 +176,14 @@ def _one_plus_vartheta_rows(A, rows):
         while ch2:
             low = ch2 & -ch2
             i, j = divmod(low.bit_length() - 1, d)
-            ab, ba = bits[i][j], bits[j][i]
+            ab, ba = product(i, j), product(j, i)
             # ab a (x) b + ab (x) ba, and s_earlier (x) s for s = ab + ba
-            th2 ^= (tensor_bits(d, xor_sum(ab, cols[i]), 1 << j) ^ tensor_bits(d, ab, ba)
+            th2 ^= (tensor_bits(d, times(ab, 1 << i), 1 << j) ^ tensor_bits(d, ab, ba)
                     ^ tensor_bits(d, prefix, ab ^ ba))
             prefix ^= ab ^ ba
             ch2 ^= low
-        th2 ^= tensor_bits(d, c, xor_sum(c, inv))
-        cc = xor_sum(c, [xor_sum(c, row) for row in bits])
-        out.append(vec ^ th2 ^ cc << D)
+        th2 ^= tensor_bits(d, c, A.invol_packed(c))
+        out.append(vec ^ th2 ^ times(c, c) << D)
     return out
 
 
@@ -193,10 +191,9 @@ class CokerMu:
     """Coker(mu_{R/2R}) with exact class comparison."""
 
     def __init__(self, A):
-        from .forms import ColumnForms          # loaded by the HQ_1 build
         self.hq = space(A, "HQ1")
         context = self.hq.context
-        if isinstance(context, ColumnForms):     # the rows are never written
+        if A.p == 2 and isinstance(A, GroupAlgebra):    # column forms: no row is written
             self.context = context.extended_pairs(_mu_pairs(A.dim))
         else:
             self.context = context.extended(mu_rows(A))

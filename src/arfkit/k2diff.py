@@ -23,7 +23,8 @@ from .rings.base import RingError, PolyRing, IntegerRing
 
 
 class DifferentialForm:
-    """Formal sum  sum_i a_i dx_i  with polynomial coefficients."""
+    """Formal sum  sum_i a_i dx_i  with polynomial coefficients.  Forms over
+    different ring descriptors do not add or subtract: ArfError."""
 
     def __init__(self, ring: PolyRing, parts=None):
         self.ring = ring
@@ -34,6 +35,8 @@ class DifferentialForm:
 
     def __add__(self, other):
         R = self.ring
+        if other.ring is not R:
+            raise ArfError("values over different rings")
         return DifferentialForm(R, {v: R.add(self.parts[v], other.parts[v])
                                     for v in R.vars})
 
@@ -122,7 +125,9 @@ class DSSymbol:
 class NuValue:
     """nu_n coordinates: (form, extra) with
     n=1: extra = class in R/2R;
-    n=2: extra = class in (R + Omega_R)/span{(2a, da)}."""
+    n=2: extra = class in (R + Omega_R)/span{(2a, da)}.
+    The form is over `ring`, so values over different rings do not add:
+    the sum of their forms raises ArfError."""
 
     def __init__(self, ring, n, form, extra):
         self.ring = ring

@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import itertools
 import json
@@ -11,8 +10,8 @@ import arfkit.fp as fp
 import arfkit.groups as G
 import arfkit.groups.structure as gst
 import arfkit.homology as H
+from arfkit.fp import ones
 from arfkit.groups.structure import generating_set
-from arfkit.formspace import ones
 from arfkit.homology import AlgebraError, chains, forms
 from test_random_groups import _relabelled, battery_draws
 from test_upsilon import large_j_groups, past_order_100
@@ -380,25 +379,31 @@ def test_sparse_mul_matches_dense_reference():
 
 
 def test_matrix_algebra_mul_is_matrix_product():
-    R = H.group_algebra(G.cyclic_group(3), 3)
-    A = H.matrix_algebra(R, 2)
-    rng = random.Random(43)
+    """M_2(R) multiplies as matrices over R, for the commutative F_3[C3] and
+    the non-commutative F_2[S3], whose entries must not commute; its
+    involution is the conjugate transpose."""
+    for R in (H.group_algebra(G.cyclic_group(3), 3), H.group_algebra(G.symmetric_group(3), 2)):
+        A = H.matrix_algebra(R, 2)
+        rng = random.Random(43)
 
-    def entries(x):       # x in M_2(R) -> {(i, j): element of R}
-        out = {(i, j): [0] * R.dim for i in range(2) for j in range(2)}
-        for t, c in enumerate(x):
-            i, j, s = A.base_basis[t]
-            out[(i, j)][s] = c
-        return out
+        def entries(x):       # x in M_2(R) -> {(i, j): element of R}
+            out = {(i, j): [0] * R.dim for i in range(2) for j in range(2)}
+            for t, c in enumerate(x):
+                i, j, s = A.base_basis[t]
+                out[(i, j)][s] = c
+            return out
 
-    for _ in range(20):
-        x = tuple(rng.randrange(3) for _ in range(A.dim))
-        y = tuple(rng.randrange(3) for _ in range(A.dim))
-        X, Y, XY = entries(x), entries(y), entries(A.mul(x, y))
-        for i in range(2):
-            for l in range(2):
-                want = R.add(R.mul(X[(i, 0)], Y[(0, l)]), R.mul(X[(i, 1)], Y[(1, l)]))
-                assert tuple(XY[(i, l)]) == want
+        for _ in range(20):
+            x = tuple(rng.randrange(R.p) for _ in range(A.dim))
+            y = tuple(rng.randrange(R.p) for _ in range(A.dim))
+            X, Y, XY = entries(x), entries(y), entries(A.mul(x, y))
+            for i in range(2):
+                for l in range(2):
+                    want = R.add(R.mul(X[(i, 0)], Y[(0, l)]), R.mul(X[(i, 1)], Y[(1, l)]))
+                    assert tuple(XY[(i, l)]) == want, R.name
+            star = entries(A.invol(x))
+            assert all(tuple(star[(i, j)]) == R.invol(tuple(X[(j, i)]))
+                       for i in range(2) for j in range(2)), R.name
 
 
 def _boundary_reference(A, k, chain):
@@ -422,11 +427,17 @@ def _dense_row(A, row, ncols):
 
 
 def test_boundary_and_b2_rows_match_dense_reference():
+    """`boundary` against face-by-face products, and the rows of `_b2_rows`
+    against `boundary`.  A group algebra writes no F_2 row (`ColumnForms`
+    reads the rows by their columns), so over F_2 its rows are those of
+    its constructor copy, checked against the group algebra's products."""
     from arfkit.homology.chains import _b2_rows
     rng = random.Random(47)
-    for A in _pinned_algebras().values():
+    groups = {"F2[S3]": G.symmetric_group(3), "F3[C3]": G.cyclic_group(3),
+              "F2[Q8]": G.metacyclic_group(4, 2, 3, 2, name="Q8")}
+    for name, A in _pinned_algebras().items():
         d = A.dim
-        rows = list(_b2_rows(A))
+        rows = list(_b2_rows(_constructor_copy(groups[name], A) if name in groups else A))
         triples = [(i, s, k) for i in range(d) for s in A.middles for k in range(d)]
         assert len(rows) == len(triples)
         for row, key in zip(rows, triples):
@@ -641,8 +652,9 @@ def test_planted_axiom_faults_raise_on_every_path():
 def _constructor_group_algebra(Gx, p):
     """F_p[G] the way group_algebra built it through the constructor: sparse
     entries sorted and packed by FiniteAlgebra, then checked on the middles
-    1 and generating_set(G).  The reference for the tables group_algebra
-    writes straight from the group table."""
+    1 and generating_set(G).  The reference for the tables and packed
+    products a group algebra reads off the group table, and, with its
+    middles (`_constructor_copy`), for the relation rows it never writes."""
     els = Gx.elements()
     idx = {g: i for i, g in enumerate(els)}
     mult = [[((idx[Gx.mul(g, h)], 1),) for h in els] for g in els]
@@ -656,15 +668,30 @@ def _constructor_group_algebra(Gx, p):
 
 
 def test_group_algebra_tables_match_the_constructor():
+    """A group algebra keeps its group's index table and no table of its
+    own; the sparse tables it derives on first read, and its packed
+    products and involution, are the constructor's."""
     groups = G.groups_upto(16) + [Gx for Gx, _ in large_j_groups().values()]
+    rng = random.Random(53)
     for Gx in groups:
         for p in (2, 3):
             A, ref = H.group_algebra(Gx, p), _constructor_group_algebra(Gx, p)
-            for field in ("p", "labels", "dim", "mult", "unit", "involution", "bits",
-                          "inv_bits", "name"):
+            assert set(vars(A)) == {"p", "labels", "dim", "table", "one", "inverse",
+                                    "unit", "name", "middles"}, (Gx.name, p)
+            assert A.table is Gx.table and A.inverse == [Gx.inv(g) for g in Gx.elements()]
+            for field in ("p", "labels", "dim", "mult", "unit", "involution", "name"):
                 assert getattr(A, field) == getattr(ref, field), (Gx.name, p, field)
-            # no field of the constructor is left out
-            assert set(vars(A)) - {"_derived"} == set(vars(ref)) - {"_derived"}
+            assert "bits" not in vars(A) and "inv_bits" not in vars(A)
+            if p == 3:
+                continue
+            d = A.dim
+            assert [[A.basis_product(i, j) for j in range(d)] for i in range(d)] == ref.bits
+            assert [A.invol_packed(1 << i) for i in range(d)] == ref.inv_bits
+            for _ in range(8):
+                x, y = rng.getrandbits(d), rng.getrandbits(d)
+                assert A.times(x, y) == ref.times(x, y), Gx.name
+                assert A.invol_packed(x) == ref.invol_packed(x), Gx.name
+                assert fp.unpack(A.times(x, y), d) == ref.mul(fp.unpack(x, d), fp.unpack(y, d))
 
 
 # -- boundary rows and the associativity check on generator middles --------
@@ -705,8 +732,8 @@ def test_generator_middles_match_all_middles():
         # the middles group_algebra set before: the identity as well
         one = Gx.elements().index(Gx.identity)
         assert (one in A.middles) == (Gx.order() == 1), Gx.name
-        with_one = _all_middles(A)
-        with_one.middles, with_one.table = (one,) + A.middles, A.table
+        with_one = H.group_algebra(Gx, 2)
+        with_one.middles = (one,) + A.middles
         assert bases == _relation_bases(with_one), A.name
 
 
@@ -727,19 +754,20 @@ def test_dropping_a_generator_middle_changes_a_dimension():
         assert dims[0] != dims[1], Gx.name
         # the walk misses columns then; with unknowns of their own they give
         # the quotient of the rows that are written, as the elimination does
-        assert _relation_bases(cut) == _relation_bases(_rref_path(cut)), Gx.name
+        assert _relation_bases(cut) == _relation_bases(_constructor_copy(Gx, cut)), Gx.name
 
 
 # -- column forms against the relation elimination --------------------------
 
 
-def _rref_path(A):
-    """A copy of the group algebra A without its index table and with
-    nothing memoized: its H_1, HC_1, HQ_1 and cokernels eliminate the
-    relation rows (`chains._quotient`), the reference for `ColumnForms`."""
-    B = copy.copy(A)
-    B.__dict__.pop("_derived", None)
-    B.table = None
+def _constructor_copy(Gx, A):
+    """The group algebra A of Gx built by the `FiniteAlgebra` constructor
+    (`_constructor_group_algebra`), with A's middles: its H_1, HC_1, HQ_1
+    and cokernels eliminate the relation rows (`chains._quotient`), the
+    reference for `ColumnForms`, and its F_2 rows are written from its
+    packed tables."""
+    B = _constructor_group_algebra(Gx, A.p)
+    B.middles = A.middles
     return B
 
 
@@ -760,7 +788,7 @@ def test_column_forms_match_the_rref_path():
     for Gx in groups:
         A = H.group_algebra(Gx, 2)
         rng = random.Random(Gx.name)
-        for (ctx, rows), (ref, ref_rows) in zip(_contexts(A), _contexts(_rref_path(A))):
+        for (ctx, rows), (ref, ref_rows) in zip(_contexts(A), _contexts(_constructor_copy(Gx, A))):
             assert isinstance(ctx, forms.ColumnForms), Gx.name
             assert isinstance(ref, fp.QuotientContext), Gx.name
             assert rows == ref_rows and ctx.quotient_dim == ref.quotient_dim, Gx.name
@@ -849,7 +877,7 @@ def test_forest_cycles_are_the_eliminated_kernels(monkeypatch):
     for Gx in groups:
         A = H.group_algebra(Gx, 2)
         comm = chains._commutator_rows(A)
-        invol = [(1 << i) ^ v for i, v in enumerate(A.inv_bits)]
+        invol = [(1 << i) ^ A.invol_packed(1 << i) for i in range(A.dim)]
         for kind, columns in (("H1", comm), ("HC1", comm), ("HQ1", comm + invol)):
             calls.clear()
             hs = H.space(A, kind)
@@ -860,13 +888,15 @@ def test_forest_cycles_are_the_eliminated_kernels(monkeypatch):
 
 def test_column_read_hq1_forms_are_the_row_forms():
     """`forms._hq1_forms` reads each f1 and f2 row by its columns; the forms
-    are those of the packed rows of `chains._hq1_rows`, as sets."""
+    are those of the packed rows of `chains._hq1_rows` on the constructor
+    copy, as sets."""
     rng = random.Random(79)
     for Gx in G.groups_upto(16) + [_relabelled(rng, G.symmetric_group(4))[0]]:
         A = H.group_algebra(Gx, 2)
         ctx = H.space(A, "HQ1").context
         got = set(forms._hq1_forms(A, ctx.q))
-        assert got == set(map(ctx._form, chains._hq1_rows(A))), Gx.name
+        rows = chains._hq1_rows(_constructor_copy(Gx, A))
+        assert got == set(map(ctx._form, rows)), Gx.name
 
 
 def test_column_forms_skip_only_the_walks_zero_triples():
@@ -974,3 +1004,41 @@ def test_homology_classes_hash_by_their_reduced_vector():
     classes = [h0.class_of(A.basis_vec(g)) for g in S3.elements()]
     assert len(set(classes)) == 3
     assert all(hash(a) == hash(b) for a in classes for b in classes if a == b)
+
+
+def test_every_refusal_of_the_homology_operations_is_typed(tmp_path):
+    """Each refusal of the homology modules raises AlgebraError with its
+    message: an algebra without an involution, an unknown homology, theta
+    and vartheta at the wrong characteristic or on the wrong class, Upsilon
+    over odd p and a trace on an algebra that is not a matrix algebra.  On
+    the command line an algebra file without an involution gets one
+    `Error:` line and exit code 1 for HQ_1."""
+    from click.testing import CliRunner
+    from arfkit.cli import main
+
+    F2, F3 = H.field_algebra(2), H.group_algebra(G.cyclic_group(3), 3)
+    plain = H.FiniteAlgebra(2, ["1", "x"], [[((0, 1),), ((1, 1),)], [((1, 1),), ()]], [1, 0])
+    S3 = H.group_algebra(G.symmetric_group(3), 2)
+    h1 = H.space(S3, "H1")
+    refusals = [
+        (lambda: plain.invol((1, 1)), "no involution registered"),
+        (lambda: H.quaternion_y(plain, 2, {(0, 1): 1}), "no involution registered"),
+        (lambda: H.homology(F2, "H2"), "unknown homology 'H2'"),
+        (lambda: H.hq1(plain), "HQ1 needs an anti-involution"),
+        (lambda: H.trace_chain(S3, 1, {(0,): 1}), "expected an algebra built by matrix_algebra"),
+        (lambda: H.theta_p_h0(S3, H.space(S3, "H0").class_of(S3.unit), p=3),
+         "theta_p needs p = char of the algebra"),
+        (lambda: H.vartheta(S3, h1.class_of(h1.basis[0])), "vartheta expects an HQ1 class"),
+        (lambda: H.vartheta_chain(F3, {(0, 1): 1}, (0, 0, 0)), "vartheta is the p = 2 operation"),
+        (lambda: H.coker_one_plus_vartheta(F3), "Upsilon needs characteristic 2"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(AlgebraError) as info:
+            call()
+        assert str(info.value) == message
+    path = tmp_path / "no_involution.json"
+    path.write_text(json.dumps(dict(plain.to_json(), involution=None)))
+    r = CliRunner().invoke(main, ["homology", "HQ1", "--algebra", str(path)])
+    assert r.exit_code == 1 and r.output == "Error: HQ1 needs an anti-involution\n"
+    r = CliRunner().invoke(main, ["homology", "H1", "--algebra", str(path)])
+    assert r.exit_code == 0 and r.output.startswith("H1(algebra): dimension ")

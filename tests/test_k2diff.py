@@ -285,6 +285,29 @@ def test_forms_and_omega_quotient_classes_hash_as_their_equals():
     assert not q1.is_zero() and q1 == q2 and hash(q1) == hash(q2) and len({q1, q2}) == 1
 
 
+def test_forms_and_nu_values_over_different_rings_do_not_add():
+    """Forms over two descriptors of Z[X, Y], or over Z[X, Y] and Z[X, Z],
+    do not add or subtract, nor do the nu values that carry them: the sum
+    would keep the first ring's descriptor, or read a variable that the
+    second ring lacks."""
+    r1, r2 = (R.PolyRing(["X", "Y"], coeff="Z") for _ in range(2))
+    r3 = R.PolyRing(["X", "Z"], coeff="Z")
+    forms = [k2.delta(r1, r1.variable("X")), k2.delta(r2, r2.variable("Y")),
+             k2.delta(r3, r3.variable("X"))]
+    nus = []
+    for ring in (r1, r2, r3):
+        R1 = R.TruncatedRing(ring, 1, exotic=False)
+        x = R1.scalar(ring.variable("X"))
+        nus.append(k2.nu1(k2.DSSymbol(R1, R1.mul(x, R1.t()), x)))
+    for a, b, c in (forms, nus):
+        assert not a.is_zero() and (a - a).is_zero() and not (a + a).is_zero()
+        for other in (b, c):
+            with pytest.raises(ArfError, match=r"^values over different rings$"):
+                a + other
+            with pytest.raises(ArfError, match=r"^values over different rings$"):
+                a - other
+
+
 def test_omega_classes_over_different_rings_do_not_add():
     """The classes of a db over two descriptors of Z[X, Y] do not add: the
     sum would pair orbit keys of different rings.  The plane invariants of

@@ -2,14 +2,18 @@
 builders they replaced.
 
 Over F_2 the rows of H_0, H_1, HC_1 and HQ_1, the cycle equations and the
-(1 + vartheta) rows of Coker(1 + vartheta) are XORs of shifted entries of
-the packed tables `FiniteAlgebra.bits` and `inv_bits`.  The builders below
+(1 + vartheta) rows of Coker(1 + vartheta) are XORs of shifted packed
+products: entries of the packed tables `FiniteAlgebra.bits` and
+`inv_bits`, or `basis_product` and `invol_packed`.  The builders below
 are the term-list versions that came before, kept as references: every
 family must span the same space as its reference, and the spaces built
 from the reference rows (with no split into parts and no dropped rows)
 must equal the ones `chains` and `operations` build.  The HQ_1 families of
 `chains` are written for the middles s only, so they are compared with
 b(T_3) added on both sides (the proof is in the `_hq1_rows` docstring).
+A group algebra writes no packed table, so its families are written on
+its constructor copy (`test_homology._constructor_copy`), and its spaces,
+read from column forms, are compared with the references as they are.
 """
 import itertools
 import random
@@ -18,7 +22,7 @@ import arfkit.fp as fp
 import arfkit.groups as G
 import arfkit.homology as H
 from arfkit.homology import chains
-from test_homology import _relation_bases
+from test_homology import _constructor_copy, _relation_bases
 
 
 # -- the term-list references ---------------------------------------------------
@@ -143,15 +147,20 @@ def _rebased_json(A, rng):
 
 
 def _algebras():
+    """(A, P) pairs: the algebra A, and P, the one that writes A's packed
+    rows: its constructor copy for a group algebra, else A itself."""
     groups = G.groups_upto(16)
     assert len(groups) == 42
     rng = random.Random(61)
     S3 = H.group_algebra(G.symmetric_group(3), 2)
-    return [H.group_algebra(Gx, 2) for Gx in groups] + [
+    others = [
         H.matrix_algebra(H.group_algebra(G.cyclic_group(2), 2), 2),
         H.field_algebra(2),
         H.algebra_from_json(_rebased_json(S3, rng)),
         H.algebra_from_json(_rebased_json(H.group_algebra(G.cyclic_group(4), 2), rng))]
+    algebras = [H.group_algebra(Gx, 2) for Gx in groups]
+    return [(A, _constructor_copy(Gx, A)) for Gx, A in zip(groups, algebras)] + [
+        (A, A) for A in others]
 
 
 def _span(rows, dim):
@@ -159,15 +168,16 @@ def _span(rows, dim):
 
 
 def test_packed_families_span_the_term_list_families():
-    for A in _algebras():
+    for A, P in _algebras():
         d = A.dim
         D = d * d
-        assert _span(chains._commutator_rows(A), d) == _span(_commutator_rows(A), d)
-        assert _span(chains._hc1_rows(A), D) == _span(_hc1_rows(A), D)
-        assert _span(chains._b2_rows(A), D) == _span(_b2_rows(A), D), A.name
+        for B in (A, P):
+            assert _span(chains._commutator_rows(B), d) == _span(_commutator_rows(A), d)
+        assert _span(chains._hc1_rows(P), D) == _span(_hc1_rows(A), D)
+        assert _span(chains._b2_rows(P), D) == _span(_b2_rows(A), D), A.name
         # the whole HQ_1 context: the families on the middles with the rows
         # b(T_3) on the middles, against every pair (i, j) with all of b(T_3)
-        hq1 = itertools.chain(chains._hq1_rows(A), chains._b2_rows(A))
+        hq1 = itertools.chain(chains._hq1_rows(P), chains._b2_rows(P))
         ref = _hq1_rows(A) + _b2_rows(A, range(d))
         assert _span(hq1, D + d) == _span(ref, D + d), A.name
         b1 = chains._equations(A, chains._commutator_rows(A))
@@ -179,7 +189,7 @@ def test_rebased_algebras_have_several_terms():
     """The JSON algebras above reach the branches of the packed builders
     that a group algebra never does: products and involutions with more
     than one term."""
-    for A in _algebras()[-2:]:
+    for A, _ in _algebras()[-2:]:
         assert list(A.middles) == list(range(A.dim))
         assert any(v & (v - 1) for row in A.bits for v in row)
         assert any(v & (v - 1) for v in A.inv_bits)
@@ -188,7 +198,8 @@ def test_rebased_algebras_have_several_terms():
 def test_distinct_drops_only_zero_and_repeated_rows():
     rng = random.Random(67)
     rows = [rng.choice([0, 1, 2, 3, 5, 8, 1 << 70]) for _ in range(200)]
-    A = H.group_algebra(G.symmetric_group(3), 2)
+    S3 = G.symmetric_group(3)
+    A = _constructor_copy(S3, H.group_algebra(S3, 2))
     hq1 = list(chains._hq1_rows(A)) + list(chains._b2_rows(A))
     for rows in (rows, hq1, chains._commutator_rows(A)):
         kept = chains.distinct(rows)
@@ -201,20 +212,22 @@ def test_streamed_chunks_leave_the_bases_unchanged(monkeypatch):
     """`chains._quotient` reads its rows chunk by chunk, drops repeats within
     a chunk only and sweeps each chunk into the subspace built so far.
     Chunks far smaller than one relation family give the bases of one whole
-    chunk on the algebras that take that path (no index table), and leave
-    the group algebras' column forms as they were."""
+    chunk on the algebras that take that path (the constructor copies of
+    the group algebras among them), and leave the group algebras' column
+    forms as they were."""
     def picked():
-        return [A for A in _algebras() if A.dim in (6, 8)]
+        return [B for pair in _algebras() if pair[0].dim in (6, 8) for B in dict.fromkeys(pair)]
 
     whole = [_relation_bases(A) for A in picked()]
     monkeypatch.setattr(chains, "BLOCK", 5)
     algebras = picked()
-    assert any(A.table is None for A in algebras) and any(A.table for A in algebras)
+    group = [isinstance(A, H.GroupAlgebra) for A in algebras]
+    assert any(group) and not all(group)
     for A, bases in zip(algebras, whole):
         assert _relation_bases(A) == bases, A.name
     # a chunk with no row left after the zero and repeated rows are dropped
     # does not end the stream
-    A = algebras[0]
+    A = algebras[group.index(False)]
     D = A.dim * A.dim + A.dim
     rows = list(chains._hq1_rows(A)) + list(chains._b2_rows(A))
     padded = [0] * 7 + [rows[0]] * 7 + rows
