@@ -5,6 +5,9 @@ group's exact partition, or a closed form (lattice products, and two-ends
 pull-backs through an orbit table on the finite fibre E), kept per element
 queried.  A plain windowed closure, for cross-validation, yields classes
 flagged approximate.
+
+A cyclic pull-back is a `PullbackDihedralGroup` whose hom takes no
+reflection (see `groups.core`), so every decider has one pull-back path.
 """
 from __future__ import annotations
 
@@ -12,8 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from ..memo import derived, derived_entry
-from .core import (Group, GroupError, SemidirectZnC2, PullbackCyclicGroup,
-                   PullbackDihedralGroup)
+from .core import Group, GroupError, SemidirectZnC2, PullbackDihedralGroup
 
 
 @dataclass(frozen=True)
@@ -155,9 +157,9 @@ def cl_classes(G, window=None, method="auto"):
 
 
 def canonicalizer_id(G):
-    return {"semidirect_zn_c2": "semidirect-closed-form",
-            "pullback_cyclic": "pullback-class-key",
-            "pullback_dihedral": "pullback-class-key"}.get(G.family)
+    if G.is_two_ends:
+        return "pullback-class-key"
+    return {"semidirect_zn_c2": "semidirect-closed-form"}.get(G.family)
 
 
 def has_exact_classes(G):
@@ -186,7 +188,7 @@ def class_key(G, z):
 def _infinite_key(G, z):
     if isinstance(G, SemidirectZnC2):
         return _lattice_key(z)
-    if isinstance(G, (PullbackCyclicGroup, PullbackDihedralGroup)):
+    if isinstance(G, PullbackDihedralGroup):
         return _pullback_key(G, z)
     raise GroupError(f"no exact class decider for family {G.family}")
 
@@ -198,14 +200,23 @@ def _lattice_key(z):
     v, s = z
     if s or not any(v):
         return ("one",)
-    while all(x % 2 == 0 for x in v):
-        v = tuple(x // 2 for x in v)
+    v = orbit_primitive(v)
     for x in v:
         if x % 2:
             if x < 0:
                 v = tuple(-y for y in v)
             break
     return ("lat", v)
+
+
+def orbit_primitive(v):
+    """The exponent vector v halved while every entry is even: the least
+    member of its orbit under doubling, the Frobenius g -> g^2 on a lattice
+    element or a monomial.  The zero vector is its own."""
+    if any(v):
+        while all(x % 2 == 0 for x in v):
+            v = tuple(x // 2 for x in v)
+    return v
 
 
 def class_rep_element(G, z):
@@ -250,6 +261,9 @@ def _squaring_levels(E):
                 return k, len(seq) - k, seq
         seq.append(cur)
         if len(seq) > 2 * E.order() + 4:   # pragma: no cover
+            # invariant: pre <= log2 |E|, and per divides the product of the
+            # phi(p^a), p^a the largest odd prime powers dividing the
+            # exponent of E, which is below |E|
             raise GroupError("squaring map failed to cycle")
 
 
@@ -288,18 +302,12 @@ def conj_witness(G, z1, z2):
         if all(x % 2 == 0 for x in s):
             return (tuple(x // 2 for x in s), 1)
         return None
-    if isinstance(G, PullbackCyclicGroup):
-        (i1, e1), (i2, e2) = z1, z2
-        if i1 != i2:
-            return None
-        xs = conjugators(G.E, e1).get(e2)
-        return (G.hom[xs[0]], xs[0]) if xs else None
     if isinstance(G, PullbackDihedralGroup):
-        return _dihedral_conj_witness(G, z1, z2)
+        return _pullback_conj_witness(G, z1, z2)
     raise GroupError(f"no conjugacy decider for family {G.family}")
 
 
-def _dihedral_conj_witness(G, z1, z2):
+def _pullback_conj_witness(G, z1, z2):
     (d1, e1), (d2, e2) = z1, z2
     m = G.m
     for ex in conjugators(G.E, e1).get(e2, ()):
@@ -353,8 +361,6 @@ def _power_conj(G, z, targets, amax):
 
 def _t_exponent(G, z):
     """The T-exponent of z in a pull-back; None for an S-type z."""
-    if isinstance(G, PullbackCyclicGroup):
-        return z[0]
     return None if z[0][0] else z[0][1]
 
 
@@ -399,14 +405,13 @@ def _pullback_key(G, z):
 
 def _fibre_orbit_ids(G):
     """{f: least member of its orbit} for the action x.f of `_pullback_key`
-    (in the cyclic family the orbits are the conjugacy classes of E)."""
+    (with a reflection-free hom the orbits are the conjugacy classes of E)."""
     E = G.E
-    dihedral = isinstance(G, PullbackDihedralGroup)
     ids = {}
     for f in E.elements():
         if f not in ids:
             for x in E.elements():
-                g = E.inv(f) if dihedral and G.hom[x][0] else f
+                g = E.inv(f) if G.hom[x][0] else f
                 ids.setdefault(E.conj(g, x), f)
     return ids
 
@@ -461,7 +466,7 @@ def two_power_roots(G, z):
                 out.add((eps, 1))
             return tuple(sorted(out, key=G.key))
         return (z,)
-    if isinstance(G, (PullbackCyclicGroup, PullbackDihedralGroup)):
+    if isinstance(G, PullbackDihedralGroup):
         return _pullback_roots(G, z)
     raise GroupError(f"no root solver for family {G.family}")
 
@@ -484,7 +489,6 @@ def _pullback_roots(G, z):
     E = G.E
     pre, per = squaring_preperiod(E)
     out = {z}
-    dihedral = isinstance(G, PullbackDihedralGroup)
     i = _t_exponent(G, z)
     if i is None:
         # S-type z: any 2^k-th power with k >= 1 has S-free first part
@@ -495,10 +499,10 @@ def _pullback_roots(G, z):
             if ek != z[1]:
                 continue
             if i % (1 << k) == 0:
-                g = _make(G, 0, i // (1 << k), e)
-                if g is not None:
+                g = ((0, i // (1 << k)), e)
+                if G.check_membership(g):
                     out.add(g)
-            if dihedral and i == 0:
+            if i == 0:
                 # (S T^j, e)^(2^k) = (1, e^(2^k)); representatives of the
                 # T-translation family suffice for mod-2 images
                 epsh, c = G.hom[e]
@@ -506,11 +510,3 @@ def _pullback_roots(G, z):
                     out.add(((1, c), e))
                     out.add(((1, c + G.m), e))
     return tuple(sorted(out, key=G.key))
-
-
-def _make(G, eps, i, e):
-    if isinstance(G, PullbackCyclicGroup):
-        g = (i, e)
-    else:
-        g = ((eps, i), e)
-    return g if G.check_membership(g) else None

@@ -1,13 +1,18 @@
 """Group descriptors and canonical element arithmetic.
 
 Three shapes of group are supported: finite groups, the lattice-flip
-products Z^n x| C2, and the two pull-back shapes (over the infinite cyclic
-resp. infinite dihedral group) that realize every group with an infinite
-cyclic subgroup of finite index.
+products Z^n x| C2, and the pull-backs over the infinite cyclic or
+infinite dihedral group that realize every group with an infinite cyclic
+subgroup of finite index.
 
 Every finite group is a `FiniteTableGroup`, whose elements are the indices
 0..n-1 of its multiplication table; permutation generators
 (`FinitePermGroup`) are enumerated into such a table.
+
+Both pull-back shapes are one representation, `PullbackDihedralGroup`:
+the cyclic one (`PullbackCyclicGroup`) is the dihedral one whose hom takes
+no reflection, its elements stored as ((0, i), e), and it differs only in
+how it reads and writes its hom and its elements.
 
 Elements are plain hashable data; all operations go through the descriptor.
 Encodings are canonical: equal elements are bit-identical.
@@ -409,12 +414,22 @@ class SemidirectZnC2(Group):
                 "vars": self.var_names, "name": self.name}
 
 
-class _PullbackBase(Group):
-    """Common machinery for the two pull-back families.
+class PullbackDihedralGroup(Group):
+    """Pull-back of D -> D_m <- E; elements ((eps, i), e) with
+    p(S^eps T^i) = hom(e) in D_m.
 
-    E is a finite group (table), m the modulus, hom the map E -> C_m
-    (given as tau exponents) resp. E -> D_m (pairs (eps, i))."""
+    E is a finite table group, m the modulus and hom the map E -> D_m,
+    given as pairs (eps, i) with i in [0, m).
 
+    The cyclic family is this one with a reflection-free hom.  C = <T> is
+    the subgroup eps = 0 of D = <S, T>, and C_m that of D_m, and p maps C
+    onto C_m.  So when no hom(e) has a reflection, an element (d, e) of the
+    pull-back of D has p(d) = hom(e) in C_m, hence d in C: the pull-back of
+    D is the pull-back of C -> C_m <- E, with T^i stored as (0, i).  Its
+    arithmetic, classes, centralizers and K_# are this class's at eps = 0;
+    `PullbackCyclicGroup` only reads and writes the T-exponents."""
+
+    family = "pullback_dihedral"
     is_finite = False
     is_two_ends = True
 
@@ -423,21 +438,24 @@ class _PullbackBase(Group):
             raise GroupError("pull-back needs a finite table group E")
         self.E = E
         self.m = m
-        self.hom = list(hom)
         self.name = name
         self._gen_words = dict(generator_words or {})
-        self._validate_hom()
-        self._identity = self._lift(E.identity, 0)
+        self.hom = self._validate_hom(list(hom))
+        self._identity = ((0, 0), E.identity)
 
-    def _hom_mul(self, x, y):
-        raise NotImplementedError
+    def _in_target(self, x):
+        return (isinstance(x, (list, tuple)) and len(x) == 2 and x[0] in (0, 1)
+                and type(x[1]) is int and 0 <= x[1] < self.m)
 
-    def _validate_hom(self):
-        """Check that hom is a homomorphism from E to the target (C_m or
-        D_m): one value per element of E, each a reduced element of the
-        target (`_in_target`), hom(1) = 1, and hom(ab) = hom(a) hom(b) for
-        every a and every b in S = generating_set(E).  That is n |S|
-        products, not n^2.
+    def _target_name(self):
+        return f"D_{self.m}, pairs (eps, i) with eps in {{0, 1}} and i in [0, {self.m})"
+
+    def _validate_hom(self, hom):
+        """The hom as D_m pairs, checked to be a homomorphism from E: one
+        value per element of E, each a reduced element of the target
+        (`_in_target`), hom(1) = 1, and hom(ab) = hom(a) hom(b) for every a
+        and every b in S = generating_set(E).  That is n |S| products, not
+        n^2.
 
         Light's induction, as in `FiniteTableGroup._validate`: the b for
         which the law holds at every a are closed under products.  If it
@@ -445,142 +463,25 @@ class _PullbackBase(Group):
         hom(a b1 b2) = hom(a b1) hom(b2) = hom(a) hom(b1) hom(b2)
                      = hom(a) hom(b1 b2),
         the last step by the law for b2 at a = b1 and the associativity of
-        the target, whose reduced elements form a group.  Every element of
-        the finite group E is a product of members of S (the identity a
-        power of one, or, on the trivial group, the b = 1 that hom(1) = 1
-        settles), so the law holds for every b."""
+        D_m.  Every element of the finite group E is a product of members
+        of S (the identity a power of one, or, on the trivial group, the
+        b = 1 that hom(1) = 1 settles), so the law holds for every b."""
         from .structure import generating_set
-        E, hom = self.E, self.hom
+        E, m = self.E, self.m
         if len(hom) != E.order():
             raise GroupError("hom must list one value per element of E")
         if not all(map(self._in_target, hom)):
             raise GroupError(f"hom must take values in {self._target_name()}")
-        hom_mul = self._hom_mul
+        hom = [self._d_part(h) for h in hom]
         for b in generating_set(E):
-            hb = hom[b]
+            e2, i2 = hom[b]
             # E.table[a][b] is ab
-            if any(hom_mul(ha, hb) != hom[ab]
-                   for ha, ab in zip(hom, map(itemgetter(b), E.table))):
+            if any((e1 ^ e2, ((-i1 if e2 else i1) + i2) % m) != hom[ab]
+                   for (e1, i1), ab in zip(hom, map(itemgetter(b), E.table))):
                 raise GroupError("hom is not multiplicative")
-        if hom[E.identity] != self._hom_identity():
+        if hom[E.identity] != (0, 0):
             raise GroupError("hom does not fix the identity")
-
-    def _lift(self, e, i):
-        """The pair over e with T-exponent i; it is an element when i is
-        congruent mod m to the T-exponent of hom(e)."""
-        raise NotImplementedError
-
-    def window_elements(self, bound):
-        """The elements with T-exponent in [-bound, bound], in key order.
-        Over each e these exponents step by m from the least one that fits."""
-        out = []
-        for e in self.E.elements():
-            base = next(i for i in range(self.m) if self.check_membership(self._lift(e, i)))
-            first = (base + bound) % self.m - bound
-            out += [self._lift(e, i) for i in range(first, bound + 1, self.m)]
-        out.sort(key=self.key)
-        return out
-
-    def generators(self):
-        return {nm: self.parse_element_raw(raw) for nm, raw in self._gen_words.items()}
-
-    def parse_element_raw(self, raw):
-        d, e = raw
-        g = (tuple(d) if isinstance(d, (list, tuple)) else d, e)
-        if not self.check_membership(g):
-            raise GroupError("element violates the pull-back condition")
-        return g
-
-
-class PullbackCyclicGroup(_PullbackBase):
-    """Pull-back of C -> C_m <- E; elements (i, e) with i = hom(e) mod m."""
-
-    family = "pullback_cyclic"
-
-    def _hom_mul(self, x, y):
-        return (x + y) % self.m
-
-    def _hom_identity(self):
-        return 0
-
-    def _in_target(self, x):
-        return type(x) is int and 0 <= x < self.m
-
-    def _target_name(self):
-        return f"C_{self.m}, integers in [0, {self.m})"
-
-    def check_membership(self, g):
-        i, e = g
-        return isinstance(i, int) and 0 <= e < self.E.order() and i % self.m == self.hom[e]
-
-    def mul(self, a, b):
-        return (a[0] + b[0], self.E.mul(a[1], b[1]))
-
-    def inv(self, a):
-        return (-a[0], self.E.inv(a[1]))
-
-    def conj(self, g, x):
-        """x g x^-1: the C part is central, and E conjugates by its table."""
-        return (g[0], self.E.conj(g[1], x[1]))
-
-    def order_of(self, g):
-        if g[0] != 0:
-            return None
-        return self.E.order_of(g[1])
-
-    def _lift(self, e, i):
-        return (i, e)
-
-    def key(self, g):
-        return (g[0], g[1])
-
-    def format_element(self, g):
-        return f"({g[0]}|{self.E.format_element(g[1])})"
-
-    def _parse_family(self, text):
-        if text.startswith("(") and text.endswith(")") and "|" in text:
-            body = text[1:-1]
-            i, lab = body.split("|", 1)
-            e = self.E._label_index.get(lab)
-            if e is None:
-                raise GroupError(f"unknown E-label {lab!r}")
-            try:
-                g = (int(i), e)
-            except ValueError:
-                raise GroupError(f"element literal {text!r} is not (i|label), "
-                                 "i an integer") from None
-            if not self.check_membership(g):
-                raise GroupError("element violates the pull-back condition")
-            return g
-        return None
-
-    def to_json(self):
-        return {"family": "pullback_cyclic", "E": self.E.to_json(), "m": self.m,
-                "hom": self.hom, "generators": self._gen_words, "name": self.name}
-
-
-class PullbackDihedralGroup(_PullbackBase):
-    """Pull-back of D -> D_m <- E; elements ((eps,i), e) with
-    p(S^eps T^i) = hom(e) in D_m."""
-
-    family = "pullback_dihedral"
-
-    def _hom_mul(self, x, y):
-        (e1, i1), (e2, i2) = x, y
-        return (e1 ^ e2, ((-i1 if e2 else i1) + i2) % self.m)
-
-    def _hom_identity(self):
-        return (0, 0)
-
-    def _in_target(self, x):
-        return len(x) == 2 and x[0] in (0, 1) and type(x[1]) is int and 0 <= x[1] < self.m
-
-    def _target_name(self):
-        return f"D_{self.m}, pairs (eps, i) with eps in {{0, 1}} and i in [0, {self.m})"
-
-    def __init__(self, E, m, hom, generator_words=None, name=None):
-        hom = [tuple(h) for h in hom]
-        super().__init__(E, m, hom, generator_words, name)
+        return hom
 
     def check_membership(self, g):
         d, e = g
@@ -617,12 +518,35 @@ class PullbackDihedralGroup(_PullbackBase):
         k = self.order_of(sq)
         return None if k is None else 2 * k
 
-    def _lift(self, e, i):
-        return ((self.hom[e][0], i), e)
+    def window_elements(self, bound):
+        """The elements with T-exponent in [-bound, bound], in key order.
+        Over e they are ((eps, i), e) with (eps, i mod m) = hom(e), so the
+        exponents step by m from the least one in the window."""
+        out = []
+        for e, (eps, base) in enumerate(self.hom):
+            first = (base + bound) % self.m - bound
+            out += [((eps, i), e) for i in range(first, bound + 1, self.m)]
+        out.sort(key=self.key)
+        return out
 
     def key(self, g):
         (eps, i), e = g
         return (eps, i, e)
+
+    def generators(self):
+        return {nm: self.parse_element_raw(raw) for nm, raw in self._gen_words.items()}
+
+    def parse_element_raw(self, raw):
+        """The element of a JSON pair [d, e], d as `to_json` writes it."""
+        d, e = raw
+        g = (self._d_part(d), e)
+        if not self.check_membership(g):
+            raise GroupError("element violates the pull-back condition")
+        return g
+
+    def _d_part(self, d):
+        """The D-part (eps, i) of a hom value or of a JSON element pair."""
+        return tuple(d) if isinstance(d, (list, tuple)) else d
 
     def format_element(self, g):
         (eps, i), e = g
@@ -649,9 +573,54 @@ class PullbackDihedralGroup(_PullbackBase):
         return None
 
     def to_json(self):
-        return {"family": "pullback_dihedral", "E": self.E.to_json(), "m": self.m,
-                "hom": [list(h) for h in self.hom], "generators": self._gen_words,
-                "name": self.name}
+        return {"family": self.family, "E": self.E.to_json(), "m": self.m,
+                "hom": [self._d_json(h) for h in self.hom],
+                "generators": self._gen_words, "name": self.name}
+
+    def _d_json(self, d):
+        return list(d)
+
+
+class PullbackCyclicGroup(PullbackDihedralGroup):
+    """Pull-back of C -> C_m <- E: the dihedral pull-back whose hom takes no
+    reflection (see `PullbackDihedralGroup`).  Its hom is given and written
+    as T-exponents h in [0, m) and kept as (0, h); an element (T^i, e) is
+    stored as ((0, i), e), and read and printed as (i|label)."""
+
+    family = "pullback_cyclic"
+
+    def _in_target(self, x):
+        return type(x) is int and 0 <= x < self.m
+
+    def _target_name(self):
+        return f"C_{self.m}, integers in [0, {self.m})"
+
+    def _d_part(self, d):
+        return (0, d)
+
+    def format_element(self, g):
+        (_, i), e = g
+        return f"({i}|{self.E.format_element(e)})"
+
+    def _parse_family(self, text):
+        if text.startswith("(") and text.endswith(")") and "|" in text:
+            body = text[1:-1]
+            i, lab = body.split("|", 1)
+            e = self.E._label_index.get(lab)
+            if e is None:
+                raise GroupError(f"unknown E-label {lab!r}")
+            try:
+                g = ((0, int(i)), e)
+            except ValueError:
+                raise GroupError(f"element literal {text!r} is not (i|label), "
+                                 "i an integer") from None
+            if not self.check_membership(g):
+                raise GroupError("element violates the pull-back condition")
+            return g
+        return None
+
+    def _d_json(self, d):
+        return d[1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import itertools
 
 from .. import fp
 from ..memo import derived, derived_entry
-from .core import (GroupError, SemidirectZnC2, PullbackCyclicGroup,
-                   PullbackDihedralGroup, cyclic_group, dihedral_group,
+from .core import (GroupError, SemidirectZnC2, PullbackDihedralGroup,
+                   cyclic_group, dihedral_group,
                    metacyclic_group, abelian_group, direct_product,
                    quotient_group, symmetric_group, alternating_group_4)
 # conjugacy_classes lives with the conjugator rows; kept importable here
@@ -103,10 +103,8 @@ def centralizer(G, z):
             return LatticeSubgroup(G)
         # centralizer of a flip (v,1) is {1, z}
         return FiniteSubgroup(G, [G.identity, z])
-    if isinstance(G, PullbackCyclicGroup):
-        return PullbackSubgroup(G, conjugators(G.E, z[1])[z[1]])
     if isinstance(G, PullbackDihedralGroup):
-        return _dihedral_stabilizer(G, z, allow_inverse=False)
+        return _pullback_stabilizer(G, z, allow_inverse=False)
     raise GroupError(f"unsupported family {G.family}")
 
 
@@ -120,13 +118,8 @@ def extended_centralizer(G, z):
             # involutions and the identity have z = z^-1, so Gbar_z = G_z
             return centralizer(G, z)
         return FullGroup(G)
-    if isinstance(G, PullbackCyclicGroup):
-        # first coordinate is central, so conjugating to z^-1 needs i = -i
-        if z[0] != 0:
-            return centralizer(G, z)
-        return PullbackSubgroup(G, _fixing_or_inverting(G.E, z[1]))
     if isinstance(G, PullbackDihedralGroup):
-        return _dihedral_stabilizer(G, z, allow_inverse=True)
+        return _pullback_stabilizer(G, z, allow_inverse=True)
     raise GroupError(f"unsupported family {G.family}")
 
 
@@ -136,7 +129,7 @@ def _fixing_or_inverting(G, z):
     return row[z] + row.get(G.inv(z), ())
 
 
-def _dihedral_stabilizer(G, z, allow_inverse):
+def _pullback_stabilizer(G, z, allow_inverse):
     (eps, i), ez = z
     row = conjugators(G.E, ez)
     fixing = row[ez]
@@ -336,34 +329,27 @@ def sharp_of_pullback(sub):
     coordinate tcol, the last, is t = (T^m, 1)."""
     G = sub.G
     E, hom, m = G.E, G.hom, G.m
-    cyclic = isinstance(G, PullbackCyclicGroup)
     members = list(sub.e_members)
     tcol = len(members)
     ident = E.identity
 
     def carry(e, f):
-        ef = E.mul(e, f)
-        if cyclic:
-            return (hom[e] + hom[f] - hom[ef]) // m
         (e1, i1), (e2, i2) = hom[e], hom[f]
-        tot = (-i1 if e2 else i1) + i2
-        return (tot - hom[ef][1]) // m
+        return ((-i1 if e2 else i1) + i2 - hom[E.mul(e, f)][1]) // m
 
     index, gens, forms, width, constraints = walk(E, members, carry)
 
     def bits(g):
-        d, e = g
-        i = d if cyclic else d[1]
-        if e not in index or (i % m if cyclic else (d[0] & 1, i % m)) != hom[e]:
+        (eps, i), e = g
+        if e not in index or (eps & 1, i % m) != hom[e]:
             raise GroupError("element outside subgroup")
-        j = (i - (hom[e] if cyclic else hom[e][1])) // m & 1
+        j = (i - hom[e][1]) // m & 1
         # g = u_e t^j; with u_1 = 1, t itself gets the unit vector of t
         if j and e == ident:
             return 1 << tcol
         return j << tcol | 1 << index[e]
 
-    t = m if cyclic else (0, m)
-    return SharpSpace(bits, [(hom[e], e) for e in members] + [(t, ident)],
+    return SharpSpace(bits, [(hom[e], e) for e in members] + [((0, m), ident)],
                       forms + [1 << len(gens)], width, constraints)
 
 
@@ -425,7 +411,7 @@ def ab_mod_squares(G):
         return sharp_of_members(G, G.elements())
     if isinstance(G, SemidirectZnC2):
         return sharp_of_semidirect(G)
-    if isinstance(G, (PullbackCyclicGroup, PullbackDihedralGroup)):
+    if isinstance(G, PullbackDihedralGroup):
         return sharp_of_pullback(PullbackSubgroup(G, G.E.elements()))
     raise GroupError(f"unsupported family {G.family}")
 

@@ -233,16 +233,19 @@ class CokerOnePlusVartheta:
         return self.context.reduce(vec)
 
     def upsilon_pair(self, a, b):
-        """[a (x) b, ab] for Lambda_1 elements a, b."""
-        return self.reduce(hq_vector(self.A, tensor2(self.A, a, b),
-                                     self.A.mul(a, b)))
+        """[a (x) b, ab] for Lambda_1 elements a, b, reduced."""
+        return self.upsilon_expression([(a, b)])
 
     def upsilon_expression(self, pairs):
-        acc = fp.zeros(self.hq.ambient_dim)
+        """The reduced sum of the [a (x) b, ab] of the pairs (a, b), as a
+        tuple.  Each is written packed, ab read by `times`, so a group
+        algebra writes no product table."""
+        d, times = self.A.dim, self.A.times
+        acc = 0
         for a, b in pairs:
-            acc = fp.add_vec(acc, hq_vector(self.A, tensor2(self.A, a, b),
-                                            self.A.mul(a, b)), self.A.p)
-        return self.reduce(acc)
+            a, b = fp.pack(a), fp.pack(b)
+            acc ^= tensor_bits(d, a, b) ^ times(a, b) << d * d
+        return fp.unpack(self.context.reduce_packed(acc), self.hq.ambient_dim)
 
 
 def coker_one_plus_vartheta(A):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 
 from .arf import ArfExpression, ArfError, GROUP, RING, REDUCED
+from .groups.classes import orbit_primitive
 from .groups.core import SemidirectZnC2
 from .kinv import cr_reduce, omega
 from .rings.base import RingError, PolyRing, IntegerRing
@@ -390,14 +391,8 @@ def _times_var(ring, coeff, var_index):
     return ring.mul(coeff, ring.monomial(shift))
 
 
-def _orbit_primitive(e):
-    if any(e):
-        while all(x % 2 == 0 for x in e):
-            e = tuple(x // 2 for x in e)
-    return e
-
 def _orbit_key(side, e):
-    p = _orbit_primitive(e)
+    p = orbit_primitive(e)
     px, py = p[0] % 2, p[1] % 2
     if px == 0 and py == 0:
         return (side + "0", p)          # the constant orbit

@@ -85,9 +85,7 @@ class COrbitContext:
         self.inverse = ring.involution == "inverse"
 
     def canonical_monomial(self, e):
-        if any(e):
-            while all(x % 2 == 0 for x in e):
-                e = tuple(x // 2 for x in e)
+        e = gclasses.orbit_primitive(e)
         if self.inverse:
             e = min(e, tuple(-x for x in e))
         return e

@@ -124,7 +124,7 @@ def test_centralizer_examples(plane):
     # identity -> whole group
     assert len(G.centralizer(S3, S3.identity)) == 6
     PC = G.pullback_cyclic_example()
-    gz = G.centralizer(PC, (1, 1))
+    gz = G.centralizer(PC, ((0, 1), 1))
     assert gz.kind == "pullback" and len(gz.e_members) == 4
 
 
@@ -205,8 +205,6 @@ def _all_pairs_basis(sub):
         members, mul, n = sub.e_members, E.mul, len(sub.e_members) + 1
 
         def carry(e, f):
-            if isinstance(Gx, G.PullbackCyclicGroup):
-                return (hom[e] + hom[f] - hom[mul(e, f)]) // m
             (_, i1), (e2, i2) = hom[e], hom[f]
             return ((-i1 if e2 else i1) + i2 - hom[mul(e, f)][1]) // m
 
@@ -497,16 +495,14 @@ def _two_ends_groups():
 
 def test_pullback_window_is_every_member_in_key_order():
     # reference: every candidate over e with |T-exponent| <= bound that
-    # satisfies the pull-back condition, sorted by key
+    # satisfies the pull-back condition, sorted by key; a cyclic pull-back
+    # stores T^i as (0, i) and holds no ((1, i), e)
     for Gx in _two_ends_groups() + _more_pullbacks():
         for bound in range(7):
             cands = []
             for e in Gx.E.elements():
                 for i in range(-bound, bound + 1):
-                    if Gx.family == "pullback_cyclic":
-                        cands.append((i, e))
-                    else:
-                        cands += [((0, i), e), ((1, i), e)]
+                    cands += [((0, i), e), ((1, i), e)]
             want = sorted((g for g in cands if Gx.check_membership(g)), key=Gx.key)
             assert Gx.window_elements(bound) == want, (Gx.name, bound)
 
@@ -528,6 +524,155 @@ def _more_pullbacks():
     PD3 = G.PullbackDihedralGroup(G.cyclic_group(6), 1,
                                   [(e % 2, 0) for e in range(6)], name="pb-c6-d1")
     return [PD1, PD2, PC3, PD3]
+
+
+class _CyclicPullbackReference:
+    """The deleted code of `PullbackCyclicGroup`, on its old elements (i, e)
+    with i the T-exponent and hom the list of T-exponents (reference): its
+    arithmetic, its `conj_witness` branch, its centralizer and extended
+    centralizer (as e-members), and the carry and K_# coordinates of
+    `sharp_of_pullback`."""
+
+    def __init__(self, E, m, hom):
+        self.E, self.m, self.hom = E, m, hom
+
+    def check_membership(self, g):
+        i, e = g
+        return isinstance(i, int) and 0 <= e < self.E.order() and i % self.m == self.hom[e]
+
+    def mul(self, a, b):
+        return (a[0] + b[0], self.E.mul(a[1], b[1]))
+
+    def inv(self, a):
+        return (-a[0], self.E.inv(a[1]))
+
+    def conj(self, g, x):
+        # the C part is central, and E conjugates by its table
+        return (g[0], self.E.conj(g[1], x[1]))
+
+    def order_of(self, g):
+        return None if g[0] != 0 else self.E.order_of(g[1])
+
+    def key(self, g):
+        return (g[0], g[1])
+
+    def conj_witness(self, z1, z2):
+        (i1, e1), (i2, e2) = z1, z2
+        if i1 != i2:
+            return None
+        xs = gcl.conjugators(self.E, e1).get(e2)
+        return (self.hom[xs[0]], xs[0]) if xs else None
+
+    def centralizer(self, z):
+        return tuple(sorted(set(gcl.conjugators(self.E, z[1])[z[1]])))
+
+    def extended_centralizer(self, z):
+        # the first coordinate is central, so conjugating to z^-1 needs i = -i
+        if z[0] != 0:
+            return self.centralizer(z)
+        row = gcl.conjugators(self.E, z[1])
+        return tuple(sorted(set(row[z[1]] + row.get(self.E.inv(z[1]), ()))))
+
+    def carry(self, e, f):
+        hom = self.hom
+        return (hom[e] + hom[f] - hom[self.E.mul(e, f)]) // self.m
+
+    def sharp_bits(self, e_members, g):
+        """The K_# vector of g over the sub-pull-back of the e-members, its
+        t coordinate last; None for g outside it."""
+        index = {e: k for k, e in enumerate(e_members)}
+        i, e = g
+        if e not in index or i % self.m != self.hom[e]:
+            return None
+        j = (i - self.hom[e]) // self.m & 1
+        if j and e == self.E.identity:
+            return 1 << len(e_members)
+        return j << len(e_members) | 1 << index[e]
+
+
+def _cyclic_pullbacks():
+    """pb-cyclic-c4, pb-cyclic-d4 of the fuzz battery, S3 over C_2 by sign
+    and Z x C7."""
+    groups = _two_ends_groups() + _more_pullbacks() + _infinite_groups()
+    return list({Gx.name: Gx for Gx in groups if Gx.family == "pullback_cyclic"}.values())
+
+
+def _wrap(g):
+    """The element ((0, i), e) of a cyclic pull-back for the old (i, e)."""
+    return None if g is None else ((0, g[0]), g[1])
+
+
+def _upsilon_displays(Gx, zs):
+    """The display of [h] in L([z]) for every K_# element h of F(z), and of
+    [1, t] when F(z) has a t, on a fresh descriptor."""
+    out = []
+    for z in zs:
+        fz = ups.fz_data(Gx, z)
+        for h, t in [(h, 0) for h in fz.sharp.elements] + [(None, 1)] * fz.has_t:
+            v = ups.JValue(Gx)
+            v.add_insert(z, h, t)
+            out.append(v.display())
+    return out
+
+
+def test_cyclic_pullbacks_are_the_reflection_free_dihedral_pullbacks():
+    # the deleted (i, e) code, read through (i, e) -> ((0, i), e), gives
+    # the products, inverses, conjugates, orders, key order, witnesses,
+    # centralizer e-members, carry walk and K_# bits of each cyclic
+    # pull-back at its window-3 elements
+    groups = _cyclic_pullbacks()
+    assert [Gx.name for Gx in groups] == ["pb_cyclic_c4", "pb-cyclic-d4", "pb-s3-c2", "ZxC7"]
+    for Gx in groups:
+        data = Gx.to_json()
+        hom = data["hom"]
+        assert hom == [h for _, h in Gx.hom] and all(type(h) is int for h in hom)
+        assert G.group_from_json(json.loads(json.dumps(data))).to_json() == data
+        E, m = Gx.E, Gx.m
+        ref = _CyclicPullbackReference(E, m, hom)
+        old = sorted((g for e in E.elements() for g in
+                      [(i, e) for i in range(-3, 4)] if ref.check_membership(g)), key=ref.key)
+        assert list(map(_wrap, old)) == Gx.window_elements(3), Gx.name
+        assert Gx.identity == _wrap((0, E.identity))
+        for a in old:
+            assert Gx.inv(_wrap(a)) == _wrap(ref.inv(a))
+            assert Gx.order_of(_wrap(a)) == ref.order_of(a)
+            assert Gx.parse_element(Gx.format_element(_wrap(a))) == _wrap(a)
+            assert Gx.format_element(_wrap(a)) == f"({a[0]}|{E.format_element(a[1])})"
+            for b in old:
+                assert Gx.mul(_wrap(a), _wrap(b)) == _wrap(ref.mul(a, b))
+                assert Gx.conj(_wrap(a), _wrap(b)) == _wrap(ref.conj(a, b))
+                assert G.conj_witness(Gx, _wrap(a), _wrap(b)) == \
+                    _wrap(ref.conj_witness(a, b)), (Gx.name, a, b)
+        for z in old:
+            for sub, want in [(gst.centralizer(Gx, _wrap(z)), ref.centralizer(z)),
+                              (gst.extended_centralizer(Gx, _wrap(z)),
+                               ref.extended_centralizer(z))]:
+                assert sub.kind == "pullback" and sub.e_members == want, (Gx.name, z)
+                sharp = gst.sharp_of_pullback(sub)
+                _, _, forms, width, constraints = gst.walk(E, list(want), ref.carry)
+                assert (sharp.forms[:-1], sharp.width, sharp.constraints) == \
+                    (forms, width, constraints)
+                assert sharp.elements == [_wrap((hom[e], e)) for e in want] + \
+                    [_wrap((m, E.identity))]
+                for g in old:
+                    bits = ref.sharp_bits(want, g)
+                    if bits is not None:
+                        assert sharp.bits(_wrap(g)) == bits, (Gx.name, z, g)
+    # each is the dihedral pull-back of the same E with hom (0, h): the same
+    # class keys, types, L(c) dimensions and Upsilon displays, the cyclic
+    # one printing (i|label) where the dihedral one prints (0,i|label)
+    for Gx in groups:
+        Dx = G.PullbackDihedralGroup(Gx.E, Gx.m, [(0, h) for h in Gx.to_json()["hom"]])
+        zs = Gx.window_elements(3)
+        assert Dx.window_elements(3) == zs
+        for z in zs:
+            assert gcl.class_key(Gx, z) == gcl.class_key(Dx, z), (Gx.name, z)
+            assert gst.type_of(Gx, z) == gst.type_of(Dx, z), (Gx.name, z)
+            assert ups.l_of_class(Gx, z).dim == ups.l_of_class(Dx, z).dim, (Gx.name, z)
+        cyclic = _upsilon_displays(Gx, zs)
+        assert len(cyclic) > len(zs) and any(d != "0" for d in cyclic)
+        assert [re.sub(r"\((-?\d+)\|", r"(0,\1|", d) for d in cyclic] == \
+            _upsilon_displays(Dx, zs), Gx.name
 
 
 def _finite_groups():
@@ -985,12 +1130,58 @@ def test_hom_values_outside_the_target_are_refused():
     hom = [(2 * eps, i) for eps, i in Gx.hom]
     with pytest.raises(GroupError, match="hom must take values in D_1"):
         G.PullbackDihedralGroup(Gx.E, Gx.m, hom)
+    # T-exponents are no elements of D_2
+    with pytest.raises(GroupError, match="hom must take values in D_2"):
+        G.PullbackDihedralGroup(G.cyclic_group(2), 2, [0, 1])
     with pytest.raises(GroupError, match="hom must take values in C_2"):
         G.PullbackCyclicGroup(G.cyclic_group(4), 2, [0, 1, 2, 3])
     with pytest.raises(GroupError, match="one value per element"):
         G.PullbackCyclicGroup(G.cyclic_group(4), 2, [0, 1, 0])
     with pytest.raises(GroupError, match="does not fix the identity"):
         G.PullbackCyclicGroup(G.cyclic_group(1), 2, [1])
+
+
+class _Opaque(G.Group):
+    """An infinite descriptor of a family with no decider."""
+
+    family = "opaque"
+    _identity = 0
+
+
+def test_every_refusal_of_the_group_deciders_is_typed():
+    # every raise of groups/classes.py and groups/structure.py that carries
+    # no invariant argument, with its type and exact message
+    S3, plane = G.symmetric_group(3), G.group_plane()
+    members = gst.centralizer(S3, S3.parse_element("c")).members
+    outside = next(g for g in S3.elements() if g not in members)
+    O = _Opaque()
+    cases = [
+        (lambda: gcl.cl_part(S3, S3.order()), "element outside group"),
+        (lambda: G.cl_classes(plane), "infinite family: cl_classes needs a window bound"),
+        (lambda: gcl.class_key(O, 1), "no exact class decider for family opaque"),
+        (lambda: gcl.conj_witness(O, 1, 1), "no conjugacy decider for family opaque"),
+        (lambda: gcl.two_power_roots(O, 1), "no root solver for family opaque"),
+        (lambda: gst.centralizer(O, 1), "unsupported family opaque"),
+        (lambda: gst.extended_centralizer(O, 1), "unsupported family opaque"),
+        (lambda: gst.ab_mod_squares(O), "unsupported family opaque"),
+        (lambda: gst.sharp_of_members(S3, members).bits(outside), "element outside subgroup"),
+        (lambda: gst.sharp_of_subgroup(gst.LatticeSubgroup(plane)).bits(((0, 0), 1)),
+         "element outside the lattice"),
+        (lambda: gst.sharp_of_subgroup(type("Sub", (), {"kind": "cosets", "G": S3})()),
+         "unknown subgroup kind cosets"),
+        (lambda: gst.groups_of_order(17), "catalog covers orders 1..16"),
+    ]
+    # a sub-pull-back refuses an element over an e outside its e-members
+    # and one off the pull-back condition
+    PC = G.pullback_cyclic_example()
+    z = PC.parse_element("(1|c)")
+    sub = gst.PullbackSubgroup(PC, [PC.E.identity])
+    cases += [(lambda g=g: gst.sharp_of_pullback(sub).bits(g), "element outside subgroup")
+              for g in (z, ((0, 1), PC.E.identity), ((1, 0), PC.E.identity))]
+    for call, message in cases:
+        with pytest.raises(GroupError) as err:
+            call()
+        assert type(err.value) is GroupError and str(err.value) == message
 
 
 def test_squaring_levels_match_repeated_squaring():

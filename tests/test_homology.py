@@ -189,6 +189,37 @@ def test_vartheta_examples(algebras):
     assert cok.upsilon_pair(g, g) == cok.upsilon_pair(A.unit, A.unit)
 
 
+def _sparse_upsilon_pairs(cok, pairs):
+    """The sum of the [a (x) b, ab] of the pairs as tuples, the products by
+    the sparse `FiniteAlgebra.mul`, reduced (the deleted path, reference)."""
+    A = cok.A
+    acc = fp.zeros(cok.hq.ambient_dim)
+    for a, b in pairs:
+        acc = fp.add_vec(acc, H.hq_vector(A, chains.tensor2(A, a, b), A.mul(a, b)), 2)
+    return cok.reduce(acc)
+
+
+def test_upsilon_pairs_read_the_index_table():
+    # on the catalogue up to order 8: upsilon_pair on every pair of basis
+    # vectors and upsilon_expression on random sums write no product table
+    # into the algebra's store, and equal the sparse path
+    rng = random.Random(34)
+    for Gx in G.groups_upto(8):
+        A = H.group_algebra(Gx, 2)
+        cok = H.coker_one_plus_vartheta(A)
+        basis = [A.basis_vec(i) for i in range(A.dim)]
+        sums = [tuple(rng.randrange(2) for _ in range(A.dim)) for _ in range(6)]
+        exprs = [[(rng.choice(basis + sums), rng.choice(basis + sums))
+                  for _ in range(k)] for k in range(4)]
+        pairs = [cok.upsilon_pair(a, b) for a in basis for b in basis]
+        values = [cok.upsilon_expression(e) for e in exprs]
+        assert "mult" not in A._derived, Gx.name
+        assert pairs == [_sparse_upsilon_pairs(cok, [(a, b)]) for a in basis for b in basis]
+        assert values == [_sparse_upsilon_pairs(cok, e) for e in exprs], Gx.name
+        assert all(type(v) is tuple for v in pairs + values)
+        assert values[0] == (0,) * cok.hq.ambient_dim
+
+
 def test_vartheta_relation_six_pattern(algebras):
     # vartheta([a (x) b, ab]) = [aba (x) b, abab] for involutions a, b
     for name in ("F2[C2]", "F2[C2xC2]", "F2[S3]"):

@@ -156,14 +156,10 @@ def _sharp_rows(sub):
         return len(members), _relation_rows(len(members), index, gens, Gx.mul,
                                             Gx.identity, lambda a, s: 0)
     E, hom, m = Gx.E, Gx.hom, Gx.m
-    cyclic = isinstance(Gx, G.PullbackCyclicGroup)
 
     def carry(e, f):
-        ef = E.mul(e, f)
-        if cyclic:
-            return (hom[e] + hom[f] - hom[ef]) // m
         (_, i1), (e2, i2) = hom[e], hom[f]
-        return ((-i1 if e2 else i1) + i2 - hom[ef][1]) // m
+        return ((-i1 if e2 else i1) + i2 - hom[E.mul(e, f)][1]) // m
 
     n = len(sub.e_members) + 1
     index = {e: i for i, e in enumerate(sub.e_members)}
