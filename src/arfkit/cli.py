@@ -3,7 +3,8 @@
 Deterministic output; exit code 0 on success, 2 for honest Unknown or
 Inconclusive results, 1 on errors.  An ArfkitError (bad input, or a refused
 computation such as an algebra past the homology dimension guard) is
-reported as one line on stderr.
+reported as one line on stderr, and so is a command line that click cannot
+parse (a missing or unknown option, a bad choice).
 """
 from __future__ import annotations
 
@@ -55,12 +56,35 @@ def ring_by_name(name):
     return build()
 
 
+# click >= 8.2 raises this usage error for a bare `arfkit`
+_NO_ARGS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
+def _one_line(exc):
+    """A refusal as click's plain error: one `Error: ...` line, exit 1.  A
+    usage error of click's own would print a usage block and exit 2, the
+    code of an honest Unknown; its message is joined onto one line."""
+    if isinstance(exc, click.UsageError):
+        return click.ClickException(" ".join(exc.format_message().split()))
+    return click.ClickException(str(exc))
+
+
 class _Main(click.Group):
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except _NO_ARGS_HELP as exc:
+            # a bare `arfkit` prints its help and exits 0, as --help does
+            click.echo(exc.format_message())
+            raise click.exceptions.Exit(0) from None
+        except click.UsageError as exc:
+            raise _one_line(exc) from exc
+
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ArfkitError as exc:
-            raise click.ClickException(str(exc)) from exc
+        except (ArfkitError, click.UsageError) as exc:
+            raise _one_line(exc) from exc
 
 
 @click.group(cls=_Main)
@@ -115,7 +139,7 @@ def arf_eval_cmd(expr, invariant, group_spec, ring_spec, reduced, as_json):
         ctx = ring_by_name(ring_spec)
         flavor = arf.REDUCED if reduced else arf.RING
     else:
-        raise click.UsageError("one of --group/--ring is required")
+        raise ArfkitError("arf-eval needs one of --group/--ring")
     e = arf.parse_expression(flavor, ctx, expr)
     if invariant == "omega":
         out = kinv.omega(e).display()
@@ -196,7 +220,7 @@ def homology_cmd(which, group_spec, p, algebra_path, as_json):
     elif group_spec:
         A = halg.group_algebra(load_group(group_spec), p)
     else:
-        raise click.UsageError("need --algebra or --group-algebra")
+        raise ArfkitError("homology needs one of --algebra/--group-algebra")
     hs = hch.homology(A, which)
     if as_json:
         click.echo(json.dumps({"which": which, "dim": hs.dim}))

@@ -56,22 +56,27 @@ def conjugators(G, g):
 
 def _conjugator_row(G, g):
     row = {}
-    for x in G.elements():
-        row.setdefault(G.conj(g, x), []).append(x)
+    for x, h in zip(G.elements(), G.conjugates(g)):
+        row.setdefault(h, []).append(x)
     return {h: tuple(xs) for h, xs in row.items()}
 
 
-def conjugacy_classes(G):
-    """Ordinary conjugacy classes of a finite group."""
-    seen = set()
-    classes = []
+def _class_rows(G):
+    """The conjugator rows of the least members of the conjugacy classes,
+    in key order: elements() is in key order, so each class is met first
+    at its least member."""
+    seen, rows = set(), []
     for g in G.elements():
         if g not in seen:
-            orbit = frozenset(conjugators(G, g))
-            seen |= orbit
-            classes.append(orbit)
-    classes.sort(key=lambda c: G.key(min(c, key=G.key)))
-    return classes
+            rows.append((g, conjugators(G, g)))
+            seen.update(rows[-1][1])
+    return rows
+
+
+def conjugacy_classes(G):
+    """Ordinary conjugacy classes of a finite group, in key order of their
+    least members."""
+    return [frozenset(row) for _, row in _class_rows(G)]
 
 
 def cl_partition_finite(G):
@@ -92,21 +97,32 @@ def _part_map(G):
 
 
 def _partition_finite(G):
-    els = G.elements()
-    uf = _UnionFind(els)
-    for g in els:
-        uf.union(g, G.inv(g))
-        uf.union(g, G.mul(g, g))
-    for orbit in conjugacy_classes(G):
-        g = next(iter(orbit))
-        for h in orbit:
-            uf.union(g, h)
-    groups = {}
-    for g in els:
-        groups.setdefault(uf.find(g), set()).add(g)
-    parts = [frozenset(s) for s in groups.values()]
-    parts.sort(key=lambda s: G.key(min(s, key=G.key)))
-    return parts
+    """The parts, in key order of their least members: unions of conjugacy
+    classes.  Inversion and squaring commute with conjugation, so the class
+    of r^-1 and that of r^2, for r the least member of a class, are the
+    classes its members move to; a union-find on the class numbers, each
+    root the least number of its part, joins them."""
+    rows = _class_rows(G)
+    number = {}
+    for k, (_, row) in enumerate(rows):
+        number.update(dict.fromkeys(row, k))
+    root = list(range(len(rows)))
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for k, (r, _) in enumerate(rows):
+        for j in (number[G.inv(r)], number[G.mul(r, r)]):
+            a, b = find(k), find(j)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    parts = {}
+    for k, (_, row) in enumerate(rows):
+        parts.setdefault(find(k), []).append(row)
+    # a part's first class has its least number, so the parts come in order
+    return [frozenset(itertools.chain.from_iterable(part)) for part in parts.values()]
 
 
 def cl_classes(G, window=None, method="auto"):
@@ -444,14 +460,17 @@ def power_conj_search(G, z, targets):
 def two_power_roots(G, z):
     """Elements g with g^(2^k) = z for some k >= 0, as a tuple.
 
-    A finite group builds the roots of all its elements at once, on first
-    use.  For infinite families the tuple is a finite set whose images
-    exhaust the images of all roots in any mod-2 abelianization: roots come
-    in translation families with period dividing 2m in the T-exponent, so
-    representatives over a 2m-window suffice.
+    A finite group lists the square roots of all its elements once
+    (`_square_roots`), and walks back from them to the roots of each z
+    queried, on its first query (`_finite_roots_of`).  A two-ends pull-back
+    reads the same lists on its fibre E.  For infinite families the tuple
+    is a finite set whose images exhaust the images of all roots in any
+    mod-2 abelianization: roots come in translation families with period
+    dividing 2m in the T-exponent, so representatives over a 2m-window
+    suffice.
     """
     if G.is_finite:
-        return derived(G, "two_power_roots", _finite_roots, G).get(z, (z,))
+        return derived_entry(G, "two_power_roots", z, _finite_roots_of, G, z)
     out = {z}
     if isinstance(G, SemidirectZnC2):
         v, s = z
@@ -471,18 +490,26 @@ def two_power_roots(G, z):
     raise GroupError(f"no root solver for family {G.family}")
 
 
-def _finite_roots(G):
-    """{z: the 2-power roots of z} for a finite group, from one walk
-    g, g^2, g^4, ... per element g until it repeats."""
+def _square_roots(G):
+    """{h: [the g with g^2 = h, in elements() order]} for a finite group,
+    built once per group."""
     roots = {}
-    for g in G.elements():
-        x, seen = g, set()
-        while x not in seen:
-            seen.add(x)
-            x = G.mul(x, x)
-        for x in seen:
-            roots.setdefault(x, []).append(g)
-    return {z: tuple(sorted(gs, key=G.key)) for z, gs in roots.items()}
+    for g, h in zip(G.elements(), G.squares()):
+        roots.setdefault(h, []).append(g)
+    return roots
+
+
+def _finite_roots_of(G, z):
+    """The 2-power roots of z in key order, walked back from z: the g with
+    g^(2^(k+1)) = z are the square roots of those with g^(2^k) = z."""
+    sqrt = derived(G, "square_roots", _square_roots, G)
+    found, todo = {z}, [z]
+    for x in todo:                      # grows while it is read
+        for g in sqrt.get(x, ()):
+            if g not in found:
+                found.add(g)
+                todo.append(g)
+    return tuple(sorted(found, key=G.key))
 
 
 def _pullback_roots(G, z):
@@ -494,10 +521,12 @@ def _pullback_roots(G, z):
         # S-type z: any 2^k-th power with k >= 1 has S-free first part
         return tuple(sorted(out, key=G.key))
     kmax = (pre + per if i == 0 else _v2(i) or 0)
+    sqrt = derived(E, "square_roots", _square_roots, E)
+    level = [z[1]]
     for k in range(1, kmax + 1):
-        for e, ek in enumerate(squaring_level(E, k)):
-            if ek != z[1]:
-                continue
+        # the e with e^(2^k) = z[1]: square roots of the level below
+        level = [e for x in level for e in sqrt.get(x, ())]
+        for e in level:
             if i % (1 << k) == 0:
                 g = ((0, i // (1 << k)), e)
                 if G.check_membership(g):

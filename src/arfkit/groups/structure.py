@@ -29,6 +29,14 @@ class FiniteSubgroup:
         self.G = G
         self.members = tuple(sorted(set(members), key=G.key))
 
+    @classmethod
+    def ordered(cls, G, members):
+        """The subgroup of `members`, a tuple already in key order with no
+        repeats, as a conjugator row entry is."""
+        sub = object.__new__(cls)
+        sub.G, sub.members = G, members
+        return sub
+
     def __contains__(self, g):
         return g in self.members
 
@@ -77,15 +85,8 @@ class PullbackSubgroup:
 
 def subgroup_closure(G, gens, span=()):
     """Member set of the finite group G generated by `gens` and the members
-    of the subgroup `span`, grown from `span` by right multiplication."""
-    seen = set(span) | {G.identity}
-    todo = [G.mul(x, g) for x in seen for g in gens]
-    while todo:
-        y = todo.pop()
-        if y not in seen:
-            seen.add(y)
-            todo.extend(G.mul(y, g) for g in gens)
-    return seen
+    of the subgroup `span` (`Group.closure`; a table group reads its rows)."""
+    return G.closure(gens, span)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +95,7 @@ def subgroup_closure(G, gens, span=()):
 def centralizer(G, z):
     """G_z = {g : gz = zg}."""
     if G.is_finite:
-        return FiniteSubgroup(G, conjugators(G, z)[z])
+        return FiniteSubgroup.ordered(G, conjugators(G, z)[z])
     if isinstance(G, SemidirectZnC2):
         v, s = z
         if z == G.identity:
@@ -111,7 +112,7 @@ def centralizer(G, z):
 def extended_centralizer(G, z):
     """Gbar_z = {g : g^-1 z g in {z, z^-1}}."""
     if G.is_finite:
-        return FiniteSubgroup(G, _fixing_or_inverting(G, z))
+        return FiniteSubgroup.ordered(G, _fixing_or_inverting(G, z))
     if isinstance(G, SemidirectZnC2):
         v, s = z
         if s == 1 or z == G.identity:
@@ -124,9 +125,13 @@ def extended_centralizer(G, z):
 
 
 def _fixing_or_inverting(G, z):
-    """The x of the finite group G with x z x^-1 in {z, z^-1}."""
+    """The x of the finite group G with x z x^-1 in {z, z^-1}, in key
+    order."""
     row = conjugators(G, z)
-    return row[z] + row.get(G.inv(z), ())
+    inverting = row.get(G.inv(z))
+    if inverting is None or inverting is row[z]:
+        return row[z]
+    return tuple(sorted(row[z] + inverting, key=G.key))
 
 
 def _pullback_stabilizer(G, z, allow_inverse):
@@ -156,10 +161,11 @@ def _pullback_stabilizer(G, z, allow_inverse):
 def type_of(G, z):
     """1 if z = z^-1; 2 if z^-1 is conjugate to z but distinct; 3 otherwise.
 
-    A finite group decides it from its conjugator rows.  On Z^n x| C2 a
-    flip inverts every translation, so z != z^-1 (a nonzero translation)
-    is of type 2, with no search.  A two-ends family reads it from a table
-    of the elements queried so far."""
+    A finite group reads it off the conjugator row of z: type 2 iff the
+    row has a z^-1 entry.  On Z^n x| C2 a flip inverts every translation,
+    so z != z^-1 (a nonzero translation) is of type 2, with no search.  A
+    two-ends family reads it from a table of the elements queried so
+    far."""
     if G.is_finite:
         return _type(G, z)
     if isinstance(G, SemidirectZnC2):
@@ -171,6 +177,8 @@ def _type(G, z):
     zi = G.inv(z)
     if z == zi:
         return 1
+    if G.is_finite:
+        return 2 if zi in conjugators(G, z) else 3
     return 2 if conj_witness(G, z, zi) is not None else 3
 
 
@@ -293,6 +301,9 @@ class FiniteSharp(SharpSpace):
             return 1 << i
 
         super().__init__(bits, members, forms, width, constraints)
+
+    def form(self, g):
+        return self.forms[self.index[g]] if g in self.index else super().form(g)
 
 
 def generating_set(G, members=None):

@@ -416,6 +416,36 @@ def _one_error_line(r):
     return line
 
 
+def test_a_command_without_its_context_is_one_error_line(runner):
+    # both exited 2, the code of an honest Unknown, with a usage block
+    r = runner.invoke(main, ["arf-eval", "<S, S>", "--invariant", "omega"])
+    assert _one_error_line(r) == "Error: arf-eval needs one of --group/--ring"
+    r = runner.invoke(main, ["homology", "H1"])
+    assert _one_error_line(r) == "Error: homology needs one of --algebra/--group-algebra"
+
+
+@pytest.mark.parametrize("args, fragment", [
+    (["arf-eval", "<S, S>", "--group", "builtin:ch2-plane"], "'--invariant'"),
+    (["arf-eval", "<S, S>", "--invariant", "eta", "--group", "builtin:ch2-plane"], "'eta'"),
+    (["classes"], "'GROUP'"),
+    (["classes", "builtin:c2", "--window", "x"], "'x'"),
+    (["classes", "builtin:c2", "--bogus"], "--bogus"),
+    (["nope"], "'nope'"),
+    (["--bogus"], "--bogus"),
+])
+def test_click_parse_errors_are_one_error_line(runner, args, fragment):
+    # malformed command lines exit 1 with click's message on one line, as
+    # malformed input does; the wording is click's and varies by version
+    line = _one_error_line(runner.invoke(main, args))
+    assert fragment in line, line
+
+
+def test_a_bare_command_prints_its_help_and_exits_0(runner):
+    r = runner.invoke(main, [])
+    assert r.exit_code == 0 and r.stderr == ""
+    assert r.stdout == runner.invoke(main, ["--help"]).stdout
+
+
 @pytest.mark.parametrize("group", ["ch2-plane", "ch1-c-by-d4", "pb-cyclic-c4"])
 @pytest.mark.parametrize("command", [["homology", "H1", "--group-algebra"],
                                      ["theta", "h0", "--group-algebra"],

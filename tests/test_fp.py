@@ -219,6 +219,14 @@ def test_packed_rows_match_dense_and_sparse_rows(dim):
         fp.Subspace(3, 3, [(1, 0, 1)]).extended([5])
 
 
+def test_packed_bases_are_f2_only():
+    assert fp.Subspace(3, 2, [(1, 0, 1)]).packed_basis() == [0b101]
+    with pytest.raises(ValueError) as err:
+        fp.Subspace(3, 3, [(1, 0, 2)]).packed_basis()
+    assert type(err.value) is ValueError
+    assert str(err.value) == "packed rows are F_2 only, not F_3"
+
+
 def _forms_block(rng, ncols):
     """A random forms presentation of ncols columns, as `FormQuotient` takes
     it: (forms, width, constraints), with Q onto (each unknown the form of

@@ -341,6 +341,85 @@ def test_two_power_roots(groupB):
     assert set(roots) == {z, xy, xy7}
 
 
+def _finite_roots(Gx):
+    """{z: the 2-power roots of z} for a finite group, from one walk
+    g, g^2, g^4, ... per element g until it repeats: the roots of every
+    element at once (reference for the roots walked back per element)."""
+    roots = {}
+    for g in Gx.elements():
+        x, seen = g, set()
+        while x not in seen:
+            seen.add(x)
+            x = Gx.mul(x, x)
+        for x in seen:
+            roots.setdefault(x, []).append(g)
+    return {z: tuple(sorted(gs, key=Gx.key)) for z, gs in roots.items()}
+
+
+def test_roots_walked_back_match_the_walk_from_every_element():
+    # at every element of the catalogue, the J >= 3 groups and the random
+    # battery, on fresh descriptors; a second query hands out the same tuple
+    from test_random_groups import battery_draws
+    from test_upsilon import large_j_groups
+    small, _, large = battery_draws()
+    groups = (G.groups_upto(16) + [Gx for Gx, _ in large_j_groups().values()]
+              + [_relabelled(random.Random(7), Gx)[0] for Gx in small + large])
+    for Gx in groups:
+        want = _finite_roots(Gx)
+        for z in Gx.elements():
+            roots = G.two_power_roots(Gx, z)
+            assert roots == want[z], (Gx.name, z)
+            assert G.two_power_roots(Gx, z) is roots
+
+
+def _scanned_pullback_roots(Gx, z):
+    """The 2-power roots of z in a two-ends pull-back, by a scan of every
+    squaring level of E for the e with e^(2^k) = z's E-part (reference for
+    the square-root lists)."""
+    E = Gx.E
+    pre, per = gcl.squaring_preperiod(E)
+    out = {z}
+    i = gcl._t_exponent(Gx, z)
+    if i is None:
+        return (z,)
+    kmax = (pre + per if i == 0 else gcl._v2(i) or 0)
+    for k in range(1, kmax + 1):
+        for e, ek in enumerate(gcl.squaring_level(E, k)):
+            if ek != z[1]:
+                continue
+            if i % (1 << k) == 0:
+                g = ((0, i // (1 << k)), e)
+                if Gx.check_membership(g):
+                    out.add(g)
+            if i == 0:
+                epsh, c = Gx.hom[e]
+                if epsh == 1:
+                    out.add(((1, c), e))
+                    out.add(((1, c + Gx.m), e))
+    return tuple(sorted(out, key=Gx.key))
+
+
+def test_pullback_roots_match_the_scan_of_the_squaring_levels():
+    # T-exponents up to 8, so 2-valuations 0 to 3, and the S-type elements
+    for Gx in _two_ends_groups() + _more_pullbacks():
+        for z in Gx.window_elements(8):
+            assert G.two_power_roots(Gx, z) == _scanned_pullback_roots(Gx, z), (Gx.name, z)
+
+
+def test_table_bulk_reads_match_the_generic_group():
+    # a table group lists its elements in key order, and its conjugates,
+    # squares and closures read off its rows are those of the products
+    for Gx in G.groups_upto(16) + [G.symmetric_group(4), G.alternating_group_4()]:
+        els = Gx.elements()
+        assert sorted(els, key=Gx.key) == els, Gx.name
+        assert Gx.squares() == G.Group.squares(Gx), Gx.name
+        for g in els:
+            assert Gx.conjugates(g) == G.Group.conjugates(Gx, g), (Gx.name, g)
+            gens = [g, els[-1]]
+            for span in ((), gst.subgroup_closure(Gx, [g])):
+                assert Gx.closure(gens, span) == G.Group.closure(Gx, gens, span), (Gx.name, g)
+
+
 def test_finite_perm_cap():
     with pytest.raises(GroupError):
         G.FinitePermGroup([tuple(range(1, 9)) + (0,)], 9, cap=5)

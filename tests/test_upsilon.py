@@ -265,6 +265,32 @@ def test_j_builds_f_of_the_class_representatives_only():
         assert set(table) == reps, Gx.name
 
 
+def test_a_type_3_element_shares_the_f_of_its_inverse():
+    """fz_data hands a type-3 z the F(z^-1) of its inverse when z^-1 has the
+    lower key, and builds every other F(z) for z itself.  The shared F has
+    the quotient dimension, the K_# and the residues of a fresh FzData of
+    z, on the catalogue and the J >= 3 groups."""
+    shared = 0
+    for Gx in G.groups_upto(16) + [Gx for Gx, _ in large_j_groups().values()]:
+        for z in Gx.elements():
+            zi = Gx.inv(z)
+            fz = ups.fz_data(Gx, z)
+            if gst.type_of(Gx, z) != 3 or Gx.key(z) < Gx.key(zi):
+                assert fz.z == z, (Gx.name, z)
+                continue
+            shared += 1
+            assert fz is ups.fz_data(Gx, zi) and fz.z == zi, (Gx.name, z)
+            fresh = ups.FzData(Gx, z)
+            assert fresh.z == z and fresh.sharp is fz.sharp, (Gx.name, z)
+            assert set(fresh.roots) == {Gx.inv(r) for r in fz.roots}, (Gx.name, z)
+            assert (fz.dim, fz.context.quotient_dim) == \
+                (fresh.dim, fresh.context.quotient_dim), (Gx.name, z)
+            for h in fz.sharp.elements:
+                assert fz.context.reduce_packed(fz.bits(h)) == \
+                    fresh.context.reduce_packed(fresh.bits(h)), (Gx.name, z, h)
+    assert shared == 114, shared
+
+
 def test_upsilon_value_ranks_match_homology_model():
     """Upsilon of every involution pair as a vector in J(G) (the L(c)
     payloads side by side, in part order) and in Coker(1 + vartheta).  The
