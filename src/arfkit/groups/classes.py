@@ -56,8 +56,8 @@ def conjugators(G, g):
 
 def _conjugator_row(G, g):
     row = {}
-    for x, h in zip(G.elements(), G.conjugates(g)):
-        row.setdefault(h, []).append(x)
+    for x in G.elements():
+        row.setdefault(G.conj(g, x), []).append(x)
     return {h: tuple(xs) for h, xs in row.items()}
 
 
@@ -253,16 +253,6 @@ def class_rep_element(G, z):
 def squaring_preperiod(E):
     """(pre, per) such that e^(2^(k+per)) = e^(2^k) for all e, k >= pre."""
     return derived(E, "squaring_levels", _squaring_levels, E)[:2]
-
-
-def squaring_level(E, k):
-    """(x^(2^k) for x in E.elements()), read from the levels k < pre + per,
-    built once per E; a level k >= pre + per is the level
-    pre + (k - pre) mod per."""
-    pre, per, levels = derived(E, "squaring_levels", _squaring_levels, E)
-    if k >= pre + per:
-        k = pre + (k - pre) % per
-    return levels[k]
 
 
 def _squaring_levels(E):
@@ -494,8 +484,8 @@ def _square_roots(G):
     """{h: [the g with g^2 = h, in elements() order]} for a finite group,
     built once per group."""
     roots = {}
-    for g, h in zip(G.elements(), G.squares()):
-        roots.setdefault(h, []).append(g)
+    for g in G.elements():
+        roots.setdefault(G.mul(g, g), []).append(g)
     return roots
 
 

@@ -76,29 +76,6 @@ class Group:
         """x g x^-1."""
         return self.mul(self.mul(x, g), self.inv(x))
 
-    # -- finite groups in bulk: each list follows elements() ----------------
-
-    def conjugates(self, g):
-        """[x g x^-1 for x in elements()]."""
-        return [self.conj(g, x) for x in self.elements()]
-
-    def squares(self):
-        """[g^2 for g in elements()]."""
-        return [self.mul(g, g) for g in self.elements()]
-
-    def closure(self, gens, span=()):
-        """The member set of the subgroup generated by `gens` and the
-        members of the subgroup `span`, grown from `span` by right
-        multiplication."""
-        seen = set(span) | {self.identity}
-        todo = [self.mul(x, g) for x in seen for g in gens]
-        while todo:
-            y = todo.pop()
-            if y not in seen:
-                seen.add(y)
-                todo.extend(self.mul(y, g) for g in gens)
-        return seen
-
     def order_of(self, g):
         """Least k > 0 with g^k = 1, or None when the normal form proves
         no such k exists."""
@@ -258,27 +235,6 @@ class FiniteTableGroup(Group):
     def conj(self, g, x):
         t = self.table
         return t[t[x][g]][self._inv[x]]
-
-    def conjugates(self, g):
-        # x g x^-1 = t[xg][x^-1], the xg read down column g
-        t = self.table
-        return [t[row[g]][xinv] for row, xinv in zip(t, self._inv)]
-
-    def squares(self):
-        return [row[g] for g, row in enumerate(self.table)]
-
-    def closure(self, gens, span=()):
-        t = self.table
-        seen = set(span)
-        seen.add(self._identity)
-        todo = [t[x][g] for x in seen for g in gens]
-        while todo:
-            y = todo.pop()
-            if y not in seen:
-                seen.add(y)
-                row = t[y]
-                todo += [row[g] for g in gens]
-        return seen
 
     def order(self):
         return len(self.labels)

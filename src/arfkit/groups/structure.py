@@ -85,8 +85,15 @@ class PullbackSubgroup:
 
 def subgroup_closure(G, gens, span=()):
     """Member set of the finite group G generated by `gens` and the members
-    of the subgroup `span` (`Group.closure`; a table group reads its rows)."""
-    return G.closure(gens, span)
+    of the subgroup `span`, grown from `span` by right multiplication."""
+    seen = set(span) | {G.identity}
+    todo = [G.mul(x, g) for x in seen for g in gens]
+    while todo:
+        y = todo.pop()
+        if y not in seen:
+            seen.add(y)
+            todo.extend(G.mul(y, g) for g in gens)
+    return seen
 
 
 # ---------------------------------------------------------------------------

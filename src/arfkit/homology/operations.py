@@ -166,27 +166,21 @@ def _one_plus_vartheta_rows(A, rows):
     """(1 + vartheta) of packed (ch2, c1) rows over T_2 + T_1: the formula of
     `vartheta_chain`, summands in increasing column order as `unit_summands`
     takes them, with products read by `basis_product` and `times` and the
-    involution by `invol_packed` (a group algebra writes no table).
-
-    The cross terms s_earlier (x) s read `spread`, the sum of e_k (x) e_0
-    over the bits k of s_earlier: s_earlier (x) s is spread times s as
-    integers, since the bits k*d + m (k a bit of s_earlier, m < d one of s)
-    are distinct and the product has no carry."""
+    involution by `invol_packed` (a group algebra writes no table)."""
     d, product, times = A.dim, A.basis_product, A.times
     D = d * d
     out = []
     for vec in rows:
         ch2, c = vec & ((1 << D) - 1), vec >> D
-        th2 = spread = 0
+        th2 = prefix = 0
         while ch2:
             low = ch2 & -ch2
             i, j = divmod(low.bit_length() - 1, d)
             ab, ba = product(i, j), product(j, i)
-            s = ab ^ ba
-            # ab a (x) b + ab (x) ba, and s_earlier (x) s
+            # ab a (x) b + ab (x) ba, and s_earlier (x) s for s = ab + ba
             th2 ^= (tensor_bits(d, times(ab, 1 << i), 1 << j) ^ tensor_bits(d, ab, ba)
-                    ^ spread * s)
-            spread ^= tensor_bits(d, s, 1)
+                    ^ tensor_bits(d, prefix, ab ^ ba))
+            prefix ^= ab ^ ba
             ch2 ^= low
         th2 ^= tensor_bits(d, c, A.invol_packed(c))
         out.append(vec ^ th2 ^ times(c, c) << D)

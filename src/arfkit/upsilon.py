@@ -23,12 +23,12 @@ Every K_#, F(z), Sigma summand and finite L(c) is one exact quotient
 read from homomorphism forms on generators by `formspace.FormQuotient`
 (`structure.SharpSpace`, `FzData`, `FiniteLc`).  A finite L(c) builds
 F(z) at the least element of each conjugacy class only, so J(G) reads one
-F(z) per class, and a type-3 z and z^-1 share one; the other members are
-transported by conjugation when the summand is first inserted into.  The
-lattice products use closed forms; the two-ends pull-backs walk the
-squaring chain of a class until it cycles (finite-order tail, quotient by
-the loop map) or the transition maps become isomorphisms (infinite-order
-tail).
+F(z) per class, and a type-3 z and z^-1 one between them; the other
+members are transported by conjugation when the summand is first inserted
+into.  The lattice products use closed forms; the two-ends pull-backs
+walk the squaring chain of a class until it cycles (finite-order tail,
+quotient by the loop map) or the transition maps become isomorphisms
+(infinite-order tail).
 """
 from __future__ import annotations
 
@@ -61,32 +61,16 @@ class FzData:
     is of type 2: when z = z^-1, or when no g inverts z.
 
     w[i] is 1 when sharp.elements[i] conjugates z to z^-1, which only
-    happens on type-2 summands; a finite group reads it off the z^-1 entry
-    of the conjugator row of z.  `forms` are the K_# ones (`SharpSpace`)
+    happens on type-2 summands.  `forms` are the K_# ones (`SharpSpace`)
     and the t column's, an unknown of its own; `constraints` the K_# ones
     and the roots' forms.  `context`, their `formspace.FormQuotient`, is
-    built on its first read only: a finite L(c) never reads it.
-
-    One F per inverse pair.  On a finite group `fz_data` hands a type-3 z
-    the F of z^-1 when z^-1 has the lower key, whose `z` and `roots` are
-    then those of z^-1.  It is the same quotient: z and z^-1 have the same
-    centralizer, which is K for both (type 3), so the same K_#; the roots
-    of z^-1 are the inverses of those of z, and u_(g^-1) = u_g in the
-    elementary abelian K_#, so the roots' forms span the same space modulo
-    the K_# constraints.  `dim`, the residues of `context` and every
-    reader of the constraint span are then those of z's own F."""
+    built on its first read only: a finite L(c) never reads it."""
 
     def __init__(self, G, z):
         self.z = z
         self.type = gst.type_of(G, z)
         self.sharp = sharp = _sharp_of(G, gst.extended_centralizer(G, z))
-        if self.type != 2:
-            self.w = [0] * len(sharp.elements)
-        elif G.is_finite:
-            inverting = set(gcl.conjugators(G, z)[G.inv(z)])
-            self.w = [int(g in inverting) for g in sharp.elements]
-        else:
-            self.w = [int(G.conj(z, g) != z) for g in sharp.elements]
+        self.w = [int(self.type == 2 and G.conj(z, g) != z) for g in sharp.elements]
         self.roots = gcl.two_power_roots(G, z)
         self.has_t = self.type == 1
         self.dim = sharp.dim + self.has_t
@@ -123,18 +107,7 @@ def _sharp_of(G, sub):
 
 
 def fz_data(G, z) -> FzData:
-    """F(z), built once per element queried; a type-3 z of a finite group
-    shares the F(z^-1) of its inverse when z^-1 has the lower key (see
-    `FzData`)."""
-    return derived_entry(G, "fz", z, _fz_build, G, z)
-
-
-def _fz_build(G, z):
-    if G.is_finite:
-        zi = G.inv(z)
-        if G.key(zi) < G.key(z) and gst.type_of(G, z) == 3:
-            return fz_data(G, zi)
-    return FzData(G, z)
+    return derived_entry(G, "fz", z, FzData, G, z)
 
 
 def _arrow_column(G, src: FzData, dst: FzData, x, i):
@@ -213,13 +186,17 @@ class FiniteLc(_ReducedLc):
 
     The conjugacy classes of c are read from the conjugator rows of their
     least members r (`gcl.conjugators`); each r has a block of unknowns
-    carrying F(r)'s forms.  The F(r) of a type-3 r may be the F(r^-1) it
-    shares (`fz_data`): the same K_# forms, and constraints that span the
-    same space.  C below is read only through its span, and fp keeps the
-    one reduced echelon form of a span, so `dim` and the residues are
-    those of r's own F(r).  A member z = y r y^-1 (y = 1 for z = r, else
-    the first x of the row of r at z) has K_z = y K_r y^-1, and Q sends u_g
-    at z to the form of y^-1 g y in F(r), and t at z to t at r.  The
+    carrying F(r)'s forms.  A type-3 r whose inverse has the lower key
+    reads F(r^-1) in place of F(r), so an inverse pair builds one F.  It
+    is the same quotient: r and r^-1 have one centralizer, which is K for
+    both (type 3), so one K_#, one set of forms and w = 0; the roots of r
+    are the inverses of those of r^-1, and u_(g^-1) = u_g in the
+    elementary abelian K_#, so the roots' forms span the same space.  C
+    below is read only through its span, and fp keeps the one reduced
+    echelon form of a span, so `dim` and the residues are those of F(r).
+    A member z = y r y^-1 (y = 1 for z = r, else the first x of the row of
+    r at z) has K_z = y K_r y^-1, and Q sends u_g at z to the form of
+    y^-1 g y in F(r), and t at z to t at r.  The
     constraints C are F(r)'s and, for each r and generator g of K_r, the
     squaring row u_g(r) + u_{y'^-1 g y'}(r') + w(g) t(r'), where
     r^2 = y' r' y'^-1 with y' read from the row of r' (and t(r) + t(r')
@@ -295,7 +272,9 @@ class FiniteLc(_ReducedLc):
         for z in self.members:
             if z not in rep:
                 row = gcl.conjugators(G, z)
-                fz = fz_data(G, z)
+                zi = G.inv(z)
+                # type 3 iff the row of z has no z^-1 entry; see above
+                fz = fz_data(G, zi if zi not in row and G.key(zi) < G.key(z) else z)
                 self._classes[z] = (row, fz, width)
                 rep.update(dict.fromkeys(row, z))
                 width += fz.width

@@ -266,29 +266,30 @@ def test_j_builds_f_of_the_class_representatives_only():
 
 
 def test_a_type_3_element_shares_the_f_of_its_inverse():
-    """fz_data hands a type-3 z the F(z^-1) of its inverse when z^-1 has the
-    lower key, and builds every other F(z) for z itself.  The shared F has
-    the quotient dimension, the K_# and the residues of a fresh FzData of
-    z, on the catalogue and the J >= 3 groups."""
+    """A finite L(c) reads F(r^-1) for a type-3 representative r whose
+    inverse has the lower key, and F(r) for every other r.  F(r^-1) has
+    the K_#, the quotient dimension and the residues of F(r) (fz_data, a
+    build of r's own), on the catalogue and the J >= 3 groups."""
     shared = 0
     for Gx in G.groups_upto(16) + [Gx for Gx, _ in large_j_groups().values()]:
-        for z in Gx.elements():
-            zi = Gx.inv(z)
-            fz = ups.fz_data(Gx, z)
-            if gst.type_of(Gx, z) != 3 or Gx.key(z) < Gx.key(zi):
-                assert fz.z == z, (Gx.name, z)
-                continue
-            shared += 1
-            assert fz is ups.fz_data(Gx, zi) and fz.z == zi, (Gx.name, z)
-            fresh = ups.FzData(Gx, z)
-            assert fresh.z == z and fresh.sharp is fz.sharp, (Gx.name, z)
-            assert set(fresh.roots) == {Gx.inv(r) for r in fz.roots}, (Gx.name, z)
-            assert (fz.dim, fz.context.quotient_dim) == \
-                (fresh.dim, fresh.context.quotient_dim), (Gx.name, z)
-            for h in fz.sharp.elements:
-                assert fz.context.reduce_packed(fz.bits(h)) == \
-                    fresh.context.reduce_packed(fresh.bits(h)), (Gx.name, z, h)
-    assert shared == 114, shared
+        for part in gcl.cl_partition_finite(Gx):
+            lc = ups.l_of_class(Gx, min(part, key=Gx.key))
+            for r, (_, fz, _) in lc._classes.items():
+                ri = Gx.inv(r)
+                if gst.type_of(Gx, r) != 3 or Gx.key(r) < Gx.key(ri):
+                    assert fz is ups.fz_data(Gx, r), (Gx.name, r)
+                    continue
+                shared += 1
+                own = ups.fz_data(Gx, r)
+                assert fz is ups.fz_data(Gx, ri) and (fz.z, own.z) == (ri, r), (Gx.name, r)
+                assert fz.sharp is own.sharp and fz.w == own.w, (Gx.name, r)
+                assert own.roots == tuple(sorted(map(Gx.inv, fz.roots), key=Gx.key)), (Gx.name, r)
+                assert (fz.dim, fz.context.quotient_dim) == \
+                    (own.dim, own.context.quotient_dim), (Gx.name, r)
+                for h in fz.sharp.elements:
+                    assert fz.context.reduce_packed(fz.bits(h)) == \
+                        own.context.reduce_packed(own.bits(h)), (Gx.name, r, h)
+    assert shared == 92, shared
 
 
 def test_upsilon_value_ranks_match_homology_model():
