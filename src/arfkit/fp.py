@@ -279,6 +279,18 @@ class QuotientContext:
             raise ValueError(f"packed vector with a bit outside [0, {space.dim})")
         return _reduce_f2(bits, space._rows, space._mask)
 
+    def reduced(self, vectors):
+        """`reduce_packed` of each packed F_2 vector of an iterable, lazily,
+        in one loop with no call per vector; the vectors are not checked."""
+        rows, mask = self.space._rows, self.space._mask
+        for v in vectors:
+            m = v & mask
+            while m:
+                low = m & -m
+                v ^= rows[low.bit_length() - 1]
+                m ^= low
+            yield v
+
     def extended(self, rows):
         """This quotient divided further by `rows`; self is unchanged."""
         q = object.__new__(QuotientContext)

@@ -51,11 +51,13 @@ class FiniteAlgebra:
     Associativity, the unit laws and the anti-involution axioms are
     verified on construction.
 
-    The F_2 readers that a group algebra reaches as well (H_0 and the
-    (1 + vartheta) rows) read products through `basis_product`, the one
-    primitive a subclass implements, and `times` on top of it, and the
-    involution through `invol_packed`.  `GroupAlgebra` implements them on
-    its group's index table and keeps no table of its own.
+    The F_2 readers that a group algebra reaches as well (the Upsilon
+    values of `CokerOnePlusVartheta`, and the H_0 commutators and the
+    (1 + vartheta) rows that its forms path replaces) read products
+    through `basis_product`, the one primitive a subclass implements, and
+    `times` on top of it, and the involution through `invol_packed`.
+    `GroupAlgebra` implements them on its group's index table and keeps
+    no table of its own.
 
     `middles` lists basis indices s such that the products of the e_s span
     the algebra: associativity and the anti-homomorphism law are checked

@@ -5,16 +5,17 @@ rows built on basis indices from the structure constants (e_i (x) e_j is
 column i*d + j, and the T_1 part of HQ_1 is column d*d + k).  Over F_2 a
 relation row is a packed int, bit j = column j, written as one XOR of
 shifted packed products and handed to `fp` as is: the H_0 commutators
-read them through `FiniteAlgebra.basis_product`, which a group algebra
-reads off its index table, and the rows that only other algebras write
+read them through `FiniteAlgebra.basis_product`, and the other rows
 read the packed tables `FiniteAlgebra.bits` and `inv_bits`.  Over an odd
 p a row is a sparse dict {column: coefficient}.
 
-H_1, HC_1 and HQ_1 of an F_2 group algebra, and the Coker(mu) and
-Coker(1 + vartheta) built on HQ_1, never eliminate their relation rows
-nor their cycle equations: `forms.ColumnForms` keeps the linear forms
-that vanish on the rows, and reads the cycles off a spanning forest (see
-that module; it is imported on the first such build).  Every other
+H_0, HC_0, H_1, HC_1 and HQ_1 of an F_2 group algebra, and the Coker(mu)
+and Coker(1 + vartheta) built on HQ_1, never eliminate their relation
+rows nor their cycle equations: H_0 and HC_0 are read off the orbits of
+the middles' conjugation (`forms.class_quotient`), and `forms.ColumnForms`
+keeps the linear forms that vanish on the other rows and reads the cycles
+off a spanning forest (see that module; it is imported on the first such
+build).  Every other
 algebra (JSON, matrix algebras, odd p) eliminates its rows and its cycle
 equations (`_equations`).  Its F_2 row writers are generators, read once
 by `_quotient` in chunks of `BLOCK` rows; dropping the zero and repeated
@@ -277,10 +278,15 @@ def homology(A: FiniteAlgebra, which):
     products.  It holds the middles, and products of the middles span A
     (see `FiniteAlgebra`), so it is A; and [e_j, e_i] = -[e_i, e_j].  A
     reduced echelon form is fixed by its span, so every residue and basis
-    is the one of all d^2 rows."""
+    is the one of all d^2 rows.  An F_2 group algebra writes none of
+    these rows: its H_0 is read off the orbits they draw on G
+    (`forms.class_quotient`)."""
     check_guard(A)
     d, p = A.dim, A.p
     if which in ("H0", "HC0"):
+        if p == 2 and isinstance(A, GroupAlgebra):
+            from .forms import class_quotient
+            return HomologySpace(A, which, d, *class_quotient(A))
         cycles = [1 << i if p == 2 else fp.unit(d, i) for i in range(d)]
         context = _quotient(A, d, _commutator_rows(A, A.middles))
         return HomologySpace(A, which, d, context, context.independent(cycles))
@@ -296,19 +302,18 @@ def _cycles_modulo(A, kind):
     HC1, the rows of `_hc1_rows`, for HQ1 those of `_hq1_rows`.  An F_2
     `GroupAlgebra` reads the quotient from `forms.ColumnForms`, where an
     HC_1 row is a pair of columns whose forms are added, never written as
-    a row, and the cycles from its spanning forest (`ColumnForms.cycles`);
+    a row, at the middles only (`forms.polarizations`), and the cycles
+    from its spanning forest (`ColumnForms.cycles`);
     any other algebra eliminates the rows (`_quotient`) and the cycle
     equations."""
     d = A.dim
     t1 = kind == "HQ1"
     ncols = d * d + d if t1 else d * d
     if A.p == 2 and isinstance(A, GroupAlgebra):
-        from .forms import ColumnForms
+        from .forms import ColumnForms, polarizations
         context = ColumnForms(A, t1)
         if kind == "HC1":
-            # the rows for i > j repeat those for i < j, and i = j gives 0
-            context = context.extended_pairs(
-                (i * d + j, j * d + i) for i in range(d) for j in range(i + 1, d))
+            context = context.extended_pairs(polarizations(A, context))
         return HomologySpace(A, kind, ncols, context, context.cycles(A))
     # cycle equations: b(xi) + c - invol(c) = 0; column D + i is e_i - invol(e_i)
     columns = _commutator_rows(A)

@@ -10,9 +10,16 @@ colimit model shares.  This is the trick of Fox's free differential
 calculus (R. H. Fox, Free differential calculus I, Ann. of Math. 57
 (1953)) on the bar complex.  The cycles are the fundamental cycles of a
 spanning forest of the graph the cycle equations draw on G
-(`ColumnForms.cycles`).  With Python 3.11 on 2 vCPU the S5 cokernel
-takes about 0.1 s of CPU time, C2^7's 0.1 s, and S3^3's (order 216)
-about 0.5 s at a peak RSS near 40 MB.
+(`ColumnForms.cycles`).  HC_1 and Coker(mu) divide by the polarizations
+at the middles only (`polarizations`), and the (1 + vartheta) images are
+written as forms, off the table (`ColumnForms.one_plus_vartheta`).
+H_0 and HC_0 are read off the orbits of the middles' conjugation, the
+classes of G when the middles generate it (`class_quotient`): the
+chain-level form of the splitting HH_*(k[G]) = (+)_[g] H_*(C_G(g); k)
+(J.-L. Loday, Cyclic Homology, 7.4) in degree 0.  With Python 3.11 on
+2 vCPU the S5 cokernel takes about 0.09 s of CPU time, C2^7's 0.1 s,
+and S3^3's (order 216) about 0.5 s at a peak RSS near 36 MB (medians of
+five runs).
 
 `chains` imports this module on the first F_2 group-algebra build, not
 when it is imported itself: where no bytecode is cached, every import
@@ -23,7 +30,9 @@ from __future__ import annotations
 
 import itertools
 
+from .. import fp
 from ..formspace import FormQuotient
+from ..fp import ones
 
 
 class ColumnForms(FormQuotient):
@@ -64,7 +73,8 @@ class ColumnForms(FormQuotient):
         element of a finite group is a product of middles when they
         generate it.  When they do not (a planted fault in the tests),
         each column the walk misses gets unknowns of its own; then every
-        triple is a constraint and (a) still holds.
+        triple is a constraint and (a) still holds.  `walked` says whether
+        the walk reached every column, i.e. whether B is all of b(T_3).
     So Q maps F_2^n onto F_2^U (an unknown is the form of its own column).
     Its kernel has dimension n - U and holds the n - U rows of the triples
     the walk uses, one per column it writes, which are independent (each
@@ -74,6 +84,8 @@ class ColumnForms(FormQuotient):
 
     def __init__(self, A, t1):
         cols, width, steps = _walk(A)
+        # the walk writes one column per step besides the middles'
+        self.walked = len(steps) + len(set(A.middles)) == A.dim
         q = [c for row in zip(*cols) for c in row]
         constraints = itertools.chain.from_iterable(_triple_forms(A, cols, steps))
         if t1:
@@ -147,10 +159,126 @@ class ColumnForms(FormQuotient):
             trees[ra] += trees[rb]
             trees[rb] = None
             edges += 1
-        modulo = self.forms.reduce_packed
-        images = (modulo(q[f] ^ P[heads[f]] ^ P[tails[f]]) for f in free)
+        images = self.forms.reduced(q[f] ^ P[heads[f]] ^ P[tails[f]] for f in free)
         kept = (free[k] for k in self._choose(images, self.quotient_dim - edges))
         return [1 << f ^ V[heads[f]] ^ V[tails[f]] for f in kept]
+
+    def one_plus_vartheta(self, A, rows):
+        """(context, kept) for the packed HQ_1 rows of Coker(mu) (this
+        quotient): the quotient divided further by their (1 + vartheta)
+        images, and the rows independent modulo it, as
+        `operations.CokerOnePlusVartheta` takes them.  An image is written
+        as its form, Q(v) + Q(vartheta(v)) (`_vartheta_forms`), and the
+        form Q(v) of each row once, for both steps."""
+        own = [self._form(v) for v in rows]
+        images = [f ^ t for f, t in zip(own, _vartheta_forms(A, self.q, rows))]
+        context = self._with(self.forms.extended(images))
+        return context, [rows[k] for k in context._choose(own)]
+
+
+def _vartheta_forms(A, q, rows):
+    """Q(vartheta(v)) for each packed row v over T_2 + T_1, for the forms q
+    of the columns, read off q and the table without writing a T_2 tensor.
+
+    Q is linear, so this is the sum of the q of each term of
+    `operations._one_plus_vartheta_rows`, in its order.  A summand
+    e_i (x) e_j of v, in increasing column order, with ij = e_i e_j, adds
+    q(iji (x) j) + q(ij (x) ji) and, when ij != ji, the cross term
+    q(p (x) ij) + q(p (x) ji) for each p of the earlier ij and ji (a p
+    listed twice cancels, as in the running sum).  The T_1 part c adds
+    q(p (x) r^-1) and q of the T_1 column of pr for every p and r of c:
+    c (x) invol(c) and c c."""
+    d, table, inverse = A.dim, A.table, A.inverse
+    D = d * d
+    low = (1 << D) - 1
+    out = []
+    for v in rows:
+        f, ch2, prefix = 0, v & low, []
+        while ch2:
+            bit = ch2 & -ch2
+            ch2 ^= bit
+            i, j = divmod(bit.bit_length() - 1, d)
+            ij, ji = table[i][j], table[j][i]
+            f ^= q[table[ij][i] * d + j] ^ q[ij * d + ji]
+            if ij != ji:
+                for p in prefix:
+                    f ^= q[p + ij] ^ q[p + ji]
+                prefix += (ij * d, ji * d)
+        cs = ones(v >> D)
+        for p in cs:
+            row, pd = table[p], p * d
+            for r in cs:
+                f ^= q[pd + inverse[r]] ^ q[D + row[r]]
+        out.append(f)
+    return out
+
+
+def class_quotient(A):
+    """(context, cycles) of H_0 and HC_0 of an F_2 group algebra: T_1 modulo
+    the commutators [e_i, e_s] = e_is + e_si for the middles s
+    (`chains.homology`), with no relation row written or eliminated.
+
+    The row of (i, s) joins is and si = s (is) s^-1, so the classes of the
+    graph the rows draw on G are the orbits under conjugation by the
+    middles, walked here from each element not yet reached.  The rows of
+    an orbit O are sums of two of its members and join all of O, so they
+    span the sums of an even number of members of O: the span of
+    e_a + e_top(O) for the a in O below top(O) = max O.  Those rows are a
+    reduced echelon form with pivots on the lowest bit: the row of a has
+    lowest bit a, and its only other bit is top(O), which is no pivot.  A
+    reduced echelon form is fixed by its span, so the context is fp's, bit
+    for bit; fp's sweep takes the rows as they are and reduces none.
+
+    Every vector of T_1 is a cycle, and `independent` of e_0, ..., e_(d-1)
+    keeps e_x iff no earlier e_y lies in the orbit of x, i.e. iff x is the
+    least member of its orbit: the cycles are e_min(O), in increasing
+    order."""
+    d, table, middles = A.dim, A.table, A.middles
+    # x -> s x s^-1 for each middle s, as (row of s, column of s^-1)
+    conj = [(table[s], [row[A.inverse[s]] for row in table]) for s in middles]
+    seen = bytearray(d)
+    rows, cycles = [], []
+    for x in range(d):
+        if seen[x]:
+            continue
+        seen[x] = 1
+        orbit = [x]
+        for y in orbit:                         # grows while it is read
+            for left, right in conj:
+                z = right[left[y]]
+                if not seen[z]:
+                    seen[z] = 1
+                    orbit.append(z)
+        top = max(orbit)
+        rows += [1 << a | 1 << top for a in orbit if a != top]
+        cycles.append(1 << x)
+    return fp.QuotientContext(d, 2, rows), cycles
+
+
+def polarizations(A, context):
+    """Column pairs (a, b) whose rows e_a + e_b span, modulo the rows of
+    `context` (a `ColumnForms` of A), every polarization
+    P(i, j) = e_i (x) e_j + e_j (x) e_i, i != j: (i d + s, s d + i) for
+    every i and each middle s != i when the walk of `context` reached every
+    column, and every pair i < j when it did not.  HC_1 divides H_1 by
+    them, and Coker(mu) divides HQ_1 by them and the e_i (x) e_i.
+
+    Proof.  Modulo b(T_3), where b(x (x) y (x) z) = xy (x) z + x (x) yz
+    + zx (x) y, we have x (x) yz == xy (x) z + zx (x) y.  So
+
+        P(i, jk) = i (x) jk + jk (x) i
+                == (ij (x) k + ki (x) j) + (j (x) ki + ij (x) k)
+                 = P(ki, j).
+
+    Every y of G is s k for a middle s and k = s^-1 y, so
+    P(i, y) == P(ki, s), a middle's polarization, or 0 when ki = s.  The
+    rows of b(T_3) that this uses are in the context when the walk reached
+    every column (`ColumnForms`, (a) and (b)); when it did not, the
+    context holds only some of them, and every pair is written."""
+    d = A.dim
+    if context.walked:
+        return [(i * d + s, s * d + i) for s in A.middles for i in range(d) if i != s]
+    return [(i * d + j, j * d + i) for i in range(d) for j in range(i + 1, d)]
 
 
 def _walk(A):

@@ -166,7 +166,8 @@ def _one_plus_vartheta_rows(A, rows):
     """(1 + vartheta) of packed (ch2, c1) rows over T_2 + T_1: the formula of
     `vartheta_chain`, summands in increasing column order as `unit_summands`
     takes them, with products read by `basis_product` and `times` and the
-    involution by `invol_packed` (a group algebra writes no table)."""
+    involution by `invol_packed`.  An F_2 group algebra writes the forms of
+    these rows instead (`forms.ColumnForms.one_plus_vartheta`)."""
     d, product, times = A.dim, A.basis_product, A.times
     D = d * d
     out = []
@@ -188,13 +189,22 @@ def _one_plus_vartheta_rows(A, rows):
 
 
 class CokerMu:
-    """Coker(mu_{R/2R}) with exact class comparison."""
+    """Coker(mu_{R/2R}) with exact class comparison: HQ_1 modulo the
+    [x (x) x, 0], spanned by the e_i (x) e_i and the polarizations
+    e_i (x) e_j + e_j (x) e_i (`mu_rows`).  An F_2 group algebra divides
+    its column forms by the e_i (x) e_i and the polarizations at the
+    middles only, which span the others modulo b(T_3):
+    P(i, jk) == P(ki, j), and every y is s (s^-1 y) for a middle s (the
+    proof is in `forms.polarizations`).  Where the walk of its forms
+    misses a column, every pair is written."""
 
     def __init__(self, A):
         self.hq = space(A, "HQ1")
         context = self.hq.context
         if A.p == 2 and isinstance(A, GroupAlgebra):    # column forms: no row is written
-            self.context = context.extended_pairs(_mu_pairs(A.dim))
+            from .forms import polarizations
+            diagonal = [(i * (A.dim + 1),) * 2 for i in range(A.dim)]
+            self.context = context.extended_pairs(diagonal + polarizations(A, context))
         else:
             self.context = context.extended(mu_rows(A))
 
@@ -211,12 +221,15 @@ class CokerOnePlusVartheta:
         self.A = A
         self.coker_mu = _coker_mu(A)
         self.hq = self.coker_mu.hq
-        rows = _one_plus_vartheta_rows(A, self.hq.basis_rows)
-        self.context = self.coker_mu.context.extended(rows)
         # independent modulo the larger context: the HQ_1 basis rows give the
         # same choice as all the cycles (the others lie in the HQ_1 context
         # plus the span of the rows before them)
-        self.basis_rows = self.context.independent(self.hq.basis_rows)
+        rows, context = self.hq.basis_rows, self.coker_mu.context
+        if isinstance(A, GroupAlgebra):     # column forms: the images as forms
+            self.context, self.basis_rows = context.one_plus_vartheta(A, rows)
+        else:
+            self.context = context.extended(_one_plus_vartheta_rows(A, rows))
+            self.basis_rows = self.context.independent(rows)
 
     @property
     def basis(self):

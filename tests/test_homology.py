@@ -12,7 +12,7 @@ import arfkit.groups.structure as gst
 import arfkit.homology as H
 from arfkit.fp import ones
 from arfkit.groups.structure import generating_set
-from arfkit.homology import AlgebraError, chains, forms
+from arfkit.homology import AlgebraError, chains, forms, operations
 from test_random_groups import _relabelled, battery_draws
 from test_upsilon import large_j_groups, past_order_100
 
@@ -768,6 +768,11 @@ def test_generator_middles_match_all_middles():
         assert bases == _relation_bases(with_one), A.name
 
 
+# the groups whose last generator middle is cut: a planted fault
+CUT_GROUPS = [G.symmetric_group(3), G.metacyclic_group(4, 2, 3, 2, name="Q8"),
+              G.dihedral_group(4), G.abelian_group([4, 2]), G.abelian_group([3, 3])]
+
+
 def test_dropping_a_generator_middle_changes_a_dimension():
     """Planted fault: without its last generator middle, the boundary rows of
     each group algebra below no longer span b(T_3), and H1 or HQ1 changes
@@ -776,8 +781,7 @@ def test_dropping_a_generator_middle_changes_a_dimension():
     span of the generators' rows, and test_generator_middles_match_all_middles
     checks that adding it changes no basis.  (C1 is the exception: it has no
     generators, and its only middle is 1.)"""
-    for Gx in [G.symmetric_group(3), G.metacyclic_group(4, 2, 3, 2, name="Q8"),
-               G.dihedral_group(4), G.abelian_group([4, 2]), G.abelian_group([3, 3])]:
+    for Gx in CUT_GROUPS:
         A = H.group_algebra(Gx, 2)
         cut = H.group_algebra(Gx, 2)
         cut.middles = A.middles[:-1]
@@ -964,6 +968,93 @@ def test_h0_commutators_at_the_middles_span_all_pairs():
             hs = H.homology(A, kind)
             assert hs.context.basis() == ref.basis(), (A.name, kind)
             assert hs.basis == basis, (A.name, kind)
+
+
+# -- H_0, Coker(mu), HC_1 and (1 + vartheta) as forms against the rows -------
+
+def _forms_path_algebras():
+    """(F_2[G], whether its middles generate G) for the catalogue, the J >= 3
+    groups, the random battery's draws, and the algebras of CUT_GROUPS with
+    their last generator middle cut."""
+    groups, _, large = battery_draws()
+    for Gx in (G.groups_upto(16) + [Gx for Gx, _ in large_j_groups().values()]
+               + groups + large):
+        yield H.group_algebra(Gx, 2), True
+    for Gx in CUT_GROUPS:
+        cut = H.group_algebra(Gx, 2)
+        cut.middles = cut.middles[:-1]
+        yield cut, False
+
+
+def test_h0_from_the_classes_is_the_commutator_elimination():
+    """H_0 and HC_0 of an F_2 group algebra are read off the orbits of the
+    middles' conjugation (`forms.class_quotient`): the reduced echelon rows,
+    the residues and the cycle basis are those of the elimination of the
+    commutators [e_i, e_s] (`chains._quotient`), also where the middles are
+    cut and the orbits are not the classes."""
+    rng = random.Random(83)
+    for A, _ in _forms_path_algebras():
+        d = A.dim
+        ref = chains._quotient(A, d, chains._commutator_rows(A, A.middles))
+        cycles = ref.independent([1 << i for i in range(d)])
+        for kind in ("H0", "HC0"):
+            hs = H.homology(A, kind)
+            assert hs.context.space.packed_basis() == ref.space.packed_basis(), (A.name, kind)
+            assert hs.basis_rows == cycles, (A.name, kind)
+            for _ in range(4):
+                v = rng.getrandbits(d)
+                assert hs.context.reduce_packed(v) == ref.reduce_packed(v), (A.name, kind)
+
+
+def test_middle_polarizations_span_every_pair():
+    """Coker(mu) divides HQ_1 by the e_i (x) e_i and the polarizations at
+    the middles only, and HC_1 divides H_1 by those polarizations
+    (`forms.polarizations`): the constraints span what every pair of
+    `operations._mu_pairs` (every i < j for HC_1) spans.  Where the middles
+    are cut the walk misses columns, every pair is written, and the middles'
+    pairs alone would span less on some of those algebras."""
+    short = []
+    for A, walked in _forms_path_algebras():
+        d = A.dim
+        hq, h1 = H.space(A, "HQ1").context, H.space(A, "H1").context
+        assert hq.walked == h1.walked == walked, A.name
+        every_mu = hq.extended_pairs(operations._mu_pairs(d))
+        got = operations.CokerMu(A).context
+        assert got.forms.space.packed_basis() == every_mu.forms.space.packed_basis(), A.name
+        every_hc = h1.extended_pairs((i * d + j, j * d + i)
+                                     for i in range(d) for j in range(i + 1, d))
+        got = H.space(A, "HC1").context
+        assert got.forms.space.packed_basis() == every_hc.forms.space.packed_basis(), A.name
+        if not walked:
+            middles = [(i * (d + 1),) * 2 for i in range(d)] + [
+                (i * d + s, s * d + i) for s in A.middles for i in range(d) if i != s]
+            short.append(hq.extended_pairs(middles).quotient_dim > every_mu.quotient_dim)
+    assert any(short) and len(short) == len(CUT_GROUPS)
+
+
+def test_vartheta_forms_are_the_row_forms():
+    """`forms._vartheta_forms` writes Q(vartheta(v)) off q and the table; it
+    is the form of `operations._one_plus_vartheta_rows` plus Q(v), row by
+    row, on the HQ_1 basis rows and on seeded sparse rows over T_2 + T_1,
+    and dense ones up to order 16.  The Coker(1 + vartheta) context and basis rows are those of
+    the rows divided out (`extended`, `independent`)."""
+    rng = random.Random(89)
+    for A, _ in _forms_path_algebras():
+        cok = H.coker_one_plus_vartheta(A)
+        mu, rows = cok.coker_mu.context, cok.hq.basis_rows
+        n = mu.dim
+        # dense rows cost the square of their width in cross terms
+        dense = [rng.getrandbits(n) for _ in range(3 if A.dim <= 16 else 0)]
+        more = dense + [sum({1 << rng.randrange(n) for _ in range(rng.randint(1, 8))})
+                        for _ in range(4)]
+        for some in (rows, more):
+            got = forms._vartheta_forms(A, mu.q, some)
+            ref = [mu._form(w ^ v)
+                   for w, v in zip(operations._one_plus_vartheta_rows(A, some), some)]
+            assert got == ref, A.name
+        ref = mu.extended(operations._one_plus_vartheta_rows(A, rows))
+        assert cok.context.forms.space.packed_basis() == ref.forms.space.packed_basis(), A.name
+        assert cok.basis_rows == ref.independent(rows), A.name
 
 
 # -- Hochschild homology against the centralizer decomposition --------------
